@@ -9,7 +9,10 @@
 // relies on. The BM_Fused* entries extend the same contract to the fused
 // elementwise solver kernels (admm/kernels.hpp): their per-tile reduction
 // partials live in the caller's scratch arena, so steady-state allocs/op
-// must also be exactly 0 at any pool width.
+// must also be exactly 0 at any pool width. The key-encoder entries
+// (BM_EncodeQuantized, BM_EncoderTrainPair) hold the CNN layer kernels to
+// the same contract: their relaid weights and channels-last buffers live in
+// per-thread scratch.
 #include <benchmark/benchmark.h>
 
 #include "admm/kernels.hpp"
@@ -17,6 +20,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/scratch.hpp"
+#include "encoder/encoder.hpp"
 #include "fft/fft.hpp"
 #include "fft/nufft.hpp"
 
@@ -194,6 +198,40 @@ void BM_FusedLspCombine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * u.size());
 }
 BENCHMARK(BM_FusedLspCombine)->Args({24, 1})->Args({24, 4})->Args({40, 4});
+
+// One deployed key: INT8 CNN encode of a range(0)×range(0) chunk plane
+// (12: the serve workload's n; 32: the encoder's own front-end size).
+void BM_EncodeQuantized(benchmark::State& state) {
+  const i64 n = state.range(0);
+  encoder::CnnEncoder enc;
+  enc.quantize();
+  const auto chunk = signal(n * n, 15);
+  const encoder::ChunkImage img{n, n, chunk};
+  auto key = enc.encode_quantized(img);  // warm the layer kernels' scratch
+  AllocCounter allocs;
+  for (auto _ : state) {
+    key = enc.encode_quantized(img);
+    benchmark::DoNotOptimize(key.data());
+  }
+  allocs.report(state);
+}
+BENCHMARK(BM_EncodeQuantized)->Arg(12)->Arg(32);
+
+// One contrastive training step (two forwards, two backwards, six Adam
+// updates) on a pair of 32×32 chunk planes.
+void BM_EncoderTrainPair(benchmark::State& state) {
+  encoder::CnnEncoder enc;
+  const auto a = signal(32 * 32, 16);
+  const auto b = signal(32 * 32, 17);
+  double loss = enc.train_pair({32, 32, a}, {32, 32, b});  // warm
+  AllocCounter allocs;
+  for (auto _ : state) {
+    loss = enc.train_pair({32, 32, a}, {32, 32, b});
+    benchmark::DoNotOptimize(loss);
+  }
+  allocs.report(state);
+}
+BENCHMARK(BM_EncoderTrainPair);
 
 void BM_NaiveNdftReference(benchmark::State& state) {
   const i64 n = state.range(0);

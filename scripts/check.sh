@@ -32,9 +32,15 @@
 # restarted from a snapshot, gated on "surviving jobs bit-identical,
 # service exits 0". Socket smokes skip gracefully where sockets are
 # unavailable.
+# The ASan+UBSan preset builds and runs the suites whose kernels do
+# hand-written index arithmetic over scratch buffers — the key encoder's
+# layer kernels, the memo layer, the fused ADMM kernels — and the
+# concurrency suite that drives them from pool workers.
 #   ./scripts/check.sh          release build + ctest + smokes
 #   ./scripts/check.sh tsan     ThreadSanitizer build + ctest + matrix +
 #                               smokes (slower)
+#   ./scripts/check.sh asan     AddressSanitizer+UBSan build of encoder,
+#                               memo, admm and concurrency tests + ctest
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,7 +68,7 @@ if [[ "$preset" == "tsan" ]]; then
   ctest --preset tsan -j "$(nproc)"
   ./build-tsan/obs_test
   ./build-tsan/concurrency_test \
-    --gtest_filter='Concurrency.PipelinedCrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix'
+    --gtest_filter='Concurrency.PipelinedCrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.ConcurrentQuantizedEncodesMatchSerial'
   ./build-tsan/ew_test --gtest_filter='Ew.*'
   ./build-tsan/serve_test \
     --gtest_filter='ReconService.OutputsIdenticalAcrossPipelineDepths:ReconService.SharedTierShardMatrix:ReconService.LoopbackTransportMatrix:ReconService.TraceOnOffBitIdentity:ReconService.PreemptionDeterminismMatrix:ReconService.PreemptedJobResumesOnDifferentSlot:ReconService.AdmissionDecisionInvarianceMatrix'
@@ -82,6 +88,10 @@ if [[ "$preset" == "tsan" ]]; then
   ./build-tsan/bench_serve_traffic --jobs 8 --n small --transport socket
   ./build-tsan/bench_serve_traffic --jobs 8 --n small --transport socket \
     --chaos kill-tier-at-job=3
+elif [[ "$preset" == "asan" ]]; then
+  cmake --preset asan
+  cmake --build --preset asan -j "$(nproc)"
+  ctest --preset asan -j "$(nproc)"
 else
   cmake -B build -S .
   cmake --build build -j "$(nproc)"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -72,31 +73,14 @@ FeatureMap CnnEncoder::preprocess(const ChunkImage& chunk) const {
 
 std::vector<float> CnnEncoder::forward(const FeatureMap& in,
                                        bool use_int8) const {
-  // Dequantize-on-use when the INT8 path is requested: numerically identical
-  // to an integer kernel with float accumulators.
-  const Conv2D* c1 = &conv1_;
-  const Conv2D* c2 = &conv2_;
-  const Dense* fc = &fc_;
-  Conv2D c1q = conv1_, c2q = conv2_;
-  Dense fcq = fc_;
-  if (use_int8 && quantized_) {
-    for (std::size_t i = 0; i < c1q.w.size(); ++i)
-      c1q.w[i] = float(q_w1_[i]) * s_w1_;
-    for (std::size_t i = 0; i < c2q.w.size(); ++i)
-      c2q.w[i] = float(q_w2_[i]) * s_w2_;
-    for (std::size_t i = 0; i < fcq.w.size(); ++i)
-      fcq.w[i] = float(q_wf_[i]) * s_wf_;
-    c1 = &c1q;
-    c2 = &c2q;
-    fc = &fcq;
-  }
-  FeatureMap a = c1->forward(in);
+  const bool q = use_int8 && int8_.has_value();
+  FeatureMap a = (q ? int8_->conv1 : conv1_).forward(in);
   relu_forward(a.v);
   FeatureMap p1 = avgpool2(a);
-  FeatureMap b = c2->forward(p1);
+  FeatureMap b = (q ? int8_->conv2 : conv2_).forward(p1);
   relu_forward(b.v);
   FeatureMap p2 = avgpool2(b);
-  return fc->forward(p2.v);
+  return (q ? int8_->fc : fc_).forward(p2.v);
 }
 
 std::vector<float> CnnEncoder::encode(const ChunkImage& chunk) const {
@@ -135,11 +119,11 @@ void CnnEncoder::backward_from_embedding(const Trace& t,
   FeatureMap dp1 = conv2_.backward(t.p1, db);
   FeatureMap da = avgpool2_backward(t.a, dp1);
   relu_backward(t.a.v, da.v);
-  (void)conv1_.backward(t.in, da);
+  conv1_.accumulate_grads(t.in, da);
 }
 
 double CnnEncoder::train_pair(const ChunkImage& a, const ChunkImage& b) {
-  MLR_CHECK_MSG(!quantized_, "encoder already frozen to INT8");
+  MLR_CHECK_MSG(!quantized(), "encoder already frozen to INT8");
   Trace ta, tb;
   forward_train(preprocess(a), ta);
   forward_train(preprocess(b), tb);
@@ -192,24 +176,33 @@ double CnnEncoder::train(const std::vector<std::vector<cfloat>>& samples,
 }
 
 namespace {
-void quantize_tensor(const std::vector<float>& w, std::vector<std::int8_t>& q,
-                     float& scale) {
+// Per-tensor symmetric INT8: w ← round(w/scale) clamped to ±127, times scale.
+// The INT8 values are dequantized here, once, and the inference kernels run
+// the float path's kernels on them: float weights, double accumulators. An
+// integer kernel (int32 sums of int8 products) would round differently and
+// change the keys.
+void quantize_tensor(std::vector<float>& w) {
   float mx = 1e-12f;
   for (float x : w) mx = std::max(mx, std::abs(x));
-  scale = mx / 127.0f;
-  q.resize(w.size());
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const float r = std::round(w[i] / scale);
-    q[i] = std::int8_t(std::clamp(r, -127.0f, 127.0f));
+  const float scale = mx / 127.0f;
+  for (float& x : w) {
+    const float r = std::round(x / scale);
+    x = float(std::int8_t(std::clamp(r, -127.0f, 127.0f))) * scale;
   }
+}
+
+template <class Layer>
+Layer int8_layer(const Layer& trained) {
+  Layer l = trained;
+  quantize_tensor(l.w);
+  std::vector<float>().swap(l.gw);
+  std::vector<float>().swap(l.gb);
+  return l;
 }
 }  // namespace
 
 void CnnEncoder::quantize() {
-  quantize_tensor(conv1_.w, q_w1_, s_w1_);
-  quantize_tensor(conv2_.w, q_w2_, s_w2_);
-  quantize_tensor(fc_.w, q_wf_, s_wf_);
-  quantized_ = true;
+  int8_ = Int8Layers{int8_layer(conv1_), int8_layer(conv2_), int8_layer(fc_)};
 }
 
 double CnnEncoder::encode_flops() const {

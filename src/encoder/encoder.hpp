@@ -10,6 +10,7 @@
 // encoder serves every operator's chunks.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -57,7 +58,12 @@ class CnnEncoder {
 
   /// Freeze float weights into per-tensor symmetric INT8.
   void quantize();
-  [[nodiscard]] bool quantized() const { return quantized_; }
+  [[nodiscard]] bool quantized() const { return int8_.has_value(); }
+
+  /// The trained float layers (tests pin their parameters bit for bit).
+  [[nodiscard]] const Conv2D& conv1() const { return conv1_; }
+  [[nodiscard]] const Conv2D& conv2() const { return conv2_; }
+  [[nodiscard]] const Dense& fc() const { return fc_; }
 
   [[nodiscard]] const EncoderConfig& config() const { return cfg_; }
   /// FLOPs of one forward pass (cost-model input; <1 % of FFT cost).
@@ -77,9 +83,13 @@ class CnnEncoder {
   Dense fc_;
   Adam opt_w1_, opt_b1_, opt_w2_, opt_b2_, opt_wf_, opt_bf_;
 
-  bool quantized_ = false;
-  std::vector<std::int8_t> q_w1_, q_w2_, q_wf_;
-  float s_w1_ = 1.0f, s_w2_ = 1.0f, s_wf_ = 1.0f;
+  // The deployed layers, built once by quantize(): every weight is its INT8
+  // value times the tensor's scale, held as float. No gradient buffers.
+  struct Int8Layers {
+    Conv2D conv1, conv2;
+    Dense fc;
+  };
+  std::optional<Int8Layers> int8_;
 };
 
 /// L2 distance between two raw chunks (the contrastive ground-truth label).

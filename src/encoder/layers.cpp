@@ -1,8 +1,10 @@
 #include "encoder/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/scratch.hpp"
 
 namespace mlr::encoder {
 
@@ -19,28 +21,75 @@ Conv2D::Conv2D(i64 in_ch, i64 out_ch, i64 ksize, i64 stride, Rng& rng)
   for (auto& x : w) x = float(rng.normal(0.0, he));
 }
 
+namespace {
+
+// Two doubles, one SSE2 register on x86-64. Element-wise + and × on it are
+// the scalar IEEE operations lane by lane, so a kernel written with it
+// rounds exactly as the scalar loop it replaces.
+using f64x2 = double __attribute__((vector_size(16)));
+
+/// Register pairs (2 output channels each) one forward block accumulates.
+constexpr i64 kPairs = 4;
+
+// Kernel buffers (relaid weights, channels-last copies). One arena per
+// element type serves every layer: a thread runs one layer kernel at a time,
+// so its buffer is reused across layers and calls and the steady state never
+// touches the heap. Threads never share a buffer, so concurrent encodes from
+// pool workers need no lock.
+const PerThreadScratch<f64x2> forward_scratch;
+const PerThreadScratch<float> backward_scratch;
+
+}  // namespace
+
+// Every output sums b, then its taps in (ic, ky, kx) order with out-of-range
+// taps skipped: the direct convolution's order. The kernel runs it for
+// 2·kPairs output channels of one pixel side by side, their double
+// accumulators held in registers across the whole tap loop, instead of one
+// serial add chain per output. A float×float product is exact in double, so
+// only the order of the additions sets the result, and it is the direct
+// loop's, bit for bit.
 FeatureMap Conv2D::forward(const FeatureMap& in) const {
   MLR_CHECK(in.c == in_ch_);
   FeatureMap out(out_ch_, out_h(in.h), out_w(in.w));
-  for (i64 oc = 0; oc < out_ch_; ++oc) {
+  const i64 taps = in_ch_ * k_ * k_;
+  const i64 lanes = 2 * kPairs;
+  const i64 blocks = (out_ch_ + lanes - 1) / lanes;
+  // w as [oc block][ic][ky][kx][pair], widened; lanes past out_ch_ hold 0.
+  const auto wt = forward_scratch.buffer(size_t(blocks * taps * kPairs));
+  for (i64 oc = 0; oc < blocks * lanes; ++oc)
+    for (i64 t = 0; t < taps; ++t)
+      wt[size_t(((oc / lanes) * taps + t) * kPairs + oc % lanes / 2)]
+        [oc % 2] = oc < out_ch_ ? w[size_t(oc * taps + t)] : 0.0f;
+  const auto bias = [&](i64 oc) {
+    return oc < out_ch_ ? double(b[size_t(oc)]) : 0.0;
+  };
+  for (i64 blk = 0; blk < blocks; ++blk) {
+    const f64x2* wb = wt.data() + blk * taps * kPairs;
+    const i64 oc0 = blk * lanes;
     for (i64 oy = 0; oy < out.h; ++oy) {
+      const i64 iy0 = oy * stride_ - pad_;
+      const i64 ky0 = std::max<i64>(0, -iy0);
+      const i64 ky1 = std::min(k_, in.h - iy0);
       for (i64 ox = 0; ox < out.w; ++ox) {
-        double acc = b[size_t(oc)];
-        const i64 iy0 = oy * stride_ - pad_;
         const i64 ix0 = ox * stride_ - pad_;
-        for (i64 ic = 0; ic < in_ch_; ++ic) {
-          for (i64 ky = 0; ky < k_; ++ky) {
-            const i64 iy = iy0 + ky;
-            if (iy < 0 || iy >= in.h) continue;
-            for (i64 kx = 0; kx < k_; ++kx) {
-              const i64 ix = ix0 + kx;
-              if (ix < 0 || ix >= in.w) continue;
-              acc += double(w[size_t(((oc * in_ch_ + ic) * k_ + ky) * k_ + kx)]) *
-                     double(in.at(ic, iy, ix));
+        const i64 kx0 = std::max<i64>(0, -ix0);
+        const i64 kx1 = std::min(k_, in.w - ix0);
+        f64x2 acc[kPairs];
+        for (i64 j = 0; j < kPairs; ++j)
+          acc[j] = f64x2{bias(oc0 + 2 * j), bias(oc0 + 2 * j + 1)};
+        for (i64 ic = 0; ic < in_ch_; ++ic)
+          for (i64 ky = ky0; ky < ky1; ++ky) {
+            const float* row = &in.v[size_t(
+                (ic * in.h + iy0 + ky) * in.w + ix0 + kx0)];
+            const f64x2* wr = wb + ((ic * k_ + ky) * k_ + kx0) * kPairs;
+            for (i64 kx = 0; kx < kx1 - kx0; ++kx) {
+              const double x = row[kx];
+              const f64x2 xx = {x, x};
+              for (i64 j = 0; j < kPairs; ++j) acc[j] += wr[kx * kPairs + j] * xx;
             }
           }
-        }
-        out.at(oc, oy, ox) = float(acc);
+        for (i64 l = 0; l < lanes && oc0 + l < out_ch_; ++l)
+          out.at(oc0 + l, oy, ox) = float(acc[l / 2][l % 2]);
       }
     }
   }
@@ -48,33 +97,87 @@ FeatureMap Conv2D::forward(const FeatureMap& in) const {
 }
 
 FeatureMap Conv2D::backward(const FeatureMap& in, const FeatureMap& dout) {
-  MLR_CHECK(in.c == in_ch_ && dout.c == out_ch_);
   FeatureMap din(in.c, in.h, in.w);
+  backward_into(in, dout, &din);
+  return din;
+}
+
+void Conv2D::accumulate_grads(const FeatureMap& in, const FeatureMap& dout) {
+  backward_into(in, dout, nullptr);
+}
+
+// The direct loop nest — oc, then (oy, ox), skipping zero gradients, then the
+// in-range taps — on channels-last copies of the input, weights, gradient
+// buffer and dL/din. Each (ky) row of taps is then one contiguous
+// (kx, ic) run, so the innermost loop vectorizes while every accumulator
+// still receives its float products in the direct loop's order: gw and gb
+// over (oy, ox) ascending, din over oc then (oy, ox) ascending.
+void Conv2D::backward_into(const FeatureMap& in, const FeatureMap& dout,
+                           FeatureMap* din) {
+  MLR_CHECK(in.c == in_ch_ && dout.c == out_ch_);
+  MLR_CHECK(dout.h == out_h(in.h) && dout.w == out_w(in.w));
+  const i64 filter = k_ * k_ * in_ch_;
+  const i64 plane = in.h * in.w * in_ch_;
+  const i64 filters = out_ch_ * filter;
+  const auto buf = backward_scratch.buffer(
+      size_t(plane + filters + (din != nullptr ? filters + plane : 0)));
+  float* xt = buf.data();      // in as [iy][ix][ic]
+  float* gwt = xt + plane;     // gw as [oc][ky][kx][ic]
+  float* wt = din != nullptr ? gwt + filters : nullptr;  // w, same layout
+  float* dint = din != nullptr ? wt + filters : nullptr;  // din, like in
+  const auto cl = [&](i64 ic, i64 iy, i64 ix) {
+    return (iy * in.w + ix) * in_ch_ + ic;
+  };
+  const auto fl = [&](i64 oc, i64 ic, i64 ky, i64 kx) {
+    return ((oc * k_ + ky) * k_ + kx) * in_ch_ + ic;
+  };
+  for (i64 ic = 0; ic < in_ch_; ++ic)
+    for (i64 iy = 0; iy < in.h; ++iy)
+      for (i64 ix = 0; ix < in.w; ++ix) xt[cl(ic, iy, ix)] = in.at(ic, iy, ix);
+  for (i64 oc = 0, wi = 0; oc < out_ch_; ++oc)
+    for (i64 ic = 0; ic < in_ch_; ++ic)
+      for (i64 ky = 0; ky < k_; ++ky)
+        for (i64 kx = 0; kx < k_; ++kx, ++wi) {
+          gwt[fl(oc, ic, ky, kx)] = gw[size_t(wi)];
+          if (wt != nullptr) wt[fl(oc, ic, ky, kx)] = w[size_t(wi)];
+        }
+  if (dint != nullptr) std::fill_n(dint, plane, 0.0f);
+
   for (i64 oc = 0; oc < out_ch_; ++oc) {
     for (i64 oy = 0; oy < dout.h; ++oy) {
+      const i64 iy0 = oy * stride_ - pad_;
+      const i64 ky0 = std::max<i64>(0, -iy0);
+      const i64 ky1 = std::min(k_, in.h - iy0);
       for (i64 ox = 0; ox < dout.w; ++ox) {
         const float g = dout.at(oc, oy, ox);
         if (g == 0.0f) continue;
         gb[size_t(oc)] += g;
-        const i64 iy0 = oy * stride_ - pad_;
         const i64 ix0 = ox * stride_ - pad_;
-        for (i64 ic = 0; ic < in_ch_; ++ic) {
-          for (i64 ky = 0; ky < k_; ++ky) {
-            const i64 iy = iy0 + ky;
-            if (iy < 0 || iy >= in.h) continue;
-            for (i64 kx = 0; kx < k_; ++kx) {
-              const i64 ix = ix0 + kx;
-              if (ix < 0 || ix >= in.w) continue;
-              const auto wi = size_t(((oc * in_ch_ + ic) * k_ + ky) * k_ + kx);
-              gw[wi] += g * in.at(ic, iy, ix);
-              din.at(ic, iy, ix) += g * w[wi];
-            }
-          }
+        const i64 kx0 = std::max<i64>(0, -ix0);
+        const i64 run = (std::min(k_, in.w - ix0) - kx0) * in_ch_;
+        for (i64 ky = ky0; ky < ky1; ++ky) {
+          const i64 xo = cl(0, iy0 + ky, ix0 + kx0);
+          const i64 fo = fl(oc, 0, ky, kx0);
+          float* gr = gwt + fo;
+          const float* xr = xt + xo;
+          for (i64 j = 0; j < run; ++j) gr[j] += g * xr[j];
+          if (dint == nullptr) continue;
+          float* dr = dint + xo;
+          const float* wr = wt + fo;
+          for (i64 j = 0; j < run; ++j) dr[j] += g * wr[j];
         }
       }
     }
   }
-  return din;
+
+  for (i64 oc = 0, wi = 0; oc < out_ch_; ++oc)
+    for (i64 ic = 0; ic < in_ch_; ++ic)
+      for (i64 ky = 0; ky < k_; ++ky)
+        for (i64 kx = 0; kx < k_; ++kx, ++wi) gw[size_t(wi)] = gwt[fl(oc, ic, ky, kx)];
+  if (din != nullptr)
+    for (i64 ic = 0; ic < in_ch_; ++ic)
+      for (i64 iy = 0; iy < in.h; ++iy)
+        for (i64 ix = 0; ix < in.w; ++ix) din->at(ic, iy, ix) = dint[cl(ic, iy, ix)];
 }
 
 Dense::Dense(i64 in_dim, i64 out_dim, Rng& rng) : in_(in_dim), out_(out_dim) {
@@ -87,14 +190,27 @@ Dense::Dense(i64 in_dim, i64 out_dim, Rng& rng) : in_(in_dim), out_(out_dim) {
   for (auto& x : w) x = float(rng.normal(0.0, xavier));
 }
 
+// kRows outputs accumulate side by side, each in the direct order (b, then
+// i ascending): independent add chains instead of one latency-bound chain.
+// A short last block recomputes its final row in the spare lanes.
 std::vector<float> Dense::forward(const std::vector<float>& in) const {
   MLR_CHECK(i64(in.size()) == in_);
   std::vector<float> out(static_cast<size_t>(out_));
-  for (i64 o = 0; o < out_; ++o) {
-    double acc = b[size_t(o)];
-    const float* row = w.data() + size_t(o * in_);
-    for (i64 i = 0; i < in_; ++i) acc += double(row[i]) * double(in[size_t(i)]);
-    out[size_t(o)] = float(acc);
+  constexpr i64 kRows = 8;
+  for (i64 o0 = 0; o0 < out_; o0 += kRows) {
+    const float* rows[kRows];
+    double acc[kRows];
+    for (i64 r = 0; r < kRows; ++r) {
+      const i64 o = std::min(o0 + r, out_ - 1);
+      rows[r] = w.data() + o * in_;
+      acc[r] = b[size_t(o)];
+    }
+    for (i64 i = 0; i < in_; ++i) {
+      const double x = in[size_t(i)];
+      for (i64 r = 0; r < kRows; ++r) acc[r] += double(rows[r][i]) * x;
+    }
+    for (i64 r = 0; r < kRows && o0 + r < out_; ++r)
+      out[size_t(o0 + r)] = float(acc[r]);
   }
   return out;
 }

@@ -35,6 +35,9 @@ class Conv2D {
   /// Backward: given dL/dout, accumulates dL/dw and dL/db into the gradient
   /// buffers and returns dL/din. `in` must be the forward input.
   FeatureMap backward(const FeatureMap& in, const FeatureMap& dout);
+  /// backward() without dL/din, for a first layer whose input gradient
+  /// nobody reads.
+  void accumulate_grads(const FeatureMap& in, const FeatureMap& dout);
 
   [[nodiscard]] i64 out_h(i64 in_h) const { return (in_h + stride_ - 1) / stride_; }
   [[nodiscard]] i64 out_w(i64 in_w) const { return (in_w + stride_ - 1) / stride_; }
@@ -47,8 +50,12 @@ class Conv2D {
   [[nodiscard]] i64 in_ch() const { return in_ch_; }
   [[nodiscard]] i64 out_ch() const { return out_ch_; }
   [[nodiscard]] i64 ksize() const { return k_; }
+  [[nodiscard]] i64 stride() const { return stride_; }
 
  private:
+  void backward_into(const FeatureMap& in, const FeatureMap& dout,
+                     FeatureMap* din);
+
   i64 in_ch_, out_ch_, k_, stride_, pad_;
 };
 

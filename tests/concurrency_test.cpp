@@ -3,10 +3,12 @@
 // must neither lose counter updates nor corrupt entries; the StageExecutor
 // must produce bit-identical results, records, cache contents and virtual
 // times for any pool width AND any overlap_slices setting (the async sliced
-// MemoDb service); ann::Index::search_batch must match looped search.
+// MemoDb service); ann::Index::search_batch must match looped search; keys
+// encoded concurrently by pool workers must match a serial pass.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "encoder/encoder.hpp"
 #include "kvstore/kvstore.hpp"
 #include "lamino/phantom.hpp"
 #include "memo/memo_cache.hpp"
@@ -682,6 +685,54 @@ TEST(Concurrency, SharedIndexParallelSearchCountsEveryEval) {
   (void)idx.search_batch(queries, 1, &pool);
   // Flat search evaluates every resident vector once per query.
   EXPECT_EQ(idx.distance_evals() - before, u64(128 * 64));
+}
+
+// Four pool workers encode distinct chunks on one shared encoder, each pass
+// in a shifted order, so calls of every chunk shape interleave on every
+// worker's per-thread kernel scratch. Every key must be bit-identical to a
+// serial pass.
+TEST(Concurrency, ConcurrentQuantizedEncodesMatchSerial) {
+  encoder::CnnEncoder enc;
+  std::vector<std::vector<cfloat>> train;
+  for (u64 i = 0; i < 4; ++i) train.push_back(random_value(32 * 32, 50 + i));
+  (void)enc.train(train, 32, 32, 4);
+  enc.quantize();
+  struct Chunk {
+    i64 rows, cols;
+    std::vector<cfloat> data;
+  };
+  constexpr int kWorkers = 4, kPerWorker = 4, kPasses = 3;
+  const std::pair<i64, i64> shapes[] = {{32, 32}, {12, 12}, {12, 40}, {5, 7}};
+  std::vector<Chunk> chunks;
+  for (int i = 0; i < kWorkers * kPerWorker; ++i) {
+    const auto [r, c] = shapes[i / kWorkers];
+    chunks.push_back({r, c, random_value(r * c, u64(100 + i))});
+  }
+  std::vector<std::vector<float>> serial;
+  for (const auto& c : chunks)
+    serial.push_back(enc.encode_quantized({c.rows, c.cols, c.data}));
+
+  std::vector<std::vector<float>> keys(kPasses * chunks.size());
+  ThreadPool pool(kWorkers);
+  for (int w = 0; w < kWorkers; ++w)
+    pool.submit([&, w] {
+      for (int pass = 0; pass < kPasses; ++pass)
+        for (int j = 0; j < kPerWorker; ++j) {
+          const auto i = size_t(((j + pass) % kPerWorker) * kWorkers + w);
+          const auto& c = chunks[i];
+          keys[size_t(pass) * chunks.size() + i] =
+              enc.encode_quantized({c.rows, c.cols, c.data});
+        }
+    });
+  pool.wait_idle();
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    const auto& want = serial[k % chunks.size()];
+    ASSERT_EQ(keys[k].size(), want.size()) << "key " << k;
+    EXPECT_EQ(std::memcmp(keys[k].data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "pass " << k / chunks.size() << " chunk " << k % chunks.size();
+  }
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
-// Tests for the CNN key encoder: numerical gradient checks of every layer,
-// contrastive training convergence, INT8 quantization fidelity, and the
-// metric property the memoization system needs (similar chunks → nearby keys).
+// Tests for the CNN key encoder: bitwise pins of the layer kernels against
+// the direct loops they replaced, golden digests of training and keys,
+// numerical gradient checks of every layer, contrastive training
+// convergence, INT8 quantization fidelity, and the metric property the
+// memoization system needs (similar chunks → nearby keys).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "encoder/encoder.hpp"
 #include "encoder/layers.hpp"
@@ -17,6 +22,214 @@ FeatureMap random_fm(i64 c, i64 h, i64 w, Rng& rng) {
   FeatureMap fm(c, h, w);
   for (auto& x : fm.v) x = float(rng.normal());
   return fm;
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise pins. The direct loops the layer kernels replaced, kept verbatim as
+// the reference: the kernels reorder loops for speed but must keep every
+// output's summation order, so their results are memcmp-identical.
+
+FeatureMap naive_conv_forward(const Conv2D& conv, const FeatureMap& in) {
+  const i64 in_ch_ = conv.in_ch(), out_ch_ = conv.out_ch(), k_ = conv.ksize();
+  const i64 stride_ = conv.stride(), pad_ = k_ / 2;
+  const auto& w = conv.w;
+  const auto& b = conv.b;
+  MLR_CHECK(in.c == in_ch_);
+  FeatureMap out(out_ch_, conv.out_h(in.h), conv.out_w(in.w));
+  for (i64 oc = 0; oc < out_ch_; ++oc) {
+    for (i64 oy = 0; oy < out.h; ++oy) {
+      for (i64 ox = 0; ox < out.w; ++ox) {
+        double acc = b[size_t(oc)];
+        const i64 iy0 = oy * stride_ - pad_;
+        const i64 ix0 = ox * stride_ - pad_;
+        for (i64 ic = 0; ic < in_ch_; ++ic) {
+          for (i64 ky = 0; ky < k_; ++ky) {
+            const i64 iy = iy0 + ky;
+            if (iy < 0 || iy >= in.h) continue;
+            for (i64 kx = 0; kx < k_; ++kx) {
+              const i64 ix = ix0 + kx;
+              if (ix < 0 || ix >= in.w) continue;
+              acc += double(w[size_t(((oc * in_ch_ + ic) * k_ + ky) * k_ + kx)]) *
+                     double(in.at(ic, iy, ix));
+            }
+          }
+        }
+        out.at(oc, oy, ox) = float(acc);
+      }
+    }
+  }
+  return out;
+}
+
+FeatureMap naive_conv_backward(Conv2D& conv, const FeatureMap& in,
+                               const FeatureMap& dout) {
+  const i64 in_ch_ = conv.in_ch(), out_ch_ = conv.out_ch(), k_ = conv.ksize();
+  const i64 stride_ = conv.stride(), pad_ = k_ / 2;
+  const auto& w = conv.w;
+  auto& gw = conv.gw;
+  auto& gb = conv.gb;
+  MLR_CHECK(in.c == in_ch_ && dout.c == out_ch_);
+  FeatureMap din(in.c, in.h, in.w);
+  for (i64 oc = 0; oc < out_ch_; ++oc) {
+    for (i64 oy = 0; oy < dout.h; ++oy) {
+      for (i64 ox = 0; ox < dout.w; ++ox) {
+        const float g = dout.at(oc, oy, ox);
+        if (g == 0.0f) continue;
+        gb[size_t(oc)] += g;
+        const i64 iy0 = oy * stride_ - pad_;
+        const i64 ix0 = ox * stride_ - pad_;
+        for (i64 ic = 0; ic < in_ch_; ++ic) {
+          for (i64 ky = 0; ky < k_; ++ky) {
+            const i64 iy = iy0 + ky;
+            if (iy < 0 || iy >= in.h) continue;
+            for (i64 kx = 0; kx < k_; ++kx) {
+              const i64 ix = ix0 + kx;
+              if (ix < 0 || ix >= in.w) continue;
+              const auto wi = size_t(((oc * in_ch_ + ic) * k_ + ky) * k_ + kx);
+              gw[wi] += g * in.at(ic, iy, ix);
+              din.at(ic, iy, ix) += g * w[wi];
+            }
+          }
+        }
+      }
+    }
+  }
+  return din;
+}
+
+std::vector<float> naive_dense_forward(const Dense& fc,
+                                       const std::vector<float>& in) {
+  const i64 in_ = fc.in_dim(), out_ = fc.out_dim();
+  const auto& w = fc.w;
+  const auto& b = fc.b;
+  MLR_CHECK(i64(in.size()) == in_);
+  std::vector<float> out(static_cast<size_t>(out_));
+  for (i64 o = 0; o < out_; ++o) {
+    double acc = b[size_t(o)];
+    const float* row = w.data() + size_t(o * in_);
+    for (i64 i = 0; i < in_; ++i) acc += double(row[i]) * double(in[size_t(i)]);
+    out[size_t(o)] = float(acc);
+  }
+  return out;
+}
+
+std::vector<float> naive_dense_backward(Dense& fc, const std::vector<float>& in,
+                                        const std::vector<float>& dout) {
+  const i64 in_ = fc.in_dim(), out_ = fc.out_dim();
+  const auto& w = fc.w;
+  auto& gw = fc.gw;
+  auto& gb = fc.gb;
+  MLR_CHECK(i64(in.size()) == in_ && i64(dout.size()) == out_);
+  std::vector<float> din(static_cast<size_t>(in_), 0.0f);
+  for (i64 o = 0; o < out_; ++o) {
+    const float g = dout[size_t(o)];
+    gb[size_t(o)] += g;
+    float* grow = gw.data() + size_t(o * in_);
+    const float* row = w.data() + size_t(o * in_);
+    for (i64 i = 0; i < in_; ++i) {
+      grow[i] += g * in[size_t(i)];
+      din[size_t(i)] += g * row[i];
+    }
+  }
+  return din;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Test values. Plain normals catch a changed product rounding. But a
+// float×float product is exact in double, and a double sum of products of one
+// scale, rounded to float, rarely shows a changed addition order.
+// `cancelling` values make it show: ±2^40 and ±1, whose huge products cancel
+// exactly and leave small terms that were rounded against them only if they
+// were added while a huge term was pending. Both mix in exact zeros of both
+// signs, as ReLU masks leave them in real gradients.
+void fill_hard(std::vector<float>& v, Rng& rng, bool cancelling) {
+  for (auto& x : v) {
+    const double u = rng.uniform();
+    const float sign = rng.flip() ? 1.0f : -1.0f;
+    x = u < 0.15                ? 0.0f
+        : u < 0.2               ? -0.0f
+        : cancelling && u < 0.3 ? sign * 0x1p40f
+        : cancelling && u < 0.6 ? sign
+                                : float(rng.normal());
+  }
+}
+
+// Stride 1 and 2; kernels 1, 3 and 5; channel counts that are not multiples
+// of any vector width; spatial sizes at or below the padding.
+TEST(LayerKernels, ConvMatchesDirectLoopsBitForBit) {
+  Rng rng(40);
+  int cases = 0;
+  for (const bool cancelling : {false, true})
+    for (const i64 stride : {1, 2})
+      for (const i64 k : {1, 3, 5})
+        for (const auto& [ic, oc] : {std::pair<i64, i64>{1, 1}, {2, 3},
+                                     {3, 9}, {7, 17}, {32, 64}})
+          for (const auto& [h, w] : {std::pair<i64, i64>{1, 1}, {2, 3},
+                                     {5, 7}, {8, 8}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "stride " << stride << " k " << k << " ic " << ic
+                         << " oc " << oc << " " << h << "x" << w
+                         << (cancelling ? " cancelling" : ""));
+            Rng init(static_cast<u64>(cases));
+            Conv2D fast(ic, oc, k, stride, init);
+            fill_hard(fast.w, rng, cancelling);
+            fill_hard(fast.b, rng, cancelling);
+            Conv2D ref = fast;
+            FeatureMap in(ic, h, w);
+            fill_hard(in.v, rng, cancelling);
+            const auto out = fast.forward(in);
+            EXPECT_TRUE(same_bits(out.v, naive_conv_forward(ref, in).v));
+            // Two backward passes: the second accumulates onto the first's
+            // gradient buffers, as a training pair does.
+            for (int pass = 0; pass < 2; ++pass) {
+              FeatureMap dout(out.c, out.h, out.w);
+              fill_hard(dout.v, rng, cancelling);
+              const auto din = fast.backward(in, dout);
+              EXPECT_TRUE(
+                  same_bits(din.v, naive_conv_backward(ref, in, dout).v));
+              EXPECT_TRUE(same_bits(fast.gw, ref.gw));
+              EXPECT_TRUE(same_bits(fast.gb, ref.gb));
+            }
+            // accumulate_grads is backward() without dL/din.
+            FeatureMap dout(out.c, out.h, out.w);
+            fill_hard(dout.v, rng, cancelling);
+            fast.accumulate_grads(in, dout);
+            (void)naive_conv_backward(ref, in, dout);
+            EXPECT_TRUE(same_bits(fast.gw, ref.gw));
+            EXPECT_TRUE(same_bits(fast.gb, ref.gb));
+            ++cases;
+          }
+  EXPECT_EQ(cases, 2 * 2 * 3 * 5 * 4);
+}
+
+TEST(LayerKernels, DenseMatchesDirectLoopsBitForBit) {
+  Rng rng(41);
+  for (const bool cancelling : {false, true})
+    for (const auto& [in_dim, out_dim] :
+         {std::pair<i64, i64>{1, 1}, {5, 3}, {7, 9}, {33, 17}, {1024, 60}}) {
+      SCOPED_TRACE(::testing::Message() << in_dim << " -> " << out_dim
+                                        << (cancelling ? " cancelling" : ""));
+      Rng init(static_cast<u64>(in_dim));
+      Dense fast(in_dim, out_dim, init);
+      fill_hard(fast.w, rng, cancelling);
+      fill_hard(fast.b, rng, cancelling);
+      Dense ref = fast;
+      std::vector<float> in(static_cast<size_t>(in_dim));
+      fill_hard(in, rng, cancelling);
+      EXPECT_TRUE(same_bits(fast.forward(in), naive_dense_forward(ref, in)));
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<float> dout(static_cast<size_t>(out_dim));
+        fill_hard(dout, rng, cancelling);
+        EXPECT_TRUE(same_bits(fast.backward(in, dout),
+                              naive_dense_backward(ref, in, dout)));
+        EXPECT_TRUE(same_bits(fast.gw, ref.gw));
+        EXPECT_TRUE(same_bits(fast.gb, ref.gb));
+      }
+    }
 }
 
 // Scalar loss = sum of elements; checks dL/dw by finite differences.
@@ -234,6 +447,46 @@ TEST(CnnEncoder, QuantizationPreservesEmbeddingsApproximately) {
     den += double(zf[i]) * zf[i];
   }
   EXPECT_LT(std::sqrt(num / std::max(den, 1e-12)), 0.05);  // <5 % relative
+}
+
+template <class V>
+u64 fold(u64 h, const V& v) {
+  return fnv1a(h, v.data(), v.size() * sizeof(v[0]));
+}
+
+// FNV-1a digests of the default encoder's parameters after 40 training
+// steps, of its float keys and of its INT8 keys on fixed seeded chunks,
+// recorded with the direct-loop layers. Any change to a key bit changes the
+// hit pattern, and so the accuracy, of every memoized run.
+TEST(CnnEncoder, GoldenTrainingAndKeys) {
+  CnnEncoder enc;
+  Rng rng(2025);
+  std::vector<std::vector<cfloat>> samples;
+  for (int i = 0; i < 6; ++i) samples.push_back(random_chunk(32 * 32, rng));
+  const double loss = enc.train(samples, 32, 32, 40, 17);
+  u64 loss_bits = 0;
+  std::memcpy(&loss_bits, &loss, sizeof loss);
+  EXPECT_EQ(loss_bits, 0x4038b02037bf2fecull) << loss;
+
+  u64 weights = kFnvOffsetBasis;
+  for (const Conv2D* c : {&enc.conv1(), &enc.conv2()})
+    weights = fold(fold(weights, c->w), c->b);
+  weights = fold(fold(weights, enc.fc().w), enc.fc().b);
+  EXPECT_EQ(weights, 0x4d614514e9c4d382ull);
+
+  Rng crng(2026);
+  std::vector<std::tuple<i64, i64, std::vector<cfloat>>> chunks;
+  for (const auto& [r, c] : {std::pair<i64, i64>{32, 32}, {12, 12},
+                             {12, 40}, {5, 7}, {64, 64}})
+    chunks.emplace_back(r, c, random_chunk(r * c, crng));
+  u64 keys = kFnvOffsetBasis;
+  for (const auto& [r, c, d] : chunks) keys = fold(keys, enc.encode({r, c, d}));
+  EXPECT_EQ(keys, 0x7a7a27d5579341d4ull);
+  enc.quantize();
+  u64 int8_keys = kFnvOffsetBasis;
+  for (const auto& [r, c, d] : chunks)
+    int8_keys = fold(int8_keys, enc.encode_quantized({r, c, d}));
+  EXPECT_EQ(int8_keys, 0x3241cd4940ea8b17ull);
 }
 
 TEST(CnnEncoder, TrainAfterQuantizeRejected) {
