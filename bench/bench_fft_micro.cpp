@@ -12,7 +12,9 @@
 // must also be exactly 0 at any pool width. The key-encoder entries
 // (BM_EncodeQuantized, BM_EncoderTrainPair) hold the CNN layer kernels to
 // the same contract: their relaid weights and channels-last buffers live in
-// per-thread scratch.
+// per-thread scratch. BM_FftBatch and BM_OperatorChunk time the batched
+// operator kernels: many transforms per call, and the four F_u*D chunk
+// kernels the stage engine runs on every memo miss.
 #include <benchmark/benchmark.h>
 
 #include "admm/kernels.hpp"
@@ -23,6 +25,7 @@
 #include "encoder/encoder.hpp"
 #include "fft/fft.hpp"
 #include "fft/nufft.hpp"
+#include "lamino/operators.hpp"
 
 namespace {
 
@@ -80,12 +83,30 @@ void BM_FftBluestein(benchmark::State& state) {
 }
 BENCHMARK(BM_FftBluestein)->Arg(60)->Arg(250)->Arg(1000);
 
+// range(1) lanes of length range(0) in one execute_batch call (ld = lanes):
+// the column pass of a 2-D transform.
+void BM_FftBatch(benchmark::State& state) {
+  const i64 n = state.range(0), lanes = state.range(1);
+  fft::Plan1D plan(n);
+  auto x = signal(n * lanes, 19);
+  plan.execute_batch(x.data(), lanes, lanes, false);  // warm the scratch
+  AllocCounter allocs;
+  for (auto _ : state) {
+    plan.execute_batch(x.data(), lanes, lanes, false);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  allocs.report(state);
+  state.SetItemsProcessed(state.iterations() * n * lanes);
+}
+BENCHMARK(BM_FftBatch)->Args({24, 64})->Args({64, 64});
+
 void BM_Fft2D(benchmark::State& state) {
   const i64 n = state.range(0);
   Array2D<cfloat> a(n, n);
   Rng rng(3);
   for (auto& v : a) v = cfloat(float(rng.normal()), float(rng.normal()));
-  fft::fft2d(a, false);  // warm the per-thread plan cache + strided scratch
+  fft::fft2d(a, false);  // warm the per-thread plan cache + transpose scratch
   AllocCounter allocs;
   for (auto _ : state) {
     fft::fft2d(a, false);
@@ -127,7 +148,7 @@ void BM_Nufft2DType2(benchmark::State& state) {
   }
   auto f = signal(pts, 7);
   std::vector<cfloat> out(static_cast<size_t>(pts));
-  plan.type2(nr, nc, f, out, -1);  // warm the fine-grid + column scratch
+  plan.type2(nr, nc, f, out, -1);  // warm the fine-grid + transpose scratch
   AllocCounter allocs;
   for (auto _ : state) {
     plan.type2(nr, nc, f, out, -1);
@@ -137,6 +158,43 @@ void BM_Nufft2DType2(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pts);
 }
 BENCHMARK(BM_Nufft2DType2)->Arg(16)->Arg(32);
+
+// One F_u1D / F_u1D* / F_u2D / F_u2D* chunk (range(0) = 0..3) of 4 slices
+// or detector rows on a range(1)³ cube: the miss-compute unit the stage
+// engine runs and memoizes.
+void BM_OperatorChunk(benchmark::State& state) {
+  static constexpr const char* kNames[] = {"fu1d", "fu1d_adj", "fu2d",
+                                           "fu2d_adj"};
+  const auto kernel = size_t(state.range(0));
+  const i64 n = state.range(1), count = 4;
+  const lamino::Operators ops(lamino::Geometry::cube(n));
+  const auto& g = ops.geometry();
+  const i64 slab = g.n0 * g.n2, u1 = g.h * g.n2, plane = g.n1 * g.n2,
+            proj = g.ntheta * g.w;
+  const std::pair<i64, i64> sizes[] = {
+      {slab, u1}, {u1, slab}, {plane, proj}, {proj, plane}};
+  const auto in = signal(count * sizes[kernel].first, 18);
+  std::vector<cfloat> out(size_t(count * sizes[kernel].second));
+  const lamino::ChunkSpec spec{0, 0, count};
+  const auto run = [&] {
+    switch (kernel) {
+      case 0: ops.fu1d_chunk(spec, in, out); break;
+      case 1: ops.fu1d_adj_chunk(spec, in, out); break;
+      case 2: ops.fu2d_chunk(spec, in, out); break;
+      default: ops.fu2d_adj_chunk(spec, in, out); break;
+    }
+  };
+  run();  // warm the per-thread grids
+  AllocCounter allocs;
+  for (auto _ : state) {
+    run();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  allocs.report(state);
+  state.SetLabel(kNames[kernel]);
+}
+BENCHMARK(BM_OperatorChunk)->ArgsProduct({{0, 1, 2, 3}, {12, 32}});
 
 admm::VectorField field(Shape3 s, u64 seed) {
   admm::VectorField f(s);

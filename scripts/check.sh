@@ -13,7 +13,10 @@
 #   * the preemption smoke (--preempt --jobs 32) replays the FIFO point
 #     with stage-boundary preemption on and exits non-zero unless the
 #     preempted outputs are bit-identical to the uninterrupted baseline
-#     AND at least one job actually yielded.
+#     AND at least one job actually yielded,
+#   * (release only) bench_table1_accuracy exits non-zero when memoized
+#     reconstruction accuracy (paper Eq. 5) drops below its calibrated
+#     Table 1 bounds.
 # The serving layer alone (service/scheduler matrices, workload contracts,
 # tier wire protocol) can be run via its CTest label: `ctest -L serve`.
 # The TSan preset additionally re-runs the cross-stage determinism matrix
@@ -34,13 +37,15 @@
 # unavailable.
 # The ASan+UBSan preset builds and runs the suites whose kernels do
 # hand-written index arithmetic over scratch buffers — the key encoder's
-# layer kernels, the memo layer, the fused ADMM kernels — and the
+# layer kernels, the memo layer, the fused ADMM kernels, the batched
+# FFT/NUFFT and operator kernels (lane/stride indexing) — and the
 # concurrency suite that drives them from pool workers.
 #   ./scripts/check.sh          release build + ctest + smokes
 #   ./scripts/check.sh tsan     ThreadSanitizer build + ctest + matrix +
 #                               smokes (slower)
 #   ./scripts/check.sh asan     AddressSanitizer+UBSan build of encoder,
-#                               memo, admm and concurrency tests + ctest
+#                               memo, admm, concurrency, fft and lamino
+#                               tests + ctest
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,7 +73,7 @@ if [[ "$preset" == "tsan" ]]; then
   ctest --preset tsan -j "$(nproc)"
   ./build-tsan/obs_test
   ./build-tsan/concurrency_test \
-    --gtest_filter='Concurrency.PipelinedCrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.ConcurrentQuantizedEncodesMatchSerial'
+    --gtest_filter='Concurrency.PipelinedCrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial'
   ./build-tsan/ew_test --gtest_filter='Ew.*'
   ./build-tsan/serve_test \
     --gtest_filter='ReconService.OutputsIdenticalAcrossPipelineDepths:ReconService.SharedTierShardMatrix:ReconService.LoopbackTransportMatrix:ReconService.TraceOnOffBitIdentity:ReconService.PreemptionDeterminismMatrix:ReconService.PreemptedJobResumesOnDifferentSlot:ReconService.AdmissionDecisionInvarianceMatrix'
@@ -96,6 +101,7 @@ else
   cmake -B build -S .
   cmake --build build -j "$(nproc)"
   (cd build && ctest --output-on-failure -j "$(nproc)")
+  ./build/bench_table1_accuracy --n 14
   ./build/bench_stage_scaling --n 12 --reps 2 --threads 2 \
     --json /tmp/BENCH_stage_scaling.smoke.json
   ./build/bench_serve_traffic --jobs 8 --n small \

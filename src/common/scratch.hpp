@@ -3,8 +3,8 @@
 // The FFT/NUFFT kernels (and the operator layer driving them) used to
 // heap-allocate their working buffers on every call — pure overhead on the
 // miss-compute path the stage-execution engine tries to keep busy. A
-// PerThreadScratch<T> gives its owner (an FFT plan, an Operators instance)
-// one reusable buffer *per calling thread*:
+// PerThreadScratch<T> gives its owner (a kernel source file, a solver's
+// kernel set) one reusable buffer *per calling thread*:
 //
 //   * buffer(n) returns a span of n elements private to the calling thread.
 //     Contents are whatever the last use on this thread left behind — the

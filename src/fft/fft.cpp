@@ -7,10 +7,14 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/scratch.hpp"
+#include "fft/simd.hpp"
 
 namespace mlr::fft {
 
 namespace {
+
+using namespace simd;
 
 constexpr double kPi = std::numbers::pi;
 
@@ -44,13 +48,31 @@ std::vector<cfloat> make_twiddles(i64 n) {
   return tw;
 }
 
-// Core iterative radix-2 Cooley–Tukey, decimation in time.
-void fft_pow2_core(std::span<cfloat> a, const std::vector<cfloat>& tw,
-                   const std::vector<u64>& rev, bool inverse) {
-  const i64 n = i64(a.size());
+// Operands for multiplying two lanes by one complex c: `re` holds c.re in
+// every slot, `im` holds (−c.im, c.im, −c.im, c.im).
+struct Twiddle {
+  explicit Twiddle(cfloat c)
+      : re(splat(c.real())), im{-c.imag(), c.imag(), -c.imag(), c.imag()} {}
+  f32x4 re, im;
+};
+
+// x·c for two lanes of x, as std::complex<float>'s multiply computes it:
+// (xr·cr − xi·ci, xi·cr + xr·ci). The swapped product supplies xi·(−ci),
+// which is −(xi·ci) exactly, and a + (−b) is a − b exactly.
+f32x4 cmul2(f32x4 x, const Twiddle& c) {
+  const f32x4 swapped = __builtin_shufflevector(x, x, 1, 0, 3, 2);
+  return x * c.re + swapped * c.im;
+}
+
+// Iterative radix-2 Cooley–Tukey, decimation in time, over a batch: element
+// j of lane b at a[j*ld + b]. Each lane sees the one-lane loop's butterflies
+// in its order.
+void fft_pow2_batch(cfloat* a, i64 n, i64 ld, i64 lanes,
+                    const std::vector<cfloat>& tw, const std::vector<u64>& rev,
+                    bool inverse) {
   for (i64 i = 0; i < n; ++i) {
     const auto j = i64(rev[size_t(i)]);
-    if (i < j) std::swap(a[size_t(i)], a[size_t(j)]);
+    if (i < j) std::swap_ranges(a + i * ld, a + i * ld + lanes, a + j * ld);
   }
   for (i64 len = 2; len <= n; len <<= 1) {
     const i64 half = len / 2;
@@ -59,18 +81,41 @@ void fft_pow2_core(std::span<cfloat> a, const std::vector<cfloat>& tw,
       for (i64 k = 0; k < half; ++k) {
         cfloat w = tw[size_t(k * step)];
         if (inverse) w = std::conj(w);
-        const cfloat u = a[size_t(base + k)];
-        const cfloat t = a[size_t(base + k + half)] * w;
-        a[size_t(base + k)] = u + t;
-        a[size_t(base + k + half)] = u - t;
+        const Twiddle wv(w);
+        cfloat* top = a + (base + k) * ld;
+        cfloat* bot = top + half * ld;
+        for_lanes(
+            lanes,
+            [&](i64 b) {
+              const f32x4 u = load2(top + b);
+              const f32x4 t = cmul2(load2(bot + b), wv);
+              store2(top + b, u + t);
+              store2(bot + b, u - t);
+            },
+            [&](i64 b) {
+              const cfloat u = top[b];
+              const cfloat t = bot[b] * w;
+              top[b] = u + t;
+              bot[b] = u - t;
+            });
       }
     }
   }
   if (inverse) {
     const float inv = 1.0f / float(n);
-    for (auto& x : a) x *= inv;
+    for (i64 j = 0; j < n; ++j)
+      for (i64 b = 0; b < lanes; ++b) a[j * ld + b] *= inv;
   }
 }
+
+// Per-thread working storage shared by every plan: the m×lanes Bluestein
+// convolution grid, and the transposed copy fft2d_span runs its row pass on.
+// No buffer is requested again while in use on the same thread (a Bluestein
+// transform runs no other Bluestein transform, fft2d_span no other
+// fft2d_span), so one buffer each per thread serves all plans and lengths,
+// and the footprint does not grow with the number of plans.
+const PerThreadScratch<cfloat> bluestein_scratch;
+const PerThreadScratch<cfloat> transpose_scratch;
 
 }  // namespace
 
@@ -99,58 +144,78 @@ Plan1D::Plan1D(i64 n) : n_(n), pow2_(is_pow2(n)) {
     b[size_t(k)] = std::conj(chirp_[size_t(k)]);
     b[size_t(m_ - k)] = std::conj(chirp_[size_t(k)]);
   }
-  fft_pow2_core({b.data(), size_t(m_)}, mtw_, mbitrev_, /*inverse=*/false);
+  fft_pow2_batch(b.data(), m_, 1, 1, mtw_, mbitrev_, /*inverse=*/false);
   chirp_fft_ = std::move(b);
 }
 
 void Plan1D::execute(std::span<cfloat> data, bool inverse) const {
   MLR_CHECK(i64(data.size()) == n_);
+  execute_batch(data.data(), 1, 1, inverse);
+}
+
+void Plan1D::execute_batch(cfloat* data, i64 ld, i64 lanes,
+                           bool inverse) const {
+  MLR_CHECK(lanes >= 1 && ld >= lanes);
   if (n_ == 1) return;
   if (pow2_) {
-    execute_pow2(data, inverse);
+    fft_pow2_batch(data, n_, ld, lanes, twiddle_, bitrev_, inverse);
   } else {
-    execute_bluestein(data, inverse);
+    execute_bluestein(data, ld, lanes, inverse);
   }
 }
 
-void Plan1D::execute_pow2(std::span<cfloat> data, bool inverse) const {
-  fft_pow2_core(data, twiddle_, bitrev_, inverse);
+void Plan1D::execute_bluestein(cfloat* data, i64 ld, i64 lanes,
+                               bool inverse) const {
+  // Inverse transform = conj(forward(conj(x)))/n. The convolution runs on a
+  // packed m×lanes grid.
+  auto a = bluestein_scratch.buffer(size_t(m_ * lanes));
+  std::fill(a.begin() + n_ * lanes, a.end(), cfloat{});  // zero-pad [n, m)
+  const f32x4 conj_in = inverse ? f32x4{1, -1, 1, -1} : splat(1);
+  for (i64 k = 0; k < n_; ++k) {
+    const cfloat c = chirp_[size_t(k)];
+    const Twiddle cv(c);
+    const cfloat* x = data + k * ld;
+    cfloat* y = a.data() + k * lanes;
+    for_lanes(
+        lanes, [&](i64 b) { store2(y + b, cmul2(load2(x + b) * conj_in, cv)); },
+        [&](i64 b) { y[b] = (inverse ? std::conj(x[b]) : x[b]) * c; });
+  }
+  fft_pow2_batch(a.data(), m_, lanes, lanes, mtw_, mbitrev_,
+                 /*inverse=*/false);
+  for (i64 k = 0; k < m_; ++k) {
+    const cfloat c = chirp_fft_[size_t(k)];
+    const Twiddle cv(c);
+    cfloat* y = a.data() + k * lanes;
+    for_lanes(
+        lanes, [&](i64 b) { store2(y + b, cmul2(load2(y + b), cv)); },
+        [&](i64 b) { y[b] *= c; });
+  }
+  fft_pow2_batch(a.data(), m_, lanes, lanes, mtw_, mbitrev_,
+                 /*inverse=*/true);
+  // conj(p)·inv is (pr·inv, (−pi)·inv) = (pr·inv, pi·(−inv)), both exact
+  // sign flips of the same products.
+  const float inv = 1.0f / float(n_);
+  const f32x4 out_scale = inverse ? f32x4{inv, -inv, inv, -inv} : splat(1);
+  for (i64 k = 0; k < n_; ++k) {
+    const cfloat c = chirp_[size_t(k)];
+    const Twiddle cv(c);
+    const cfloat* y = a.data() + k * lanes;
+    cfloat* x = data + k * ld;
+    for_lanes(
+        lanes,
+        [&](i64 b) {
+          const f32x4 p = cmul2(load2(y + b), cv);
+          store2(x + b, inverse ? p * out_scale : p);
+        },
+        [&](i64 b) {
+          x[b] = inverse ? std::conj(y[b] * c) * inv : y[b] * c;
+        });
+  }
 }
 
-void Plan1D::execute_bluestein(std::span<cfloat> data, bool inverse) const {
-  // Inverse transform = conj(forward(conj(x)))/n.
-  auto a = bluestein_scratch_.buffer(size_t(m_));
-  std::fill(a.begin() + n_, a.end(), cfloat{});  // zero-pad [n, m)
-  if (inverse) {
-    for (i64 k = 0; k < n_; ++k)
-      a[size_t(k)] = std::conj(data[size_t(k)]) * chirp_[size_t(k)];
-  } else {
-    for (i64 k = 0; k < n_; ++k)
-      a[size_t(k)] = data[size_t(k)] * chirp_[size_t(k)];
-  }
-  fft_pow2_core({a.data(), size_t(m_)}, mtw_, mbitrev_, /*inverse=*/false);
-  for (i64 k = 0; k < m_; ++k) a[size_t(k)] *= chirp_fft_[size_t(k)];
-  fft_pow2_core({a.data(), size_t(m_)}, mtw_, mbitrev_, /*inverse=*/true);
-  if (inverse) {
-    const float inv = 1.0f / float(n_);
-    for (i64 k = 0; k < n_; ++k)
-      data[size_t(k)] =
-          std::conj(a[size_t(k)] * chirp_[size_t(k)]) * inv;
-  } else {
-    for (i64 k = 0; k < n_; ++k)
-      data[size_t(k)] = a[size_t(k)] * chirp_[size_t(k)];
-  }
-}
-
-void Plan1D::execute_strided(cfloat* data, i64 stride, bool inverse) const {
-  if (stride == 1) {
-    execute({data, size_t(n_)}, inverse);
-    return;
-  }
-  auto tmp = strided_scratch_.buffer(static_cast<size_t>(n_));
-  for (i64 i = 0; i < n_; ++i) tmp[size_t(i)] = data[i * stride];
-  execute(tmp, inverse);
-  for (i64 i = 0; i < n_; ++i) data[i * stride] = tmp[size_t(i)];
+void transpose(const cfloat* in, i64 rows, i64 cols, cfloat* out) {
+  for (i64 r = 0; r < rows; ++r)
+    for (i64 c = 0; c < cols; ++c) out[c * rows + r] = in[r * cols + c];
 }
 
 const Plan1D& thread_plan(i64 n) {
@@ -163,14 +228,13 @@ const Plan1D& thread_plan(i64 n) {
 void fft2d_span(std::span<cfloat> a, i64 rows, i64 cols, bool inverse,
                 bool unitary) {
   MLR_CHECK(i64(a.size()) == rows * cols);
-  const Plan1D& row_plan = thread_plan(cols);
-  const Plan1D& col_plan = thread_plan(rows);
-  for (i64 r = 0; r < rows; ++r) {
-    row_plan.execute(a.subspan(size_t(r * cols), size_t(cols)), inverse);
-  }
-  for (i64 c = 0; c < cols; ++c) {
-    col_plan.execute_strided(a.data() + c, cols, inverse);
-  }
+  // Row pass on a transposed copy, where row r is lane r; then the column
+  // pass in place, where column c is lane c.
+  auto t = transpose_scratch.buffer(a.size());
+  transpose(a.data(), rows, cols, t.data());
+  thread_plan(cols).execute_batch(t.data(), rows, rows, inverse);
+  transpose(t.data(), cols, rows, a.data());
+  thread_plan(rows).execute_batch(a.data(), cols, cols, inverse);
   if (unitary) {
     // forward: multiply by 1/√N; inverse already divided by N, so restore √N.
     const double n = double(rows * cols);

@@ -4,7 +4,7 @@
 // re-implemented here as portable CPU kernels:
 //   * iterative radix-2 Cooley–Tukey for power-of-two lengths,
 //   * Bluestein chirp-z for arbitrary lengths,
-//   * batched / strided application and 2-D transforms on top.
+//   * batched application (many lanes per call) and 2-D transforms on top.
 //
 // Convention: forward() computes X[k] = Σ_n x[n]·exp(−2πi·k·n/N) (no scale);
 // inverse() computes the conjugate transform scaled by 1/N, so
@@ -15,14 +15,13 @@
 #include <vector>
 
 #include "common/array.hpp"
-#include "common/scratch.hpp"
 #include "common/types.hpp"
 
 namespace mlr::fft {
 
 /// Reusable 1-D transform plan for a fixed length. Thread-safe for concurrent
-/// execute() calls; non-pow2 (Bluestein) and strided execution run out of
-/// plan-owned per-thread scratch arenas, so a steady-state transform performs
+/// execute() calls; non-pow2 (Bluestein) execution runs out of a per-thread
+/// scratch arena that every plan shares, so a steady-state transform performs
 /// zero heap allocations.
 class Plan1D {
  public:
@@ -34,14 +33,18 @@ class Plan1D {
   void forward(std::span<cfloat> data) const { execute(data, /*inverse=*/false); }
   /// In-place inverse transform (scaled by 1/n).
   void inverse(std::span<cfloat> data) const { execute(data, /*inverse=*/true); }
+  /// The one-lane case of execute_batch().
   void execute(std::span<cfloat> data, bool inverse) const;
 
-  /// Strided in-place transform: elements data[offset + i*stride], i<n.
-  void execute_strided(cfloat* data, i64 stride, bool inverse) const;
+  /// In-place transforms of `lanes` independent sequences at once: element
+  /// j of lane b is data[j*ld + b], for j < n, b < lanes <= ld. Lanes run
+  /// two to a vector register, but every lane undergoes exactly the scalar
+  /// operations of a one-lane transform in the same order, so its output
+  /// bits equal execute() on that lane alone.
+  void execute_batch(cfloat* data, i64 ld, i64 lanes, bool inverse) const;
 
  private:
-  void execute_pow2(std::span<cfloat> data, bool inverse) const;
-  void execute_bluestein(std::span<cfloat> data, bool inverse) const;
+  void execute_bluestein(cfloat* data, i64 ld, i64 lanes, bool inverse) const;
 
   i64 n_ = 0;
   bool pow2_ = false;
@@ -54,10 +57,6 @@ class Plan1D {
   std::vector<cfloat> chirp_fft_;      // FFT of the padded conjugate chirp
   std::vector<cfloat> mtw_;            // twiddles for the length-m FFT
   std::vector<u64> mbitrev_;
-  // Per-thread working storage: the length-m Bluestein convolution buffer
-  // and the gather/scatter temporary of execute_strided.
-  PerThreadScratch<cfloat> bluestein_scratch_;
-  PerThreadScratch<cfloat> strided_scratch_;
 };
 
 /// Per-thread cache of Plan1D instances keyed by length — for call sites
@@ -74,6 +73,11 @@ inline i64 from_centered(i64 k_tilde, i64 n) {
 }
 /// Storage index -> centered index in [−n/2, n/2).
 inline i64 to_centered(i64 k, i64 n) { return k < (n + 1) / 2 ? k : k - n; }
+
+/// out[c*rows + r] = in[r*cols + c]: the cols×rows transpose of a rows×cols
+/// row-major array (out must not overlap in). Turns the rows of an array
+/// into the lanes of a batched transform.
+void transpose(const cfloat* in, i64 rows, i64 cols, cfloat* out);
 
 /// Forward 2-D transform of a rows×cols array, in place, row-major.
 void fft2d(Array2D<cfloat>& a, bool inverse);

@@ -5,11 +5,15 @@
 #include <numbers>
 
 #include "common/error.hpp"
+#include "common/scratch.hpp"
 #include "fft/fft.hpp"
+#include "fft/simd.hpp"
 
 namespace mlr::fft {
 
 namespace {
+
+using namespace simd;
 
 constexpr double kPi = std::numbers::pi;
 
@@ -20,15 +24,14 @@ inline double wrap(double x, double m) {
   return x;
 }
 
-// Execute a length-m DFT with explicit sign: sign=-1 is the forward
-// convention of Plan1D; sign=+1 is the unscaled conjugate transform.
-void dft_sign(const Plan1D& plan, std::span<cfloat> a, int sign) {
-  if (sign < 0) {
-    plan.forward(a);
-  } else {
-    plan.inverse(a);
-    const float m = float(a.size());
-    for (auto& x : a) x *= m;
+// Execute length-m DFTs of a packed m×lanes batch with explicit sign:
+// sign=-1 is the forward convention of Plan1D; sign=+1 is the unscaled
+// conjugate transform.
+void dft_sign(const Plan1D& plan, cfloat* a, i64 lanes, int sign) {
+  plan.execute_batch(a, lanes, lanes, /*inverse=*/sign > 0);
+  if (sign > 0) {
+    const float m = float(plan.size());
+    for (i64 i = 0; i < plan.size() * lanes; ++i) a[i] *= m;
   }
 }
 
@@ -68,6 +71,20 @@ std::vector<float> make_deconv(i64 n, i64 m, double tau) {
   return d;
 }
 
+// Per-thread working storage shared by every plan: the fine grid (m×lanes
+// in 1-D, mr×mc in 2-D), zeroed and filled per call, and the transposed copy
+// a 2-D fine FFT runs its row pass on. A NUFFT call runs no other NUFFT
+// call, so one buffer each per thread serves every plan, and the footprint
+// does not grow with the number of plans.
+const PerThreadScratch<cfloat> grid_scratch;
+const PerThreadScratch<cfloat> transpose_scratch;
+
+// Rejects a spreading half-width whose 2·msp+1 taps overflow SpreadWindow.
+void check_msp(const GriddingParams& params) {
+  MLR_CHECK_MSG(params.msp >= 1 && 2 * params.msp + 1 <= SpreadWindow::kMax,
+                "spreading half-width msp must be in [1, 15]");
+}
+
 }  // namespace
 
 double GriddingParams::tau() const {
@@ -79,57 +96,84 @@ double GriddingParams::tau() const {
 Nufft1D::Nufft1D(i64 n, GriddingParams params)
     : n_(n), m_(params.sigma * n), params_(params) {
   MLR_CHECK(n >= 2);
+  check_msp(params_);
   deconv_ = make_deconv(n_, m_, params_.tau());
   fine_plan_ = std::make_shared<Plan1D>(m_);
 }
 
 void Nufft1D::type2(std::span<const double> nu, std::span<const cfloat> f,
-                    std::span<cfloat> out, int sign) const {
-  MLR_CHECK(i64(f.size()) == n_);
-  MLR_CHECK(out.size() == nu.size());
+                    std::span<cfloat> out, int sign, i64 lanes) const {
+  MLR_CHECK(lanes >= 1);
+  MLR_CHECK(i64(f.size()) == n_ * lanes);
+  MLR_CHECK(i64(out.size()) == i64(nu.size()) * lanes);
   const double tau = params_.tau();
   // 1) deconvolve and zero-pad into the fine grid (storage order: index
   //    k̃ mod m).
-  auto g = grid_scratch_.buffer(size_t(m_));
+  auto g = grid_scratch.buffer(size_t(m_ * lanes));
   std::fill(g.begin(), g.end(), cfloat{});
   for (i64 k = 0; k < n_; ++k) {
     const i64 kc = to_centered(k, n_);
-    g[size_t(from_centered(kc, m_))] = f[size_t(k)] * deconv_[size_t(k)];
+    const float d = deconv_[size_t(k)];
+    const cfloat* src = f.data() + k * lanes;
+    cfloat* dst = g.data() + from_centered(kc, m_) * lanes;
+    for (i64 b = 0; b < lanes; ++b) dst[b] = src[b] * d;
   }
   // 2) fine-grid DFT from mode index to spatial index.
-  dft_sign(*fine_plan_, {g.data(), size_t(m_)}, sign);
-  // 3) interpolate at σ·ν_j.
+  dft_sign(*fine_plan_, g.data(), lanes, sign);
+  // 3) interpolate at σ·ν_j, one window for all lanes. Each lane's sum
+  //    stays in a register across the window's taps.
   const auto sigma = double(params_.sigma);
   for (std::size_t j = 0; j < nu.size(); ++j) {
     const double p = wrap(sigma * nu[j], double(m_));
     const auto win = make_window(p, m_, params_.msp, tau);
-    cfloat acc{};
-    for (int t = 0; t < win.cnt; ++t) acc += g[size_t(win.idx[t])] * win.w[t];
-    out[j] = acc;
+    cfloat* acc = out.data() + i64(j) * lanes;
+    for_lanes(
+        lanes,
+        [&](i64 b) {
+          f32x4 sum = splat(0.0f);
+          for (int t = 0; t < win.cnt; ++t)
+            sum += load2(g.data() + win.idx[t] * lanes + b) *
+                   splat(win.w[t]);
+          store2(acc + b, sum);
+        },
+        [&](i64 b) {
+          cfloat sum{};
+          for (int t = 0; t < win.cnt; ++t)
+            sum += g[size_t(win.idx[t] * lanes + b)] * win.w[t];
+          acc[b] = sum;
+        });
   }
 }
 
 void Nufft1D::type1(std::span<const double> nu, std::span<const cfloat> q,
-                    std::span<cfloat> out, int sign) const {
-  MLR_CHECK(q.size() == nu.size());
-  MLR_CHECK(i64(out.size()) == n_);
+                    std::span<cfloat> out, int sign, i64 lanes) const {
+  MLR_CHECK(lanes >= 1);
+  MLR_CHECK(i64(q.size()) == i64(nu.size()) * lanes);
+  MLR_CHECK(i64(out.size()) == n_ * lanes);
   const double tau = params_.tau();
-  // 1) spread onto the fine grid.
-  auto g = grid_scratch_.buffer(size_t(m_));
+  // 1) spread onto the fine grid, one window for all lanes.
+  auto g = grid_scratch.buffer(size_t(m_ * lanes));
   std::fill(g.begin(), g.end(), cfloat{});
   const auto sigma = double(params_.sigma);
   for (std::size_t j = 0; j < nu.size(); ++j) {
     const double p = wrap(sigma * nu[j], double(m_));
     const auto win = make_window(p, m_, params_.msp, tau);
-    for (int t = 0; t < win.cnt; ++t) g[size_t(win.idx[t])] += q[j] * win.w[t];
+    const cfloat* src = q.data() + i64(j) * lanes;
+    for (int t = 0; t < win.cnt; ++t) {
+      cfloat* dst = g.data() + win.idx[t] * lanes;
+      const float w = win.w[t];
+      for (i64 b = 0; b < lanes; ++b) dst[b] += src[b] * w;
+    }
   }
   // 2) fine-grid DFT from spatial index to mode index.
-  dft_sign(*fine_plan_, {g.data(), size_t(m_)}, sign);
+  dft_sign(*fine_plan_, g.data(), lanes, sign);
   // 3) deconvolve, truncate to the n central modes.
   for (i64 k = 0; k < n_; ++k) {
     const i64 kc = to_centered(k, n_);
-    out[size_t(k)] =
-        g[size_t(from_centered(kc, m_))] * deconv_[size_t(k)];
+    const float d = deconv_[size_t(k)];
+    const cfloat* src = g.data() + from_centered(kc, m_) * lanes;
+    cfloat* dst = out.data() + k * lanes;
+    for (i64 b = 0; b < lanes; ++b) dst[b] = src[b] * d;
   }
 }
 
@@ -145,6 +189,7 @@ Nufft2D::Nufft2D(i64 rows, i64 cols, GriddingParams params)
       mc_(params.sigma * cols),
       params_(params) {
   MLR_CHECK(rows >= 2 && cols >= 2);
+  check_msp(params_);
   deconv_r_ = make_deconv(rows_, mr_, params_.tau());
   deconv_c_ = make_deconv(cols_, mc_, params_.tau());
   fine_plan_r_ = std::make_shared<Plan1D>(mr_);
@@ -152,14 +197,13 @@ Nufft2D::Nufft2D(i64 rows, i64 cols, GriddingParams params)
 }
 
 void Nufft2D::fine_fft2d(std::span<cfloat> g, int sign) const {
-  for (i64 r = 0; r < mr_; ++r)
-    dft_sign(*fine_plan_c_, g.subspan(size_t(r * mc_), size_t(mc_)), sign);
-  auto col = col_scratch_.buffer(static_cast<size_t>(mr_));
-  for (i64 c = 0; c < mc_; ++c) {
-    for (i64 r = 0; r < mr_; ++r) col[size_t(r)] = g[size_t(r * mc_ + c)];
-    dft_sign(*fine_plan_r_, {col.data(), size_t(mr_)}, sign);
-    for (i64 r = 0; r < mr_; ++r) g[size_t(r * mc_ + c)] = col[size_t(r)];
-  }
+  // Row pass on a transposed copy, where row r is lane r; then the column
+  // pass in place, where column c is lane c.
+  auto t = transpose_scratch.buffer(g.size());
+  transpose(g.data(), mr_, mc_, t.data());
+  dft_sign(*fine_plan_c_, t.data(), mr_, sign);
+  transpose(t.data(), mc_, mr_, g.data());
+  dft_sign(*fine_plan_r_, g.data(), mc_, sign);
 }
 
 void Nufft2D::type2(std::span<const double> nu_r,
@@ -169,7 +213,7 @@ void Nufft2D::type2(std::span<const double> nu_r,
   MLR_CHECK(i64(f.size()) == rows_ * cols_);
   MLR_CHECK(nu_r.size() == nu_c.size() && out.size() == nu_r.size());
   const double tau = params_.tau();
-  auto g = grid_scratch_.buffer(size_t(mr_ * mc_));
+  auto g = grid_scratch.buffer(size_t(mr_ * mc_));
   std::fill(g.begin(), g.end(), cfloat{});
   for (i64 r = 0; r < rows_; ++r) {
     const i64 rf = from_centered(to_centered(r, rows_), mr_);
@@ -204,7 +248,7 @@ void Nufft2D::type1(std::span<const double> nu_r,
   MLR_CHECK(nu_r.size() == nu_c.size() && q.size() == nu_r.size());
   MLR_CHECK(i64(out.size()) == rows_ * cols_);
   const double tau = params_.tau();
-  auto g = grid_scratch_.buffer(size_t(mr_ * mc_));
+  auto g = grid_scratch.buffer(size_t(mr_ * mc_));
   std::fill(g.begin(), g.end(), cfloat{});
   const auto sigma = double(params_.sigma);
   for (std::size_t j = 0; j < nu_r.size(); ++j) {

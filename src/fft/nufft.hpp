@@ -15,43 +15,54 @@
 // Accuracy: oversampling σ=2 and spreading half-width Msp=6 give ~1e-6
 // relative error (single precision), verified against the naive NDFT in
 // tests/fft_test.cpp.
+//
+// Cost: per-call frequencies are not free. Every target evaluates a
+// spreading window of 2·Msp+1 Gaussian weights (one `exp` each, most of the
+// window's cost), and a 2-D target evaluates two. The 1-D plan amortises its
+// windows over many lanes per call; the 2-D plan evaluates them per target
+// per call.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "common/scratch.hpp"
 #include "common/types.hpp"
 
 namespace mlr::fft {
 
 /// Gaussian spreading parameters shared by the 1-D and 2-D transforms.
 struct GriddingParams {
-  int msp = 6;        ///< spreading half-width in fine-grid points
+  int msp = 6;        ///< spreading half-width in fine-grid points, 1..15
   i64 sigma = 2;      ///< oversampling factor (fine grid m = sigma·n)
   [[nodiscard]] double tau() const;  ///< Gaussian width in fine-grid units²
 };
 
 /// 1-D NUFFT plan for a fixed uniform length n. The nonuniform frequencies
-/// are passed per call (they are cheap; the expensive state is the FFT plan).
+/// are passed per call, and each call evaluates one spreading window (2·msp+1
+/// `exp`s) per frequency. To amortise them, a call transforms `lanes`
+/// independent inputs at once: element k of lane b is f[k*lanes + b], target
+/// j of lane b is out[j*lanes + b]. Every lane's output bits equal those of a
+/// one-lane call on that lane alone.
 class Nufft1D {
  public:
+  /// Throws mlr::Error unless 1 <= params.msp <= 15 (a window holds at most
+  /// 31 taps).
   explicit Nufft1D(i64 n, GriddingParams params = {});
 
   [[nodiscard]] i64 n() const { return n_; }
   [[nodiscard]] i64 fine_size() const { return m_; }
 
-  /// Uniform (length n) → nonuniform (length nu.size()).
+  /// Uniform (length n per lane) → nonuniform (length nu.size() per lane).
   void type2(std::span<const double> nu, std::span<const cfloat> f,
-             std::span<cfloat> out, int sign) const;
-  /// Nonuniform (length nu.size()) → uniform (length n). Accumulates into
-  /// `out` after zeroing it.
+             std::span<cfloat> out, int sign, i64 lanes = 1) const;
+  /// Nonuniform (length nu.size() per lane) → uniform (length n per lane).
+  /// Accumulates into `out` after zeroing it.
   void type1(std::span<const double> nu, std::span<const cfloat> q,
-             std::span<cfloat> out, int sign) const;
+             std::span<cfloat> out, int sign, i64 lanes = 1) const;
 
-  /// FLOP estimate for one type-2/type-1 call with `npts` targets (cost model
-  /// input for the simulated GPU).
+  /// FLOP estimate for one lane of a type-2/type-1 call with `npts` targets
+  /// (cost model input for the simulated GPU).
   [[nodiscard]] double flops(i64 npts) const;
 
  private:
@@ -61,15 +72,13 @@ class Nufft1D {
   // Plan1D execute() is const-thread-safe, so one fine-grid plan serves
   // every calling thread.
   std::shared_ptr<const class Plan1D> fine_plan_;
-  // Per-thread fine-grid working buffer (length m): type1/type2 zero and
-  // fill it per call instead of heap-allocating.
-  PerThreadScratch<cfloat> grid_scratch_;
 };
 
 /// 2-D NUFFT plan over an (rows × cols) uniform grid; nonuniform points are
 /// (ν_r, ν_c) pairs in cycles.
 class Nufft2D {
  public:
+  /// Throws mlr::Error unless 1 <= params.msp <= 15.
   Nufft2D(i64 rows, i64 cols, GriddingParams params = {});
 
   [[nodiscard]] i64 rows() const { return rows_; }
@@ -91,10 +100,6 @@ class Nufft2D {
   GriddingParams params_;
   std::vector<float> deconv_r_, deconv_c_;
   std::shared_ptr<const class Plan1D> fine_plan_r_, fine_plan_c_;
-  // Per-thread working storage: the mr×mc fine grid and the column gather
-  // buffer of fine_fft2d.
-  PerThreadScratch<cfloat> grid_scratch_;
-  PerThreadScratch<cfloat> col_scratch_;
 
   void fine_fft2d(std::span<cfloat> g, int sign) const;
 };

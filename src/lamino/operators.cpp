@@ -36,22 +36,18 @@ Operators::Operators(Geometry g) : geom_(g) {
 
 // --- chunked kernels --------------------------------------------------------
 
+// The n2 columns of a slab are the lanes of one batched 1-D NUFFT: the
+// slab's [n0][n2] (or [h][n2]) block is already element-major, lane-minor.
 void Operators::fu1d_chunk(const ChunkSpec& spec, std::span<const cfloat> in,
                            std::span<cfloat> out) const {
   const i64 n0 = geom_.n0, n2 = geom_.n2, h = geom_.h;
   MLR_CHECK(i64(in.size()) == spec.count * n0 * n2);
   MLR_CHECK(i64(out.size()) == spec.count * h * n2);
-  auto col = col_scratch_.buffer(static_cast<size_t>(n0));
-  auto res = res_scratch_.buffer(static_cast<size_t>(h));
   for (i64 s = 0; s < spec.count; ++s) {
-    for (i64 i2 = 0; i2 < n2; ++i2) {
-      for (i64 i0 = 0; i0 < n0; ++i0)
-        col[size_t(i0)] = in[size_t((s * n0 + i0) * n2 + i2)];
-      nufft_z_->type2(znu_, col, res, -1);
-      for (i64 kv = 0; kv < h; ++kv)
-        out[size_t((s * h + kv) * n2 + i2)] = res[size_t(kv)] * scale_1d_;
-    }
+    nufft_z_->type2(znu_, in.subspan(size_t(s * n0 * n2), size_t(n0 * n2)),
+                    out.subspan(size_t(s * h * n2), size_t(h * n2)), -1, n2);
   }
+  for (auto& x : out) x *= scale_1d_;
 }
 
 void Operators::fu1d_adj_chunk(const ChunkSpec& spec,
@@ -60,17 +56,12 @@ void Operators::fu1d_adj_chunk(const ChunkSpec& spec,
   const i64 n0 = geom_.n0, n2 = geom_.n2, h = geom_.h;
   MLR_CHECK(i64(in.size()) == spec.count * h * n2);
   MLR_CHECK(i64(out.size()) == spec.count * n0 * n2);
-  auto q = col_scratch_.buffer(static_cast<size_t>(h));
-  auto res = res_scratch_.buffer(static_cast<size_t>(n0));
   for (i64 s = 0; s < spec.count; ++s) {
-    for (i64 i2 = 0; i2 < n2; ++i2) {
-      for (i64 kv = 0; kv < h; ++kv)
-        q[size_t(kv)] = in[size_t((s * h + kv) * n2 + i2)];
-      nufft_z_->type1(znu_, q, res, +1);  // adjoint of type2(−1)
-      for (i64 i0 = 0; i0 < n0; ++i0)
-        out[size_t((s * n0 + i0) * n2 + i2)] = res[size_t(i0)] * scale_1d_;
-    }
+    // adjoint of type2(−1)
+    nufft_z_->type1(znu_, in.subspan(size_t(s * h * n2), size_t(h * n2)),
+                    out.subspan(size_t(s * n0 * n2), size_t(n0 * n2)), +1, n2);
   }
+  for (auto& x : out) x *= scale_1d_;
 }
 
 void Operators::fu2d_chunk(const ChunkSpec& spec, std::span<const cfloat> in,

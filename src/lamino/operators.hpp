@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/array.hpp"
-#include "common/scratch.hpp"
 #include "fft/nufft.hpp"
 #include "lamino/geometry.hpp"
 
@@ -114,10 +113,6 @@ class Operators {
   std::vector<std::vector<double>> plane_nu_col_;
   std::unique_ptr<fft::Nufft1D> nufft_z_;
   std::unique_ptr<fft::Nufft2D> nufft_plane_;
-  // Per-thread column/row gather buffers for the chunked 1-D kernels, so a
-  // miss-compute chunk performs zero heap allocations (see common/scratch).
-  PerThreadScratch<cfloat> col_scratch_;
-  PerThreadScratch<cfloat> res_scratch_;
   float scale_1d_, scale_2d_;
 };
 

@@ -4,7 +4,8 @@
 // must produce bit-identical results, records, cache contents and virtual
 // times for any pool width AND any overlap_slices setting (the async sliced
 // MemoDb service); ann::Index::search_batch must match looped search; keys
-// encoded concurrently by pool workers must match a serial pass.
+// encoded and operator chunks computed concurrently by pool workers must
+// match a serial pass.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include "common/rng.hpp"
 #include "encoder/encoder.hpp"
 #include "kvstore/kvstore.hpp"
+#include "lamino/operators.hpp"
 #include "lamino/phantom.hpp"
 #include "memo/memo_cache.hpp"
 #include "memo/memoized_ops.hpp"
@@ -732,6 +734,68 @@ TEST(Concurrency, ConcurrentQuantizedEncodesMatchSerial) {
                           want.size() * sizeof(float)),
               0)
         << "pass " << k / chunks.size() << " chunk " << k % chunks.size();
+  }
+}
+
+// Four pool workers run all four F_u*D chunk kernels of one shared
+// Operators on distinct chunks, each worker starting each pass at a
+// different kernel, so the per-thread batch grids, transposed copies and
+// Bluestein scratch (n = 12: every fine grid is non-pow2) serve every
+// kernel from several threads at once. Outputs must match a serial pass
+// bit for bit.
+TEST(Concurrency, ConcurrentOperatorChunksMatchSerial) {
+  const lamino::Operators ops(lamino::Geometry::cube(12));
+  const auto& g = ops.geometry();
+  constexpr int kWorkers = 4, kKernels = 4, kPasses = 3;
+  const auto chunks = lamino::make_chunks(g.n1, 3);  // n1 = h: 4 chunks
+  ASSERT_EQ(chunks.size(), size_t(kWorkers));
+  // Per-slice input and output sizes of fu1d, fu1d_adj, fu2d, fu2d_adj.
+  const i64 slab = g.n0 * g.n2, u1 = g.h * g.n2, plane = g.n1 * g.n2,
+            proj = g.ntheta * g.w;
+  const std::pair<i64, i64> sizes[kKernels] = {
+      {slab, u1}, {u1, slab}, {plane, proj}, {proj, plane}};
+  struct Job {
+    int kernel;
+    lamino::ChunkSpec spec;
+    std::vector<cfloat> in;
+  };
+  std::vector<Job> jobs;  // kernel-major: jobs[kernel * kWorkers + chunk]
+  for (int k = 0; k < kKernels; ++k)
+    for (const auto& c : chunks)
+      jobs.push_back({k, c,
+                      random_value(c.count * sizes[k].first,
+                                   u64(300 + jobs.size()))});
+  const auto run = [&](const Job& j) {
+    std::vector<cfloat> out(size_t(j.spec.count * sizes[j.kernel].second));
+    switch (j.kernel) {
+      case 0: ops.fu1d_chunk(j.spec, j.in, out); break;
+      case 1: ops.fu1d_adj_chunk(j.spec, j.in, out); break;
+      case 2: ops.fu2d_chunk(j.spec, j.in, out); break;
+      default: ops.fu2d_adj_chunk(j.spec, j.in, out); break;
+    }
+    return out;
+  };
+  std::vector<std::vector<cfloat>> serial;
+  for (const auto& j : jobs) serial.push_back(run(j));
+
+  std::vector<std::vector<cfloat>> outs(kPasses * jobs.size());
+  ThreadPool pool(kWorkers);
+  for (int w = 0; w < kWorkers; ++w)
+    pool.submit([&, w] {
+      for (int pass = 0; pass < kPasses; ++pass)
+        for (int j = 0; j < kKernels; ++j) {
+          const auto i = size_t(((j + pass + w) % kKernels) * kWorkers + w);
+          outs[size_t(pass) * jobs.size() + i] = run(jobs[i]);
+        }
+    });
+  pool.wait_idle();
+  for (std::size_t k = 0; k < outs.size(); ++k) {
+    const auto& want = serial[k % jobs.size()];
+    ASSERT_EQ(outs[k].size(), want.size()) << "output " << k;
+    EXPECT_EQ(std::memcmp(outs[k].data(), want.data(),
+                          want.size() * sizeof(cfloat)),
+              0)
+        << "pass " << k / jobs.size() << " job " << k % jobs.size();
   }
 }
 

@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "fft/nufft.hpp"
@@ -125,16 +127,46 @@ TEST(Plan1D, LinearityHolds) {
   }
 }
 
-TEST(Plan1D, StridedMatchesContiguous) {
-  const i64 n = 32, stride = 3;
-  auto x = random_signal(n * stride, 5);
-  std::vector<cfloat> col(static_cast<size_t>(n));
-  for (i64 i = 0; i < n; ++i) col[size_t(i)] = x[size_t(i * stride)];
-  Plan1D plan(n);
-  plan.execute_strided(x.data(), stride, false);
-  plan.forward(col);
-  for (i64 i = 0; i < n; ++i)
-    EXPECT_NEAR(std::abs(x[size_t(i * stride)] - col[size_t(i)]), 0.0, 1e-5);
+// execute_batch must give every lane exactly the bits execute() gives it
+// alone: radix-2 and Bluestein lengths, even and odd lane counts (the odd
+// last lane runs scalar), padded rows (ld > lanes) whose padding it must not
+// touch, both directions.
+TEST(Plan1D, BatchMatchesOneLaneBitForBit) {
+  for (i64 n : {1, 2, 3, 5, 8, 24, 26, 64, 100}) {
+    const Plan1D plan(n);
+    for (i64 lanes = 1; lanes <= 9; ++lanes) {
+      for (i64 ld : {lanes, lanes + 3}) {
+        for (bool inverse : {false, true}) {
+          const auto x = random_signal(n * ld, u64(1000 * n + 10 * lanes + ld));
+          auto batch = x;
+          plan.execute_batch(batch.data(), ld, lanes, inverse);
+          for (i64 b = 0; b < ld; ++b) {
+            std::vector<cfloat> lane(static_cast<size_t>(n)), got(lane.size());
+            for (i64 j = 0; j < n; ++j) {
+              lane[size_t(j)] = x[size_t(j * ld + b)];
+              got[size_t(j)] = batch[size_t(j * ld + b)];
+            }
+            if (b < lanes) plan.execute(lane, inverse);  // padding: untouched
+            EXPECT_EQ(std::memcmp(got.data(), lane.data(),
+                                  lane.size() * sizeof(cfloat)),
+                      0)
+                << "n=" << n << " lanes=" << lanes << " ld=" << ld
+                << " lane=" << b << " inverse=" << inverse;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Fft2D, TransposeSwapsRowsAndColumns) {
+  const i64 r = 3, c = 5;
+  const auto a = random_signal(r * c, 7);
+  std::vector<cfloat> t(a.size());
+  transpose(a.data(), r, c, t.data());
+  for (i64 i = 0; i < r; ++i)
+    for (i64 j = 0; j < c; ++j)
+      EXPECT_EQ(t[size_t(j * r + i)], a[size_t(i * c + j)]);
 }
 
 TEST(Fft2D, MatchesSeparableNaive) {
@@ -318,6 +350,53 @@ TEST(Nufft2D, AdjointnessHolds) {
   for (i64 i = 0; i < r * c; ++i)
     rhs += cdouble(f[size_t(i)]) * std::conj(cdouble(Bq[size_t(i)]));
   EXPECT_NEAR(std::abs(lhs - rhs) / std::abs(lhs), 0.0, 1e-4);
+}
+
+// A window holds 2·msp+1 taps in a fixed 32-slot array, so msp = 16 would
+// silently drop taps and return a wrong transform.
+TEST(Nufft, RejectsSpreadingWidthBeyondWindow) {
+  EXPECT_THROW(Nufft1D(64, {.msp = 16}), Error);
+  EXPECT_THROW(Nufft1D(64, {.msp = 0}), Error);
+  EXPECT_THROW(Nufft2D(8, 8, {.msp = 16}), Error);
+  EXPECT_NO_THROW(Nufft1D(64, {.msp = 15}));
+  EXPECT_NO_THROW(Nufft2D(8, 8, {.msp = 15}));
+}
+
+// A lane-batched 1-D NUFFT call gives every lane the bits of a one-lane
+// call on it, in both directions.
+TEST(Nufft1D, LanesMatchOneLaneCallsBitForBit) {
+  for (i64 n : {8, 12}) {
+    const i64 j = 11, lanes = 5;
+    Rng rng(u64(95 + n));
+    std::vector<double> nu(static_cast<size_t>(j));
+    for (auto& v : nu) v = rng.uniform(-double(n) / 2, double(n) / 2);
+    const Nufft1D plan(n);
+    const auto f = random_signal(n * lanes, 96);
+    const auto q = random_signal(j * lanes, 97);
+    std::vector<cfloat> f2(static_cast<size_t>(j * lanes));
+    std::vector<cfloat> q1(static_cast<size_t>(n * lanes));
+    plan.type2(nu, f, f2, -1, lanes);
+    plan.type1(nu, q, q1, +1, lanes);
+    for (i64 b = 0; b < lanes; ++b) {
+      std::vector<cfloat> fin(static_cast<size_t>(n));
+      std::vector<cfloat> qin(static_cast<size_t>(j));
+      for (i64 k = 0; k < n; ++k) fin[size_t(k)] = f[size_t(k * lanes + b)];
+      for (i64 k = 0; k < j; ++k) qin[size_t(k)] = q[size_t(k * lanes + b)];
+      std::vector<cfloat> fout(qin.size()), qout(fin.size());
+      plan.type2(nu, fin, fout, -1);
+      plan.type1(nu, qin, qout, +1);
+      for (i64 k = 0; k < j; ++k)
+        EXPECT_EQ(std::memcmp(&fout[size_t(k)], &f2[size_t(k * lanes + b)],
+                              sizeof(cfloat)),
+                  0)
+            << "type2 n=" << n << " lane " << b << " target " << k;
+      for (i64 k = 0; k < n; ++k)
+        EXPECT_EQ(std::memcmp(&qout[size_t(k)], &q1[size_t(k * lanes + b)],
+                              sizeof(cfloat)),
+                  0)
+            << "type1 n=" << n << " lane " << b << " mode " << k;
+    }
+  }
 }
 
 TEST(Nufft, FlopsPositiveAndMonotone) {

@@ -1,12 +1,18 @@
 // Tests for the laminography geometry, operators and phantoms.
 // The load-bearing properties: adjoint consistency <Lu, d> == <u, L*d>
 // (CG correctness), the F_2D·F*_2D = I cancellation identity, chunked ==
-// whole-volume equality, and phantom sanity.
+// whole-volume equality, bit-identity of the batched kernels with the
+// scalar one-column-at-a-time loops, and phantom sanity.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <numbers>
+#include <string>
+#include <utility>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "lamino/geometry.hpp"
@@ -238,6 +244,530 @@ TEST(Operators, FlopModelsPositiveMonotone) {
   EXPECT_GT(ops.fu2d_chunk_flops(2), ops.fu2d_chunk_flops(1));
   EXPECT_GT(ops.f2d_proj_flops(), 0.0);
 }
+
+// ---------------------------------------------------------------------------
+// Reference: the operator kernels before batching, copied verbatim — one
+// column and one 1-D transform at a time, spreading windows evaluated per
+// target per column, a column gather for the second pass of every 2-D
+// transform. The batched kernels must reproduce every output bit of it.
+
+namespace ref {
+
+constexpr double kPi = std::numbers::pi;
+
+inline double wrap(double x, double m) {
+  x = std::fmod(x, m);
+  if (x < 0) x += m;
+  return x;
+}
+
+void dft_sign(const fft::Plan1D& plan, std::span<cfloat> a, int sign) {
+  if (sign < 0) {
+    plan.forward(a);
+  } else {
+    plan.inverse(a);
+    const float m = float(a.size());
+    for (auto& x : a) x *= m;
+  }
+}
+
+struct SpreadWindow {
+  static constexpr int kMax = 32;
+  i64 idx[kMax];
+  float w[kMax];
+  int cnt = 0;
+};
+
+SpreadWindow make_window(double p, i64 m, int msp, double tau) {
+  SpreadWindow win;
+  const i64 lo = i64(std::ceil(p - msp));
+  const i64 hi = i64(std::floor(p + msp));
+  const double inv4tau = 1.0 / (4.0 * tau);
+  for (i64 u = lo; u <= hi && win.cnt < SpreadWindow::kMax; ++u) {
+    const double d = double(u) - p;
+    win.idx[win.cnt] = (u % m + m) % m;
+    win.w[win.cnt] = float(std::exp(-d * d * inv4tau));
+    ++win.cnt;
+  }
+  return win;
+}
+
+std::vector<float> make_deconv(i64 n, i64 m, double tau) {
+  std::vector<float> d(static_cast<size_t>(n));
+  const double norm = std::sqrt(4.0 * kPi * tau);
+  for (i64 k = 0; k < n; ++k) {
+    const i64 kc = fft::to_centered(k, n);
+    const double w = 2.0 * kPi * double(kc) / double(m);
+    d[size_t(k)] = float(1.0 / (norm * std::exp(-tau * w * w)));
+  }
+  return d;
+}
+
+using fft::from_centered;
+using fft::to_centered;
+
+class Nufft1D {
+ public:
+  explicit Nufft1D(i64 n, fft::GriddingParams params = {})
+      : n_(n), m_(params.sigma * n), params_(params),
+        deconv_(make_deconv(n_, m_, params_.tau())), fine_plan_(m_) {}
+
+  void type2(std::span<const double> nu, std::span<const cfloat> f,
+             std::span<cfloat> out, int sign) const {
+    const double tau = params_.tau();
+    std::vector<cfloat> g(size_t(m_), cfloat{});
+    for (i64 k = 0; k < n_; ++k) {
+      const i64 kc = to_centered(k, n_);
+      g[size_t(from_centered(kc, m_))] = f[size_t(k)] * deconv_[size_t(k)];
+    }
+    dft_sign(fine_plan_, {g.data(), size_t(m_)}, sign);
+    const auto sigma = double(params_.sigma);
+    for (std::size_t j = 0; j < nu.size(); ++j) {
+      const double p = wrap(sigma * nu[j], double(m_));
+      const auto win = make_window(p, m_, params_.msp, tau);
+      cfloat acc{};
+      for (int t = 0; t < win.cnt; ++t) acc += g[size_t(win.idx[t])] * win.w[t];
+      out[j] = acc;
+    }
+  }
+
+  void type1(std::span<const double> nu, std::span<const cfloat> q,
+             std::span<cfloat> out, int sign) const {
+    const double tau = params_.tau();
+    std::vector<cfloat> g(size_t(m_), cfloat{});
+    const auto sigma = double(params_.sigma);
+    for (std::size_t j = 0; j < nu.size(); ++j) {
+      const double p = wrap(sigma * nu[j], double(m_));
+      const auto win = make_window(p, m_, params_.msp, tau);
+      for (int t = 0; t < win.cnt; ++t) g[size_t(win.idx[t])] += q[j] * win.w[t];
+    }
+    dft_sign(fine_plan_, {g.data(), size_t(m_)}, sign);
+    for (i64 k = 0; k < n_; ++k) {
+      const i64 kc = to_centered(k, n_);
+      out[size_t(k)] =
+          g[size_t(from_centered(kc, m_))] * deconv_[size_t(k)];
+    }
+  }
+
+ private:
+  i64 n_, m_;
+  fft::GriddingParams params_;
+  std::vector<float> deconv_;
+  fft::Plan1D fine_plan_;
+};
+
+class Nufft2D {
+ public:
+  Nufft2D(i64 rows, i64 cols, fft::GriddingParams params = {})
+      : rows_(rows), cols_(cols), mr_(params.sigma * rows),
+        mc_(params.sigma * cols), params_(params),
+        deconv_r_(make_deconv(rows_, mr_, params_.tau())),
+        deconv_c_(make_deconv(cols_, mc_, params_.tau())),
+        fine_plan_r_(mr_), fine_plan_c_(mc_) {}
+
+  void type2(std::span<const double> nu_r, std::span<const double> nu_c,
+             std::span<const cfloat> f, std::span<cfloat> out,
+             int sign) const {
+    const double tau = params_.tau();
+    std::vector<cfloat> g(size_t(mr_ * mc_), cfloat{});
+    for (i64 r = 0; r < rows_; ++r) {
+      const i64 rf = from_centered(to_centered(r, rows_), mr_);
+      for (i64 c = 0; c < cols_; ++c) {
+        const i64 cf = from_centered(to_centered(c, cols_), mc_);
+        g[size_t(rf * mc_ + cf)] = f[size_t(r * cols_ + c)] *
+                                   deconv_r_[size_t(r)] * deconv_c_[size_t(c)];
+      }
+    }
+    fine_fft2d({g.data(), g.size()}, sign);
+    const auto sigma = double(params_.sigma);
+    for (std::size_t j = 0; j < nu_r.size(); ++j) {
+      const double pr = wrap(sigma * nu_r[j], double(mr_));
+      const double pc = wrap(sigma * nu_c[j], double(mc_));
+      const auto wr = make_window(pr, mr_, params_.msp, tau);
+      const auto wc = make_window(pc, mc_, params_.msp, tau);
+      cfloat acc{};
+      for (int a = 0; a < wr.cnt; ++a) {
+        const cfloat* row = g.data() + wr.idx[a] * mc_;
+        cfloat racc{};
+        for (int b = 0; b < wc.cnt; ++b) racc += row[wc.idx[b]] * wc.w[b];
+        acc += racc * wr.w[a];
+      }
+      out[j] = acc;
+    }
+  }
+
+  void type1(std::span<const double> nu_r, std::span<const double> nu_c,
+             std::span<const cfloat> q, std::span<cfloat> out,
+             int sign) const {
+    const double tau = params_.tau();
+    std::vector<cfloat> g(size_t(mr_ * mc_), cfloat{});
+    const auto sigma = double(params_.sigma);
+    for (std::size_t j = 0; j < nu_r.size(); ++j) {
+      const double pr = wrap(sigma * nu_r[j], double(mr_));
+      const double pc = wrap(sigma * nu_c[j], double(mc_));
+      const auto wr = make_window(pr, mr_, params_.msp, tau);
+      const auto wc = make_window(pc, mc_, params_.msp, tau);
+      for (int a = 0; a < wr.cnt; ++a) {
+        cfloat* row = g.data() + wr.idx[a] * mc_;
+        const cfloat qa = q[j] * wr.w[a];
+        for (int b = 0; b < wc.cnt; ++b) row[wc.idx[b]] += qa * wc.w[b];
+      }
+    }
+    fine_fft2d({g.data(), g.size()}, sign);
+    for (i64 r = 0; r < rows_; ++r) {
+      const i64 rf = from_centered(to_centered(r, rows_), mr_);
+      for (i64 c = 0; c < cols_; ++c) {
+        const i64 cf = from_centered(to_centered(c, cols_), mc_);
+        out[size_t(r * cols_ + c)] = g[size_t(rf * mc_ + cf)] *
+                                     deconv_r_[size_t(r)] *
+                                     deconv_c_[size_t(c)];
+      }
+    }
+  }
+
+ private:
+  void fine_fft2d(std::span<cfloat> g, int sign) const {
+    for (i64 r = 0; r < mr_; ++r)
+      dft_sign(fine_plan_c_, g.subspan(size_t(r * mc_), size_t(mc_)), sign);
+    std::vector<cfloat> col(static_cast<size_t>(mr_));
+    for (i64 c = 0; c < mc_; ++c) {
+      for (i64 r = 0; r < mr_; ++r) col[size_t(r)] = g[size_t(r * mc_ + c)];
+      dft_sign(fine_plan_r_, {col.data(), size_t(mr_)}, sign);
+      for (i64 r = 0; r < mr_; ++r) g[size_t(r * mc_ + c)] = col[size_t(r)];
+    }
+  }
+
+  i64 rows_, cols_, mr_, mc_;
+  fft::GriddingParams params_;
+  std::vector<float> deconv_r_, deconv_c_;
+  fft::Plan1D fine_plan_r_, fine_plan_c_;
+};
+
+// fft2d_span with the column pass as Plan1D::execute_strided ran it: gather
+// the column, transform it, scatter it back.
+void fft2d_span(std::span<cfloat> a, i64 rows, i64 cols, bool inverse,
+                bool unitary) {
+  const fft::Plan1D row_plan(cols), col_plan(rows);
+  for (i64 r = 0; r < rows; ++r) {
+    row_plan.execute(a.subspan(size_t(r * cols), size_t(cols)), inverse);
+  }
+  std::vector<cfloat> tmp(static_cast<size_t>(rows));
+  for (i64 c = 0; c < cols; ++c) {
+    cfloat* data = a.data() + c;
+    for (i64 i = 0; i < rows; ++i) tmp[size_t(i)] = data[i * cols];
+    col_plan.execute(tmp, inverse);
+    for (i64 i = 0; i < rows; ++i) data[i * cols] = tmp[size_t(i)];
+  }
+  if (unitary) {
+    const double n = double(rows * cols);
+    const float s = float(inverse ? std::sqrt(n) : 1.0 / std::sqrt(n));
+    for (auto& x : a) x *= s;
+  }
+}
+
+class Operators {
+ public:
+  explicit Operators(Geometry g)
+      : geom_(g), znu_(g.z_frequencies()), nufft_z_(g.n0),
+        nufft_plane_(g.n1, g.n2) {
+    plane_nu_row_.resize(size_t(geom_.h));
+    plane_nu_col_.resize(size_t(geom_.h));
+    for (i64 kv = 0; kv < geom_.h; ++kv) {
+      geom_.plane_frequencies(kv, plane_nu_row_[size_t(kv)],
+                              plane_nu_col_[size_t(kv)]);
+    }
+    scale_1d_ = float(1.0 / std::sqrt(double(geom_.n0)));
+    scale_2d_ = float(1.0 / std::sqrt(double(geom_.n1 * geom_.n2)));
+  }
+
+  void fu1d_chunk(const ChunkSpec& spec, std::span<const cfloat> in,
+                  std::span<cfloat> out) const {
+    const i64 n0 = geom_.n0, n2 = geom_.n2, h = geom_.h;
+    std::vector<cfloat> col(static_cast<size_t>(n0));
+    std::vector<cfloat> res(static_cast<size_t>(h));
+    for (i64 s = 0; s < spec.count; ++s) {
+      for (i64 i2 = 0; i2 < n2; ++i2) {
+        for (i64 i0 = 0; i0 < n0; ++i0)
+          col[size_t(i0)] = in[size_t((s * n0 + i0) * n2 + i2)];
+        nufft_z_.type2(znu_, col, res, -1);
+        for (i64 kv = 0; kv < h; ++kv)
+          out[size_t((s * h + kv) * n2 + i2)] = res[size_t(kv)] * scale_1d_;
+      }
+    }
+  }
+
+  void fu1d_adj_chunk(const ChunkSpec& spec, std::span<const cfloat> in,
+                      std::span<cfloat> out) const {
+    const i64 n0 = geom_.n0, n2 = geom_.n2, h = geom_.h;
+    std::vector<cfloat> q(static_cast<size_t>(h));
+    std::vector<cfloat> res(static_cast<size_t>(n0));
+    for (i64 s = 0; s < spec.count; ++s) {
+      for (i64 i2 = 0; i2 < n2; ++i2) {
+        for (i64 kv = 0; kv < h; ++kv)
+          q[size_t(kv)] = in[size_t((s * h + kv) * n2 + i2)];
+        nufft_z_.type1(znu_, q, res, +1);
+        for (i64 i0 = 0; i0 < n0; ++i0)
+          out[size_t((s * n0 + i0) * n2 + i2)] = res[size_t(i0)] * scale_1d_;
+      }
+    }
+  }
+
+  void fu2d_chunk(const ChunkSpec& spec, std::span<const cfloat> in,
+                  std::span<cfloat> out) const {
+    const i64 n1 = geom_.n1, n2 = geom_.n2, nth = geom_.ntheta, w = geom_.w;
+    for (i64 s = 0; s < spec.count; ++s) {
+      const i64 kv = spec.begin + s;
+      auto plane = in.subspan(size_t(s * n1 * n2), size_t(n1 * n2));
+      auto res = out.subspan(size_t(s * nth * w), size_t(nth * w));
+      nufft_plane_.type2(plane_nu_row_[size_t(kv)], plane_nu_col_[size_t(kv)],
+                         plane, res, -1);
+      for (auto& x : res) x *= scale_2d_;
+    }
+  }
+
+  void fu2d_adj_chunk(const ChunkSpec& spec, std::span<const cfloat> in,
+                      std::span<cfloat> out) const {
+    const i64 n1 = geom_.n1, n2 = geom_.n2, nth = geom_.ntheta, w = geom_.w;
+    for (i64 s = 0; s < spec.count; ++s) {
+      const i64 kv = spec.begin + s;
+      auto q = in.subspan(size_t(s * nth * w), size_t(nth * w));
+      auto res = out.subspan(size_t(s * n1 * n2), size_t(n1 * n2));
+      nufft_plane_.type1(plane_nu_row_[size_t(kv)], plane_nu_col_[size_t(kv)],
+                         q, res, +1);
+      for (auto& x : res) x *= scale_2d_;
+    }
+  }
+
+  void f2d(Array3D<cfloat>& d, bool inverse) const {
+    for (i64 t = 0; t < geom_.ntheta; ++t)
+      fft2d_span(d.slices(t, 1), geom_.h, geom_.w, inverse, /*unitary=*/true);
+  }
+
+  // Whole-volume operators: every slab / detector row as its own chunk.
+  void fu1d(const Array3D<cfloat>& u, Array3D<cfloat>& u1) const {
+    fu1d_chunk({0, 0, geom_.n1}, u.span(), u1.span());
+  }
+  void fu1d_adj(const Array3D<cfloat>& u1, Array3D<cfloat>& u) const {
+    fu1d_adj_chunk({0, 0, geom_.n1}, u1.span(), u.span());
+  }
+  void fu2d(const Array3D<cfloat>& u1, Array3D<cfloat>& u2) const {
+    const i64 n1 = geom_.n1, n2 = geom_.n2, nth = geom_.ntheta, w = geom_.w;
+    std::vector<cfloat> in(static_cast<size_t>(n1 * n2));
+    std::vector<cfloat> out(static_cast<size_t>(nth * w));
+    for (i64 kv = 0; kv < geom_.h; ++kv) {
+      for (i64 i1 = 0; i1 < n1; ++i1)
+        for (i64 i2 = 0; i2 < n2; ++i2)
+          in[size_t(i1 * n2 + i2)] = u1(i1, kv, i2);
+      fu2d_chunk({kv, kv, 1}, in, out);
+      for (i64 t = 0; t < nth; ++t)
+        for (i64 ku = 0; ku < w; ++ku) u2(t, kv, ku) = out[size_t(t * w + ku)];
+    }
+  }
+  void fu2d_adj(const Array3D<cfloat>& u2, Array3D<cfloat>& u1) const {
+    const i64 n1 = geom_.n1, n2 = geom_.n2, nth = geom_.ntheta, w = geom_.w;
+    std::vector<cfloat> in(static_cast<size_t>(nth * w));
+    std::vector<cfloat> out(static_cast<size_t>(n1 * n2));
+    for (i64 kv = 0; kv < geom_.h; ++kv) {
+      for (i64 t = 0; t < nth; ++t)
+        for (i64 ku = 0; ku < w; ++ku) in[size_t(t * w + ku)] = u2(t, kv, ku);
+      fu2d_adj_chunk({kv, kv, 1}, in, out);
+      for (i64 i1 = 0; i1 < n1; ++i1)
+        for (i64 i2 = 0; i2 < n2; ++i2)
+          u1(i1, kv, i2) = out[size_t(i1 * n2 + i2)];
+    }
+  }
+  void forward(const Array3D<cfloat>& u, Array3D<cfloat>& d) const {
+    Array3D<cfloat> u1(geom_.u1_shape());
+    fu1d(u, u1);
+    fu2d(u1, d);
+    f2d(d, /*inverse=*/true);
+  }
+  void adjoint(const Array3D<cfloat>& d, Array3D<cfloat>& u) const {
+    Array3D<cfloat> dhat = d;
+    f2d(dhat, /*inverse=*/false);
+    Array3D<cfloat> u1(geom_.u1_shape());
+    fu2d_adj(dhat, u1);
+    fu1d_adj(u1, u);
+  }
+
+ private:
+  Geometry geom_;
+  std::vector<double> znu_;
+  std::vector<std::vector<double>> plane_nu_row_, plane_nu_col_;
+  Nufft1D nufft_z_;
+  Nufft2D nufft_plane_;
+  float scale_1d_, scale_2d_;
+};
+
+}  // namespace ref
+
+// Cubes covering radix-2 (8, 16, 32) and Bluestein (9, 12, 13, 14) fine
+// grids, plus a geometry with every dimension distinct and odd detector
+// sizes.
+std::vector<Geometry> bit_identity_geometries() {
+  std::vector<Geometry> gs;
+  for (i64 n : {8, 9, 12, 13, 14, 16, 32}) gs.push_back(Geometry::cube(n));
+  Geometry g = Geometry::cube(8);
+  g.n1 = 10;
+  g.n0 = 12;
+  g.n2 = 7;
+  g.ntheta = 9;
+  g.h = 11;
+  g.w = 13;
+  gs.push_back(g);
+  return gs;
+}
+
+std::string geometry_name(const Geometry& g) {
+  return std::to_string(g.n1) + "x" + std::to_string(g.n0) + "x" +
+         std::to_string(g.n2) + "_t" + std::to_string(g.ntheta) + "_d" +
+         std::to_string(g.h) + "x" + std::to_string(g.w);
+}
+
+std::vector<cfloat> random_values(i64 n, u64 seed) {
+  Rng rng(seed);
+  std::vector<cfloat> v(static_cast<size_t>(n));
+  for (auto& x : v) x = cfloat(float(rng.normal()), float(rng.normal()));
+  return v;
+}
+
+bool same_bits(std::span<const cfloat> a, std::span<const cfloat> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cfloat)) == 0;
+}
+
+// Inputs and outputs of the four chunk kernels over a whole geometry, in the
+// packed layouts the kernels take: F_u1D slabs along n1, F_u2D detector
+// rows along h.
+struct ChunkIo {
+  explicit ChunkIo(const Geometry& g)
+      : u(random_values(g.n1 * g.n0 * g.n2, 101)),
+        y1(random_values(g.n1 * g.h * g.n2, 102)),
+        rows(random_values(g.h * g.n1 * g.n2, 103)),
+        dhat(random_values(g.h * g.ntheta * g.w, 104)),
+        fu1d(y1.size()), fu1d_adj(u.size()), fu2d(dhat.size()),
+        fu2d_adj(rows.size()) {}
+  std::vector<cfloat> u, y1, rows, dhat;
+  std::vector<cfloat> fu1d, fu1d_adj, fu2d, fu2d_adj;
+};
+
+// Runs the four chunk kernels of `ops` (lamino::Operators or ref::Operators)
+// over `io`'s inputs in chunks of `chunk` (the last one ragged where
+// `chunk` does not divide the extent).
+template <class Ops>
+void run_chunks(const Ops& ops, const Geometry& g, i64 chunk, ChunkIo& io) {
+  // The slice range of `c` in a packed array of `per` values per slice.
+  const auto part = [](auto& v, const ChunkSpec& c, i64 per) {
+    return std::span(v).subspan(size_t(c.begin * per), size_t(c.count * per));
+  };
+  const i64 slab = g.n0 * g.n2, u1 = g.h * g.n2;
+  for (const auto& c : make_chunks(g.n1, chunk)) {
+    ops.fu1d_chunk(c, part(std::as_const(io.u), c, slab),
+                   part(io.fu1d, c, u1));
+    ops.fu1d_adj_chunk(c, part(std::as_const(io.y1), c, u1),
+                       part(io.fu1d_adj, c, slab));
+  }
+  const i64 plane = g.n1 * g.n2, proj = g.ntheta * g.w;
+  for (const auto& c : make_chunks(g.h, chunk)) {
+    ops.fu2d_chunk(c, part(std::as_const(io.rows), c, plane),
+                   part(io.fu2d, c, proj));
+    ops.fu2d_adj_chunk(c, part(std::as_const(io.dhat), c, proj),
+                       part(io.fu2d_adj, c, plane));
+  }
+}
+
+class OperatorBitIdentity : public ::testing::TestWithParam<Geometry> {};
+
+TEST_P(OperatorBitIdentity, ChunkKernelsMatchScalarLoops) {
+  const Geometry g = GetParam();
+  const Operators ops(g);
+  ChunkIo want(g);
+  run_chunks(ref::Operators(g), g, std::max(g.n1, g.h), want);
+  for (i64 chunk : {1, 3, 4}) {
+    ChunkIo got(g);
+    run_chunks(ops, g, chunk, got);
+    EXPECT_TRUE(same_bits(got.fu1d, want.fu1d)) << "fu1d chunk " << chunk;
+    EXPECT_TRUE(same_bits(got.fu1d_adj, want.fu1d_adj))
+        << "fu1d_adj chunk " << chunk;
+    EXPECT_TRUE(same_bits(got.fu2d, want.fu2d)) << "fu2d chunk " << chunk;
+    EXPECT_TRUE(same_bits(got.fu2d_adj, want.fu2d_adj))
+        << "fu2d_adj chunk " << chunk;
+  }
+}
+
+TEST_P(OperatorBitIdentity, WholeVolumeOperatorsMatchScalarLoops) {
+  const Geometry g = GetParam();
+  const Operators ops(g);
+  const ref::Operators want_ops(g);
+  const auto u = random_volume(g.object_shape(), 111);
+  const auto u1 = random_volume(g.u1_shape(), 112);
+  const auto d = random_volume(g.data_shape(), 113);
+  const auto check = [&](const char* what, auto&& run, Shape3 shape) {
+    Array3D<cfloat> got(shape), want(shape);
+    run(ops, got);
+    run(want_ops, want);
+    EXPECT_TRUE(same_bits(got.span(), want.span())) << what;
+  };
+  check("fu1d", [&](const auto& o, auto& out) { o.fu1d(u, out); },
+        g.u1_shape());
+  check("fu1d_adj", [&](const auto& o, auto& out) { o.fu1d_adj(u1, out); },
+        g.object_shape());
+  check("fu2d", [&](const auto& o, auto& out) { o.fu2d(u1, out); },
+        g.data_shape());
+  check("fu2d_adj", [&](const auto& o, auto& out) { o.fu2d_adj(d, out); },
+        g.u1_shape());
+  for (bool inverse : {false, true})
+    check(inverse ? "f2d inverse" : "f2d forward",
+          [&](const auto& o, auto& out) {
+            std::copy(d.begin(), d.end(), out.begin());
+            o.f2d(out, inverse);
+          },
+          g.data_shape());
+  check("forward", [&](const auto& o, auto& out) { o.forward(u, out); },
+        g.data_shape());
+  check("adjoint", [&](const auto& o, auto& out) { o.adjoint(d, out); },
+        g.object_shape());
+}
+
+// FNV-1a digest of the four chunk kernels' outputs (chunk 4), the full
+// forward and adjoint, and F_2D in both directions, per geometry, recorded
+// with the scalar kernels. The solver is chaotic in its operator outputs,
+// so any changed bit here changes memo hit patterns and Eq. 5 accuracy.
+TEST(OperatorBitIdentity, GoldenDigests) {
+  const std::vector<u64> golden = {
+      0x30988359663a04d5ull, 0xce7bbcf95d40e255ull, 0x2729c437508eb7dcull,
+      0xaaa3b94fd918279aull, 0x1bae6032a124529cull, 0x7fdf7def053add57ull,
+      0xf596486d7aaa0952ull, 0x26ce94253f05954full};
+  const auto geometries = bit_identity_geometries();
+  ASSERT_EQ(geometries.size(), golden.size());
+  for (std::size_t i = 0; i < geometries.size(); ++i) {
+    const Geometry& g = geometries[i];
+    const Operators ops(g);
+    ChunkIo io(g);
+    run_chunks(ops, g, 4, io);
+    u64 h = kFnvOffsetBasis;
+    for (const auto* v : {&io.fu1d, &io.fu1d_adj, &io.fu2d, &io.fu2d_adj})
+      h = fnv1a(h, v->data(), v->size() * sizeof(cfloat));
+    const auto u = random_volume(g.object_shape(), 111);
+    const auto d = random_volume(g.data_shape(), 113);
+    Array3D<cfloat> fwd(g.data_shape()), adj(g.object_shape());
+    ops.forward(u, fwd);
+    ops.adjoint(d, adj);
+    auto f2d_fwd = d, f2d_inv = d;
+    ops.f2d(f2d_fwd, /*inverse=*/false);
+    ops.f2d(f2d_inv, /*inverse=*/true);
+    for (const auto* a : {&fwd, &adj, &f2d_fwd, &f2d_inv})
+      h = fnv1a(h, a->data(), size_t(a->size()) * sizeof(cfloat));
+    EXPECT_EQ(h, golden[i]) << geometry_name(g) << std::hex << " 0x" << h;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, OperatorBitIdentity,
+    ::testing::ValuesIn(bit_identity_geometries()),
+    [](const ::testing::TestParamInfo<Geometry>& info) {
+      return geometry_name(info.param);
+    });
 
 // ---------------------------------------------------------------------------
 // Phantoms.
