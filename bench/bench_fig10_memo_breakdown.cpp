@@ -23,8 +23,6 @@ int main(int argc, char** argv) {
 
   ReconstructionConfig cfg;
   cfg.threads = args.threads();
-  cfg.overlap_slices = args.overlap();
-  cfg.pipeline_depth = args.pipeline();
   cfg.dataset = Dataset::medium(n);
   cfg.iters = iters;
   cfg.memoize = true;

@@ -15,13 +15,11 @@ struct Series {
 };
 
 unsigned g_threads = 0;  // engine worker threads (--threads)
-mlr::i64 g_overlap = 4;   // DB/compute overlap slices (--overlap)
 
 Series run(mlr::memo::CacheKind kind, mlr::i64 n, int iters) {
   using namespace mlr;
   ReconstructionConfig cfg;
   cfg.threads = g_threads;
-  cfg.overlap_slices = g_overlap;
   cfg.dataset = Dataset::small(n);
   cfg.iters = iters;
   cfg.memoize = true;
@@ -62,7 +60,6 @@ int main(int argc, char** argv) {
   const i64 n = args.get_i64("--n", 16);
   const int iters = int(args.get_i64("--iters", 16));
   g_threads = args.threads();
-  g_overlap = args.overlap();
   WallTimer wall;
   bench::header("Fig 12 — private vs global memoization cache (F_u2D)",
                 "paper Fig 12 + §6.5 (85 % fewer comparisons)",

@@ -27,8 +27,6 @@ int main(int argc, char** argv) {
   for (auto& row : rows) {
     ReconstructionConfig cfg;
     cfg.threads = args.threads();
-    cfg.overlap_slices = args.overlap();
-    cfg.pipeline_depth = args.pipeline();
     cfg.dataset = Dataset::small(n);
     cfg.iters = iters;
     cfg.memoize = false;

@@ -18,8 +18,6 @@ int main(int argc, char** argv) {
   auto run = [&](bool memoize) {
     ReconstructionConfig cfg;
     cfg.threads = args.threads();
-    cfg.overlap_slices = args.overlap();
-    cfg.pipeline_depth = args.pipeline();
     cfg.dataset = Dataset::small(n);
     cfg.dataset.noise = 0.03;  // realistic detector noise sets the loss floor
     cfg.iters = iters;

@@ -30,8 +30,6 @@ int main(int argc, char** argv) {
   // Time breakdown of a real (baseline) iteration.
   ReconstructionConfig cfg;
   cfg.threads = args.threads();
-  cfg.overlap_slices = args.overlap();
-  cfg.pipeline_depth = args.pipeline();
   cfg.dataset = ds;
   cfg.iters = 4;
   cfg.inner_iters = 4;

@@ -20,8 +20,6 @@ int main(int argc, char** argv) {
 
   ReconstructionConfig cfg;
   cfg.threads = args.threads();
-  cfg.overlap_slices = args.overlap();
-  cfg.pipeline_depth = args.pipeline();
   cfg.dataset = Dataset::small(n);
   cfg.iters = iters;
   cfg.memoize = false;  // observe the raw chunk stream, no interference

@@ -22,8 +22,6 @@ int main(int argc, char** argv) {
   for (const auto& ds : sets) {
     ReconstructionConfig base;
     base.threads = args.threads();
-    base.overlap_slices = args.overlap();
-    base.pipeline_depth = args.pipeline();
     base.dataset = ds;
     base.iters = iters;
     base.memoize = false;

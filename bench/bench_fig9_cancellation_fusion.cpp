@@ -15,12 +15,10 @@ struct Strategy {
 };
 
 unsigned g_threads = 0;  // engine worker threads (--threads)
-mlr::i64 g_overlap = 4;   // DB/compute overlap slices (--overlap)
 
 double lsp_time(const mlr::Dataset& ds, const Strategy& s, int inner) {
   mlr::ReconstructionConfig cfg;
   cfg.threads = g_threads;
-  cfg.overlap_slices = g_overlap;
   cfg.dataset = ds;
   cfg.iters = 2;
   cfg.inner_iters = inner;
@@ -39,7 +37,6 @@ int main(int argc, char** argv) {
   bench::Args args(argc, argv);
   const i64 n = args.get_i64("--n", 14);
   g_threads = args.threads();
-  g_overlap = args.overlap();
   WallTimer wall;
   bench::header(
       "Fig 9 — operation cancellation and fusion ablation",

@@ -51,26 +51,23 @@
 // outcome rows (its job ids collide with the base trace's, so it stays
 // out of the identity gate).
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "serve/service.hpp"
-#include "serve/workload.hpp"
-#ifdef MLR_HAS_NET
-#include <atomic>
-#include <chrono>
-#include <memory>
-#include <mutex>
-#include <thread>
-
 #include "net/request_table.hpp"
 #include "net/tier_server.hpp"
 #include "net/wire.hpp"
-#endif
+#include "serve/service.hpp"
+#include "serve/workload.hpp"
 
 namespace {
 
@@ -229,15 +226,6 @@ int main(int argc, char** argv) {
   const double backoff_ms =
       args.get_double("--backoff-ms", chaos_blip ? 25.0 : 5.0);
 
-#ifndef MLR_HAS_NET
-  if (transport != TierTransport::Inproc) {
-    std::printf("SKIP: built with MLR_BUILD_NET=OFF, --transport %s "
-                "unavailable\n",
-                transport_name(transport));
-    return 0;
-  }
-#endif
-
   bench::header(
       "serve: multi-tenant traffic through ReconService, per policy + shard "
       "sweep",
@@ -275,8 +263,6 @@ int main(int argc, char** argv) {
     sc.slots = opts.slots > 0 ? opts.slots : slots;
     sc.gpus_per_job = gpus_per_job;
     sc.threads = args.threads();
-    sc.overlap_slices = args.overlap();
-    sc.pipeline_depth = args.pipeline();
     sc.iters_cap = iters_cap;
     sc.policy = policy;
     sc.shard_count = shard_count;
@@ -309,7 +295,6 @@ int main(int argc, char** argv) {
     return pr;
   };
 
-#ifdef MLR_HAS_NET
   if (transport == TierTransport::Socket) {
     // Availability probe: a sandbox without sockets (or no loopback
     // interface) should skip rather than fail the smoke run. One throwaway
@@ -324,7 +309,6 @@ int main(int argc, char** argv) {
       return 0;
     }
   }
-#endif
 
   const SchedulerPolicy policies[] = {SchedulerPolicy::Fifo,
                                       SchedulerPolicy::Priority,
@@ -397,14 +381,12 @@ int main(int argc, char** argv) {
   // object, wire frames over loopback, or a TCP server.
   std::vector<PolicyResult> xruns;
   xruns.push_back(results[0]);  // the selected transport's FIFO point
-#ifdef MLR_HAS_NET
   {
     const TierTransport other = transport == TierTransport::Inproc
                                     ? TierTransport::Loopback
                                     : TierTransport::Inproc;
     xruns.push_back(run_once(SchedulerPolicy::Fifo, shards, other));
   }
-#endif
   std::printf("\ntransport cross-check (fifo, %d shard(s)):\n", shards);
   std::printf("%9s %9s %10s %11s %6s %6s\n", "transport", "tier", "fetch(s)",
               "promote(s)", "xjob%", "ddl%");
@@ -620,7 +602,6 @@ int main(int argc, char** argv) {
   u64 chaos_reconnects = 0, chaos_replays = 0, chaos_retries = 0;
   double chaos_recovery_s = 0;
   double degraded_vtime_mean = 0, seeded_vtime_mean = 0;
-#ifdef MLR_HAS_NET
   if (chaos != nullptr) {
     if (chaos_blip)
       std::printf(
@@ -674,8 +655,6 @@ int main(int argc, char** argv) {
     sc.slots = slots;
     sc.gpus_per_job = gpus_per_job;
     sc.threads = args.threads();
-    sc.overlap_slices = args.overlap();
-    sc.pipeline_depth = args.pipeline();
     sc.iters_cap = iters_cap;
     sc.policy = SchedulerPolicy::Fifo;
     sc.shard_count = shards;
@@ -793,7 +772,6 @@ int main(int argc, char** argv) {
                 chaos_identical ? "bit-identical" : "MISMATCH");
     std::printf("  chaos gate: %s\n", chaos_ok ? "OK" : "FAILED");
   }
-#endif
 
   // Machine-readable trajectory point: configuration, per-policy wall/virtual
   // results and memo outcome counts (--json BENCH_serve_traffic.json).
@@ -804,8 +782,6 @@ int main(int argc, char** argv) {
   json.set("slots", i64(slots));
   json.set("gpus_per_job", i64(gpus_per_job));
   json.set("threads", i64(args.threads()));
-  json.set("overlap_slices", args.overlap());
-  json.set("pipeline_depth", args.pipeline());
   json.set("shards", i64(shards));
   json.set("fabric_gbps", fabric_gbps);
   json.set("tau_dedup", tau_dedup);

@@ -1,28 +1,16 @@
 // Stage-throughput microbench for the StageExecutor engine: memoized
-// operator stages executed with increasing worker-pool widths, with the
-// MemoDb driven in three modes at every width —
+// operator stages executed with increasing worker-pool widths, one engine
+// timing per width. Each stage runs one barriered DB round (scoring fanned
+// out on the pool), then its miss FFTs and hit copies in one parallel pass,
+// then its data tail inline.
 //
-//   barrier   — legacy path (one serially-scored query_batch per stage,
-//               then all miss FFTs, inserts inline at stage end)
-//   overlap   — PR-2 async sliced service (parallel ANN scoring, slice
-//               k+1's scoring under slice k's miss FFTs), per-stage barrier
-//   pipelined — overlap PLUS cross-stage pipelining (--pipeline ≥ 2):
-//               stage s's DB insertions and cache refills drain on a
-//               single serial tail runner underneath stage s+1's encode/
-//               probe/score phases (--tail-lanes 1, the legacy drainer)
-//   laned     — pipelined PLUS per-OpKind tail lanes (--tail-lanes N,
-//               default one lane per kind): tails of different kinds drain
-//               on independent drainer lanes
-//
-// The workload alternates operator kinds per pass (Fu1D / Fu1DAdj — the
-// adjacency the cross-stage pipeline exploits, exactly like the ADMM loop)
-// and alternates hit and miss chunks within each pass (even chunks re-use
-// the base volumes — DB hits whose round-trip is hidden — and odd chunks
-// carry fresh churn planes whose FFTs and insertions are the local work to
-// hide it behind). Host wall time is measured; the virtual clock is
-// bit-identical across all three modes and every width (asserted by
-// tests/concurrency_test.cpp). Expect pipelined ≥ overlap ≥ barrier on a
-// multi-core host; a 1-core container degrades gracefully to ~1×.
+// The workload alternates operator kinds per pass (Fu1D / Fu1DAdj, like
+// the ADMM loop) and alternates hit and miss chunks within each pass (even
+// chunks re-use the base volumes — DB hits — and odd chunks carry fresh
+// churn planes whose FFTs and insertions are the local work). Host wall
+// time is measured; the virtual clock is bit-identical at every width
+// (asserted by tests/concurrency_test.cpp), and the memo outcomes of every
+// width must match the serial run's (the outcome gate).
 //
 // A closing section runs one small reference ADMM solve and prints the
 // fused elementwise-kernel profile per solver phase (passes vs what the
@@ -30,16 +18,15 @@
 // contract lives here and in the JSON).
 //
 //   ./bench_stage_scaling [--n 20] [--chunk 1] [--reps 6] [--threads 8]
-//                         [--overlap 4] [--pipeline 2] [--tail-lanes 4]
 //                         [--json BENCH_stage_scaling.json]
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/parallel.hpp"
-#include "core/mlr.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
+#include "core/mlr.hpp"
 #include "lamino/phantom.hpp"
 #include "memo/memo_db.hpp"
 #include "memo/memoized_ops.hpp"
@@ -54,12 +41,6 @@ int main(int argc, char** argv) {
   const i64 chunk = args.get_i64("--chunk", 1);
   const i64 reps = args.get_i64("--reps", 6);
   const i64 max_threads = std::max<i64>(1, args.get_i64("--threads", 8));
-  // Honored as-is per the shared flag contracts: --overlap 0/1 makes the
-  // overlap column barriered too; --pipeline 0/1 makes the pipelined column
-  // equal to the overlap column.
-  const i64 overlap = args.overlap();
-  const i64 pipeline = args.pipeline();
-  const i64 tail_lanes = args.tail_lanes();
 
   lamino::Operators ops{lamino::Geometry::cube(n)};
   const auto& g = ops.geometry();
@@ -70,7 +51,7 @@ int main(int argc, char** argv) {
   // Base + per-pass churn volumes for BOTH kinds: chunks with odd index
   // read from the rep's churn volume instead of the base, so every pass
   // after the warm-up pair mixes DB hits (even chunks) with misses (odd
-  // chunks). Identical across modes/widths by construction.
+  // chunks). Identical across widths by construction.
   Array3D<cfloat> base_u1(g.u1_shape());
   std::vector<Array3D<cfloat>> churn_obj, churn_u1;
   {
@@ -93,24 +74,17 @@ int main(int argc, char** argv) {
   std::printf(
       "stage-execution engine scaling — %lld^3 volume, %zu chunks/stage, "
       "kind-alternating Fu1D/Fu1DAdj, %lld mixed pass pairs after 1 miss "
-      "pair, %lld slices, depth %lld, %lld tail lanes\n\n",
-      (long long)n, chunks.size(), (long long)reps, (long long)overlap,
-      (long long)pipeline, (long long)tail_lanes);
-  std::printf("%-9s %-11s %-11s %-11s %-11s %-9s %-9s %-9s\n", "threads",
-              "barrier(s)", "overlap(s)", "pipeline(s)", "laned(s)",
-              "overlapx", "lanex", "vs-1thr");
+      "pair\n\n",
+      (long long)n, chunks.size(), (long long)reps);
+  std::printf("%-9s %-11s %-9s\n", "threads", "engine(s)", "vs-1thr");
 
   // One full measurement: a miss pass per kind on the base volumes, then
-  // `reps` mixed kind-alternating pass pairs. overlap_slices selects
-  // barriered vs async sliced scoring; depth selects per-stage barrier vs
-  // cross-stage pipelined tails.
-  auto run_mode = [&](i64 threads, i64 overlap_slices, i64 depth, i64 lanes) {
+  // `reps` mixed kind-alternating pass pairs.
+  auto run_engine = [&](i64 threads) {
     sim::Device dev{0};
     sim::Interconnect net;
     sim::MemoryNode node;
-    memo::MemoDb db{{.tau = 0.92,
-                     .overlap_slices = overlap_slices,
-                     .ivf = {.nlist = 4, .train_size = 16}},
+    memo::MemoDb db{{.tau = 0.92, .ivf = {.nlist = 4, .train_size = 16}},
                     &net, &node};
     // No local cache: every chunk queries the DB each pass, keeping the
     // DB round-trip on the measured path.
@@ -119,8 +93,6 @@ int main(int argc, char** argv) {
         &dev, &db);
     ThreadPool pool{unsigned(threads)};
     ml.executor().set_pool(&pool);
-    ml.executor().set_pipeline_depth(depth);
-    ml.executor().set_tail_lanes(lanes);
 
     Array3D<cfloat> out_u1(g.u1_shape()), out_obj(g.object_shape());
     auto make_work = [&](memo::OpKind kind, const Array3D<cfloat>* alt) {
@@ -149,7 +121,6 @@ int main(int argc, char** argv) {
       auto wb = make_work(memo::OpKind::Fu1DAdj, &churn_u1[size_t(r)]);
       t = ml.executor().run_stage(memo::OpKind::Fu1DAdj, wb, t).done;
     }
-    ml.executor().settle();  // close the pipelined round inside the timing
     return std::pair{wall.seconds(), ml.counters()};
   };
 
@@ -159,47 +130,30 @@ int main(int argc, char** argv) {
   json.set("chunk", chunk);
   json.set("chunks_per_stage", i64(chunks.size()));
   json.set("reps", reps);
-  json.set("overlap_slices", overlap);
-  json.set("pipeline_depth", pipeline);
-  json.set("tail_lanes", tail_lanes);
 
-  double t1_laned = 0;
+  double t1 = 0;
   memo::MemoCounters counters;
   bool mismatch = false;
   for (i64 threads = 1; threads <= max_threads; threads *= 2) {
-    const auto [barrier_s, cb] = run_mode(threads, 0, 0, 1);
-    const auto [overlap_s, co] = run_mode(threads, overlap, 0, 1);
-    const auto [pipe_s, cp] = run_mode(threads, overlap, pipeline, 1);
-    const auto [laned_s, cl] = run_mode(threads, overlap, pipeline, tail_lanes);
-    if (threads == 1) t1_laned = laned_s;
-    counters = cl;
-    if (cb.db_hit != co.db_hit || cb.miss != co.miss ||
-        cb.db_hit != cp.db_hit || cb.miss != cp.miss ||
-        cb.db_hit != cl.db_hit || cb.miss != cl.miss) {
-      std::printf("!! outcome mismatch between modes\n");
+    const auto [engine_s, c] = run_engine(threads);
+    if (threads == 1) {
+      t1 = engine_s;
+      counters = c;
+    } else if (c.db_hit != counters.db_hit || c.miss != counters.miss) {
+      std::printf("!! outcome mismatch against the 1-thread run\n");
       mismatch = true;
     }
-    char r_ov[16], r_lane[16], scale[16];
-    std::snprintf(r_ov, sizeof r_ov, "%.2fx", barrier_s / overlap_s);
-    std::snprintf(r_lane, sizeof r_lane, "%.2fx", barrier_s / laned_s);
-    std::snprintf(scale, sizeof scale, "%.2fx", t1_laned / laned_s);
-    std::printf("%-9lld %-11.3f %-11.3f %-11.3f %-11.3f %-9s %-9s %-9s\n",
-                (long long)threads, barrier_s, overlap_s, pipe_s, laned_s,
-                r_ov, r_lane, scale);
+    char scale[16];
+    std::snprintf(scale, sizeof scale, "%.2fx", t1 / engine_s);
+    std::printf("%-9lld %-11.3f %-9s\n", (long long)threads, engine_s, scale);
     auto& row = json.row("rows");
     row.set("threads", threads);
-    row.set("barrier_s", barrier_s);
-    row.set("overlap_s", overlap_s);
-    row.set("pipelined_s", pipe_s);
-    row.set("laned_s", laned_s);
+    row.set("engine_s", engine_s);
   }
 
-  std::printf(
-      "\nmemo outcomes per mode: %llu db hits, %llu misses — overlapx is\n"
-      "the async sliced DB service vs the legacy barriered query; lanex\n"
-      "adds cross-stage tails on per-kind drainer lanes (stage s inserts\n"
-      "under stage s+1 encode/probe/score, kinds draining concurrently).\n",
-      (unsigned long long)counters.db_hit, (unsigned long long)counters.miss);
+  std::printf("\nmemo outcomes per width: %llu db hits, %llu misses\n",
+              (unsigned long long)counters.db_hit,
+              (unsigned long long)counters.miss);
 
   json.set("db_hits", counters.db_hit);
   json.set("misses", counters.miss);
@@ -207,15 +161,13 @@ int main(int argc, char** argv) {
   // Fused-kernel profile of one reference ADMM solve: per solver phase, the
   // streaming passes the fused kernels made vs what the pre-fusion loop
   // chains would have made over the same operands. The solve is fixed
-  // (small dataset, laned engine defaults) so the pass counts are a stable
-  // contract: total naive/fused must stay ≥ 2.
+  // (small dataset) so the pass counts are a stable contract: total
+  // naive/fused must stay ≥ 2.
   {
     ReconstructionConfig rc;
     rc.dataset = Dataset::small(14);
     rc.iters = 4;
     rc.threads = unsigned(max_threads);
-    rc.pipeline_depth = pipeline;
-    rc.tail_lanes = tail_lanes;
     Reconstructor rec(rc);
     const auto rep = rec.run();
     const auto& res = rep.result;

@@ -31,8 +31,6 @@ int main(int argc, char** argv) {
   // Reference reconstruction (no memoization).
   ReconstructionConfig base;
   base.threads = args.threads();
-  base.overlap_slices = args.overlap();
-  base.pipeline_depth = args.pipeline();
   base.dataset = Dataset::small(n);
   base.dataset.noise = 0.02;
   base.iters = iters;

@@ -41,23 +41,6 @@ class Args {
     const i64 t = get_i64("--threads", 0);
     return t > 0 ? unsigned(t) : 0u;
   }
-  /// DB/compute overlap slices (`--overlap N`, default on at 4 slices;
-  /// 0 = legacy barriered path). One parse point for every bench.
-  [[nodiscard]] i64 overlap() const {
-    return std::max<i64>(0, get_i64("--overlap", 4));
-  }
-  /// Cross-stage pipeline depth (`--pipeline N`, default on at depth 2;
-  /// 0/1 = per-stage barrier). One parse point for every bench.
-  [[nodiscard]] i64 pipeline() const {
-    return std::max<i64>(0, get_i64("--pipeline", 2));
-  }
-  /// Tail-drainer lanes (`--tail-lanes N`; default 0 = the executor's
-  /// automatic min(kNumOpKinds, hardware cores); 1 = the legacy single
-  /// global drainer). One parse point for every bench; the executor clamps
-  /// explicit values to [1, kNumOpKinds].
-  [[nodiscard]] i64 tail_lanes() const {
-    return std::max<i64>(0, get_i64("--tail-lanes", 0));
-  }
   /// Output path for the machine-readable result (`--json <path>`); null
   /// when not requested.
   [[nodiscard]] const char* json_path() const {

@@ -12,12 +12,8 @@
 int main(int argc, char** argv) {
   const mlr::i64 n = argc > 1 ? std::atoll(argv[1]) : 20;
   const unsigned threads = argc > 2 ? unsigned(std::max(0, std::atoi(argv[2]))) : 0;
-  const mlr::i64 overlap = argc > 3 ? std::max(0, std::atoi(argv[3])) : 4;
-  const mlr::i64 pipeline = argc > 4 ? std::max(0, std::atoi(argv[4])) : 2;
   mlr::ReconstructionConfig cfg;
   cfg.threads = threads;
-  cfg.overlap_slices = overlap;
-  cfg.pipeline_depth = pipeline;
   cfg.dataset = mlr::Dataset::small(n);
   cfg.dataset.kind = mlr::lamino::PhantomKind::IntegratedCircuit;
   cfg.dataset.label = "IC die";

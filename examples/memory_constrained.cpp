@@ -9,8 +9,6 @@
 int main(int argc, char** argv) {
   const mlr::i64 n = argc > 1 ? std::atoll(argv[1]) : 14;
   const unsigned threads = argc > 2 ? unsigned(std::max(0, std::atoi(argv[2]))) : 0;
-  const mlr::i64 overlap = argc > 3 ? std::max(0, std::atoi(argv[3])) : 4;
-  const mlr::i64 pipeline = argc > 4 ? std::max(0, std::atoi(argv[4])) : 2;
 
   std::printf("memory-constrained reconstruction — %lld^3 volume timed as 2K^3\n\n",
               (long long)n);
@@ -31,8 +29,6 @@ int main(int argc, char** argv) {
     cfg.memoize = false;
     cfg.offload = row.mode;
     cfg.threads = threads;
-    cfg.overlap_slices = overlap;
-    cfg.pipeline_depth = pipeline;
     mlr::Reconstructor rec(cfg);
     auto rep = rec.run();
     if (row.mode == mlr::OffloadMode::None) {

@@ -9,8 +9,6 @@
 int main(int argc, char** argv) {
   const mlr::i64 n = argc > 1 ? std::atoll(argv[1]) : 20;
   const unsigned threads = argc > 2 ? unsigned(std::max(0, std::atoi(argv[2]))) : 0;
-  const mlr::i64 overlap = argc > 3 ? std::max(0, std::atoi(argv[3])) : 4;
-  const mlr::i64 pipeline = argc > 4 ? std::max(0, std::atoi(argv[4])) : 2;
 
   std::printf("PCB inspection — %lld^3 board, comparing tau choices\n\n",
               (long long)n);
@@ -24,8 +22,6 @@ int main(int argc, char** argv) {
     cfg.iters = 10;
     cfg.tau = tau;
     cfg.threads = threads;
-    cfg.overlap_slices = overlap;
-    cfg.pipeline_depth = pipeline;
     mlr::Reconstructor rec(cfg);
     auto rep = rec.run();
     if (tau == 0.99) err_ref = rep.error_vs_truth;

@@ -2,15 +2,12 @@
 // once with the original ADMM-FFT pipeline and once with mLR (memoization +
 // operation cancellation/fusion) — and compare time and fidelity.
 //
-//   ./quickstart [n] [threads] [overlap] [pipeline]
+//   ./quickstart [n] [threads]
 //     n        volume edge (default 16; volume is n³)
 //     threads  engine workers (0 shares the process pool, 1 runs serial)
-//     overlap  DB/compute overlap slices (default 4; 0 = barriered path)
-//     pipeline cross-stage pipeline depth (default 2; 0/1 = per-stage
-//              barrier)
-// The reconstruction is bit-identical for every `threads`, `overlap` and
-// `pipeline` value — only host wall time changes (the StageExecutor
-// schedules the virtual clock deterministically).
+// The reconstruction is bit-identical for every `threads` value — only host
+// wall time changes (the StageExecutor schedules the virtual clock
+// deterministically).
 #include <cstdio>
 #include <cstdlib>
 
@@ -19,8 +16,6 @@
 int main(int argc, char** argv) {
   const mlr::i64 n = argc > 1 ? std::atoll(argv[1]) : 16;
   const unsigned threads = argc > 2 ? unsigned(std::max(0, std::atoi(argv[2]))) : 0;
-  const mlr::i64 overlap = argc > 3 ? std::max(0, std::atoi(argv[3])) : 4;
-  const mlr::i64 pipeline = argc > 4 ? std::max(0, std::atoi(argv[4])) : 2;
 
   mlr::ReconstructionConfig base;
   base.dataset = mlr::Dataset::small(n);
@@ -29,8 +24,6 @@ int main(int argc, char** argv) {
   base.cancellation = false;
   base.fusion = false;
   base.threads = threads;
-  base.overlap_slices = overlap;
-  base.pipeline_depth = pipeline;
 
   std::printf("mLR quickstart — %s phantom, volume %lld^3 (stands in for "
               "%lld^3), %u engine threads\n\n",

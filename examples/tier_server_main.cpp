@@ -14,19 +14,16 @@
 // instruments, "net.server.*") as JSON on stdout — the same snapshot shape
 // the benches embed, so a served session can be profiled from either side
 // of the wire.
+#include <unistd.h>
+
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
-#include "obs/metrics.hpp"
-
-#ifdef MLR_HAS_NET
-
-#include <csignal>
-#include <unistd.h>
-
 #include "net/tier_server.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 volatile std::sig_atomic_t g_stop = 0;
@@ -85,13 +82,3 @@ int main(int argc, char** argv) {
   return 0;
 }
 
-#else  // !MLR_HAS_NET
-
-int main() {
-  std::fprintf(stderr,
-               "tier_server_main: built with MLR_BUILD_NET=OFF — the wire "
-               "transport is unavailable\n");
-  return 2;
-}
-
-#endif

@@ -2,10 +2,10 @@
 # Tier-1 verify: configure, build, run the full test suite, then smoke the
 # hot paths —
 #   * bench_serve_traffic exits non-zero if job outputs are not
-#     bit-identical across scheduling policies (and, with MLR_BUILD_NET,
-#     across tier transports — the loopback/socket smokes below),
-#   * bench_stage_scaling exits non-zero if barrier/overlap/pipelined modes
-#     resolve different memo outcomes, and emits the BENCH_*.json
+#     bit-identical across scheduling policies and tier transports (the
+#     loopback/socket smokes below),
+#   * bench_stage_scaling exits non-zero if any pool width resolves
+#     different memo outcomes than the serial run, and emits the BENCH_*.json
 #     perf-trajectory point,
 #   * a trace-enabled serve replay (--trace over the loopback transport)
 #     must produce a non-empty, parseable Chrome-trace JSON while staying
@@ -19,14 +19,15 @@
 #     Table 1 bounds.
 # The serving layer alone (service/scheduler matrices, workload contracts,
 # tier wire protocol) can be run via its CTest label: `ctest -L serve`.
-# The TSan preset additionally re-runs the cross-stage determinism matrix
-# (now threads x overlap x depth x tail-lanes), the trace-on/off identity
-# matrix (recorder rings hammered from pool + drainer threads), the obs
-# unit suite, the fused elementwise-kernel suite (tiled reductions racing
-# on the shared partial buffer is exactly where a combine-order bug would
-# hide), the serve shard matrix (shards x policies x threads x
-# pipeline_depth), the remote-tier loopback matrix (same workload rehosted
-# on the wire protocol), the transport fault-injection suite
+# The TSan preset additionally re-runs the engine's golden digests and
+# cross-stage determinism matrix (threads x gpus x cache kind), the
+# trace-on/off identity matrix (recorder rings hammered from pool threads),
+# the obs unit suite, the fused elementwise-kernel suite (tiled reductions
+# racing on the shared partial buffer is exactly where a combine-order bug
+# would hide), the serve shard matrix (shards x policies x threads), the
+# remote-tier loopback matrix (same workload rehosted on the wire
+# protocol), the TierClient suite (a remote-seeded stage harvesting its
+# GET_BATCH replies from pool workers), the transport fault-injection suite
 # (reply-reader threads + the in-flight request table are exactly where a
 # completion race would hide) and the reconnect/degradation suites
 # (LoopbackReconnect.* + ReconServiceFaults.* — recovery ladder vs the
@@ -38,14 +39,15 @@
 # The ASan+UBSan preset builds and runs the suites whose kernels do
 # hand-written index arithmetic over scratch buffers — the key encoder's
 # layer kernels, the memo layer, the fused ADMM kernels, the batched
-# FFT/NUFFT and operator kernels (lane/stride indexing) — and the
-# concurrency suite that drives them from pool workers.
+# FFT/NUFFT and operator kernels (lane/stride indexing) — the concurrency
+# suite that drives them from pool workers, the net suite (the wire
+# decoder meets hostile frames) and the obs suite (the leaked trace rings).
 #   ./scripts/check.sh          release build + ctest + smokes
 #   ./scripts/check.sh tsan     ThreadSanitizer build + ctest + matrix +
 #                               smokes (slower)
 #   ./scripts/check.sh asan     AddressSanitizer+UBSan build of encoder,
-#                               memo, admm, concurrency, fft and lamino
-#                               tests + ctest
+#                               memo, admm, concurrency, fft, lamino, net
+#                               and obs tests + ctest
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,18 +75,16 @@ if [[ "$preset" == "tsan" ]]; then
   ctest --preset tsan -j "$(nproc)"
   ./build-tsan/obs_test
   ./build-tsan/concurrency_test \
-    --gtest_filter='Concurrency.PipelinedCrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial'
+    --gtest_filter='Concurrency.StageExecutorGoldenDigest:Concurrency.CrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial'
   ./build-tsan/ew_test --gtest_filter='Ew.*'
   ./build-tsan/serve_test \
-    --gtest_filter='ReconService.OutputsIdenticalAcrossPipelineDepths:ReconService.SharedTierShardMatrix:ReconService.LoopbackTransportMatrix:ReconService.TraceOnOffBitIdentity:ReconService.PreemptionDeterminismMatrix:ReconService.PreemptedJobResumesOnDifferentSlot:ReconService.AdmissionDecisionInvarianceMatrix'
+    --gtest_filter='ReconService.SharedTierShardMatrix:ReconService.LoopbackTransportMatrix:ReconService.TraceOnOffBitIdentity:ReconService.PreemptionDeterminismMatrix:ReconService.PreemptedJobResumesOnDifferentSlot:ReconService.AdmissionDecisionInvarianceMatrix'
   ./build-tsan/workload_test
-  if [[ -x ./build-tsan/net_test ]]; then
-    ./build-tsan/net_test \
-      --gtest_filter='RequestTable.*:TierClientFaults.*:TierServerFaults.*:SocketTransport.*:LoopbackReconnect.*'
-    ./build-tsan/serve_test --gtest_filter='ReconServiceFaults.*'
-  fi
+  ./build-tsan/net_test \
+    --gtest_filter='RequestTable.*:TierClient.*:TierClientFaults.*:TierServerFaults.*:SocketTransport.*:LoopbackReconnect.*'
+  ./build-tsan/serve_test --gtest_filter='ReconServiceFaults.*'
   ./build-tsan/bench_stage_scaling --n 12 --reps 2 --threads 2 \
-    --tail-lanes 2 --json /tmp/BENCH_stage_scaling.tsan.json
+    --json /tmp/BENCH_stage_scaling.tsan.json
   ./build-tsan/bench_serve_traffic --jobs 8 --n small
   ./build-tsan/bench_serve_traffic --preempt --jobs 32 --n small
   ./build-tsan/bench_serve_traffic --jobs 8 --n small --transport loopback \

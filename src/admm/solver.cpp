@@ -249,21 +249,6 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
   sim::VTime t = resuming ? ck.t : 0;
   const double dev_xfer0 = exec_.device_transfer_busy();
   const EwStats solve_ew0 = knl_.stats();
-  // The solver's back-to-back run_stage calls form one pipelined round on
-  // the engine (pipeline_depth ≥ 2 lets stage s's DB insertions and cache
-  // refills drain under stage s+1's encode/probe/score phases). The round
-  // must close with the solve: settle on every exit path so callers can
-  // read DB entries, cache contents and counters immediately after.
-  struct SettleGuard {
-    memo::StageExecutor& exec;
-    ~SettleGuard() {
-      try {
-        exec.settle();
-      } catch (...) {  // NOLINT(bugprone-empty-catch) — unwinding already
-      }
-    }
-  } settle_guard{exec_};
-
   // All fused elementwise kernels of this solve tile across the engine's
   // worker pool (deterministic size-based partition — results are
   // bit-identical for any pool width).
@@ -454,10 +439,6 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
     // and collected samples are not part of the checkpoint).
     if (should_yield && !needs_warmup && iter + 1 < cfg_.outer_iters &&
         should_yield(iter + 1, t)) {
-      // Close the pipelined round first so the owner can snapshot DB
-      // entries, cache contents and virtual clocks (settle never moves t:
-      // tail charges use the logical ready times recorded at issue).
-      exec_.settle();
       ck.valid = true;
       ck.next_iter = iter + 1;
       ck.rho = rho;
@@ -494,9 +475,6 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
   mem_.release("g", t);
   mem_.release("u", t);
   mem_.release("d", t);
-  // Close the pipelined round before reading transfer stats; rethrows any
-  // deferred tail error (the guard's settle then finds nothing left).
-  exec_.settle();
   // Stitch prior segments' accumulators (empty for an uninterrupted solve)
   // under this segment's totals.
   result.total_vtime = t;

@@ -153,10 +153,10 @@ class Solver {
   /// rebuilt the engine state — DB, cache, counters, virtual clocks — the
   /// checkpoint was taken against; `d` is ignored beyond shape checks since
   /// the checkpoint holds d̂). After each completed iteration `should_yield`
-  /// (when set) is consulted; on true the solve settles the pipelined round,
-  /// saves its carried state into `ck` and returns false. Returns true when
-  /// the solve ran to completion — `*out` then holds the stitched result,
-  /// bit-identical to an uninterrupted solve() of the same problem.
+  /// (when set) is consulted; on true the solve saves its carried state into
+  /// `ck` and returns false. Returns true when the solve ran to completion —
+  /// `*out` then holds the stitched result, bit-identical to an
+  /// uninterrupted solve() of the same problem.
   /// Yielding requires a trained encoder (no warmup in flight).
   bool solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
                        const YieldFn& should_yield, SolveResult* out);

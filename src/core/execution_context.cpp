@@ -33,8 +33,6 @@ ExecutionContext::ExecutionContext(const lamino::Operators& ops,
   ptrs.reserve(wrappers_.size());
   for (auto& w : wrappers_) ptrs.push_back(w.get());
   exec_ = std::make_unique<memo::StageExecutor>(std::move(ptrs));
-  exec_->set_pipeline_depth(opt_.pipeline_depth);
-  exec_->set_tail_lanes(opt_.tail_lanes);
   ThreadPool* pool = opt_.shared_pool;
   if (pool == nullptr && opt_.threads > 0) {
     pool_ = std::make_unique<ThreadPool>(opt_.threads);

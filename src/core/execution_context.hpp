@@ -30,16 +30,6 @@ struct ExecutionOptions {
   unsigned threads = 0;
   /// Simulated devices; chunks are distributed round-robin across them.
   int gpus = 1;
-  /// Cross-stage pipeline depth for the engine (see
-  /// StageExecutor::set_pipeline_depth): stages that may be in flight at
-  /// once. 0/1 = per-stage barrier. Bit-identical results for any value.
-  i64 pipeline_depth = 2;
-  /// Tail-drainer lanes for the engine (see StageExecutor::set_tail_lanes):
-  /// tails of different OpKinds drain concurrently. 0 = automatic
-  /// (min(kNumOpKinds, hardware cores) — per-kind lanes only up to the
-  /// parallelism the host can actually run); 1 = the single global drainer.
-  /// Bit-identical results for any value.
-  i64 tail_lanes = 0;
   memo::MemoConfig memo{};   ///< wrapper config, shared by every device
   memo::MemoDbConfig db{};   ///< memoization DB config (used when memo.enable)
   sim::DeviceSpec device{};

@@ -36,9 +36,6 @@ void Reconstructor::prepare() {
   eo.db.tau = cfg_.tau;
   eo.db.coalesce = cfg_.coalesce;
   eo.db.value_scale = ws;
-  eo.db.overlap_slices = cfg_.overlap_slices;
-  eo.pipeline_depth = cfg_.pipeline_depth;
-  eo.tail_lanes = cfg_.tail_lanes;
   eo.memo.enable = cfg_.memoize;
   eo.memo.tau = cfg_.tau;
   eo.memo.cache = cfg_.cache;

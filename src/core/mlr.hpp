@@ -81,22 +81,6 @@ struct ReconstructionConfig {
   /// GlobalCache shard count ((kind, location) hash sharding); ≤1 keeps the
   /// single shared pool. Ignored by the Private cache.
   i64 cache_shards = 1;
-  /// DB/compute overlap: slices per stage driven through the MemoDb's async
-  /// query service (slice k+1's ANN scoring overlaps slice k's miss FFTs).
-  /// 0 or 1 = the legacy barriered path. Outputs, records and virtual times
-  /// are bit-identical for every value — only host wall time changes.
-  i64 overlap_slices = 4;
-  /// Cross-stage pipelining: consecutive operator stages that may be in
-  /// flight at once — stage s's DB insertions and cache refills drain under
-  /// stage s+1's encode/probe/scoring phases. 0 or 1 = per-stage barrier.
-  /// Outputs, records, cache contents and virtual times are bit-identical
-  /// for every value — only host wall time changes.
-  i64 pipeline_depth = 2;
-  /// Tail-drainer lanes (per-OpKind sharding of the deferred data tail):
-  /// tails of different kinds drain concurrently. 0 = automatic
-  /// (min(kNumOpKinds, hardware cores)); 1 = the single global drainer.
-  /// Bit-identical results for any value — only host wall time changes.
-  i64 tail_lanes = 0;
 };
 
 struct Report {

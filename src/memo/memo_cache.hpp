@@ -84,18 +84,10 @@ class MemoCache {
   }
   /// Total resident bytes.
   [[nodiscard]] virtual std::size_t bytes() const = 0;
-  /// True when entries of different OpKinds can never interact — neither
-  /// matching nor evicting one another. The cross-stage pipeline may then
-  /// run kind-A inserts under kind-B probes without changing any outcome,
-  /// and the engine may shard its deferred tails across per-kind drainer
-  /// lanes; a kind-coupled cache forces the engine to settle every pending
-  /// tail at stage entry AND pins every tail to one lane (its cross-kind
-  /// FIFO order must match the enqueue order) instead.
-  [[nodiscard]] virtual bool kind_isolated() const = 0;
   /// Order-sensitive digest of the resident entries (keys, values, norms,
   /// FIFO order). Two caches that went through the same insert sequence
   /// produce the same fingerprint — the determinism tests compare the
-  /// engine's cache contents across thread counts and overlap settings.
+  /// engine's cache contents across thread counts.
   [[nodiscard]] virtual u64 fingerprint() const = 0;
   /// Checkpoint/restore of resident entries + counters (see CacheImage).
   /// restore() replaces the current contents; call it only on a cache of the
@@ -134,8 +126,6 @@ class PrivateCache : public MemoCache {
   [[nodiscard]] u64 fingerprint() const override;
   [[nodiscard]] CacheImage image() const override;
   void restore(const CacheImage& img) override;
-  /// One single-entry slot per (kind, location): kinds never interact.
-  [[nodiscard]] bool kind_isolated() const override { return true; }
 
  private:
   static constexpr std::size_t kLockStripes = 64;
@@ -171,9 +161,6 @@ class GlobalCache : public MemoCache {
   void restore(const CacheImage& img) override;
 
   [[nodiscard]] i64 shards() const { return i64(shards_.size()); }
-  /// Shards mix kinds and FIFO eviction crosses them, so a kind-A insert
-  /// can evict a kind-B resident: kinds are coupled.
-  [[nodiscard]] bool kind_isolated() const override { return false; }
 
  private:
   struct Tagged {

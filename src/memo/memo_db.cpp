@@ -113,7 +113,7 @@ void MemoDb::score_requests(std::span<const QueryRequest> reqs,
   }
 
   // 2) Value fetch + τ gate per request. Pure reads of the value store and
-  //    the norm/probe maps — insertions are deferred until the round closes.
+  //    the norm/probe maps — no insertion runs while a round scores.
   auto gate_one = [&](i64 ii) {
     const auto i = size_t(ii);
     const auto& rq = reqs[i];
@@ -176,7 +176,7 @@ void MemoDb::score_requests(std::span<const QueryRequest> reqs,
       rp.cosine = cs;
       rp.value_cf = vlen;
       if (remote_pos != QueryReply::kNoRemote) {
-        // Payload still on the tier: note interest now (the slice flush
+        // Payload still on the tier: note interest now (the round's flush
         // below ships one coalesced GET_BATCH per shard) and let the engine
         // harvest with materialize() once its miss FFTs are in flight.
         rp.remote_pos = remote_pos;
@@ -191,8 +191,8 @@ void MemoDb::score_requests(std::span<const QueryRequest> reqs,
   } else {
     for (i64 i = 0; i < i64(reqs.size()); ++i) gate_one(i);
   }
-  // One wire flush per scored slice: every remote hit of this slice rides
-  // one GET_BATCH per shard, in flight while the caller computes.
+  // One wire flush per round: every remote hit of this round rides one
+  // GET_BATCH per shard, in flight while the caller computes.
   if (fetcher_ != nullptr) fetcher_->flush();
 }
 
@@ -259,117 +259,14 @@ void MemoDb::schedule_replies(std::span<QueryReply> replies, sim::VTime ready) {
 
 std::vector<QueryReply> MemoDb::query_batch(
     std::span<const QueryRequest> reqs, sim::VTime ready, ThreadPool* pool) {
-  MLR_CHECK_MSG(!round_open_, "query_batch inside an open async round");
   std::vector<QueryReply> replies(reqs.size());
   if (reqs.empty()) return replies;
-  // Guard the scored kinds against concurrent pipelined stores for the
-  // duration of the scoring read.
-  u32 kinds = 0;
-  for (const auto& r : reqs) kinds |= u32(1) << int(r.kind);
-  round_kinds_.store(kinds, std::memory_order_release);
   // Asynchronous insertions complete before the next round of queries (they
   // overlap the intervening iteration's compute).
   values_.drain();
   score_requests(reqs, replies, pool);
-  round_kinds_.store(0, std::memory_order_release);
   schedule_replies(replies, ready);
   return replies;
-}
-
-void MemoDb::begin_batch() {
-  MLR_CHECK_MSG(!round_open_, "begin_batch while a round is already open");
-  values_.drain();
-  slices_.clear();
-  round_kinds_.store(0, std::memory_order_release);
-  round_open_ = true;
-}
-
-MemoDb::SliceTicket MemoDb::submit_slice(std::vector<QueryRequest> reqs,
-                                         ThreadPool* pool) {
-  MLR_CHECK_MSG(round_open_, "submit_slice outside begin_batch/finalize");
-  u32 kinds = 0;
-  for (const auto& r : reqs) kinds |= u32(1) << int(r.kind);
-  round_kinds_.fetch_or(kinds, std::memory_order_acq_rel);
-  auto s = std::make_shared<Slice>();
-  s->reqs = std::move(reqs);
-  s->scored.resize(s->reqs.size());
-  // The job shares ownership of its slice and signals completion under the
-  // slice lock, so the collector can neither miss the wakeup nor destroy
-  // the slice while the worker still touches it. Scoring errors are stashed
-  // for collect() — thrown from a pool job they would std::terminate the
-  // worker loop.
-  auto score = [this, s] {
-    try {
-      // Intra-slice scoring stays serial: the overlap is across slices, and
-      // a slice job must not re-enter the pool it runs on.
-      score_requests(s->reqs, s->scored, nullptr);
-    } catch (...) {
-      s->error = std::current_exception();
-    }
-    std::lock_guard lk(s->mu);
-    s->done = true;
-    s->cv.notify_all();
-  };
-  // Register the slice only once nothing else can throw, and deregister if
-  // the pool handoff itself fails — a registered slice whose job never runs
-  // would hang collect()/abort_round() on the done flag.
-  slices_.push_back(s);
-  if (pool != nullptr && pool->size() > 1) {
-    try {
-      pool->submit(score);
-    } catch (...) {
-      slices_.pop_back();
-      throw;
-    }
-  } else {
-    score();
-  }
-  return slices_.size() - 1;
-}
-
-std::span<QueryReply> MemoDb::collect(SliceTicket t) {
-  MLR_CHECK(round_open_ && t < slices_.size());
-  Slice& s = *slices_[t];
-  std::unique_lock lk(s.mu);
-  s.cv.wait(lk, [&] { return s.done; });
-  if (s.error) std::rethrow_exception(s.error);
-  return s.scored;
-}
-
-std::vector<QueryReply> MemoDb::finalize(sim::VTime ready) {
-  MLR_CHECK_MSG(round_open_, "finalize without begin_batch");
-  try {
-    std::vector<QueryReply> replies;
-    for (SliceTicket t = 0; t < slices_.size(); ++t) {
-      (void)collect(t);  // ensure scoring finished; rethrows scoring errors
-      auto& scored = slices_[t]->scored;
-      replies.insert(replies.end(), std::make_move_iterator(scored.begin()),
-                     std::make_move_iterator(scored.end()));
-    }
-    schedule_replies(replies, ready);
-    slices_.clear();
-    round_kinds_.store(0, std::memory_order_release);
-    round_open_ = false;
-    return replies;
-  } catch (...) {
-    // One failed round must not wedge the database: close it, then let the
-    // caller see the original error.
-    abort_round();
-    throw;
-  }
-}
-
-void MemoDb::abort_round() {
-  if (!round_open_) return;
-  // Drain in-flight scoring first so no worker still references slice
-  // state, then discard the round.
-  for (auto& s : slices_) {
-    std::unique_lock lk(s->mu);
-    s->cv.wait(lk, [&] { return s->done; });
-  }
-  slices_.clear();
-  round_kinds_.store(0, std::memory_order_release);
-  round_open_ = false;
 }
 
 u64 MemoDb::store_entry(OpKind kind, std::span<const float> key,
@@ -377,9 +274,8 @@ u64 MemoDb::store_entry(OpKind kind, std::span<const float> key,
                         std::vector<cfloat> probe, bool async) {
   MLR_CHECK(i64(key.size()) == cfg_.key_dim);
   const auto k = size_t(int(kind));
-  // Per-kind lock: stores of different kinds (different tail lanes) proceed
-  // concurrently; stores within a kind serialize, so the kind's sequence
-  // numbers follow its lane's FIFO order.
+  // Per-kind lock: stores within a kind serialize, so the kind's sequence
+  // numbers follow its insertion order.
   std::lock_guard store_lk(store_mu_[k]);
   const u64 seq = next_seq_[k].fetch_add(1, std::memory_order_acq_rel);
   const u64 id = (u64(kind) << 56) | seq;
@@ -405,34 +301,13 @@ u64 MemoDb::store_entry(OpKind kind, std::span<const float> key,
 void MemoDb::insert(OpKind kind, std::span<const float> key,
                     std::span<const cfloat> value, sim::VTime ready,
                     double norm, std::vector<cfloat> probe) {
-  // Service contract: a round's scoring must never observe the insertions
-  // its caller is about to make (slice boundaries would leak into results).
-  MLR_CHECK_MSG(!round_open_, "insert inside an open async query round");
-  (void)store_insert(kind, key, value, norm, std::move(probe));
-  charge_insert(key.size(), value.size(), ready);
-}
-
-u64 MemoDb::store_insert(OpKind kind, std::span<const float> key,
-                         std::span<const cfloat> value, double norm,
-                         std::vector<cfloat> probe) {
-  // The engine's same-kind settle rule makes this impossible; assert it so
-  // a future caller cannot silently leak stores into a round that scores
-  // the same key space.
-  MLR_CHECK_MSG((round_kinds_.load(std::memory_order_acquire) &
-                 (u32(1) << int(kind))) == 0,
-                "store_insert for a kind the open round is scoring");
-  return store_entry(kind, key, value, norm, std::move(probe), /*async=*/true);
-}
-
-void MemoDb::charge_insert(std::size_t key_floats, std::size_t value_floats,
-                           sim::VTime ready) {
+  (void)store_entry(kind, key, value, norm, std::move(probe), /*async=*/true);
   // Virtual-time: the store travels over the link and lands in DRAM, but
   // asynchronously — nothing waits on the returned completion time. DRAM
-  // growth is accounted in charge order (not from values_.bytes(), which
-  // trails the async writer and any deferred pipelined stores), so the
-  // footprint curve is deterministic for every depth/slices/threads setting.
-  const std::size_t key_cf = (key_floats + 1) / 2;
-  const double blob_bytes = double(key_cf + value_floats) * sizeof(cfloat);
+  // growth is accounted in insertion order (not from values_.bytes(), which
+  // trails the async writer), so the footprint curve is deterministic.
+  const std::size_t key_cf = (key.size() + 1) / 2;
+  const double blob_bytes = double(key_cf + value.size()) * sizeof(cfloat);
   const double wire_bytes = blob_bytes * cfg_.value_scale;
   const sim::VTime arrived = net_->transfer(ready, wire_bytes);
   (void)node_->serve_value(arrived, wire_bytes);
@@ -442,15 +317,13 @@ void MemoDb::charge_insert(std::size_t key_floats, std::size_t value_floats,
 }
 
 std::vector<MemoDb::Entry> MemoDb::export_entries(bool session_only) {
-  MLR_CHECK_MSG(!round_open_, "export_entries inside an open async round");
   // A remote-seeded session may hold key-only blobs for payloads it never
   // fetched — a full export would silently produce empty values.
   MLR_CHECK_MSG(session_only || fetcher_ == nullptr,
                 "full export of a remote-seeded session");
   values_.drain();  // pending async insertions become part of the snapshot
   // Canonical kind-major order: each kind's entries in its own insertion
-  // order. Per-kind sequencing makes this order independent of how the tail
-  // lanes interleaved stores of different kinds.
+  // order.
   std::scoped_lock store_lk(store_mu_[0], store_mu_[1], store_mu_[2],
                             store_mu_[3]);
   static_assert(kNumOpKinds == 4);
@@ -488,7 +361,7 @@ std::vector<MemoDb::Entry> MemoDb::export_entries(bool session_only) {
 
 void MemoDb::import_entries(std::span<const Entry> entries,
                             ValueFetcher* values) {
-  MLR_CHECK_MSG(total_entries() == 0 && !round_open_,
+  MLR_CHECK_MSG(total_entries() == 0,
                 "import_entries requires a fresh database");
   fetcher_ = values;
   // Replay in snapshot order: per-kind ids (and therefore the IVF training
@@ -521,7 +394,7 @@ void MemoDb::import_entries(std::span<const Entry> entries,
   for (int k = 0; k < kNumOpKinds; ++k)
     shared_boundary_[size_t(k)] = next_seq_[size_t(k)].load();
   // Seed blobs are (logically) resident before the session runs; account
-  // them so the first pipelined charge continues from the real footprint.
+  // them so the first insertion charge continues from the real footprint.
   // The *logical* footprint — key + full value per entry — is what the
   // paper-scale DRAM curve means, and for an index-only seed it is what the
   // resident bytes become once payloads land; using it keeps the accounting
@@ -530,7 +403,6 @@ void MemoDb::import_entries(std::span<const Entry> entries,
 }
 
 void MemoDb::restore_session_entries(std::span<const Entry> entries) {
-  MLR_CHECK_MSG(!round_open_, "restore_session_entries inside an open round");
   for (int k = 0; k < kNumOpKinds; ++k)
     MLR_CHECK_MSG(
         next_seq_[size_t(k)].load() == shared_boundary_[size_t(k)],

@@ -1,5 +1,5 @@
-// The distributed memoization database (paper §4.3), exposed as an
-// asynchronous batch-query service.
+// The distributed memoization database (paper §4.3), exposed as a batch-
+// query service.
 //
 // Architecture mirrors Fig 6: the *memory node* hosts an index database
 // (ANN over encoder keys — Faiss IVF in the paper, our IvfFlatIndex here)
@@ -7,69 +7,29 @@
 // node reaches it over the shared interconnect. Queries are optionally
 // *coalesced* into ≥4 KB payloads (§4.3.3) and looked up as a batch.
 //
-// The service splits every lookup round into two halves:
+// query_batch() splits every lookup round into two halves:
 //
 //   * scoring — the real work: ANN search (fanned across a ThreadPool via
 //     ann::Index::search_batch), value fetch and the τ similarity gate.
-//     Scoring touches no virtual timeline, so slices of one round can run
-//     concurrently with the caller's other work (the StageExecutor overlaps
-//     slice k+1's scoring with slice k's miss FFTs).
+//     Scoring touches no virtual timeline.
 //   * scheduling — a deterministic serial pass over the round's requests in
 //     submission order that charges key transfer (Interconnect), batched
 //     lookup + value serve (MemoryNode) and value transfer back
 //     (Interconnect) to the virtual clock. Because scheduling never depends
-//     on how scoring was sliced or which worker ran it, reported virtual
-//     times are bit-identical for any overlap_slices / pool-width setting.
-//
-// Two entry points drive the service:
-//
-//   * query_batch() — the one-shot form: score (optionally on a pool) then
-//     schedule, all before returning. Equivalent to a round with one slice.
-//   * begin_batch() / submit_slice() / collect() / finalize() — the async
-//     form. begin_batch opens a round (draining pending insertions, exactly
-//     like the head of query_batch); each submit_slice enqueues one slice's
-//     scoring on the pool and returns a ticket; collect blocks until that
-//     slice's scoring finished and exposes timing-free replies (hit, value);
-//     finalize runs the serial scheduling pass over every slice in
-//     submission order and returns the completed replies — bit-identical to
-//     one query_batch over the concatenated requests.
-//
-// Multi-stage (pipelined) round lifecycle: an insertion is two halves that
-// the engine may split across threads —
-//
-//   * charge_insert() — the virtual-clock half: link/node charges and the
-//     deterministic DRAM accounting. Always called on the scheduling thread,
-//     in insertion order, so the virtual timelines replay the barriered
-//     schedule exactly.
-//   * store_insert() — the data half: index add, norm/probe bookkeeping and
-//     the packed key+value blob. The cross-stage pipeline runs stage s's
-//     stores on a worker while stage s+1 is already encoding, probing its
-//     cache and scoring its own round. That is safe because key/value spaces
-//     are partitioned by OpKind end to end (per-kind ANN index AND per-kind
-//     norm/probe maps, thread-safe KvStore): a store of kind A can neither
-//     change nor tear the scoring of a round that only queries kind B.
-//
-// Service contract: a round must never score requests of a kind that still
-// has stores in flight — the StageExecutor enforces this by settling
-// same-kind tail work before a stage touches the DB, and store_insert
-// asserts the open round queries no request of its kind. The plain
-// insert() (= charge + store on one thread) keeps the stricter legacy
-// contract: never inside an open round. Slices own their requests (moved
-// in), so in-flight scoring never references caller storage; if
-// collect()/finalize() rethrow a scoring error, call abort_round() before
-// reusing the database.
+//     on which worker scored what, reported virtual times are bit-identical
+//     for any pool width.
 //
 // Insertions are asynchronous — they occupy the link/node timelines but
 // never gate the caller's ready time (the paper hides insertion behind the
-// next iteration); they become visible to queries at the next round's
-// begin_batch()/query_batch() (for a pipelined caller: at the engine's
-// same-kind settle point, which precedes that round by construction).
+// next iteration); they become visible to queries at the next query_batch().
+// Key/value spaces are partitioned by OpKind end to end (per-kind ANN
+// index, per-kind norm/probe maps, per-kind id sequences), and stores of
+// one kind serialize on that kind's mutex. Callers must not insert while a
+// query_batch() of the same kind is scoring.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -135,8 +95,8 @@ struct QueryReply {
 /// Lazy value-payload source for a remote-seeded session (implemented by
 /// net::TierClient over the tier transport). The scoring phase calls
 /// request() per remote hit (non-blocking — just notes interest) and
-/// flush() once per scored slice (ships one coalesced GET_BATCH per shard);
-/// the engine harvests with fetch() at value-copy time, after the slice's
+/// flush() once per query round (ships one coalesced GET_BATCH per shard);
+/// the engine harvests with fetch() at value-copy time, after the stage's
 /// miss FFTs were issued — the cache_request/cache_sync split that lets a
 /// remote round-trip hide under local compute. Implementations must be
 /// thread-safe: scoring and harvesting run on pool workers.
@@ -168,11 +128,6 @@ struct MemoDbConfig {
   /// the accuracy/convergence experiments (see DESIGN.md). Keys are still
   /// encoded and timed for the performance path either way.
   bool oracle_similarity = true;
-  /// Number of slices the StageExecutor cuts a stage's DB round into so
-  /// slice k+1's scoring overlaps slice k's miss FFTs. 0 (or 1) = the
-  /// legacy barriered path: one query_batch, then all miss compute.
-  /// Results, records and virtual times are bit-identical either way.
-  i64 overlap_slices = 4;
   ann::IvfParams ivf{};         ///< index database parameters
 };
 
@@ -188,72 +143,23 @@ class MemoDb {
  public:
   MemoDb(MemoDbConfig cfg, sim::Interconnect* net, sim::MemoryNode* node);
 
-  /// One-shot batched lookup: all requests travel together (coalesced into
+  /// Batched lookup: all requests travel together (coalesced into
   /// ceil(batch·key_bytes / coalesce_bytes) messages when enabled, one
-  /// message per key otherwise). Returns one reply per request; replies for
-  /// hits include the value and its arrival time. ANN scoring fans out
-  /// across `pool` when given (timing is unaffected — see the header
-  /// comment's scoring/scheduling split).
+  /// message per key otherwise). Pending asynchronous insertions become
+  /// visible first. Returns one reply per request; replies for hits include
+  /// the value (or, for a remote seed, its length — see materialize()) and
+  /// its arrival time. Scoring fans out across `pool` when given (timing is
+  /// unaffected — see the header comment's scoring/scheduling split).
   std::vector<QueryReply> query_batch(std::span<const QueryRequest> reqs,
                                       sim::VTime ready,
                                       ThreadPool* pool = nullptr);
 
-  // --- Asynchronous batch-query service ------------------------------------
-  // begin_batch → submit_slice* → collect* → finalize. See header comment.
-
-  using SliceTicket = std::size_t;
-
-  /// Open an async round: pending asynchronous insertions become visible
-  /// (as at the head of query_batch) and slice state resets. Must not be
-  /// called while a round is in flight.
-  void begin_batch();
-  /// Enqueue one slice's scoring on `pool` (scored inline when `pool` is
-  /// null or single-threaded). The slice takes ownership of its requests.
-  SliceTicket submit_slice(std::vector<QueryRequest> reqs, ThreadPool* pool);
-  /// Block until slice `t` finished scoring; rethrows a stashed scoring
-  /// error. The returned replies carry hit/match/cosine/value but no timing
-  /// — value_ready is assigned by finalize(). The span is valid until
-  /// finalize()/abort_round(); it is mutable so the caller can
-  /// materialize() remote hits in place (finalize moves the same objects
-  /// into the completed round).
-  std::span<QueryReply> collect(SliceTicket t);
-  /// Deterministic serial scheduling pass over every submitted slice in
-  /// submission order; returns the round's completed replies, bit-identical
-  /// (values, hits, virtual times, wire messages, timing stats) to one
-  /// query_batch over the concatenated requests. Closes the round — on a
-  /// scoring error too (the error is rethrown after the round resets).
-  std::vector<QueryReply> finalize(sim::VTime ready);
-  /// Abandon an open round after an error: drains in-flight slice scoring,
-  /// then discards all slice state without touching the virtual clock.
-  /// No-op when no round is open.
-  void abort_round();
-
   /// Asynchronous insertion of (key, value): charged to the link/node
-  /// timelines, never blocks the caller. `norm` is the raw chunk L2 norm.
-  /// Equivalent to charge_insert() + store_insert() back to back; must not
-  /// be called inside an open async round.
+  /// timelines from `ready`, never blocks the caller. `norm` is the raw
+  /// chunk L2 norm. Assigns the kind's next insertion sequence number.
   void insert(OpKind kind, std::span<const float> key,
               std::span<const cfloat> value, sim::VTime ready,
               double norm = 1.0, std::vector<cfloat> probe = {});
-
-  // --- Split insertion (cross-stage pipelining) ----------------------------
-  // See the header comment's multi-stage round lifecycle. charge_insert
-  // calls must happen in insertion order on the scheduling thread; each must
-  // be paired with exactly one store_insert (same order) before the next
-  // same-kind round scores.
-
-  /// Virtual-clock half of one insertion of a `key_floats`-float key and a
-  /// `value_floats`-cfloat value: link transfer, value-node service and the
-  /// deterministic DRAM accounting. Never blocks and never touches entry
-  /// data.
-  void charge_insert(std::size_t key_floats, std::size_t value_floats,
-                     sim::VTime ready);
-  /// Data half: store the entry (index add, norm/probe, packed blob),
-  /// assigning the next insertion sequence number. Safe on a worker thread
-  /// while a round of a *different* kind is in flight (asserted).
-  u64 store_insert(OpKind kind, std::span<const float> key,
-                   std::span<const cfloat> value, double norm = 1.0,
-                   std::vector<cfloat> probe = {});
 
   // --- Snapshots / shared-memo sessions / the sharded tier ------------------
   // The serving layer (serve::ReconService) keeps one *shared memo tier* per
@@ -261,9 +167,9 @@ class MemoDb {
   // shards (serve::SharedTier) — and seeds every job's session database from
   // it. The lifecycle, and who pays for what on the virtual clock:
   //
-  //   * export — after a session settles its pipeline tails and drains the
-  //     async writer, export_entries(/*session_only=*/true) yields "what this
-  //     job inserted on top of its seed", in canonical kind-major order.
+  //   * export — after a session drains the async writer,
+  //     export_entries(/*session_only=*/true) yields "what this job
+  //     inserted on top of its seed", in canonical kind-major order.
   //     Exporting is free: the entries' link/node/DRAM traffic was charged
   //     when they were first inserted inside the session.
   //   * promote — the service ships those entries to the tier in job-id
@@ -283,9 +189,7 @@ class MemoDb {
   //     canonical order — identical for every shard count, since sharding
   //     decides placement (which link carries which bytes), never ordering —
   //     so ids, the IVF training set and every downstream hit decision are
-  //     bit-identical for shards ∈ {1, 2, 4, …}. Ids are per-kind sequences,
-  //     so the replayed ids are also independent of how the producing
-  //     session's tail lanes interleaved stores of different kinds.
+  //     bit-identical for shards ∈ {1, 2, 4, …}.
   //
   // Entries below the shared boundary were produced by other jobs (or the
   // priming pass), so a hit on one of them is cross-job reuse — the effect
@@ -309,11 +213,9 @@ class MemoDb {
 
   /// Export entries in canonical kind-major order (all of kind 0 in
   /// insertion order, then kind 1, …); pending async insertions are drained
-  /// first. Insertion sequences are per kind, so the order is identical no
-  /// matter how tail lanes interleaved stores of different kinds. With
-  /// `session_only`, only entries above the per-kind shared boundary — what
-  /// this session inserted on top of its seed — are exported. Must not be
-  /// called inside an open async round.
+  /// first. With `session_only`, only entries above the per-kind shared
+  /// boundary — what this session inserted on top of its seed — are
+  /// exported.
   [[nodiscard]] std::vector<Entry> export_entries(bool session_only = false);
   /// Seed an EMPTY database from a snapshot: entries replay synchronously in
   /// order (no virtual-clock charges — the snapshot's traffic was paid when
@@ -325,7 +227,7 @@ class MemoDb {
   /// value_cf > 0) are accepted: the session stores a key-only blob plus the
   /// value length, scores hits exactly as if the payload were local (hit
   /// decisions need key/norm/probe/length only), and resolves the payload
-  /// lazily — score_requests batches fetcher->request() calls per slice and
+  /// lazily — score_requests batches fetcher->request() calls per round and
   /// the engine harvests via materialize(). A fetched payload is cached
   /// into the value store, so later rounds serve it locally.
   void import_entries(std::span<const Entry> entries,
@@ -339,12 +241,12 @@ class MemoDb {
   /// shared boundary (a hit on one remains db_hit, not db_hit_shared). No
   /// virtual-clock charges: their traffic was paid when first inserted;
   /// their logical bytes are folded into the store accounting so later
-  /// pipelined charges continue from the real footprint. Call once, right
+  /// insertion charges continue from the real footprint. Call once, right
   /// after import_entries(), before any query round.
   void restore_session_entries(std::span<const Entry> entries);
 
   /// Resolve a remote hit in place: fetch the value payload (blocking — the
-  /// engine calls this after the slice's miss FFTs were issued), cache it
+  /// engine calls this after the stage's miss FFTs were issued), cache it
   /// into the value store, and clear remote_pos. No-op for local replies.
   /// Never touches a virtual timeline. Safe on pool workers.
   void materialize(QueryReply& rp);
@@ -356,10 +258,8 @@ class MemoDb {
   }
 
   /// Low 56 bits of an entry id hold the entry's *per-kind* insertion
-  /// sequence number (the high byte is the OpKind). Per-kind sequencing is
-  /// what lets tails of different kinds drain on independent lanes: a kind's
-  /// ids stay in its own total store order no matter how the lanes
-  /// interleave globally.
+  /// sequence number (the high byte is the OpKind); the remote-seed tables
+  /// and is_shared_entry() index by it.
   static constexpr u64 kSeqMask = (u64(1) << 56) - 1;
 
   [[nodiscard]] std::size_t entries(OpKind kind) const;
@@ -389,36 +289,18 @@ class MemoDb {
   /// filling in value_ready and the timing/message counters.
   void schedule_replies(std::span<QueryReply> replies, sim::VTime ready);
 
-  /// One slice of an in-flight async round. Held by shared_ptr and owning
-  /// its requests: the pool job keeps its slice (and the request storage it
-  /// scores) alive, so neither finalize()/abort_round() clearing the round
-  /// nor the caller unwinding can free memory a worker still touches. An
-  /// exception thrown while scoring is stashed and rethrown from collect()
-  /// — it must not escape into the pool's worker loop.
-  struct Slice {
-    std::vector<QueryRequest> reqs;
-    std::vector<QueryReply> scored;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::exception_ptr error;
-  };
-
   MemoDbConfig cfg_;
   sim::Interconnect* net_;
   sim::MemoryNode* node_;
   std::vector<std::unique_ptr<ann::IvfFlatIndex>> index_;  // one per OpKind
   kvstore::KvStore values_;
   // Norm/probe bookkeeping is sharded by OpKind, mirroring the per-kind ANN
-  // indexes: a pipelined store of kind A mutates only shard A while a round
-  // of kind B reads shard B — no shared map to rehash under a reader.
+  // indexes.
   std::array<std::unordered_map<u64, double>, kNumOpKinds> norms_;
   std::array<std::unordered_map<u64, std::vector<cfloat>>, kNumOpKinds>
       probes_;
-  /// Per-kind store serialization, mirroring the per-kind indexes: one tail
-  /// lane's stores of kind A never contend with another lane's stores of
-  /// kind B, while stores *within* a kind stay in total insertion order
-  /// (each lane drains one kind's tails FIFO). export_entries locks all
+  /// Per-kind store serialization, mirroring the per-kind indexes: stores
+  /// within a kind stay in total insertion order. export_entries locks all
   /// kinds for a consistent snapshot.
   std::array<std::mutex, kNumOpKinds> store_mu_;
   /// Per-kind insertion-sequence counters (the low 56 bits of an id).
@@ -433,17 +315,11 @@ class MemoDb {
   std::array<std::vector<u32>, kNumOpKinds> seed_vlen_;
   std::array<std::vector<u64>, kNumOpKinds> seed_pos_;
   u64 messages_ = 0;
-  /// Store bytes accounted in charge order — the DRAM footprint the virtual
-  /// clock sees. Decoupled from values_.bytes() (which trails the async
-  /// writer and, under pipelining, the deferred stores) so the accounting is
-  /// deterministic for every depth/slices/threads setting.
+  /// Store bytes accounted in insertion order — the DRAM footprint the
+  /// virtual clock sees. Decoupled from values_.bytes() (which trails the
+  /// async writer) so the accounting is deterministic for every pool width.
   double accounted_store_bytes_ = 0;
   DbTiming timing_;
-  /// Kinds the open round queries (bitmask by OpKind); store_insert asserts
-  /// its kind is not among them. Atomic: stores run on worker threads.
-  std::atomic<u32> round_kinds_{0};
-  std::vector<std::shared_ptr<Slice>> slices_;  // current async round
-  bool round_open_ = false;
 };
 
 // --- Sharded-tier helpers ----------------------------------------------------

@@ -17,7 +17,6 @@ namespace {
 /// Per-phase wall-clock histograms and outcome counters. Cached references:
 /// after the first stage, each event is one relaxed atomic op.
 struct StageMetrics {
-  obs::Histogram& sync_wait_s;
   obs::Histogram& encode_probe_s;
   obs::Histogram& score_s;
   obs::Histogram& miss_fft_s;
@@ -32,7 +31,6 @@ struct StageMetrics {
   obs::Counter& tail_items;
   static StageMetrics& get() {
     static StageMetrics m{
-        obs::metrics().histogram("stage.sync_wait_s", obs::latency_edges_s()),
         obs::metrics().histogram("stage.encode_probe_s",
                                  obs::latency_edges_s()),
         obs::metrics().histogram("stage.score_s", obs::latency_edges_s()),
@@ -60,163 +58,6 @@ StageExecutor::StageExecutor(std::vector<MemoizedLamino*> wrappers)
     : wrappers_(std::move(wrappers)) {
   MLR_CHECK(!wrappers_.empty());
   for (auto* w : wrappers_) MLR_CHECK(w != nullptr);
-}
-
-StageExecutor::~StageExecutor() {
-  // A dangling drainer job captures `this`; never let the engine die with
-  // tails in flight. Errors were already lost to the caller at this point.
-  try {
-    settle();
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-  }
-}
-
-// --- Cross-stage data tails --------------------------------------------------
-
-void StageExecutor::run_tail_items(StageTail& tail) {
-  MLR_TRACE_SPAN("stage.tail_drain", "engine", u64(tail.items.size()));
-  auto& sm = StageMetrics::get();
-  sm.tail_items.add(tail.items.size());
-  const WallTimer wt;
-  MemoizedLamino& ml = *tail.ml;
-  for (auto& it : tail.items) {
-    // Cache refill first (it copies from the item), then the DB store moves
-    // the buffers out. Within one item the order is unobservable; across
-    // items the serial drainer replays the exact barriered sequence.
-    if (ml.cache_ != nullptr)
-      ml.cache_->insert(tail.kind, it.location, it.key, it.value, it.norm,
-                        it.probe);
-    if (it.store)
-      (void)ml.db_->store_insert(tail.kind, it.key, it.value, it.norm,
-                                 std::move(it.probe));
-  }
-  tail.items.clear();
-  tail.items.shrink_to_fit();
-  sm.tail_drain_s.observe(wt.seconds());
-}
-
-std::size_t StageExecutor::lane_for(const MemoizedLamino& ml,
-                                    OpKind kind) const {
-  // A kind-coupled cache (GlobalCache: one FIFO spanning kinds) needs its
-  // wrapper's refills in total cross-kind order — pin to lane 0. Otherwise
-  // the kind picks its lane; same kind → same lane keeps per-kind FIFO
-  // order, which is all a kind-isolated cache and the per-kind DB sequences
-  // require.
-  if (ml.cache_ != nullptr && !ml.cache_->kind_isolated()) return 0;
-  return std::size_t(int(kind) % int(tail_lanes_));
-}
-
-i64 StageExecutor::default_tail_lanes() {
-  const auto hw = std::max(1u, std::thread::hardware_concurrency());
-  return std::min<i64>(kNumOpKinds, i64(hw));
-}
-
-void StageExecutor::set_tail_lanes(i64 lanes) {
-  // Re-sharding while tails are in flight would let one kind's tails land
-  // on two lanes (order break); settle first.
-  settle();
-  tail_lanes_ =
-      lanes <= 0 ? default_tail_lanes() : std::clamp<i64>(lanes, 1, kNumOpKinds);
-}
-
-void StageExecutor::drain_lane(std::size_t lane) {
-  Lane& L = lanes_[lane];
-  for (;;) {
-    std::shared_ptr<StageTail> t;
-    {
-      std::lock_guard lk(tails_mu_);
-      if (L.tails.empty()) {
-        L.runner_active = false;
-        tails_cv_.notify_all();
-        return;
-      }
-      t = L.tails.front();
-    }
-    std::exception_ptr err;
-    try {
-      run_tail_items(*t);
-    } catch (...) {
-      err = std::current_exception();
-    }
-    {
-      std::lock_guard lk(tails_mu_);
-      if (err != nullptr && tail_error_ == nullptr) tail_error_ = err;
-      L.tails.pop_front();
-      tails_cv_.notify_all();
-    }
-  }
-}
-
-void StageExecutor::enqueue_tail(MemoizedLamino& ml, OpKind kind,
-                                 std::vector<TailItem> items) {
-  if (items.empty()) return;
-  auto tail = std::make_shared<StageTail>();
-  tail->ml = &ml;
-  tail->kind = kind;
-  tail->items = std::move(items);
-  if (pipeline_depth_ <= 1 || pool().size() <= 1) {
-    run_tail_items(*tail);  // the legacy per-stage barrier, inline
-    return;
-  }
-  const std::size_t lane = lane_for(ml, kind);
-  Lane& L = lanes_[lane];
-  bool start_runner = false;
-  {
-    std::unique_lock lk(tails_mu_);
-    // Depth bound: at most depth − 1 stages may have tails in flight on one
-    // lane (with one lane this is exactly the legacy global bound).
-    tails_cv_.wait(lk, [&] {
-      return i64(L.tails.size()) < pipeline_depth_ - 1;
-    });
-    L.tails.push_back(tail);
-    if (!L.runner_active) {
-      L.runner_active = true;
-      start_runner = true;
-    }
-  }
-  if (start_runner) {
-    try {
-      pool().submit([this, lane] { drain_lane(lane); });
-    } catch (...) {
-      drain_lane(lane);  // pool handoff failed: drain on the caller instead
-    }
-  }
-}
-
-void StageExecutor::sync_tails(const MemoizedLamino& ml, OpKind kind) {
-  // Same-kind tails must land before this stage probes or queries (their
-  // entries are visible in the barriered schedule); a kind-coupled cache
-  // additionally couples eviction across kinds, so everything must land.
-  // A kind's tails all live on one lane, but scanning every lane keeps the
-  // predicate independent of the sharding.
-  const bool all =
-      ml.cache_ != nullptr && !ml.cache_->kind_isolated();
-  std::unique_lock lk(tails_mu_);
-  tails_cv_.wait(lk, [&] {
-    for (const auto& L : lanes_)
-      for (const auto& t : L.tails)
-        if (all || t->kind == kind) return false;
-    return true;
-  });
-  if (tail_error_ != nullptr) {
-    auto err = tail_error_;
-    tail_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
-void StageExecutor::settle() {
-  std::unique_lock lk(tails_mu_);
-  tails_cv_.wait(lk, [&] {
-    for (const auto& L : lanes_)
-      if (!L.tails.empty() || L.runner_active) return false;
-    return true;
-  });
-  if (tail_error_ != nullptr) {
-    auto err = tail_error_;
-    tail_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
 }
 
 MemoCounters StageExecutor::counters() const {
@@ -390,25 +231,13 @@ void StageExecutor::run_memoized(MemoizedLamino& ml, OpKind kind,
   auto& sm = StageMetrics::get();
   sm.stages.add();
   sm.chunks.add(chunks.size());
-  // Cross-stage handoff barrier: previous stages' tails that this stage's
-  // probes/queries must observe have to land first. An adjacent stage of a
-  // different kind (the ADMM sequence always alternates kinds) sails
-  // through — its encode/probe/score phases are what the previous stage's
-  // tail hides under.
-  {
-    MLR_TRACE_SPAN("stage.sync_tails", "engine");
-    const WallTimer wt;
-    sync_tails(ml, kind);
-    sm.sync_wait_s.observe(wt.seconds());
-  }
   const std::size_t n = chunks.size();
   const double encode_s =
       ml.registry_->encoder().encode_flops() / ml.cfg_.host_flops;
   std::vector<std::vector<float>> keys(n);
   std::vector<double> norms(n, 1.0);
   std::vector<std::vector<cfloat>> probes(n);
-  // 0=pending, 1=cache hit, 2=db hit, 3=miss
-  std::vector<int> state(n, 0);
+  std::vector<char> cache_hit(n, 0);  // char, not bool: written in parallel
 
   // Phase 1+2 (parallel): encode every key, compute the pooled probes, and
   // probe the thread-safe local cache; a hit copies its stored value
@@ -432,7 +261,7 @@ void StageExecutor::run_memoized(MemoizedLamino& ml, OpKind kind,
         if (hit.has_value()) {
           MLR_CHECK(hit->size() == c.out.size());
           std::copy(hit->begin(), hit->end(), c.out.begin());
-          state[i] = 1;
+          cache_hit[i] = 1;
         }
       }
     });
@@ -451,7 +280,7 @@ void StageExecutor::run_memoized(MemoizedLamino& ml, OpKind kind,
     auto& rec = records[i];
     rec.encode_s = encode_s;
     host_t += encode_s;
-    if (state[i] == 1) {
+    if (cache_hit[i]) {
       rec.outcome = MemoOutcome::CacheHit;
       rec.copy_s = double(c.out.size()) * sizeof(cfloat) *
                    ml.cfg_.work_scale / ml.cfg_.host_mem_bw;
@@ -465,177 +294,75 @@ void StageExecutor::run_memoized(MemoizedLamino& ml, OpKind kind,
     req_chunk.push_back(i);
   }
   stage_done = std::max(stage_done, host_t);
-
-  // Phase 3+4: resolve everything the cache could not serve against the
-  // memoization DB. With overlap_slices ≥ 2 the request batch drives the
-  // DB's async service in slices: slice k+1's ANN scoring runs on the pool
-  // (submit_slice) while slice k's hits copy their values and slice k's
-  // misses compute their real FFTs — the DB round-trip hides behind local
-  // work. Slicing never touches the virtual clock: finalize() replays the
-  // exact schedule of the barriered single-batch path.
-  std::vector<QueryReply> replies;
-  std::vector<double> flops(n, 0.0);
-  const i64 cfg_slices =
-      ml.db_ != nullptr ? ml.db_->config().overlap_slices : 0;
-  const std::size_t nslices = std::min<std::size_t>(
-      std::size_t(std::max<i64>(cfg_slices, 0)), reqs.size());
-  const bool sliced = nslices >= 2;
-  if (sliced) {
-    ml.db_->begin_batch();
-    const std::size_t per = (reqs.size() + nslices - 1) / nslices;
-    // Rounding per up can leave trailing slices empty (e.g. 5 requests in 4
-    // slices → 2+2+1): the real slice count is how many `per`-sized cuts the
-    // batch actually fills.
-    const std::size_t cuts = (reqs.size() + per - 1) / per;
-    // Each slice takes ownership of its requests (the post-round accounting
-    // below only reads replies/req_chunk, never reqs).
-    auto slice_reqs = [&](std::size_t s) {
-      const std::size_t off = s * per;
-      const std::size_t len = std::min(per, reqs.size() - off);
-      return std::vector<QueryRequest>(
-          std::make_move_iterator(reqs.begin() + i64(off)),
-          std::make_move_iterator(reqs.begin() + i64(off + len)));
-    };
-    std::vector<MemoDb::SliceTicket> tickets(cuts);
-    try {
-      tickets[0] = ml.db_->submit_slice(slice_reqs(0), &pool());
-      for (std::size_t s = 0; s < cuts; ++s) {
-        if (s + 1 < cuts)
-          tickets[s + 1] = ml.db_->submit_slice(slice_reqs(s + 1), &pool());
-        const WallTimer score_wt;
-        const auto scored = [&] {
-          MLR_TRACE_SPAN("stage.score", "engine", u64(s));
-          return ml.db_->collect(tickets[s]);
-        }();
-        sm.score_s.observe(score_wt.seconds());
-        const std::size_t off = s * per;
-        // Misses first: a remote-seeded DB issued its slice's GET_BATCH
-        // fetches at the end of scoring, so running every miss FFT before
-        // any hit materializes leaves the round-trips fully covered by
-        // local compute (in-process seeds: materialize is a no-op and the
-        // order is irrelevant — outputs never depend on it either way).
-        std::vector<std::size_t> order;
-        order.reserve(scored.size());
-        for (std::size_t q = 0; q < scored.size(); ++q)
-          if (!scored[q].hit) order.push_back(q);
-        for (std::size_t q = 0; q < scored.size(); ++q)
-          if (scored[q].hit) order.push_back(q);
-        // Covers the slice's miss FFTs (ordered first) plus its hit
-        // materialization — the local work the GET_BATCH round trip hides
-        // under, so this is the span net spans should overlap in a trace.
-        std::size_t slice_misses = 0;
-        for (std::size_t q = 0; q < scored.size(); ++q)
-          if (!scored[q].hit) ++slice_misses;
-        MLR_TRACE_SPAN("stage.miss_fft", "engine", u64(slice_misses));
-        const WallTimer miss_wt;
-        parallel_for(pool(), 0, i64(order.size()), [&](i64 oo) {
-          const std::size_t q = order[std::size_t(oo)];
-          const std::size_t r = off + q;
-          auto& c = chunks[req_chunk[r]];
-          if (scored[q].hit) {
-            ml.db_->materialize(scored[q]);
-            MLR_CHECK(scored[q].value.size() == c.out.size());
-            std::copy(scored[q].value.begin(), scored[q].value.end(),
-                      c.out.begin());
-          } else {
-            ml.compute_chunk(kind, c, &flops[req_chunk[r]]);
-          }
-        });
-        sm.miss_fft_s.observe(miss_wt.seconds());
-      }
-      replies = ml.db_->finalize(host_t);
-    } catch (...) {
-      ml.db_->abort_round();  // drain workers, close the round, keep the DB usable
-      throw;
-    }
-  } else if (!reqs.empty()) {
-    // Barriered path (overlap_slices ≤ 1): ONE coalesced batch query for
-    // everything at once — scored serially, the legacy behaviour — with all
-    // miss FFTs afterwards.
-    {
-      const WallTimer score_wt;
-      MLR_TRACE_SPAN("stage.score", "engine", u64(reqs.size()));
-      replies = ml.db_->query_batch(reqs, host_t);
-      sm.score_s.observe(score_wt.seconds());
-    }
-    // Copy retrieved values into their chunk outputs in parallel
-    // (materialize first: a remote-seeded hit carries only its value
-    // length until its GET_BATCH reply is harvested).
-    MLR_TRACE_SPAN("stage.hit_copy", "engine");
-    parallel_for(pool(), 0, i64(replies.size()), [&](i64 rr) {
-      const auto r = size_t(rr);
-      if (!replies[r].hit) return;
-      auto& c = chunks[req_chunk[r]];
-      ml.db_->materialize(replies[r]);
-      MLR_CHECK(replies[r].value.size() == c.out.size());
-      std::copy(replies[r].value.begin(), replies[r].value.end(),
-                c.out.begin());
-    });
+  if (reqs.empty()) {
+    *done = stage_done;
+    return;
   }
-  // Account timing serially, in chunk order. Cache refills and DB stores
-  // happen in barriered order either way — hits in request order, then
-  // misses in chunk order. When the tail is deferred (pipeline_depth ≥ 2
-  // with a real pool) they are collected into the stage's data tail and
-  // drain on the serial tail runner under the next stage's local phases;
-  // otherwise they run right here, straight from the chunk spans (the
-  // legacy barriered path, no extra value copies).
-  const bool defer = pipeline_depth_ > 1 && pool().size() > 1;
-  std::vector<TailItem> tail_items;
+
+  // Phase 3: ONE coalesced DB round for everything the cache could not
+  // serve, scored on the pool.
+  std::vector<QueryReply> replies;
+  {
+    const WallTimer wt;
+    MLR_TRACE_SPAN("stage.score", "engine", u64(reqs.size()));
+    replies = ml.db_->query_batch(reqs, host_t, &pool());
+    sm.score_s.observe(wt.seconds());
+  }
+  // …then one parallel pass: every miss FFT first, then the hits
+  // materialize and copy their values. A remote-seeded DB shipped its
+  // GET_BATCH fetches at the end of scoring, so harvesting them after the
+  // miss FFTs were issued leaves the round trips covered by local compute.
+  std::vector<std::size_t> order;  // request indices, misses first
+  order.reserve(replies.size());
+  for (std::size_t r = 0; r < replies.size(); ++r)
+    if (!replies[r].hit) order.push_back(r);
+  const std::size_t num_misses = order.size();
+  for (std::size_t r = 0; r < replies.size(); ++r)
+    if (replies[r].hit) order.push_back(r);
+  std::vector<double> flops(n, 0.0);
+  {
+    MLR_TRACE_SPAN("stage.miss_fft", "engine", u64(num_misses));
+    const WallTimer wt;
+    parallel_for(pool(), 0, i64(order.size()), [&](i64 oo) {
+      auto& rp = replies[order[size_t(oo)]];
+      const std::size_t i = req_chunk[order[size_t(oo)]];
+      auto& c = chunks[i];
+      if (rp.hit) {
+        ml.db_->materialize(rp);
+        MLR_CHECK(rp.value.size() == c.out.size());
+        std::copy(rp.value.begin(), rp.value.end(), c.out.begin());
+      } else {
+        ml.compute_chunk(kind, c, &flops[i]);
+      }
+    });
+    sm.miss_fft_s.observe(wt.seconds());
+  }
+
+  // Account timing serially, in chunk order: hits take their value arrival
+  // plus the host copy; misses keep their lookup latency on the critical
+  // path (case 1) and are scheduled on the simulated GPU.
+  std::vector<std::size_t> misses;  // chunk indices, ascending
+  std::vector<sim::VTime> miss_done;
   for (std::size_t r = 0; r < replies.size(); ++r) {
     const std::size_t i = req_chunk[r];
     auto& c = chunks[i];
     auto& rec = records[i];
-    if (replies[r].hit) {
-      rec.outcome = MemoOutcome::DbHit;
-      rec.db_s = replies[r].value_ready - host_t;
-      rec.copy_s = double(c.out.size()) * sizeof(cfloat) *
-                   ml.cfg_.work_scale / ml.cfg_.host_mem_bw;
-      if (ml.cache_ != nullptr) {
-        if (defer) {
-          tail_items.push_back({/*store=*/false, c.spec.index,
-                                std::move(keys[i]),
-                                std::move(replies[r].value), norms[i],
-                                std::move(probes[i])});
-        } else {
-          ml.cache_->insert(kind, c.spec.index, keys[i], c.out, norms[i],
-                            probes[i]);
-        }
-      }
-      ++ml.counters_.db_hit;
-      sm.db_hit.add();
-      if (ml.db_->is_shared_entry(replies[r].match_id)) {
-        ++ml.counters_.db_hit_shared;
-        sm.db_hit_shared.add();
-      }
-      state[i] = 2;
-      stage_done = std::max(stage_done, replies[r].value_ready + rec.copy_s);
-    } else {
-      // Failed lookup: its latency stays on the critical path (case 1).
-      rec.db_s = replies[r].value_ready - host_t;
-      state[i] = 3;
+    rec.db_s = replies[r].value_ready - host_t;
+    if (!replies[r].hit) {
+      misses.push_back(i);
+      continue;
     }
+    rec.outcome = MemoOutcome::DbHit;
+    rec.copy_s = double(c.out.size()) * sizeof(cfloat) * ml.cfg_.work_scale /
+                 ml.cfg_.host_mem_bw;
+    ++ml.counters_.db_hit;
+    sm.db_hit.add();
+    if (ml.db_->is_shared_entry(replies[r].match_id)) {
+      ++ml.counters_.db_hit_shared;
+      sm.db_hit_shared.add();
+    }
+    stage_done = std::max(stage_done, replies[r].value_ready + rec.copy_s);
   }
-
-  // Every miss computes its real FFT in parallel (already done slice by
-  // slice on the overlapped path)…
-  std::vector<std::size_t> misses;
-  for (std::size_t i = 0; i < n; ++i)
-    if (state[i] == 3) misses.push_back(i);
-  if (!sliced && !misses.empty()) {
-    MLR_TRACE_SPAN("stage.miss_fft", "engine", u64(misses.size()));
-    const WallTimer wt;
-    parallel_for(pool(), 0, i64(misses.size()), [&](i64 mm) {
-      const std::size_t i = misses[size_t(mm)];
-      ml.compute_chunk(kind, chunks[i], &flops[i]);
-    });
-    sm.miss_fft_s.observe(wt.seconds());
-  }
-  // …and is scheduled on the simulated GPU in chunk order. The insertion's
-  // virtual charge (link + node + DRAM accounting) stays right here — the
-  // clock replays the barriered schedule — while the data store joins the
-  // stage tail (async insertion never gates the caller; deferring the
-  // stores past the round also guarantees its scoring never saw them,
-  // matching the barriered path's semantics).
   for (const std::size_t i : misses) {
     auto& c = chunks[i];
     auto& rec = records[i];
@@ -652,26 +379,42 @@ void StageExecutor::run_memoized(MemoizedLamino& ml, OpKind kind,
     const sim::VTime c_done = ml.device_->d2h(k_done, out_bytes);
     rec.outcome = MemoOutcome::Miss;
     rec.compute_s = c_done - t0;
-    ml.db_->charge_insert(keys[i].size(), c.out.size(), c_done);
-    if (defer) {
-      tail_items.push_back({/*store=*/true, c.spec.index, std::move(keys[i]),
-                            std::vector<cfloat>(c.out.begin(), c.out.end()),
-                            norms[i], std::move(probes[i])});
-    } else {
-      // Cache refill first (it copies the probe), then the store moves it.
-      if (ml.cache_ != nullptr)
-        ml.cache_->insert(kind, c.spec.index, keys[i], c.out, norms[i],
-                          probes[i]);
-      (void)ml.db_->store_insert(kind, keys[i], c.out, norms[i],
-                                 std::move(probes[i]));
-    }
+    miss_done.push_back(c_done);
     ++ml.counters_.miss;
     sm.miss.add();
     sm.computed.add();
     stage_done = std::max(stage_done, c_done);
   }
   *done = stage_done;
-  if (defer) enqueue_tail(ml, kind, std::move(tail_items));
+
+  // Data tail: cache refills of the hits in request order, then each miss's
+  // cache refill and DB insertion in chunk order. An insertion occupies the
+  // link/node timelines from its miss's completion but never gates the
+  // stage (the paper hides insertion behind the next iteration), and the
+  // round above never saw it.
+  const bool refill = ml.cache_ != nullptr;
+  const std::size_t tail =
+      (refill ? replies.size() - misses.size() : 0) + misses.size();
+  MLR_TRACE_SPAN("stage.tail_drain", "engine", u64(tail));
+  const WallTimer wt;
+  for (std::size_t r = 0; refill && r < replies.size(); ++r) {
+    if (!replies[r].hit) continue;
+    const std::size_t i = req_chunk[r];
+    ml.cache_->insert(kind, chunks[i].spec.index, keys[i], chunks[i].out,
+                      norms[i], probes[i]);
+  }
+  for (std::size_t m = 0; m < misses.size(); ++m) {
+    const std::size_t i = misses[m];
+    auto& c = chunks[i];
+    // Cache refill first (it copies the probe), then the insertion moves it.
+    if (refill)
+      ml.cache_->insert(kind, c.spec.index, keys[i], c.out, norms[i],
+                        probes[i]);
+    ml.db_->insert(kind, keys[i], c.out, miss_done[m], norms[i],
+                   std::move(probes[i]));
+  }
+  sm.tail_items.add(tail);
+  sm.tail_drain_s.observe(wt.seconds());
 }
 
 }  // namespace mlr::memo

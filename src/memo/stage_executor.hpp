@@ -9,55 +9,27 @@
 //   phase 2  probe     the local memoization cache for every key in
 //                      parallel (caches are thread-safe; hits copy their
 //                      stored value straight into the chunk output)
-//   phase 3+4 resolve  chunks the cache could not serve go to the MemoDb's
-//                      async batch-query service in `overlap_slices` slices:
-//                      while slice k+1's ANN scoring runs on the pool
-//                      (submit_slice), slice k's hits copy their values and
-//                      slice k's misses compute their real FFTs — the DB
-//                      round-trip hides behind local work. With
-//                      overlap_slices ≤ 1 the phases barrier as before
-//                      (ONE coalesced query_batch, then all miss FFTs).
-//                      Fresh values are inserted into DB + cache only after
-//                      the round finalizes.
+//   phase 3  resolve   chunks the cache could not serve go to the MemoDb as
+//                      ONE barriered query_batch (scoring fans out on the
+//                      pool); then one parallel pass runs every miss FFT
+//                      before it materializes and copies the hits
+//   phase 4  account   a serial pass in chunk order charges the virtual
+//                      clock (device schedule, DB value arrival, copies)
+//   tail               inline, in barriered order: hit cache refills in
+//                      request order, then miss cache refills and DB
+//                      insertions in chunk order
 //
-// Cross-stage pipelining (set_pipeline_depth ≥ 2): the engine keeps a
-// stage's *data tail* open across consecutive run_stage calls (each DB
-// round itself still finalizes inside its stage). The tail — the stage's
-// miss insertions into the DB and the cache refills of its hits and
-// misses — is deferred onto a serial drainer *lane* on the worker pool, so
-// it overlaps the next stage's encode, cache-probe and ANN-scoring phases
-// (which, for the adjacent stage of a different OpKind, read disjoint
-// key/value spaces). Lanes are sharded per OpKind (set_tail_lanes, lane =
-// kind mod lanes): a kind's tails always drain FIFO on its own lane, while
-// tails of *different* kinds drain concurrently — the kind-alternating
-// Fu1D/Fu1DAdj sequence of the ADMM solver no longer queues one stage's
-// tail behind the previous stage's. The handoff epochs:
-//
-//   stage s   : encode/probe → score+miss-FFT slices → serial schedule
-//                                                    → tail(s) enqueued
-//   stage s+1 : [tail(s) drains on its lane]  encode/probe → score … ; its
-//               own tail lands on a different lane and may still be open
-//
-// Determinism is preserved by construction: every virtual-clock charge
-// (device schedule, MemoDb::charge_insert, MemoDb::finalize) stays on the
-// calling thread in barriered order; deferred stores of one kind execute on
-// ONE serial lane in enqueue order, and MemoDb ids carry *per-kind*
-// insertion sequences, so a kind's ids, its cache FIFO order and the
-// canonical export order never depend on how lanes interleave globally; and
-// a stage *settles* conflicting tails before touching shared state —
-// same-kind tails always (its probes/queries must observe them), every tail
-// when the cache is kind-coupled (GlobalCache FIFO eviction crosses kinds,
-// so its wrappers' tails are additionally pinned to one lane; see
-// MemoCache::kind_isolated). Depth 0/1 runs the tail inline: exactly the
-// legacy per-stage barrier. tail_lanes = 1 restores the single global
-// drainer ordering.
+// The misses-before-hits order is the one wall-clock overlap the engine
+// keeps. A remote-seeded DB ships one GET_BATCH per shard for the stage's
+// remote hits at the end of scoring, and the engine harvests them only
+// after every miss FFT was issued, so the round trip hides under local
+// compute. In-process seeds materialize for free, and outputs never depend
+// on the order.
 //
 // Wall-clock parallelism never touches the virtual clock: device/link/node
-// timelines are scheduled in a deterministic serial pass in chunk order
-// (MemoDb::finalize replays the exact schedule of the barriered batch), so
+// timelines are scheduled in a deterministic serial pass in chunk order, so
 // reported virtual times, ChunkRecords (Fig 10/12), cache FIFO contents and
-// DB insertion order are bit-identical for any `threads`, `overlap_slices`
-// or `pipeline_depth` setting.
+// DB insertion order are bit-identical for any `threads` setting.
 //
 // The engine also owns multi-device distribution: constructed over several
 // MemoizedLamino wrappers (one per simulated GPU) it round-robins chunks
@@ -68,12 +40,6 @@
 // training set a single-GPU run sees and train one shared encoder.
 #pragma once
 
-#include <array>
-#include <condition_variable>
-#include <deque>
-#include <exception>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -89,7 +55,6 @@ class StageExecutor {
   /// Multi-device engine: chunks are distributed round-robin, wrapper g
   /// taking chunks g, g+G, g+2G, … (the paper's §5.2 distribution).
   explicit StageExecutor(std::vector<MemoizedLamino*> wrappers);
-  ~StageExecutor();
 
   /// Worker pool for the parallel phases; nullptr restores the process-wide
   /// pool. A one-worker pool runs every phase serially on the caller.
@@ -102,35 +67,6 @@ class StageExecutor {
   /// are written into each chunk's `out`; records come back in chunk order.
   StageReport run_stage(OpKind kind, std::span<StageChunk> chunks,
                         sim::VTime ready);
-
-  /// Cross-stage pipeline depth: the number of consecutive stages that may
-  /// be in flight at once (outstanding data tails = depth − 1). 0 or 1
-  /// restores today's per-stage barrier. Any depth produces bit-identical
-  /// outputs, records, virtual times, cache contents and DB state.
-  void set_pipeline_depth(i64 depth) {
-    pipeline_depth_ = depth > 1 ? depth : 1;
-  }
-  [[nodiscard]] i64 pipeline_depth() const { return pipeline_depth_; }
-  /// Number of independent tail-drainer lanes (clamped to [1, kNumOpKinds];
-  /// 0 restores the automatic default). A tail lands on lane (kind mod
-  /// lanes), so same-kind tails keep total order while different kinds
-  /// drain concurrently; wrappers with a kind-coupled cache are pinned to
-  /// lane 0 regardless. Settles outstanding tails before re-sharding. Any
-  /// lane count produces bit-identical outputs, records, virtual times,
-  /// cache contents and DB state.
-  void set_tail_lanes(i64 lanes);
-  [[nodiscard]] i64 tail_lanes() const { return tail_lanes_; }
-  /// The automatic lane count: min(kNumOpKinds, hardware_concurrency).
-  /// More lanes than cores just oversubscribes the pool with drainer jobs —
-  /// on a 1-core host the per-kind lanes cost wall time instead of hiding
-  /// it.
-  [[nodiscard]] static i64 default_tail_lanes();
-  /// Drain every outstanding stage tail (DB stores + cache refills) and
-  /// rethrow the first deferred error, if any. Callers reading DB entries
-  /// or cache contents directly after run_stage must settle first; the
-  /// solver settles at the end of solve() and the destructor settles
-  /// unconditionally.
-  void settle();
 
   [[nodiscard]] MemoizedLamino& wrapper(std::size_t gpu = 0) const {
     return *wrappers_[gpu];
@@ -152,32 +88,6 @@ class StageExecutor {
   [[nodiscard]] double device_transfer_busy() const;
 
  private:
-  /// One deferred cache refill / DB store of a stage's data tail. `store`
-  /// marks misses (DB insertion + cache refill); hits refill the cache only.
-  struct TailItem {
-    bool store = false;
-    i64 location = 0;
-    std::vector<float> key;
-    std::vector<cfloat> value;
-    double norm = 1.0;
-    std::vector<cfloat> probe;
-  };
-  /// One stage's deferred data tail. Items execute in order on the owning
-  /// lane's serial drainer; completion is signalled under tails_mu_.
-  struct StageTail {
-    MemoizedLamino* ml = nullptr;
-    OpKind kind{};
-    std::vector<TailItem> items;
-  };
-  /// One serial drainer lane: a FIFO of enqueued, unfinished tails and a
-  /// flag for whether a pool job is currently draining it. All lanes share
-  /// tails_mu_/tails_cv_ — lane traffic is a handful of tails per stage, so
-  /// a single monitor keeps settle/sync logic simple.
-  struct Lane {
-    std::deque<std::shared_ptr<StageTail>> tails;
-    bool runner_active = false;
-  };
-
   /// The batched phases for one wrapper's share of the stage.
   void run_wrapper_stage(MemoizedLamino& ml, OpKind kind,
                          std::span<StageChunk> chunks, sim::VTime ready,
@@ -189,31 +99,8 @@ class StageExecutor {
                     std::span<StageChunk> chunks, sim::VTime ready,
                     std::span<ChunkRecord> records, sim::VTime* done);
 
-  /// Stage-entry handoff barrier: wait until no outstanding tail can affect
-  /// this stage — same-kind tails always, every tail when `ml`'s cache
-  /// couples kinds. Rethrows a deferred tail error.
-  void sync_tails(const MemoizedLamino& ml, OpKind kind);
-  /// Defer (or, below depth 2 / without workers, run inline) one stage's
-  /// data tail. Bounds outstanding tails to pipeline_depth − 1 per lane.
-  void enqueue_tail(MemoizedLamino& ml, OpKind kind,
-                    std::vector<TailItem> items);
-  static void run_tail_items(StageTail& tail);
-  void drain_lane(std::size_t lane);  // one lane's serial drainer job
-  /// Lane a tail of `kind` from `ml` drains on: kind mod tail_lanes_, except
-  /// that wrappers with a kind-coupled cache always use lane 0 (their cache
-  /// FIFO order spans kinds, so their tails must stay on one serial lane).
-  [[nodiscard]] std::size_t lane_for(const MemoizedLamino& ml,
-                                     OpKind kind) const;
-
   std::vector<MemoizedLamino*> wrappers_;
   ThreadPool* pool_ = nullptr;
-
-  i64 pipeline_depth_ = 1;
-  i64 tail_lanes_ = default_tail_lanes();
-  std::mutex tails_mu_;
-  std::condition_variable tails_cv_;
-  std::array<Lane, kNumOpKinds> lanes_;
-  std::exception_ptr tail_error_;
 };
 
 }  // namespace mlr::memo

@@ -297,7 +297,7 @@ std::vector<cfloat> TierClient::fetch(u64 pos) {
       vm.bytes_in.add(kHeaderBytes + payload.size());
       lk.lock();
       if (retryable && batch_retry_[batch] < retry_.retry_max) {
-        // One slow or lost slice must not break the table (the old
+        // One slow or lost batch must not break the table (the old
         // fail_all behavior): re-issue JUST this batch under a fresh id.
         // The positions are already sorted — the retry frame is canonical.
         auto& table = transport_->table();

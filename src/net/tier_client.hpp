@@ -23,11 +23,11 @@
 //                     with SharedTier, so the charges cannot drift.
 //
 // The ValueFetcher half (the wall-clock overlap win): score_requests calls
-// request(pos) per remote hit and flush() per scored slice; flush ships ONE
-// GET_BATCH per shard (positions sorted — canonical frames), routed on that
-// shard's transport channel. fetch(pos) blocks on the batch's reply — by
-// then the engine has already issued the slice's miss FFTs, so the
-// round-trip hid under local compute. The first fetcher of a batch parses
+// request(pos) per remote hit and flush() once per query round (one per
+// stage); flush ships ONE GET_BATCH per shard (positions sorted — canonical
+// frames), routed on that shard's transport channel. fetch(pos) blocks on
+// the batch's reply — by then the engine has already issued the stage's
+// miss FFTs, so the round-trip hid under local compute. The first fetcher of a batch parses
 // the reply and publishes every position it carried; concurrent fetchers of
 // other positions in the same batch just wait on the condition variable.
 // Transport faults surface as sticky NetError from fetch()/end_seed()/

@@ -10,10 +10,8 @@
 #include "common/hash.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#ifdef MLR_HAS_NET
 #include "net/tier_client.hpp"
 #include "net/tier_server.hpp"
-#endif
 
 namespace mlr::serve {
 
@@ -80,7 +78,6 @@ ReconService::ReconService(ServiceConfig cfg)
   if (cfg_.transport == TierTransport::Inproc) {
     tier_ = std::make_unique<SharedTier>(tc);
   } else {
-#ifdef MLR_HAS_NET
     // Remote tier: the authoritative entries live in a TierServer (whose
     // own fabric is forced off — all virtual charging happens here, on the
     // client's fabric, so clocks are transport-invariant).
@@ -113,11 +110,6 @@ ReconService::ReconService(ServiceConfig cfg)
     tier_ = std::make_unique<net::TierClient>(
         make_transport(), cfg_.fabric, cfg_.shard_count, cfg_.net_timeout_s,
         net::RetrySpec{cfg_.net_retry_max, cfg_.net_backoff_ms});
-#else
-    MLR_CHECK_MSG(false,
-                  "remote tier transport requested but the build has "
-                  "MLR_BUILD_NET=OFF");
-#endif
   }
   slot_free_.assign(std::size_t(cfg_.slots), 0.0);
   adm_free_.assign(std::size_t(cfg_.slots), 0.0);
@@ -128,16 +120,11 @@ ReconService::ReconService(ServiceConfig cfg)
 ReconService::~ReconService() = default;
 
 std::unique_ptr<net::Transport> ReconService::make_transport() {
-#ifdef MLR_HAS_NET
   if (cfg_.transport == TierTransport::Loopback)
     return std::make_unique<net::LoopbackTransport>(server_.get(),
                                                     cfg_.shard_count);
   return net::SocketTransport::connect_tcp(tier_host_, tier_port_,
                                            cfg_.shard_count);
-#else
-  MLR_CHECK_MSG(false, "no net support in this build");
-  return nullptr;
-#endif
 }
 
 void ReconService::enter_degraded(const std::string& why) {
@@ -150,7 +137,6 @@ void ReconService::enter_degraded(const std::string& why) {
 }
 
 void ReconService::try_tier_recovery() {
-#ifdef MLR_HAS_NET
   auto* client = dynamic_cast<net::TierClient*>(tier_.get());
   if (client == nullptr) {
     degraded_ = false;
@@ -176,9 +162,6 @@ void ReconService::try_tier_recovery() {
     // Tier still down (or it relapsed mid-re-ship): stay degraded; the
     // next dispatch probes again.
   }
-#else
-  degraded_ = false;
-#endif
 }
 
 const ReconService::Problem& ReconService::problem_for(Scenario s, u64 seed) {
@@ -227,7 +210,6 @@ ReconService::RunOutcome ReconService::run_job(
   memo::MemoDbConfig dbc;
   dbc.tau = prof.tau;
   dbc.value_scale = ws;
-  dbc.overlap_slices = cfg_.overlap_slices;
 
   admm::AdmmConfig ac;
   ac.outer_iters =
@@ -271,8 +253,6 @@ ReconService::RunOutcome ReconService::run_job(
       eo.gpus = 1;
       eo.memo = mc;
       eo.db = dbc;
-      eo.pipeline_depth = cfg_.pipeline_depth;
-      eo.tail_lanes = cfg_.tail_lanes;
       eo.registry = registry_;
       eo.db_seed = seed.entries;
       eo.db_values = seed.values;
@@ -288,8 +268,6 @@ ReconService::RunOutcome ReconService::run_job(
       cs.db_values = seed.values;
       clu = std::make_unique<cluster::Cluster>(ops_, cs, mc, dbc);
       if (pool_ != nullptr) clu->executor().set_pool(pool_.get());
-      clu->executor().set_pipeline_depth(cfg_.pipeline_depth);
-      clu->executor().set_tail_lanes(cfg_.tail_lanes);
       exec = &clu->executor();
       db = cfg_.memoize ? &clu->db() : nullptr;
     }
@@ -796,7 +774,6 @@ std::vector<JobStats> ReconService::drain() {
     const auto it = own.find(st.id);
     if (it == own.end() || it->second.empty()) continue;
     auto& entries = it->second;
-#ifdef MLR_HAS_NET
     if (cfg_.transport != TierTransport::Inproc) {
       if (degraded_) {
         // Tier down: buffer in job-id order (this loop's order) so the
@@ -815,7 +792,6 @@ std::vector<JobStats> ReconService::drain() {
       }
       continue;
     }
-#endif
     fold_promotion(&st, std::move(entries));
   }
   // Fabric busy/contention gauges: read from sim/ here rather than

@@ -47,9 +47,9 @@
 //     (MemoCounters::db_hit_shared). Hermetic sessions are what make
 //     serving reproducible: a job's output and run vtime depend only on
 //     (request, shared tier) — never on scheduling policy, thread count,
-//     pipeline depth, queue neighbours or shard count (sharding moves
-//     bytes, not entries) — so latency CDFs are comparable across policies
-//     and fabric settings while outputs stay bit-identical.
+//     queue neighbours or shard count (sharding moves bytes, not entries)
+//     — so latency CDFs are comparable across policies and fabric settings
+//     while outputs stay bit-identical.
 #pragma once
 
 #include <array>
@@ -85,7 +85,6 @@ namespace mlr::serve {
 ///   * Socket   — per-shard TCP connections to a TierServer; `tier_address`
 ///     names it ("host:port"), empty spawns one in-process on a localhost
 ///     ephemeral port. Outputs identical to Inproc; wall times differ.
-/// Loopback/Socket require MLR_BUILD_NET (on by default).
 enum class TierTransport { Inproc, Loopback, Socket };
 
 /// Deadline admission (docs/serving.md "Admission and preemption"):
@@ -123,18 +122,6 @@ struct ServiceConfig {
   int slots = 2;           ///< jobs running concurrently (virtual time)
   int gpus_per_job = 1;    ///< >1: each session is a cluster::Cluster
   unsigned threads = 0;    ///< host worker pool shared by all sessions
-  i64 overlap_slices = 4;  ///< DB/compute overlap inside each session
-  /// Cross-stage pipeline depth inside each hermetic session (stage s's DB
-  /// insertions drain under stage s+1's encode/probe/score). Sessions stay
-  /// hermetic: tails settle before a job's insertions are exported, so
-  /// promotion ordering — and therefore the shared tier — is unchanged for
-  /// every depth.
-  i64 pipeline_depth = 2;
-  /// Tail-drainer lanes inside each session (per-OpKind tail sharding; see
-  /// StageExecutor::set_tail_lanes; 0 = automatic — min(kNumOpKinds,
-  /// hardware cores)). Exports are kind-major and ids are per-kind
-  /// sequences, so the tier evolution is unchanged for every lane count.
-  i64 tail_lanes = 0;
 
   // Memo tier.
   bool memoize = true;

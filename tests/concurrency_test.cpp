@@ -1,11 +1,11 @@
 // Concurrency tests for the batched stage-execution engine's shared state:
 // the memoization caches and the KvStore are hammered from many threads and
 // must neither lose counter updates nor corrupt entries; the StageExecutor
-// must produce bit-identical results, records, cache contents and virtual
-// times for any pool width AND any overlap_slices setting (the async sliced
-// MemoDb service); ann::Index::search_batch must match looped search; keys
-// encoded and operator chunks computed concurrently by pool workers must
-// match a serial pass.
+// must produce bit-identical results, records, cache contents, DB entries
+// and virtual times for any pool width, pinned by golden digests;
+// ann::Index::search_batch must match looped search; keys encoded and
+// operator chunks computed concurrently by pool workers must match a serial
+// pass.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -163,69 +163,16 @@ TEST(Concurrency, PoolScopedParallelForCoversRange) {
 }
 
 // The engine contract: identical numerics AND identical virtual-clock
-// schedule for any pool width.
+// schedule for any pool width. cube(10) with chunk size 2 yields 5 chunks —
+// a count no power-of-two partition of the pool divides evenly — and the
+// second pass mixes DB hits (even chunks) with misses (odd chunks read fresh
+// churn). Outputs, per-chunk records, cache FIFO contents, DB entry counts
+// and virtual times must all match the serial run.
 TEST(Concurrency, StageExecutorDeterministicAcrossPoolWidths) {
-  lamino::Operators ops{lamino::Geometry::cube(8)};
-  const auto& g = ops.geometry();
-  auto u = lamino::to_complex(lamino::make_phantom(
-      g.object_shape(), lamino::PhantomKind::BrainTissue, 9));
-  auto chunks = lamino::make_chunks(g.n1, 2);
-
-  auto run_with_pool = [&](unsigned threads, Array3D<cfloat>& out1,
-                           Array3D<cfloat>& out2) {
-    sim::Device dev{0};
-    sim::Interconnect net;
-    sim::MemoryNode node;
-    MemoDb db{{.key_dim = 16, .tau = 0.92,
-               .ivf = {.nlist = 2, .train_size = 8}},
-              &net, &node};
-    MemoizedLamino ml(ops, {.enable = true, .tau = 0.92, .key_dim = 16,
-                            .encoder_hw = 16},
-                      &dev, &db);
-    ThreadPool pool(threads);
-    ml.executor().set_pool(&pool);
-    auto make_work = [&](Array3D<cfloat>& dst) {
-      std::vector<StageChunk> w;
-      for (const auto& spec : chunks)
-        w.push_back({spec, u.slices(spec.begin, spec.count),
-                     dst.slices(spec.begin, spec.count)});
-      return w;
-    };
-    auto w1 = make_work(out1);
-    auto rep1 = ml.run_stage(OpKind::Fu1D, w1, 0.0);  // all misses
-    auto w2 = make_work(out2);
-    auto rep2 = ml.run_stage(OpKind::Fu1D, w2, rep1.done);  // all hits
-    return std::pair{rep1.done, rep2.done};
-  };
-
-  Array3D<cfloat> s1(g.u1_shape()), s2(g.u1_shape());
-  Array3D<cfloat> p1(g.u1_shape()), p2(g.u1_shape());
-  const auto [s_done1, s_done2] = run_with_pool(1, s1, s2);
-  const auto [p_done1, p_done2] = run_with_pool(4, p1, p2);
-  // Bit-identical outputs…
-  for (i64 i = 0; i < s1.size(); ++i) {
-    ASSERT_EQ(s1.data()[i], p1.data()[i]);
-    ASSERT_EQ(s2.data()[i], p2.data()[i]);
-  }
-  // …and bit-identical virtual times.
-  EXPECT_EQ(s_done1, p_done1);
-  EXPECT_EQ(s_done2, p_done2);
-}
-
-// The async-service contract: for every overlap_slices setting and pool
-// width, outputs, per-chunk records, cache FIFO contents and virtual times
-// are bit-identical to the barriered overlap_slices = 0 path.
-TEST(Concurrency, StageExecutorDeterministicAcrossOverlapSlices) {
-  // cube(10) with chunk size 2 yields 5 chunks → 5 DB requests: a count
-  // that does NOT divide evenly into 2, 4 or 8 slices, so the ragged-tail
-  // partition (ceil-sized slices leaving trailing cuts empty) is exercised.
   lamino::Operators ops{lamino::Geometry::cube(10)};
   const auto& g = ops.geometry();
   auto u = lamino::to_complex(lamino::make_phantom(
       g.object_shape(), lamino::PhantomKind::BrainTissue, 9));
-  // Churn volume: odd chunks of the second pass read from here, so that
-  // pass mixes DB hits (even chunks) with misses (odd chunks) — the
-  // workload the sliced pipeline actually reorders in wall-clock time.
   Array3D<cfloat> churn(g.u1_shape());
   {
     Rng rng(77);
@@ -241,13 +188,13 @@ TEST(Concurrency, StageExecutorDeterministicAcrossOverlapSlices) {
     u64 cache_fp = 0;
     u64 db_entries = 0;
   };
-  auto run_cfg = [&](unsigned threads, i64 overlap) {
+  auto run_with_pool = [&](unsigned threads) {
     Run run{Array3D<cfloat>(g.u1_shape()), Array3D<cfloat>(g.u1_shape()),
             {}, {}, 0, 0, 0, 0};
     sim::Device dev{0};
     sim::Interconnect net;
     sim::MemoryNode node;
-    MemoDb db{{.key_dim = 16, .tau = 0.92, .overlap_slices = overlap,
+    MemoDb db{{.key_dim = 16, .tau = 0.92,
                .ivf = {.nlist = 2, .train_size = 8}},
               &net, &node};
     MemoizedLamino ml(ops, {.enable = true, .tau = 0.92, .key_dim = 16,
@@ -278,8 +225,8 @@ TEST(Concurrency, StageExecutorDeterministicAcrossOverlapSlices) {
     return run;
   };
 
-  const Run ref = run_cfg(1, 0);  // serial, barriered — the legacy path
-  // The mixed pass must really mix outcomes or the overlap test is vacuous.
+  const Run ref = run_with_pool(1);
+  // The mixed pass must really mix outcomes or the test is vacuous.
   u64 hits = 0, misses = 0;
   for (const auto& r : ref.rec2) {
     hits += r.outcome == MemoOutcome::DbHit || r.outcome == MemoOutcome::CacheHit;
@@ -301,36 +248,42 @@ TEST(Concurrency, StageExecutorDeterministicAcrossOverlapSlices) {
       EXPECT_EQ(a[i].copy_s, b[i].copy_s) << i;
     }
   };
-  for (const unsigned threads : {1u, 4u}) {
-    for (const i64 overlap : {i64(0), i64(2), i64(4), i64(8)}) {
-      const Run got = run_cfg(threads, overlap);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " overlap=" + std::to_string(overlap));
-      for (i64 i = 0; i < ref.out1.size(); ++i) {
-        ASSERT_EQ(ref.out1.data()[i], got.out1.data()[i]);
-        ASSERT_EQ(ref.out2.data()[i], got.out2.data()[i]);
-      }
-      expect_same_records(ref.rec1, got.rec1);
-      expect_same_records(ref.rec2, got.rec2);
-      EXPECT_EQ(ref.done1, got.done1);
-      EXPECT_EQ(ref.done2, got.done2);
-      EXPECT_EQ(ref.cache_fp, got.cache_fp);
-      EXPECT_EQ(ref.db_entries, got.db_entries);
+  for (const unsigned threads : {2u, 4u}) {
+    const Run got = run_with_pool(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (i64 i = 0; i < ref.out1.size(); ++i) {
+      ASSERT_EQ(ref.out1.data()[i], got.out1.data()[i]);
+      ASSERT_EQ(ref.out2.data()[i], got.out2.data()[i]);
     }
+    expect_same_records(ref.rec1, got.rec1);
+    expect_same_records(ref.rec2, got.rec2);
+    EXPECT_EQ(ref.done1, got.done1);
+    EXPECT_EQ(ref.done2, got.done2);
+    EXPECT_EQ(ref.cache_fp, got.cache_fp);
+    EXPECT_EQ(ref.db_entries, got.db_entries);
   }
 }
 
-// The cross-stage pipeline contract: outputs, per-chunk records, cache FIFO
-// contents, DB entry counts and virtual times are bit-identical to the
-// serial / barriered / per-stage-barrier reference for EVERY pipeline_depth
-// × overlap_slices × threads × gpus combination. The stage sequence
-// alternates operator kinds (Fu1D / Fu1DAdj) like the real ADMM loop —
-// exactly the adjacency whose tail/probe overlap the pipeline exploits —
-// and the mixed passes interleave DB hits with fresh-churn misses.
-TEST(Concurrency, PipelinedCrossStageDeterminismMatrix) {
-  lamino::Operators ops{lamino::Geometry::cube(10)};
+// --- The kind-alternating stage workload -------------------------------------
+// Five stages on cube(10) in chunks of 2 (5 chunks): a miss pass per kind,
+// then mixed passes whose odd chunks read fresh churn, so DB hits interleave
+// with misses. The Fu1D / Fu1DAdj alternation matches the real ADMM loop.
+
+struct AlternatingRun {
+  std::vector<Array3D<cfloat>> outs;
+  std::vector<std::vector<ChunkRecord>> recs;
+  std::vector<sim::VTime> dones;
+  std::vector<u64> cache_fps;  // one per wrapper, 0 without a cache
+  u64 db_entries = 0;
+  MemoCounters counters;
+  std::vector<MemoDb::Entry> entries;  // export_entries(), canonical order
+};
+
+AlternatingRun run_alternating(unsigned threads, int gpus,
+                               CacheKind cache_kind) {
+  const lamino::Operators ops{lamino::Geometry::cube(10)};
   const auto& g = ops.geometry();
-  auto u = lamino::to_complex(lamino::make_phantom(
+  const auto u = lamino::to_complex(lamino::make_phantom(
       g.object_shape(), lamino::PhantomKind::BrainTissue, 9));
   Array3D<cfloat> base_u1(g.u1_shape());
   Array3D<cfloat> churn_obj(g.object_shape()), churn_u1(g.u1_shape());
@@ -344,88 +297,158 @@ TEST(Concurrency, PipelinedCrossStageDeterminismMatrix) {
     fill(churn_obj);
     fill(churn_u1);
   }
-  auto chunks = lamino::make_chunks(g.n1, 2);  // 5 chunks: ragged slices
+  const auto chunks = lamino::make_chunks(g.n1, 2);
 
-  struct Run {
-    std::vector<Array3D<cfloat>> outs;
-    std::vector<std::vector<ChunkRecord>> recs;
-    std::vector<sim::VTime> dones;
-    u64 cache_fp = 0;
-    u64 db_entries = 0;
-    MemoCounters counters;
-  };
-  auto run_cfg = [&](unsigned threads, i64 overlap, i64 depth, int gpus,
-                     CacheKind cache_kind, i64 lanes) {
-    Run run;
-    sim::Interconnect net;
-    sim::MemoryNode node;
-    MemoDb db{{.key_dim = 16, .tau = 0.92, .overlap_slices = overlap,
-               .ivf = {.nlist = 2, .train_size = 8}},
-              &net, &node};
-    // Wrappers share ONE registry (the multi-GPU configuration) so keys —
-    // and therefore hit patterns — match the single-GPU run.
-    auto reg = std::make_shared<encoder::EncoderRegistry>(
-        encoder::EncoderConfig{.input_hw = 16, .embed_dim = 16});
-    std::vector<std::unique_ptr<sim::Device>> devs;
-    std::vector<std::unique_ptr<MemoizedLamino>> mls;
-    std::vector<MemoizedLamino*> ptrs;
-    for (int d = 0; d < gpus; ++d) {
-      devs.push_back(std::make_unique<sim::Device>(d));
-      mls.push_back(std::make_unique<MemoizedLamino>(
-          ops,
-          MemoConfig{.enable = true, .tau = 0.92, .cache = cache_kind,
-                     .key_dim = 16, .encoder_hw = 16},
-          devs.back().get(), &db, reg));
-      ptrs.push_back(mls.back().get());
+  AlternatingRun run;
+  sim::Interconnect net;
+  sim::MemoryNode node;
+  MemoDb db{{.key_dim = 16, .tau = 0.92,
+             .ivf = {.nlist = 2, .train_size = 8}},
+            &net, &node};
+  // Wrappers share ONE registry (the multi-GPU configuration) so keys —
+  // and therefore hit patterns — match the single-GPU run.
+  auto reg = std::make_shared<encoder::EncoderRegistry>(
+      encoder::EncoderConfig{.input_hw = 16, .embed_dim = 16});
+  std::vector<std::unique_ptr<sim::Device>> devs;
+  std::vector<std::unique_ptr<MemoizedLamino>> mls;
+  std::vector<MemoizedLamino*> ptrs;
+  for (int d = 0; d < gpus; ++d) {
+    devs.push_back(std::make_unique<sim::Device>(d));
+    mls.push_back(std::make_unique<MemoizedLamino>(
+        ops,
+        MemoConfig{.enable = true, .tau = 0.92, .cache = cache_kind,
+                   .key_dim = 16, .encoder_hw = 16},
+        devs.back().get(), &db, reg));
+    ptrs.push_back(mls.back().get());
+  }
+  StageExecutor exec(ptrs);
+  ThreadPool pool(threads);
+  exec.set_pool(&pool);
+  auto make_work = [&](OpKind kind, Array3D<cfloat>& dst, bool mixed) {
+    const bool adj = kind == OpKind::Fu1DAdj;
+    const Array3D<cfloat>& src = adj ? base_u1 : u;
+    const Array3D<cfloat>& alt = adj ? churn_u1 : churn_obj;
+    std::vector<StageChunk> w;
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      const auto& spec = chunks[c];
+      const auto& in = (mixed && c % 2 == 1) ? alt : src;
+      w.push_back({spec, in.slices(spec.begin, spec.count),
+                   dst.slices(spec.begin, spec.count)});
     }
-    StageExecutor exec(ptrs);
-    ThreadPool pool(threads);
-    exec.set_pool(&pool);
-    exec.set_pipeline_depth(depth);
-    exec.set_tail_lanes(lanes);
-    auto make_work = [&](OpKind kind, Array3D<cfloat>& dst, bool mixed) {
-      const bool adj = kind == OpKind::Fu1DAdj;
-      const Array3D<cfloat>& src = adj ? base_u1 : u;
-      const Array3D<cfloat>& alt = adj ? churn_u1 : churn_obj;
-      std::vector<StageChunk> w;
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        const auto& spec = chunks[c];
-        const auto& in = (mixed && c % 2 == 1) ? alt : src;
-        w.push_back({spec, in.slices(spec.begin, spec.count),
-                     dst.slices(spec.begin, spec.count)});
+    return w;
+  };
+  const struct {
+    OpKind kind;
+    bool mixed;
+  } passes[] = {{OpKind::Fu1D, false},
+                {OpKind::Fu1DAdj, false},
+                {OpKind::Fu1D, true},
+                {OpKind::Fu1DAdj, true},
+                {OpKind::Fu1D, true}};
+  sim::VTime t = 0;
+  for (const auto& p : passes) {
+    run.outs.emplace_back(p.kind == OpKind::Fu1DAdj ? g.object_shape()
+                                                    : g.u1_shape());
+    auto w = make_work(p.kind, run.outs.back(), p.mixed);
+    auto rep = exec.run_stage(p.kind, w, t);
+    t = rep.done;
+    run.recs.push_back(std::move(rep.records));
+    run.dones.push_back(t);
+  }
+  for (const auto& ml : mls)
+    run.cache_fps.push_back(ml->cache() != nullptr ? ml->cache()->fingerprint()
+                                                   : 0);
+  run.db_entries = db.total_entries();
+  run.counters = exec.counters();
+  run.entries = db.export_entries();
+  return run;
+}
+
+/// FNV-1a over every observable of a run: output bytes, every ChunkRecord
+/// field (doubles as raw bits), stage done times, cache fingerprints, the DB
+/// entry count, the outcome counters and the exported DB entries in order.
+u64 digest(const AlternatingRun& r) {
+  u64 h = kFnvOffsetBasis;
+  auto pod = [&h](const auto& v) { h = fnv1a(h, &v, sizeof v); };
+  auto bytes = [&h](const auto& vec) {
+    h = fnv1a(h, vec.data(), vec.size() * sizeof vec[0]);
+  };
+  for (const auto& o : r.outs)
+    h = fnv1a(h, o.data(), std::size_t(o.size()) * sizeof(cfloat));
+  for (const auto& recs : r.recs)
+    for (const auto& rec : recs) {
+      pod(int(rec.kind));
+      pod(int(rec.outcome));
+      pod(rec.location);
+      pod(rec.encode_s);
+      pod(rec.db_s);
+      pod(rec.compute_s);
+      pod(rec.copy_s);
+    }
+  bytes(r.dones);
+  bytes(r.cache_fps);
+  pod(r.db_entries);
+  pod(r.counters.computed);
+  pod(r.counters.miss);
+  pod(r.counters.db_hit);
+  pod(r.counters.cache_hit);
+  pod(r.counters.db_hit_shared);
+  for (const auto& e : r.entries) {
+    pod(int(e.kind));
+    bytes(e.key);
+    pod(e.norm);
+    bytes(e.probe);
+    bytes(e.value);
+  }
+  return h;
+}
+
+/// Golden digests of the kind-alternating workload, recorded with an earlier
+/// engine (sliced async DB rounds) whose observables this one reproduces. A
+/// change that moves them changed behaviour: fix it, do not re-record.
+constexpr struct {
+  int gpus;
+  CacheKind cache;
+  u64 digest;
+} kGolden[] = {
+    {1, CacheKind::Private, 0x759b996da7149934ull},
+    {1, CacheKind::Global, 0xd8022f50baf2ed2cull},
+    {2, CacheKind::Private, 0x48af3a8672338411ull},
+    {2, CacheKind::Global, 0xa14449ab7f169749ull},
+};
+
+// Every gpus × cache kind × pool width run reproduces its golden digest.
+TEST(Concurrency, StageExecutorGoldenDigest) {
+  for (const auto& gd : kGolden)
+    for (const unsigned threads : {1u, 4u})
+      EXPECT_EQ(digest(run_alternating(threads, gd.gpus, gd.cache)),
+                gd.digest)
+          << std::hex << "gpus=" << gd.gpus
+          << " global=" << (gd.cache == CacheKind::Global)
+          << " threads=" << threads;
+}
+
+// The golden digests' field-by-field companion: for gpus × cache kind, a
+// 4-worker run reproduces the serial run's outputs, records, stage done
+// times, cache contents, DB entries and counters — naming the first field
+// that moved when a digest does.
+TEST(Concurrency, CrossStageDeterminismMatrix) {
+  for (const auto& gd : kGolden) {
+    SCOPED_TRACE("gpus=" + std::to_string(gd.gpus) + " global=" +
+                 std::to_string(gd.cache == CacheKind::Global));
+    const AlternatingRun a = run_alternating(1, gd.gpus, gd.cache);
+    // The mixed passes must really mix outcomes or the matrix is vacuous.
+    u64 hits = 0, misses = 0;
+    for (const auto& recs : a.recs)
+      for (const auto& r : recs) {
+        hits += r.outcome == MemoOutcome::DbHit ||
+                r.outcome == MemoOutcome::CacheHit;
+        misses += r.outcome == MemoOutcome::Miss;
       }
-      return w;
-    };
-    // Kind-alternating sequence: miss pass per kind, then mixed passes.
-    const struct {
-      OpKind kind;
-      bool mixed;
-    } passes[] = {{OpKind::Fu1D, false},
-                  {OpKind::Fu1DAdj, false},
-                  {OpKind::Fu1D, true},
-                  {OpKind::Fu1DAdj, true},
-                  {OpKind::Fu1D, true}};
-    sim::VTime t = 0;
-    for (const auto& p : passes) {
-      run.outs.emplace_back(p.kind == OpKind::Fu1DAdj ? g.object_shape()
-                                                      : g.u1_shape());
-      auto w = make_work(p.kind, run.outs.back(), p.mixed);
-      auto rep = exec.run_stage(p.kind, w, t);
-      t = rep.done;
-      run.recs.push_back(std::move(rep.records));
-      run.dones.push_back(t);
-    }
-    exec.settle();  // close the pipelined round before reading shared state
-    u64 fp = kFnvOffsetBasis;
-    for (const auto& ml : mls)
-      if (ml->cache() != nullptr) fp ^= ml->cache()->fingerprint();
-    run.cache_fp = fp;
-    run.db_entries = db.total_entries();
-    run.counters = exec.counters();
-    return run;
-  };
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(misses, 0u);
 
-  auto expect_same = [](const Run& a, const Run& b) {
+    const AlternatingRun b = run_alternating(4, gd.gpus, gd.cache);
     ASSERT_EQ(a.outs.size(), b.outs.size());
     for (std::size_t p = 0; p < a.outs.size(); ++p) {
       for (i64 i = 0; i < a.outs[p].size(); ++i)
@@ -440,174 +463,33 @@ TEST(Concurrency, PipelinedCrossStageDeterminismMatrix) {
       }
       EXPECT_EQ(a.dones[p], b.dones[p]);
     }
-    EXPECT_EQ(a.cache_fp, b.cache_fp);
+    EXPECT_EQ(a.cache_fps, b.cache_fps);
     EXPECT_EQ(a.db_entries, b.db_entries);
     EXPECT_EQ(a.counters.miss, b.counters.miss);
     EXPECT_EQ(a.counters.db_hit, b.counters.db_hit);
     EXPECT_EQ(a.counters.cache_hit, b.counters.cache_hit);
-  };
-
-  for (const int gpus : {1, 2}) {
-    const Run ref = run_cfg(1, 0, 0, gpus, CacheKind::Private, 1);
-    // The mixed passes must really mix outcomes or the matrix is vacuous.
-    u64 hits = 0, misses = 0;
-    for (const auto& recs : ref.recs)
-      for (const auto& r : recs) {
-        hits += r.outcome == MemoOutcome::DbHit ||
-                r.outcome == MemoOutcome::CacheHit;
-        misses += r.outcome == MemoOutcome::Miss;
-      }
-    EXPECT_GT(hits, 0u);
-    EXPECT_GT(misses, 0u);
-    for (const unsigned threads : {1u, 4u}) {
-      for (const i64 overlap : {i64(0), i64(4)}) {
-        for (const i64 depth : {i64(0), i64(2), i64(4)}) {
-          // Tail lanes only matter when the pipeline defers tails; depth 0
-          // drains inline, so one lane value suffices there.
-          for (const i64 lanes : depth == 0 ? std::vector<i64>{1}
-                                            : std::vector<i64>{1, 2, 4}) {
-            SCOPED_TRACE("gpus=" + std::to_string(gpus) +
-                         " threads=" + std::to_string(threads) +
-                         " overlap=" + std::to_string(overlap) +
-                         " depth=" + std::to_string(depth) +
-                         " lanes=" + std::to_string(lanes));
-            expect_same(ref, run_cfg(threads, overlap, depth, gpus,
-                                     CacheKind::Private, lanes));
-          }
-        }
-      }
-    }
-  }
-
-  // Kind-coupled cache (GlobalCache FIFO eviction crosses kinds): the
-  // engine must fall back to a full settle at stage entry AND pin every
-  // tail to lane 0 (cross-kind FIFO order) — bit-identical for every depth
-  // and every configured lane count.
-  {
-    const Run ref = run_cfg(1, 0, 0, 1, CacheKind::Global, 1);
-    for (const i64 depth : {i64(0), i64(3)}) {
-      for (const i64 lanes : {i64(1), i64(4)}) {
-        SCOPED_TRACE("global-cache depth=" + std::to_string(depth) +
-                     " lanes=" + std::to_string(lanes));
-        expect_same(ref, run_cfg(4, 4, depth, 1, CacheKind::Global, lanes));
-      }
+    ASSERT_EQ(a.entries.size(), b.entries.size());
+    for (std::size_t e = 0; e < a.entries.size(); ++e) {
+      EXPECT_EQ(int(a.entries[e].kind), int(b.entries[e].kind)) << e;
+      EXPECT_EQ(a.entries[e].key, b.entries[e].key) << e;
+      EXPECT_EQ(a.entries[e].value, b.entries[e].value) << e;
     }
   }
 }
 
-// Tracing joins the bit-identity matrix: enabling the obs trace recorder
-// (rings filling from every pool/drainer thread) must not perturb outputs,
-// per-chunk records, cache fingerprints, DB entry counts or virtual times
-// for any threads × lanes combination. Runs with recording ON are compared
-// against the untraced serial reference — under TSan this also hammers the
-// recorder's ring registration/push/drain paths from the worker threads.
+// Tracing joins the bit-identity contract: with the obs trace recorder on
+// (rings filling from every pool thread), the kind-alternating workload
+// still reproduces its untraced golden digest at every pool width. Under
+// TSan this also hammers the recorder's ring registration/push/drain paths
+// from the worker threads.
 TEST(Concurrency, TraceOnOffBitIdentityMatrix) {
-  lamino::Operators ops{lamino::Geometry::cube(10)};
-  const auto& g = ops.geometry();
-  auto u = lamino::to_complex(lamino::make_phantom(
-      g.object_shape(), lamino::PhantomKind::BrainTissue, 9));
-  Array3D<cfloat> base_u1(g.u1_shape());
-  Array3D<cfloat> churn_obj(g.object_shape()), churn_u1(g.u1_shape());
-  {
-    Rng rng(78);
-    auto fill = [&rng](Array3D<cfloat>& a) {
-      for (i64 i = 0; i < a.size(); ++i)
-        a.data()[i] = cfloat(float(rng.normal()), float(rng.normal()));
-    };
-    fill(base_u1);
-    fill(churn_obj);
-    fill(churn_u1);
-  }
-  auto chunks = lamino::make_chunks(g.n1, 2);
-
-  struct Run {
-    std::vector<Array3D<cfloat>> outs;
-    std::vector<std::vector<ChunkRecord>> recs;
-    std::vector<sim::VTime> dones;
-    u64 cache_fp = 0;
-    u64 db_entries = 0;
-  };
-  auto run_cfg = [&](unsigned threads, i64 lanes, bool traced) {
-    auto& rec = obs::TraceRecorder::instance();
-    if (traced) rec.enable();
-    Run run;
-    sim::Device dev{0};
-    sim::Interconnect net;
-    sim::MemoryNode node;
-    MemoDb db{{.key_dim = 16, .tau = 0.92, .overlap_slices = 4,
-               .ivf = {.nlist = 2, .train_size = 8}},
-              &net, &node};
-    MemoizedLamino ml(ops, {.enable = true, .tau = 0.92, .key_dim = 16,
-                            .encoder_hw = 16},
-                      &dev, &db);
-    ThreadPool pool(threads);
-    ml.executor().set_pool(&pool);
-    ml.executor().set_pipeline_depth(2);
-    ml.executor().set_tail_lanes(lanes);
-    auto make_work = [&](OpKind kind, Array3D<cfloat>& dst, bool mixed) {
-      const bool adj = kind == OpKind::Fu1DAdj;
-      const Array3D<cfloat>& src = adj ? base_u1 : u;
-      const Array3D<cfloat>& alt = adj ? churn_u1 : churn_obj;
-      std::vector<StageChunk> w;
-      for (std::size_t c = 0; c < chunks.size(); ++c) {
-        const auto& spec = chunks[c];
-        const auto& in = (mixed && c % 2 == 1) ? alt : src;
-        w.push_back({spec, in.slices(spec.begin, spec.count),
-                     dst.slices(spec.begin, spec.count)});
-      }
-      return w;
-    };
-    const struct {
-      OpKind kind;
-      bool mixed;
-    } passes[] = {{OpKind::Fu1D, false},
-                  {OpKind::Fu1DAdj, false},
-                  {OpKind::Fu1D, true},
-                  {OpKind::Fu1DAdj, true}};
-    sim::VTime t = 0;
-    for (const auto& p : passes) {
-      run.outs.emplace_back(p.kind == OpKind::Fu1DAdj ? g.object_shape()
-                                                      : g.u1_shape());
-      auto w = make_work(p.kind, run.outs.back(), p.mixed);
-      auto rep = ml.executor().run_stage(p.kind, w, t);
-      t = rep.done;
-      run.recs.push_back(std::move(rep.records));
-      run.dones.push_back(t);
-    }
-    ml.executor().settle();
-    run.cache_fp = ml.cache() != nullptr ? ml.cache()->fingerprint() : 0;
-    run.db_entries = db.total_entries();
-    if (traced) {
-      rec.disable();
-      rec.clear();
-    }
-    return run;
-  };
-
-  const Run ref = run_cfg(1, 1, /*traced=*/false);
+  auto& rec = obs::TraceRecorder::instance();
   for (const unsigned threads : {1u, 4u}) {
-    for (const i64 lanes : {i64(1), i64(4)}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " lanes=" + std::to_string(lanes));
-      const Run got = run_cfg(threads, lanes, /*traced=*/true);
-      ASSERT_EQ(ref.outs.size(), got.outs.size());
-      for (std::size_t p = 0; p < ref.outs.size(); ++p) {
-        for (i64 i = 0; i < ref.outs[p].size(); ++i)
-          ASSERT_EQ(ref.outs[p].data()[i], got.outs[p].data()[i])
-              << "pass " << p;
-        ASSERT_EQ(ref.recs[p].size(), got.recs[p].size());
-        for (std::size_t i = 0; i < ref.recs[p].size(); ++i) {
-          EXPECT_EQ(int(ref.recs[p][i].outcome), int(got.recs[p][i].outcome));
-          EXPECT_EQ(ref.recs[p][i].encode_s, got.recs[p][i].encode_s);
-          EXPECT_EQ(ref.recs[p][i].db_s, got.recs[p][i].db_s);
-          EXPECT_EQ(ref.recs[p][i].compute_s, got.recs[p][i].compute_s);
-          EXPECT_EQ(ref.recs[p][i].copy_s, got.recs[p][i].copy_s);
-        }
-        EXPECT_EQ(ref.dones[p], got.dones[p]);
-      }
-      EXPECT_EQ(ref.cache_fp, got.cache_fp);
-      EXPECT_EQ(ref.db_entries, got.db_entries);
-    }
+    rec.enable();
+    const u64 got = digest(run_alternating(threads, 1, CacheKind::Private));
+    rec.disable();
+    rec.clear();
+    EXPECT_EQ(got, kGolden[0].digest) << "threads=" << threads;
   }
 }
 

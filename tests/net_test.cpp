@@ -3,22 +3,30 @@
 // is a compatibility surface), the in-flight RequestTable's out-of-order
 // completion and sticky-failure semantics, the TierClient ↔ TierServer
 // round trip over loopback (mirror accounting bit-exact against a direct
-// SharedTier, index-only seed + lazy value fetch), fault injection on every
+// SharedTier, index-only seed + lazy value fetch, one GET_BATCH per shard
+// for a remote-seeded engine stage), fault injection on every
 // transport failure mode (truncated reply, dropped reply → timeout,
 // reordered delivery, unsolicited id, torn snapshot import), and the real
 // TCP socket backend (round trip + disconnect → sticky error, never a
 // hang). Environments without sockets skip the TCP cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
+#include "lamino/operators.hpp"
+#include "memo/memoized_ops.hpp"
+#include "memo/stage_executor.hpp"
 #include "net/request_table.hpp"
 #include "net/tier_client.hpp"
 #include "net/tier_server.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "serve/shared_tier.hpp"
 
 namespace mlr::net {
@@ -395,6 +403,92 @@ TEST(TierClient, IndexOnlySeedThenLazyValueFetch) {
   EXPECT_EQ(client.fetch(2), server.tier().snapshot()[2].value);
   // Unbatched path: a cold fetch() falls back to one synchronous GET.
   EXPECT_EQ(client.fetch(1), server.tier().snapshot()[1].value);
+}
+
+// The one wall-clock overlap the stage engine keeps: a remote-seeded stage
+// scores every request in ONE round, so its remote hits ride at most one
+// GET_BATCH per shard, shipped at the end of scoring and harvested after
+// the miss FFTs were issued. Every hit must land its tier payload.
+TEST(TierClient, RemoteSeededStageShipsOneGetBatchPerShard) {
+  const lamino::Operators ops{lamino::Geometry::cube(12)};
+  const auto& g = ops.geometry();
+  Array3D<cfloat> u(g.object_shape());
+  {
+    Rng rng(5);
+    for (i64 i = 0; i < u.size(); ++i)
+      u.data()[i] = cfloat(float(rng.normal()), float(rng.normal()));
+  }
+  const auto chunks = lamino::make_chunks(g.n1, 2);
+  ASSERT_GE(chunks.size(), 5u);
+  // One registry for both sessions: identical inputs encode to identical
+  // keys, so the seeded session's ANN search finds the producer's entries.
+  auto reg = std::make_shared<encoder::EncoderRegistry>(
+      encoder::EncoderConfig{.input_hw = 16, .embed_dim = 16});
+  const memo::MemoDbConfig dbc{.key_dim = 16, .tau = 0.92,
+                               .ivf = {.nlist = 2, .train_size = 8}};
+  const memo::MemoConfig mc{.enable = true, .tau = 0.92, .key_dim = 16,
+                            .encoder_hw = 16};
+  auto run_stage = [&](memo::MemoDb& db, Array3D<cfloat>& out) {
+    sim::Device dev{0};
+    memo::MemoizedLamino ml(ops, mc, &dev, &db, reg);
+    ThreadPool pool(4);
+    ml.executor().set_pool(&pool);
+    std::vector<memo::StageChunk> w;
+    for (const auto& spec : chunks)
+      w.push_back({spec, u.slices(spec.begin, spec.count),
+                   out.slices(spec.begin, spec.count)});
+    return ml.run_stage(memo::OpKind::Fu1D, w, 0.0).records;
+  };
+
+  // Producer session: every chunk misses and is inserted; its entries are
+  // promoted to a 2-shard tier.
+  Array3D<cfloat> produced(g.u1_shape());
+  std::vector<memo::MemoDb::Entry> entries;
+  {
+    sim::Interconnect net;
+    sim::MemoryNode node;
+    memo::MemoDb db(dbc, &net, &node);
+    (void)run_stage(db, produced);
+    entries = db.export_entries();
+  }
+  auto tc = tier_config(2);
+  tc.key_dim = 16;
+  TierServer server(tc);
+  TierClient client(std::make_unique<LoopbackTransport>(&server, 2),
+                    tc.fabric, 2, /*timeout_s=*/5.0);
+  client.fold(entries);
+  ASSERT_EQ(client.size(), entries.size());
+
+  // Consumer session, seeded index-only: every chunk hits a remote entry.
+  std::vector<memo::MemoDb::Entry> storage;
+  const auto seed = client.end_seed(client.begin_seed(), storage);
+  sim::Interconnect net;
+  sim::MemoryNode node;
+  memo::MemoDb db(dbc, &net, &node);
+  db.import_entries(*seed.entries, seed.values);
+  auto& frames = obs::metrics().counter("net.client.GET_BATCH.frames");
+  const u64 before = frames.value();
+  Array3D<cfloat> out(g.u1_shape());
+  const auto recs = run_stage(db, out);
+  const u64 shipped = frames.value() - before;
+
+  std::size_t hits = 0;
+  const auto& tier = server.tier().snapshot();
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    if (recs[c].outcome != memo::MemoOutcome::DbHit) continue;
+    ++hits;
+    const auto got = out.slices(chunks[c].begin, chunks[c].count);
+    const auto want = produced.slices(chunks[c].begin, chunks[c].count);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "chunk " << c;
+    EXPECT_TRUE(std::any_of(tier.begin(), tier.end(), [&](const auto& e) {
+      return std::equal(got.begin(), got.end(), e.value.begin(),
+                        e.value.end());
+    })) << "chunk " << c << " output is not a tier payload";
+  }
+  EXPECT_GE(hits, 5u);
+  EXPECT_GE(shipped, 1u);
+  EXPECT_LE(shipped, u64(tc.shard_count));
 }
 
 // --- Fault injection ---------------------------------------------------------

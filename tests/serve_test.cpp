@@ -4,8 +4,7 @@
 // sharded-tier promotion (dedup + cap accounting), the fabric-contention
 // model, and the acceptance property of the serving model — per-job outputs
 // and run vtimes are bit-identical across scheduling policies, thread
-// counts, overlap settings, pipeline depths, shard counts and (for a fixed
-// gpus_per_job) session width.
+// counts, shard counts and (for a fixed gpus_per_job) session width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,18 +15,16 @@
 #include <sstream>
 #include <tuple>
 
-#include "obs/trace.hpp"
-#include "serve/scheduler.hpp"
-#include "serve/service.hpp"
-#include "serve/shared_tier.hpp"
-#include "serve/workload.hpp"
-#ifdef MLR_HAS_NET
 #include "net/request_table.hpp"
 #include "net/tier_client.hpp"
 #include "net/tier_server.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
-#endif
+#include "obs/trace.hpp"
+#include "serve/scheduler.hpp"
+#include "serve/service.hpp"
+#include "serve/shared_tier.hpp"
+#include "serve/workload.hpp"
 
 namespace mlr::serve {
 namespace {
@@ -113,7 +110,6 @@ ServiceConfig tiny_config(SchedulerPolicy policy, int slots = 1) {
   sc.chunk_size = 4;
   sc.slots = slots;
   sc.threads = 1;
-  sc.overlap_slices = 0;
   sc.iters_cap = 2;
   sc.encoder_train_steps = 40;
   sc.policy = policy;
@@ -448,8 +444,7 @@ TEST(ReconService, OutputsIdenticalAcrossPoliciesAndEngineKnobs) {
 
   auto fifo = tiny_config(SchedulerPolicy::Fifo, /*slots=*/2);
   auto prio = tiny_config(SchedulerPolicy::Priority, /*slots=*/2);
-  prio.threads = 3;        // engine knobs must not change anything either
-  prio.overlap_slices = 4;
+  prio.threads = 3;  // the pool width must not change anything either
   auto fair = tiny_config(SchedulerPolicy::FairShare, /*slots=*/2);
   fair.threads = 2;
 
@@ -458,7 +453,7 @@ TEST(ReconService, OutputsIdenticalAcrossPoliciesAndEngineKnobs) {
   const auto c = run_workload(fair, jobs, warm);
 
   // Hermetic sessions: outputs and run vtimes are bit-identical for every
-  // policy / thread count / overlap setting; only queue waits may differ.
+  // policy / thread count; only queue waits may differ.
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.fingerprint, c.fingerprint);
   EXPECT_EQ(a.run_vtime, b.run_vtime);
@@ -468,7 +463,6 @@ TEST(ReconService, OutputsIdenticalAcrossPoliciesAndEngineKnobs) {
   // (the latency-CDF reproducibility claim).
   auto fifo2 = tiny_config(SchedulerPolicy::Fifo, /*slots=*/2);
   fifo2.threads = 2;
-  fifo2.overlap_slices = 4;
   const auto a2 = run_workload(fifo2, jobs, warm);
   EXPECT_EQ(a.fingerprint, a2.fingerprint);
   EXPECT_EQ(a.run_vtime, a2.run_vtime);
@@ -493,7 +487,6 @@ TEST(ReconService, TraceOnOffBitIdentity) {
 
   auto cfg = tiny_config(SchedulerPolicy::Fifo, /*slots=*/2);
   cfg.threads = 2;
-  cfg.overlap_slices = 4;
   const auto off = run_workload(cfg, jobs, warm);
 
   auto traced = cfg;
@@ -522,45 +515,10 @@ TEST(ReconService, TraceOnOffBitIdentity) {
   std::remove(traced.trace_path.c_str());
 }
 
-TEST(ReconService, OutputsIdenticalAcrossPipelineDepths) {
-  // Hermetic sessions must stay hermetic under cross-stage pipelining: job
-  // outputs AND run vtimes (therefore the whole schedule and the promoted
-  // shared tier) are bit-identical for every pipeline_depth, including
-  // depths deep enough to span several stages.
-  WorkloadConfig wc;
-  wc.jobs = 4;
-  wc.mean_interarrival = 40.0;
-  wc.mix = {{Scenario::PcbInspection, 1.0}, {Scenario::BrainScan, 1.0}};
-  wc.distinct_objects = 2;
-  WorkloadGenerator gen(wc);
-  const auto jobs = gen.generate();
-  const auto warm = gen.priming_set();
-
-  auto barrier = tiny_config(SchedulerPolicy::Fifo, /*slots=*/2);
-  barrier.pipeline_depth = 0;  // the legacy per-stage barrier
-  auto shallow = tiny_config(SchedulerPolicy::Fifo, /*slots=*/2);
-  shallow.threads = 3;
-  shallow.overlap_slices = 4;
-  shallow.pipeline_depth = 2;
-  auto deep = tiny_config(SchedulerPolicy::Fifo, /*slots=*/2);
-  deep.threads = 2;
-  deep.pipeline_depth = 5;
-
-  const auto a = run_workload(barrier, jobs, warm);
-  const auto b = run_workload(shallow, jobs, warm);
-  const auto c = run_workload(deep, jobs, warm);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_EQ(a.fingerprint, c.fingerprint);
-  EXPECT_EQ(a.run_vtime, b.run_vtime);
-  EXPECT_EQ(a.run_vtime, c.run_vtime);
-  EXPECT_EQ(a.queue_wait, b.queue_wait);
-  EXPECT_EQ(a.queue_wait, c.queue_wait);
-}
-
 TEST(ReconService, SharedTierShardMatrix) {
   // The sharding acceptance property: job outputs, per-job records AND the
   // whole virtual-clock schedule are bit-identical for every shard count ×
-  // scheduling policy × threads × pipeline_depth combination — sharding
+  // scheduling policy × threads combination — sharding
   // decides which link carries which bytes, never what a session sees, and
   // with the default link ≥ uplink bandwidths the uplink pass (shard-count
   // invariant) dominates every fabric charge.
@@ -577,10 +535,8 @@ TEST(ReconService, SharedTierShardMatrix) {
   struct Knobs {
     int shards;
     unsigned threads;
-    i64 depth;
-    i64 overlap;
   };
-  const Knobs knobs[] = {{1, 1, 0, 0}, {2, 3, 2, 4}, {4, 2, 5, 0}};
+  const Knobs knobs[] = {{1, 1}, {2, 3}, {4, 2}};
   const SchedulerPolicy policies[] = {SchedulerPolicy::Fifo,
                                      SchedulerPolicy::FairShare};
   const RunSummary* global_ref = nullptr;
@@ -592,8 +548,6 @@ TEST(ReconService, SharedTierShardMatrix) {
       auto cfg = tiny_config(policy, /*slots=*/2);
       cfg.shard_count = k.shards;
       cfg.threads = k.threads;
-      cfg.pipeline_depth = k.depth;
-      cfg.overlap_slices = k.overlap;
       const auto r = run_workload(cfg, jobs, warm);
       if (global_ref == nullptr) {
         first = r;
@@ -603,7 +557,7 @@ TEST(ReconService, SharedTierShardMatrix) {
       EXPECT_EQ(r.fingerprint, global_ref->fingerprint);
       EXPECT_EQ(r.run_vtime, global_ref->run_vtime);
       // Schedule (queue waits, fetches, finishes): identical across shard
-      // counts and engine knobs for a fixed policy.
+      // counts and thread counts for a fixed policy.
       if (!have_policy_ref) {
         policy_ref = r;
         have_policy_ref = true;
@@ -692,14 +646,12 @@ TEST(ReconService, ClusterSessionsIdenticalAcrossPolicies) {
 
 // --- Remote-tier transports (net/) -------------------------------------------
 
-#ifdef MLR_HAS_NET
-
 TEST(ReconService, LoopbackTransportMatrix) {
   // The transport acceptance property (loopback half): rehosting the shared
   // tier on the wire protocol's deterministic in-process backend changes
   // NOTHING a session can observe — outputs, per-job records and the whole
   // virtual-clock schedule are bit-identical to the in-process tier, across
-  // shard counts × policies × threads × pipeline_depth × tail_lanes. Wire
+  // shard counts × policies × threads. Wire
   // frames charge no virtual time (client-side charging contract) and the
   // index-only seed + lazy value fetch reproduces every hit decision.
   WorkloadConfig wc;
@@ -715,11 +667,8 @@ TEST(ReconService, LoopbackTransportMatrix) {
   struct Knobs {
     int shards;
     unsigned threads;
-    i64 depth;
-    i64 overlap;
-    i64 tail_lanes;  // 0 = the automatic default
   };
-  const Knobs knobs[] = {{1, 1, 0, 0, 1}, {2, 3, 2, 4, 2}, {4, 2, 5, 0, 0}};
+  const Knobs knobs[] = {{1, 1}, {2, 3}, {4, 2}};
   const SchedulerPolicy policies[] = {SchedulerPolicy::Fifo,
                                       SchedulerPolicy::FairShare};
   const RunSummary* global_ref = nullptr;
@@ -729,9 +678,6 @@ TEST(ReconService, LoopbackTransportMatrix) {
       auto cfg = tiny_config(policy, /*slots=*/2);
       cfg.shard_count = k.shards;
       cfg.threads = k.threads;
-      cfg.pipeline_depth = k.depth;
-      cfg.overlap_slices = k.overlap;
-      cfg.tail_lanes = k.tail_lanes;
       const auto inproc = run_workload(cfg, jobs, warm);
       cfg.transport = TierTransport::Loopback;
       const auto loop = run_workload(cfg, jobs, warm);
@@ -769,7 +715,6 @@ TEST(ReconService, SocketTransportMatchesInproc) {
   auto cfg = tiny_config(SchedulerPolicy::Fifo, /*slots=*/2);
   cfg.shard_count = 2;
   cfg.threads = 2;
-  cfg.pipeline_depth = 2;
   const auto inproc = run_workload(cfg, jobs, warm);
   cfg.transport = TierTransport::Socket;
   try {
@@ -929,8 +874,6 @@ TEST(ReconServiceFaults, SocketTierKillRestartDegradesAndRecovers) {
   EXPECT_EQ(svc->stats().jobs_failed, 1u);  // no new casualties
 }
 
-#endif  // MLR_HAS_NET
-
 // --- Fault tolerance: per-job isolation (transport-independent) --------------
 
 TEST(ReconServiceFaults, SessionThrowIsIsolatedPerJob) {
@@ -985,8 +928,8 @@ TEST(ReconService, PreemptionDeterminismMatrix) {
   // stage boundary (checkpoint → requeue → rebuild on whatever slot frees,
   // re-import the seed + its own entries + cache + clocks → continue) must
   // reproduce the uninterrupted run bit-for-bit — outputs, memo records,
-  // cache fingerprints AND run vtimes — across threads × pipeline_depth ×
-  // shards. Preemption is schedule-shaped only.
+  // cache fingerprints AND run vtimes — across threads × shards.
+  // Preemption is schedule-shaped only.
   WorkloadConfig wc;
   wc.jobs = 4;
   wc.mean_interarrival = 10.0;
@@ -998,15 +941,13 @@ TEST(ReconService, PreemptionDeterminismMatrix) {
 
   struct Knobs {
     unsigned threads;
-    i64 depth;
     int shards;
   };
-  const Knobs knobs[] = {{1, 0, 1}, {3, 2, 2}, {2, 5, 4}};
+  const Knobs knobs[] = {{1, 1}, {3, 2}, {2, 4}};
   for (const auto& k : knobs) {
     auto cfg = tiny_config(SchedulerPolicy::Fifo, /*slots=*/2);
     cfg.iters_cap = 3;  // three outer iterations → two yield points per job
     cfg.threads = k.threads;
-    cfg.pipeline_depth = k.depth;
     cfg.shard_count = k.shards;
     const auto base = run_workload(cfg, jobs, warm);
 
@@ -1201,10 +1142,8 @@ TEST(ReconService, AdmissionDecisionInvarianceMatrix) {
   const SchedulerPolicy policies[] = {SchedulerPolicy::Fifo,
                                       SchedulerPolicy::Priority,
                                       SchedulerPolicy::FairShare};
-  std::vector<TierTransport> transports = {TierTransport::Inproc};
-#ifdef MLR_HAS_NET
-  transports.push_back(TierTransport::Loopback);
-#endif
+  const TierTransport transports[] = {TierTransport::Inproc,
+                                      TierTransport::Loopback};
   for (const auto policy : policies)
     for (const unsigned threads : {1u, 3u})
       for (const auto transport : transports) {
