@@ -32,22 +32,20 @@
 # completion race would hide) and the reconnect/degradation suites
 # (LoopbackReconnect.* + ReconServiceFaults.* — recovery ladder vs the
 # reply reader, replay vs racing senders) explicitly before the smokes.
-# Both presets also run the chaos smoke: a TCP tier killed mid-run and
+# Every preset also runs the chaos smoke: a TCP tier killed mid-run and
 # restarted from a snapshot, gated on "surviving jobs bit-identical,
-# service exits 0". Socket smokes skip gracefully where sockets are
+# service exits 0" (release and ASan add the blip flavour). Socket smokes skip gracefully where sockets are
 # unavailable.
-# The ASan+UBSan preset builds and runs the suites whose kernels do
-# hand-written index arithmetic over scratch buffers — the key encoder's
-# layer kernels, the memo layer, the fused ADMM kernels, the batched
-# FFT/NUFFT and operator kernels (lane/stride indexing) — the concurrency
-# suite that drives them from pool workers, the net suite (the wire
-# decoder meets hostile frames) and the obs suite (the leaked trace rings).
+# The ASan+UBSan preset runs the whole test suite (hand-indexed kernels
+# over scratch buffers, the wire decoder under hostile frames, the leaked
+# trace rings, checkpoint/resume images) plus the fault smokes: the socket
+# transport, the chaos kill and blip runs (the reconnect ladder and the
+# reply-reader threads on a real socket) and the preemption smoke.
 #   ./scripts/check.sh          release build + ctest + smokes
 #   ./scripts/check.sh tsan     ThreadSanitizer build + ctest + matrix +
 #                               smokes (slower)
-#   ./scripts/check.sh asan     AddressSanitizer+UBSan build of encoder,
-#                               memo, admm, concurrency, fft, lamino, net
-#                               and obs tests + ctest
+#   ./scripts/check.sh asan     AddressSanitizer+UBSan build + ctest +
+#                               socket, chaos and preempt smokes
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -97,6 +95,12 @@ elif [[ "$preset" == "asan" ]]; then
   cmake --preset asan
   cmake --build --preset asan -j "$(nproc)"
   ctest --preset asan -j "$(nproc)"
+  ./build-asan/bench_serve_traffic --jobs 8 --n small --transport socket
+  ./build-asan/bench_serve_traffic --jobs 8 --n small --transport socket \
+    --chaos kill-tier-at-job=3
+  ./build-asan/bench_serve_traffic --jobs 8 --n small --transport socket \
+    --chaos blip-tier-at-job=3
+  ./build-asan/bench_serve_traffic --preempt --jobs 32 --n small
 else
   cmake -B build -S .
   cmake --build build -j "$(nproc)"

@@ -78,9 +78,6 @@ struct ReconstructionConfig {
   /// pool (hardware concurrency), 1 = serial. Results are bit-identical for
   /// any value — only host wall time changes.
   unsigned threads = 0;
-  /// GlobalCache shard count ((kind, location) hash sharding); ≤1 keeps the
-  /// single shared pool. Ignored by the Private cache.
-  i64 cache_shards = 1;
 };
 
 struct Report {

@@ -224,7 +224,7 @@ bool EncoderRegistry::add_sample(std::vector<cfloat> plane, i64 rows,
   return true;
 }
 
-double EncoderRegistry::train_from_collected(int steps, bool quantize) {
+double EncoderRegistry::train_from_collected(int steps) {
   if (samples_.size() < 2) return 0.0;
   Rng rng(97);
   double tail = 0;
@@ -245,7 +245,7 @@ double EncoderRegistry::train_from_collected(int steps, bool quantize) {
       ++tail_n;
     }
   }
-  if (quantize) enc_.quantize();
+  enc_.quantize();
   return tail_n ? tail / tail_n : 0.0;
 }
 

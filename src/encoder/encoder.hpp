@@ -134,9 +134,9 @@ class EncoderRegistry {
   [[nodiscard]] std::size_t collected() const { return samples_.size(); }
 
   /// Contrastive-train on the collected set (pairs must share a shape) and
-  /// optionally freeze to INT8. Returns mean tail loss; no-op (0) with
-  /// fewer than 2 samples.
-  double train_from_collected(int steps, bool quantize);
+  /// freeze to INT8. Returns mean tail loss; no-op (0) with fewer than 2
+  /// samples.
+  double train_from_collected(int steps);
 
  private:
   struct Sample {

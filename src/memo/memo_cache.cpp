@@ -119,35 +119,20 @@ void PrivateCache::restore(const CacheImage& img) {
   restore_stats(img.stats);
 }
 
-GlobalCache::GlobalCache(i64 capacity, i64 shards)
-    : shard_capacity_(0), shards_(size_t(std::max<i64>(1, shards))) {
+GlobalCache::GlobalCache(i64 capacity) : capacity_(capacity) {
   MLR_CHECK(capacity >= 1);
-  const i64 n = i64(shards_.size());
-  shard_capacity_ = std::max<i64>(1, (capacity + n - 1) / n);
-}
-
-GlobalCache::Shard& GlobalCache::shard_of(OpKind kind, i64 location) {
-  const u64 h = u64(int(kind)) * 0x9e3779b97f4a7c15ull + u64(location);
-  return shards_[size_t(h % shards_.size())];
-}
-
-const GlobalCache::Shard& GlobalCache::shard_of(OpKind kind,
-                                                i64 location) const {
-  const u64 h = u64(int(kind)) * 0x9e3779b97f4a7c15ull + u64(location);
-  return shards_[size_t(h % shards_.size())];
 }
 
 std::optional<std::vector<cfloat>> GlobalCache::lookup(
-    OpKind kind, i64 location, std::span<const float> key, double tau,
+    OpKind kind, i64 /*location*/, std::span<const float> key, double tau,
     double norm, std::span<const cfloat> probe) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  // Cross-location sharing: any resident entry of the same operator kind in
-  // this shard may serve the request, so every one must be compared.
-  auto& sh = shard_of(kind, location);
-  std::lock_guard lk(sh.mu);
+  // Cross-location sharing: any resident entry of the same operator kind
+  // may serve the request, so every one must be compared.
+  std::lock_guard lk(mu_);
   const Tagged* best = nullptr;
   u64 compared = 0;
-  for (const auto& t : sh.pool) {
+  for (const auto& t : pool_) {
     if (t.kind != kind) continue;
     ++compared;
     if (accept_entry(t.entry, key, tau, norm, probe)) best = &t;
@@ -160,7 +145,7 @@ std::optional<std::vector<cfloat>> GlobalCache::lookup(
   return std::nullopt;
 }
 
-void GlobalCache::insert(OpKind kind, i64 location,
+void GlobalCache::insert(OpKind kind, i64 /*location*/,
                          std::span<const float> key,
                          std::span<const cfloat> value, double norm,
                          std::span<const cfloat> probe) {
@@ -168,59 +153,49 @@ void GlobalCache::insert(OpKind kind, i64 location,
                                  {value.begin(), value.end()},
                                  norm,
                                  {probe.begin(), probe.end()}}};
-  auto& sh = shard_of(kind, location);
-  std::lock_guard lk(sh.mu);
-  if (i64(sh.pool.size()) >= shard_capacity_)
-    sh.pool.erase(sh.pool.begin());  // FIFO
-  sh.pool.push_back(std::move(tagged));
+  std::lock_guard lk(mu_);
+  if (i64(pool_.size()) >= capacity_)
+    pool_.erase(pool_.begin());  // FIFO
+  pool_.push_back(std::move(tagged));
 }
 
 std::size_t GlobalCache::bytes() const {
   std::size_t b = 0;
-  for (const auto& sh : shards_) {
-    std::lock_guard lk(sh.mu);
-    for (const auto& t : sh.pool)
-      b += t.entry.key.size() * sizeof(float) +
-           t.entry.value.size() * sizeof(cfloat);
-  }
+  std::lock_guard lk(mu_);
+  for (const auto& t : pool_)
+    b += t.entry.key.size() * sizeof(float) +
+         t.entry.value.size() * sizeof(cfloat);
   return b;
 }
 
 u64 GlobalCache::fingerprint() const {
   u64 h = kFnvOffsetBasis;
-  for (const auto& sh : shards_) {
-    std::lock_guard lk(sh.mu);
-    for (const auto& t : sh.pool) {  // FIFO order within the shard
-      const int k = int(t.kind);
-      h = fnv1a(h, &k, sizeof(k));
-      h = hash_entry(h, t.entry);
-    }
+  std::lock_guard lk(mu_);
+  for (const auto& t : pool_) {  // FIFO order
+    const int k = int(t.kind);
+    h = fnv1a(h, &k, sizeof(k));
+    h = hash_entry(h, t.entry);
   }
   return h;
 }
 
 CacheImage GlobalCache::image() const {
   CacheImage img;
-  for (i64 i = 0; i < i64(shards_.size()); ++i) {
-    const auto& sh = shards_[size_t(i)];
-    std::lock_guard lk(sh.mu);
-    for (const auto& t : sh.pool)  // preserve FIFO order within the shard
-      img.items.push_back({i, t.kind, t.entry});
+  {
+    std::lock_guard lk(mu_);
+    for (const auto& t : pool_)  // preserve FIFO order
+      img.items.push_back({0, t.kind, t.entry});
   }
   img.stats = stats();
   return img;
 }
 
 void GlobalCache::restore(const CacheImage& img) {
-  for (auto& sh : shards_) {
-    std::lock_guard lk(sh.mu);
-    sh.pool.clear();
-  }
+  std::lock_guard lk(mu_);
+  pool_.clear();
   for (const auto& it : img.items) {
-    MLR_CHECK(it.slot >= 0 && it.slot < i64(shards_.size()));
-    auto& sh = shards_[size_t(it.slot)];
-    std::lock_guard lk(sh.mu);
-    sh.pool.push_back({it.kind, it.entry});
+    MLR_CHECK(it.slot == 0);
+    pool_.push_back({it.kind, it.entry});
   }
   restore_stats(img.stats);
 }

@@ -6,17 +6,13 @@
 //     capacity equals one FFT output per location.
 //   * GlobalCache  — one shared pool over all locations: a lookup compares
 //     against every resident entry (64 for the paper's 1K³ case), which is
-//     where the 85 % extra comparison cost comes from. The pool can be
-//     *sharded* by (kind, location) hash so concurrent lookups stop scanning
-//     (and serializing on) one global FIFO under a single lock — cross-
-//     location sharing is then confined to a shard, the classic
-//     concurrency/recall trade-off.
+//     where the 85 % extra comparison cost comes from.
 // Both accept a hit only when key cosine similarity exceeds τ.
 //
 // Thread safety: the batched StageExecutor probes the cache from many worker
 // threads at once, so every implementation must tolerate concurrent
 // lookup/lookup and lookup/insert. Stats counters are atomic; entry state is
-// guarded by striped (PrivateCache) or per-shard (GlobalCache) mutexes.
+// guarded by striped mutexes (PrivateCache) or one pool mutex (GlobalCache).
 #pragma once
 
 #include <atomic>
@@ -49,14 +45,14 @@ struct CacheEntry {
 };
 
 /// Deep copy of a cache's resident entries + counters, in the cache's own
-/// canonical iteration order (slot-major for PrivateCache, shard-then-FIFO
-/// for GlobalCache). Restoring an image onto a freshly constructed cache of
+/// canonical iteration order (slot-major for PrivateCache, FIFO for
+/// GlobalCache). Restoring an image onto a freshly constructed cache of
 /// the same geometry reproduces lookup results, eviction behaviour and
 /// fingerprint() bit-identically — the serve layer checkpoints a preempted
 /// session's cache through this.
 struct CacheImage {
   struct Item {
-    i64 slot = 0;  ///< PrivateCache slot index / GlobalCache shard index
+    i64 slot = 0;  ///< PrivateCache slot index (0 for GlobalCache)
     OpKind kind = OpKind(0);
     CacheEntry entry;
   };
@@ -91,7 +87,7 @@ class MemoCache {
   [[nodiscard]] virtual u64 fingerprint() const = 0;
   /// Checkpoint/restore of resident entries + counters (see CacheImage).
   /// restore() replaces the current contents; call it only on a cache of the
-  /// same geometry (same locations/capacity/shards) as the image's source.
+  /// same geometry (same locations/capacity) as the image's source.
   [[nodiscard]] virtual CacheImage image() const = 0;
   virtual void restore(const CacheImage& img) = 0;
 
@@ -139,13 +135,10 @@ class PrivateCache : public MemoCache {
 };
 
 /// Baseline: a shared FIFO pool over all locations, lookup scans every
-/// resident entry of the matching kind. With `shards > 1` the pool is split
-/// by (kind, location) hash: each shard holds capacity/shards entries behind
-/// its own mutex, so concurrent lookups of different shards proceed without
-/// contention and each scan touches only its shard's residents.
+/// resident entry of the matching kind under the pool's one mutex.
 class GlobalCache : public MemoCache {
  public:
-  explicit GlobalCache(i64 capacity, i64 shards = 1);
+  explicit GlobalCache(i64 capacity);
 
   std::optional<std::vector<cfloat>> lookup(OpKind kind, i64 location,
                                             std::span<const float> key,
@@ -160,23 +153,15 @@ class GlobalCache : public MemoCache {
   [[nodiscard]] CacheImage image() const override;
   void restore(const CacheImage& img) override;
 
-  [[nodiscard]] i64 shards() const { return i64(shards_.size()); }
-
  private:
   struct Tagged {
     OpKind kind;
     CacheEntry entry;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<Tagged> pool;  // FIFO order
-  };
 
-  Shard& shard_of(OpKind kind, i64 location);
-  const Shard& shard_of(OpKind kind, i64 location) const;
-
-  i64 shard_capacity_;
-  std::vector<Shard> shards_;
+  i64 capacity_;
+  mutable std::mutex mu_;
+  std::vector<Tagged> pool_;  // FIFO order
 };
 
 }  // namespace mlr::memo

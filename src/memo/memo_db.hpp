@@ -107,8 +107,9 @@ class ValueFetcher {
   virtual void request(u64 pos) = 0;
   /// Ship every noted request that is not already in flight.
   virtual void flush() = 0;
-  /// Block until `pos`'s payload arrived and return it. Throws on transport
-  /// failure (sticky — see net/request_table.hpp).
+  /// Block until `pos`'s payload arrived and return it. Throws when the
+  /// payload cannot arrive: its request timed out or failed, or the
+  /// transport broke (see net/request_table.hpp).
   virtual std::vector<cfloat> fetch(u64 pos) = 0;
 };
 

@@ -30,8 +30,7 @@ MemoizedLamino::MemoizedLamino(const lamino::Operators& ops, MemoConfig cfg,
         cache_ = std::make_unique<PrivateCache>(locations);
         break;
       case CacheKind::Global:
-        cache_ = std::make_unique<GlobalCache>(locations,
-                                               std::max<i64>(1, cfg_.cache_shards));
+        cache_ = std::make_unique<GlobalCache>(locations);
         break;
       case CacheKind::None:
         break;
@@ -83,8 +82,7 @@ std::vector<float> MemoizedLamino::encode_chunk(
   const auto plane = encoder::average_slab(in, spec.count, rows, cols);
   const encoder::ChunkImage img{rows, cols, plane};
   const auto& enc = registry_->encoder();
-  return cfg_.quantized_encoder && enc.quantized() ? enc.encode_quantized(img)
-                                                   : enc.encode(img);
+  return enc.quantized() ? enc.encode_quantized(img) : enc.encode(img);
 }
 
 double MemoizedLamino::compute_chunk(OpKind kind, const StageChunk& c,
@@ -127,7 +125,7 @@ double MemoizedLamino::train_encoder(
     int steps) {
   auto& enc = registry_->encoder();
   const double loss = enc.train(samples, rows, cols, steps);
-  if (cfg_.quantized_encoder) enc.quantize();
+  enc.quantize();
   return loss;
 }
 
@@ -136,7 +134,7 @@ std::size_t MemoizedLamino::collected_samples() const {
 }
 
 double MemoizedLamino::train_encoder_from_collected(int steps) {
-  return registry_->train_from_collected(steps, cfg_.quantized_encoder);
+  return registry_->train_from_collected(steps);
 }
 
 }  // namespace mlr::memo

@@ -31,15 +31,9 @@ struct MemoConfig {
   bool enable = true;          ///< memoization on/off (off = plain pipeline)
   double tau = 0.92;           ///< similarity threshold (paper default)
   CacheKind cache = CacheKind::Private;
-  /// GlobalCache shard count — the pool is split by (kind, location) hash so
-  /// concurrent lookups stop scanning (and serializing on) one global FIFO.
-  /// ≤1 keeps the classic single shared pool; PrivateCache is per-location
-  /// by construction and ignores this.
-  i64 cache_shards = 1;
   bool coalesce = true;        ///< 4 KB key coalescing
   i64 key_dim = 60;
   i64 encoder_hw = 32;
-  bool quantized_encoder = true;
   double host_flops = 2.0e11;  ///< AVX-512 INT8 CNN throughput on the host
   double host_mem_bw = 20.0e9; ///< host memcpy bandwidth (value reuse path)
   /// Virtual-clock scaling: charge compute/transfer as if the volume were

@@ -46,32 +46,17 @@ void RequestTable::expect(u64 id) {
 void RequestTable::complete(u64 id, std::vector<std::byte> payload) {
   std::unique_lock lk(mu_);
   auto it = slots_.find(id);
-  if (it == slots_.end()) {
-    if (retry_mode_) {
-      // A late duplicate: the waiter timed out per-request, or a replayed
-      // frame's original reply survived the reconnect. Expected weather —
-      // count it and move on.
-      TableMetrics::get().stale_replies.add();
-      return;
-    }
-    // Legacy regime: a reply for a request we never sent (or already
-    // released) means frames are desynchronized — nothing received from
-    // here on can be trusted.
-    if (!broken_) {
-      broken_ = true;
-      sticky_ = "unsolicited reply for request id " + std::to_string(id);
-      for (auto& [k, s] : slots_) {
-        s.done = s.failed = true;
-        s.error = sticky_;
-      }
-    }
-    cv_.notify_all();
+  if (it == slots_.end() && (id == 0 || id >= next_)) {
+    // A reply for a request never issued: the peer is desynchronized, so
+    // nothing received from here on can be trusted.
+    lk.unlock();
+    fail_all("unsolicited reply for request id " + std::to_string(id));
     return;
   }
-  if (it->second.done) {
-    // Duplicate reply to a slot already failed/completed (replay raced the
-    // original reply). Keep the first outcome.
-    if (retry_mode_) TableMetrics::get().stale_replies.add();
+  if (it == slots_.end() || it->second.done) {
+    // A late reply to a timed-out or released slot, or a replay's duplicate
+    // racing the original: keep the first outcome, count it, move on.
+    TableMetrics::get().stale_replies.add();
     return;
   }
   it->second.done = true;
@@ -124,33 +109,13 @@ std::vector<std::byte> RequestTable::wait(u64 id, double timeout_s) {
   while (!it->second.done) {
     if (cv_.wait_until(lk, deadline) == std::cv_status::timeout &&
         !it->second.done) {
+      // Only this slot fails: the reply is late or lost, and a late arrival
+      // is dropped as stale by complete(). The verb layer decides whether
+      // to re-issue (RetryableError).
       TableMetrics::get().timeouts.add();
-      const std::string msg = "request " + std::to_string(id) +
-                              " timed out after " + std::to_string(timeout_s) +
-                              " s";
-      if (retry_mode_) {
-        // Per-request failure: the reply is merely late or lost; a stale
-        // arrival later is dropped by complete(). The verb layer decides
-        // whether to re-issue (RetryableError).
-        it->second.done = it->second.failed = true;
-        it->second.retryable = true;
-        it->second.error = msg;
-        cv_.notify_all();
-        break;
-      }
-      // Legacy regime: the reply may still arrive after we stop listening —
-      // it would then be unsolicited — so a timeout poisons the whole
-      // transport.
-      if (!broken_) {
-        broken_ = true;
-        sticky_ = msg;
-      }
-      for (auto& [k, s] : slots_) {
-        if (s.done) continue;
-        s.done = s.failed = true;
-        s.error = sticky_;
-      }
-      cv_.notify_all();
+      it->second.done = it->second.failed = it->second.retryable = true;
+      it->second.error = "request " + std::to_string(id) + " timed out after " +
+                         std::to_string(timeout_s) + " s";
       break;
     }
   }
@@ -162,11 +127,6 @@ std::vector<std::byte> RequestTable::wait(u64 id, double timeout_s) {
     throw NetError(slot.error);
   }
   return std::move(slot.payload);
-}
-
-void RequestTable::set_retry_mode(bool on) {
-  std::lock_guard lk(mu_);
-  retry_mode_ = on;
 }
 
 bool RequestTable::broken() const {

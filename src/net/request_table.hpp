@@ -6,28 +6,22 @@
 // (out-of-order is fine — the id keys the slot, not the position); waiters
 // block on their slot with a timeout.
 //
-// The table runs in one of two failure regimes:
+// Failure contract (one regime; Transport::set_retry only sizes the
+// reconnect budget above it):
 //
-//   * Legacy (retry mode OFF, the default): failure is *sticky* by design.
-//     A transport-level fault (connection died, short read, unsolicited
-//     reply id, a waiter timed out) marks the whole table broken, fails
-//     every in-flight slot, and makes every future expect()/wait() throw
-//     immediately — once frames may have been lost there is no way to know
-//     which, so the session surfaces one NetError instead of hanging or
-//     silently computing with a torn tier view.
-//   * Retry mode ON (the transport has a reconnect budget,
-//     Transport::set_retry): transient events become *per-request*
-//     failures. A wait() timeout fails only its own slot — with a
-//     RetryableError, because the read-class verbs are idempotent and the
-//     caller may re-issue — and an unknown-id reply is dropped and counted
-//     (net.table.stale_replies) instead of breaking the table: after a
-//     per-request timeout or a replay, a late duplicate reply is expected
-//     weather, not desynchronization. fail_all still exists and is still
-//     sticky — the transport calls it once its reconnect budget is
-//     exhausted (the tier is declared down).
-//
-// A *per-request* server error (Error reply frame) fails only its own slot
-// in both regimes.
+//   * A waiter timeout fails only its own slot, with a RetryableError (the
+//     reply is late or lost; read-class verbs may re-issue), counted in
+//     net.table.timeouts.
+//   * A reply for an issued id whose slot is already released or done (a
+//     late reply after a timeout, a replay's duplicate) is dropped and
+//     counted in net.table.stale_replies.
+//   * A reply for an id never issued (0, or at or past the next id) is a
+//     protocol violation: the peer is desynchronized, so the table breaks.
+//   * fail_all is the sticky floor: the transport calls it for malformed
+//     reply frames and once a carrier fault exhausts its reconnect budget
+//     (zero attempts when net_retry_max is 0). Every in-flight and future
+//     request then surfaces the first error as a NetError, never a hang.
+//   * A per-request server error (Error reply frame) fails only its slot.
 #pragma once
 
 #include <condition_variable>
@@ -65,11 +59,9 @@ class RequestTable {
   /// Register an in-flight slot for `id` before the frame is sent, so a
   /// reply can never race the registration. Throws NetError when broken.
   void expect(u64 id);
-  /// Complete `id` with its reply payload. An unknown id is a protocol
-  /// violation in the legacy regime (the peer answered a request we never
-  /// made, or answered one twice) and breaks the table; in retry mode it is
-  /// dropped and counted as a stale reply (late duplicate after a
-  /// per-request timeout or a replay).
+  /// Complete `id` with its reply payload. A reply to a released or done
+  /// slot is dropped and counted as stale; a reply to an id never issued
+  /// breaks the table (protocol violation).
   void complete(u64 id, std::vector<std::byte> payload);
   /// Fail `id` alone (per-request failure). Unknown ids are ignored.
   /// `retryable` marks the failure transient: wait() throws RetryableError.
@@ -82,16 +74,10 @@ class RequestTable {
   void forget(u64 id);
 
   /// Block until `id` completes; returns the reply payload and releases the
-  /// slot. Throws RetryableError on a retryable per-request failure,
-  /// NetError on any other failure or a broken table, or after `timeout_s`
-  /// seconds. A timeout breaks the table in the legacy regime (the reply
-  /// may still arrive later and would then be unsolicited); in retry mode
-  /// it fails only this slot, retryably (stale replies are tolerated).
+  /// slot. Throws RetryableError on a retryable per-request failure or after
+  /// `timeout_s` seconds (only this slot fails; a late reply is stale),
+  /// NetError on any other failure or a broken table.
   std::vector<std::byte> wait(u64 id, double timeout_s);
-
-  /// Switch failure regimes (see the header comment). Flipped by
-  /// Transport::set_retry, before any traffic.
-  void set_retry_mode(bool on);
 
   [[nodiscard]] bool broken() const;
   [[nodiscard]] std::string error() const;
@@ -112,7 +98,6 @@ class RequestTable {
   std::unordered_map<u64, Slot> slots_;
   u64 next_ = 1;
   bool broken_ = false;
-  bool retry_mode_ = false;
   std::string sticky_;
 };
 

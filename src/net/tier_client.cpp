@@ -297,8 +297,8 @@ std::vector<cfloat> TierClient::fetch(u64 pos) {
       vm.bytes_in.add(kHeaderBytes + payload.size());
       lk.lock();
       if (retryable && batch_retry_[batch] < retry_.retry_max) {
-        // One slow or lost batch must not break the table (the old
-        // fail_all behavior): re-issue JUST this batch under a fresh id.
+        // One slow or lost batch must not break the table: re-issue JUST
+        // this batch under a fresh id.
         // The positions are already sorted — the retry frame is canonical.
         auto& table = transport_->table();
         const u64 fresh = table.next_id();
@@ -378,14 +378,10 @@ std::vector<cfloat> TierClient::fetch(u64 pos) {
       it = vstate_.find(pos);
       continue;
     }
-    if (vcv_.wait_until(lk, deadline) == std::cv_status::timeout) {
-      if (retry_.enabled())
-        // Per-request failure regime: only this fetch gives up; the
-        // harvester (and the table) may still be making progress.
-        throw NetError("GET_BATCH fetch timed out");
-      transport_->table().fail_all("GET_BATCH fetch timed out");
-      throw NetError(transport_->table().error());
-    }
+    if (vcv_.wait_until(lk, deadline) == std::cv_status::timeout)
+      // Only this fetch gives up; the harvester (and the table) may still
+      // be making progress.
+      throw NetError("GET_BATCH fetch timed out");
     it = vstate_.find(pos);
   }
 }

@@ -30,16 +30,18 @@
 // miss FFTs, so the round-trip hid under local compute. The first fetcher of a batch parses
 // the reply and publishes every position it carried; concurrent fetchers of
 // other positions in the same batch just wait on the condition variable.
-// Transport faults surface as sticky NetError from fetch()/end_seed()/
-// fold() — never a hang (every wait carries the configured timeout).
-//
-// With a reconnect budget (RetrySpec, retry_max > 0) faults stop being
-// sticky: a slow or lost GET_BATCH reply fails per-request and the
-// harvesting fetch() re-issues that one batch (counted as
-// net.table.retries) up to retry_max times before giving up; a PUT
-// interrupted by a reconnect surfaces RetryableError from fold() — the
-// service buffers the promotion and re-ships it on recovery (the tier's
-// dedup probe absorbs the duplicate if the original did land).
+// Faults follow net/request_table.hpp's one contract, and no wait can hang
+// (each carries the configured timeout). A slow or lost reply fails only its
+// request, retryably: the harvesting fetch() re-issues that one GET_BATCH
+// under a fresh id (counted as net.table.retries) up to retry_max times
+// before its positions fail, and end_seed() surfaces the error, so the
+// service fails just that job. A PUT that times out or is caught by a
+// reconnect surfaces RetryableError from fold(); the service buffers the
+// promotion and re-ships it on recovery (the tier's dedup probe absorbs the
+// duplicate if the original did land). Only a carrier fault that exhausts
+// the transport's reconnect budget — at once for a budget of 0 — breaks the
+// table, after which every verb throws the sticky NetError and healthy()
+// turns false.
 //
 // Sessions of one service run sequentially on the wall clock (slots are
 // virtual), so one client serves them all; within a session, request/flush/
@@ -61,7 +63,8 @@ class TierClient final : public serve::TierBackend, public memo::ValueFetcher {
  public:
   /// `fabric` is the client-side charging model (the one the in-process
   /// tier would own); `timeout_s` bounds every wire wait; `retry` is the
-  /// transport's reconnect budget (default: legacy sticky).
+  /// transport's reconnect budget (default: 0 attempts — the first carrier
+  /// fault breaks the table).
   TierClient(std::unique_ptr<Transport> transport, sim::FabricSpec fabric,
              int shard_count, double timeout_s, RetrySpec retry = {});
 

@@ -41,7 +41,6 @@ Transport::~Transport() = default;
 void Transport::set_retry(RetrySpec spec) {
   MLR_CHECK(spec.retry_max >= 0 && spec.backoff_ms >= 0.0);
   retry_ = spec;
-  table_.set_retry_mode(spec.enabled());
 }
 
 u64 Transport::generation(int channel) const {
@@ -55,8 +54,8 @@ u64 Transport::generation(int channel) const {
 void Transport::send(int channel, FrameType type, u64 request_id,
                      std::span<const std::byte> payload) {
   const auto frame = encode_frame(type, /*flags=*/0, request_id, payload);
-  const bool replay_ok = retry_.enabled() && replayable_verb(type);
-  if (retry_.enabled()) {
+  const bool replay_ok = replayable_verb(type);
+  {
     // Register before the write: a recovery racing this send must see the
     // frame (read-class: so it can replay it; at-most-once: so it can fail
     // the slot) no matter where the write was when the carrier died.
@@ -70,7 +69,7 @@ void Transport::send(int channel, FrameType type, u64 request_id,
   }
   for (;;) {
     const u64 g = generation(channel);
-    if (retry_.enabled()) {
+    {
       std::lock_guard lk(stash_mu_);
       const auto it = stash_.find(request_id);
       // Erased: the reply already landed (a recovery replayed it and the
@@ -81,11 +80,9 @@ void Transport::send(int channel, FrameType type, u64 request_id,
       write_frame(channel, type, frame);
       frames_sent_.fetch_add(1, std::memory_order_relaxed);
       bytes_sent_.fetch_add(frame.size(), std::memory_order_relaxed);
-      if (retry_.enabled()) {
-        std::lock_guard lk(stash_mu_);
-        const auto it = stash_.find(request_id);
-        if (it != stash_.end()) it->second.sent_gen = g;
-      }
+      std::lock_guard lk(stash_mu_);
+      const auto it = stash_.find(request_id);
+      if (it != stash_.end()) it->second.sent_gen = g;
       return;
     } catch (const TransportFault& fault) {
       if (!recover_channel(channel, g, fault.what()))
@@ -110,11 +107,6 @@ void Transport::send(int channel, FrameType type, u64 request_id,
 
 bool Transport::recover_channel(int channel, u64 gen_seen,
                                 const std::string& why) {
-  if (!retry_.enabled()) {
-    // Legacy sticky contract: any carrier fault poisons the table.
-    table_.fail_all(why);
-    return false;
-  }
   std::lock_guard rec(rec_mu_);
   if (generation(channel) != gen_seen) {
     // Another thread observed the same fault first and already ran the
@@ -237,8 +229,8 @@ void Transport::route_reply(std::span<const std::byte> frame) {
   }
   if (!h.is_reply() || frame.size() != kHeaderBytes + h.payload_bytes) {
     // A decodable header carrying nonsense is a protocol violation, not a
-    // carrier blip — sticky in both regimes (a reconnect would not fix a
-    // peer that speaks the protocol wrong).
+    // carrier blip — sticky (a reconnect would not fix a peer that speaks
+    // the protocol wrong).
     table_.fail_all("malformed reply frame (direction or length)");
     return;
   }
@@ -256,10 +248,8 @@ void Transport::route_reply(std::span<const std::byte> frame) {
     table_.complete(h.request_id,
                     std::vector<std::byte>(payload.begin(), payload.end()));
   }
-  if (retry_.enabled()) {
-    std::lock_guard lk(stash_mu_);
-    stash_.erase(h.request_id);
-  }
+  std::lock_guard lk(stash_mu_);
+  stash_.erase(h.request_id);
 }
 
 LoopbackTransport::LoopbackTransport(TierServer* server, int channels)
@@ -294,7 +284,6 @@ void LoopbackTransport::write_frame(int channel, FrameType type,
     --drop_next_;
     return;
   }
-  if (drop_) return;
   if (truncate_at_ >= 0 && std::size_t(truncate_at_) < reply.size())
     reply.resize(std::size_t(truncate_at_));
   if (hold_) {

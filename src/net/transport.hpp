@@ -23,25 +23,23 @@
 //     never interleave), one reply-reader thread per connection that
 //     completes the request table in arrival order.
 //
-// Fault handling is shared by both backends and runs in one of two regimes
-// (RetrySpec):
-//
-//   * retry_max == 0 (legacy, the default): any transport-level fault —
-//     connect failure, write failure, short read, EOF mid-frame,
-//     unparseable header — calls RequestTable::fail_all. Every in-flight
-//     and future request surfaces one sticky NetError instead of hanging.
-//   * retry_max > 0: the base class supervises each channel. send() stashes
-//     the encoded frame of every *read-class* verb (GET / GET_BATCH /
-//     SNAPSHOT_EXPORT — their replies are byte-for-byte idempotent, so a
-//     re-issue is indistinguishable from the original). On a fault,
-//     recover_channel() runs the ladder: fail the channel's in-flight
-//     at-most-once requests (PUT / SNAPSHOT_IMPORT — their frame may be
-//     lost and must not be re-sent; callers get RetryableError), then
-//     reconnect with bounded exponential backoff (backoff_ms · 2^k, capped)
-//     and re-issue the stashed read-class frames in id order. Only an
-//     exhausted budget breaks the table — the sticky contract survives as
-//     the floor of the ladder. Counted: net.client.reconnects / replays /
-//     reconnect_failures, plus a net.reconnect trace span per recovery.
+// Fault handling is shared by both backends and has one regime. send()
+// records every request frame in flight: the encoded bytes of a
+// *read-class* verb (GET / GET_BATCH / SNAPSHOT_EXPORT — their replies are
+// byte-for-byte idempotent, so a re-issue is indistinguishable from the
+// original), just the membership of an at-most-once verb (PUT /
+// SNAPSHOT_IMPORT). On a carrier fault — connect failure, write failure,
+// short read, EOF mid-frame, unparseable header — recover_channel() runs the
+// ladder: fail the channel's in-flight at-most-once requests retryably
+// (their frame may be lost and must not be re-sent; callers get
+// RetryableError), then make up to RetrySpec::retry_max reopen attempts with
+// bounded exponential backoff (backoff_ms · 2^k, capped) and re-issue the
+// recorded read-class frames in id order. An exhausted budget — at once,
+// for a budget of 0 — breaks the table (RequestTable::fail_all): every
+// in-flight and future request surfaces one sticky NetError instead of
+// hanging. Counted: net.client.reconnects / replays / reconnect_failures
+// and the net.client.recovery_s histogram, plus a net.reconnect trace span
+// per recovery.
 //
 // Channel = connection index. The TierClient routes GET/GET_BATCH by shard
 // (channel = shard) so value fetches ride per-shard connections; verbs that
@@ -65,11 +63,11 @@ class TierServer;
 /// Reconnect budget of a transport (plumbed from ServiceConfig's
 /// net_retry_max / net_backoff_ms): up to `retry_max` reopen attempts per
 /// fault, sleeping backoff_ms · 2^attempt (capped at 32×) between attempts.
-/// retry_max == 0 preserves the legacy sticky contract.
+/// retry_max == 0 makes no attempt: the first carrier fault breaks the
+/// table. It also bounds TierClient's re-issues of a timed-out GET_BATCH.
 struct RetrySpec {
   int retry_max = 0;
   double backoff_ms = 10.0;
-  [[nodiscard]] bool enabled() const { return retry_max > 0; }
 };
 
 /// Read-class verbs: byte-for-byte idempotent replies (asserted by the
@@ -92,17 +90,16 @@ class Transport {
  public:
   virtual ~Transport();
   /// Send one request frame on `channel`. The reply lands in table() —
-  /// synchronously for loopback, from the reader thread for sockets. With a
-  /// retry budget, a carrier fault triggers the recovery ladder; without
-  /// one it breaks the table (sticky NetError).
+  /// synchronously for loopback, from the reader thread for sockets. A
+  /// carrier fault runs the recovery ladder; once its budget is exhausted
+  /// the table is broken and send throws the sticky NetError.
   void send(int channel, FrameType type, u64 request_id,
             std::span<const std::byte> payload);
   [[nodiscard]] virtual int channels() const = 0;
   /// One human-readable word for stats/JSON ("loopback", "socket").
   [[nodiscard]] virtual const char* name() const = 0;
 
-  /// Install the reconnect budget (and flip the table's failure regime).
-  /// Call before any traffic.
+  /// Install the reconnect budget. Call before any traffic.
   void set_retry(RetrySpec spec);
   [[nodiscard]] const RetrySpec& retry() const { return retry_; }
 
@@ -150,13 +147,13 @@ class Transport {
   /// generation the caller observed before the fault; a stale generation
   /// means another thread already recovered (returns true immediately
   /// unless the table broke meanwhile). Returns false — after fail_all —
-  /// when the budget is exhausted or retries are disabled.
+  /// when the budget is exhausted (at once for a budget of 0).
   bool recover_channel(int channel, u64 gen_seen, const std::string& why);
 
   /// Route one received reply frame into the table — the ONE reply path
   /// both backends share: decode the header, then complete/fail the slot
   /// (Error frames fail their own request; undecodable bytes are the
-  /// caller's fault to escalate). Prunes the replay stash.
+  /// caller's fault to escalate). Prunes the in-flight frame record.
   void route_reply(std::span<const std::byte> frame);
 
   RequestTable table_;
@@ -194,10 +191,8 @@ class LoopbackTransport final : public Transport {
   // --- Fault injection (tests) ----------------------------------------------
   /// Deliver only the first `n` bytes of every subsequent reply frame.
   void fault_truncate_replies(std::size_t n) { truncate_at_ = i64(n); }
-  /// Silently drop every subsequent reply (waiters hit their timeout).
-  void fault_drop_replies(bool on) { drop_ = on; }
-  /// Silently drop the next `n` replies, then deliver normally (retry-mode
-  /// per-request timeout + re-issue tests).
+  /// Silently drop the next `n` replies, then deliver normally (their
+  /// waiters hit the per-request timeout).
   void fault_drop_next(int n) { drop_next_ = n; }
   /// Hold replies instead of delivering; deliver_held() releases them.
   void fault_hold_replies(bool on) { hold_ = on; }
@@ -229,7 +224,6 @@ class LoopbackTransport final : public Transport {
   int channels_;
   mutable std::mutex mu_;  ///< serializes send + fault state (pool workers)
   i64 truncate_at_ = -1;
-  bool drop_ = false;
   int drop_next_ = 0;
   bool hold_ = false;
   std::vector<std::vector<std::byte>> held_;

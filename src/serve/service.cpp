@@ -8,6 +8,7 @@
 #include "cluster/cluster.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "net/tier_client.hpp"
@@ -63,7 +64,6 @@ ReconService::ReconService(ServiceConfig cfg)
   MLR_CHECK_MSG(cfg_.gpus_per_job == 1 ||
                     (cfg_.preempt_quantum_s <= 0 && !cfg_.preempt_force),
                 "stage-boundary preemption requires gpus_per_job == 1");
-  MLR_CHECK(cfg_.admission_margin > 0);
   const memo::MemoConfig mc{};  // encoder geometry defaults (key_dim, hw)
   registry_ = std::make_shared<encoder::EncoderRegistry>(
       encoder::EncoderConfig{.input_hw = mc.encoder_hw,
@@ -133,7 +133,8 @@ void ReconService::enter_degraded(const std::string& why) {
   ++stats_.degraded_spans;
   obs::metrics().counter("serve.degraded_spans").add();
   obs::trace_instant("serve.degraded", "serve", stats_.degraded_spans);
-  (void)why;
+  MLR_LOG(Warn) << "serve: shared tier degraded (span "
+                << stats_.degraded_spans << "): " << why;
 }
 
 void ReconService::try_tier_recovery() {
@@ -205,7 +206,6 @@ ReconService::RunOutcome ReconService::run_job(
   mc.enable = cfg_.memoize;
   mc.tau = prof.tau;
   mc.cache = cfg_.cache;
-  mc.cache_shards = cfg_.cache_shards;
   mc.work_scale = ws;
   memo::MemoDbConfig dbc;
   dbc.tau = prof.tau;
@@ -368,7 +368,7 @@ double ReconService::estimate_fetch_s(double scale) const {
   if (!cfg_.memoize || !cfg_.fabric.enabled || tier_->size() == 0) return 0.0;
   // The uncontended lower bound of charge_fetch: every fetch funnels the
   // whole tier through the shared uplink, so this is exact on an idle
-  // fabric and optimistic under contention (admission_margin buys slack).
+  // fabric and optimistic under contention.
   return cfg_.fabric.latency +
          tier_->total_bytes() * scale / cfg_.fabric.uplink_bandwidth;
 }
@@ -575,7 +575,7 @@ std::vector<JobStats> ReconService::drain() {
         const sim::VTime est_start = std::max(jr.arrival, adm_free_[am]);
         const double ef = estimate_fetch_s(work_scale_for(jr.scenario));
         const bool feasible =
-            est_start + cfg_.admission_margin * (ef + er) <= jr.deadline;
+            est_start + (ef + er) <= jr.deadline;
         if (!feasible && cfg_.admission == AdmissionMode::Reject) {
           ++stats_.admission_rejected;
           ServeMetrics::get().admission_rejected.add();
@@ -589,8 +589,7 @@ std::vector<JobStats> ReconService::drain() {
             ServeMetrics::get().admission_downgraded.add();
             obs::trace_instant("job.downgraded", "serve", jr.id);
           }
-          // Book the slot model (margin-free — the margin is headroom for
-          // the decision, not a tax on the model).
+          // Book the slot model with the same estimates.
           adm_free_[am] = est_start + ef + er;
         }
       }
@@ -652,7 +651,7 @@ std::vector<JobStats> ReconService::drain() {
               ? charge_seed_fetch(t, work_scale_for(req.scenario))
               : t;
       std::vector<memo::MemoDb::Entry> mine;
-      const bool collect = cfg_.memoize && cfg_.promote_after_drain;
+      const bool collect = cfg_.memoize;
       // Yield rule, evaluated at quantum-expired stage boundaries on the
       // service clock: yield only when someone is waiting (or will have
       // arrived by then) AND no other slot could serve them — otherwise
@@ -786,8 +785,8 @@ std::vector<JobStats> ReconService::drain() {
         // the batch must survive to be re-shipped on recovery (the tier's
         // dedup probe absorbs it if the original did land).
         fold_promotion(&st, entries);
-      } catch (const net::NetError&) {
-        enter_degraded("promotion PUT failed (tier unreachable)");
+      } catch (const net::NetError& e) {
+        enter_degraded(std::string("promotion PUT failed: ") + e.what());
         cold_promotions_.emplace_back(st.id, std::move(entries));
       }
       continue;

@@ -94,6 +94,7 @@ enum class TierTransport { Inproc, Loopback, Socket };
 ///   * Downgrade — infeasible jobs run anyway but are flipped to
 ///     SloClass::BestEffort at arrival (counted, excluded from the admitted
 ///     deadline-hit accounting by consumers that honour the class).
+/// A job is feasible when est_start + est_fetch + est_run ≤ deadline.
 /// Decisions are made at the job's *arrival instant on the virtual clock*
 /// from policy-invariant inputs only — the arrival-ordered stream, per-
 /// scenario run-vtime estimates learned from prime()/previous drains, the
@@ -126,7 +127,6 @@ struct ServiceConfig {
   // Memo tier.
   bool memoize = true;
   memo::CacheKind cache = memo::CacheKind::Private;
-  i64 cache_shards = 1;
   int encoder_train_steps = 120;
 
   // Admission control + shared-tier growth.
@@ -135,12 +135,7 @@ struct ServiceConfig {
   /// run-vtime estimates — scenarios never seen by prime()/a previous drain
   /// are always admitted (no estimate, no grounds to reject).
   AdmissionMode admission = AdmissionMode::None;
-  /// Feasibility margin: a job passes when
-  ///   est_start + admission_margin × (est_fetch + est_run) ≤ deadline.
-  /// >1 rejects more (headroom for estimate error), <1 gambles.
-  double admission_margin = 1.0;
   std::size_t max_shared_entries = 1u << 20;  ///< promotion cap
-  bool promote_after_drain = true;
 
   // Stage-boundary preemption (docs/serving.md). Requires gpus_per_job==1.
   /// >0 enables preemption: a running job offers to yield its slot at the
@@ -176,16 +171,18 @@ struct ServiceConfig {
   /// empty spawns one inside this process on 127.0.0.1.
   std::string tier_address;
   /// Wall-clock bound on every remote-tier wait (seed export, value fetch,
-  /// promotion PUT). With net_retry_max == 0 a timeout surfaces as a sticky
-  /// net::NetError; with a retry budget it fails per-request and the client
-  /// re-issues the read before giving up.
+  /// promotion PUT). A timeout fails only that request (net::RetryableError)
+  /// and never breaks the transport: the client re-issues a GET_BATCH up to
+  /// net_retry_max times, a lost seed export fails its one job, a lost PUT
+  /// is buffered and re-shipped on recovery.
   double net_timeout_s = 30.0;
   /// Reconnect budget of the remote-tier transport: up to this many reopen
   /// attempts per carrier fault, with bounded exponential backoff starting
-  /// at net_backoff_ms. 0 (default) preserves the sticky-NetError contract;
-  /// > 0 enables the recovery ladder — reconnect + idempotent replay, then
-  /// per-job failure isolation, then degraded cold-session mode once the
-  /// budget is exhausted (recovery is re-probed at each later dispatch).
+  /// at net_backoff_ms, each followed by an idempotent replay of the reads
+  /// in flight. An exhausted budget breaks the transport: the struck job
+  /// fails and the service drops to degraded cold sessions, re-probing the
+  /// tier at each later dispatch. 0 (default) makes no reopen attempt, so
+  /// the first carrier fault breaks the transport.
   int net_retry_max = 0;
   double net_backoff_ms = 10.0;
   /// Test/chaos hook: called right before each job is dispatched (after
@@ -344,8 +341,9 @@ class ReconService {
   /// Build a transport per cfg_.transport (Loopback/Socket). Used at
   /// construction and by the degraded-mode recovery probe.
   std::unique_ptr<net::Transport> make_transport();
-  /// Flip into degraded cold-session mode (counted + traced). Idempotent
-  /// per span: a second fault while already degraded is not a new span.
+  /// Flip into degraded cold-session mode (counted, traced and logged at
+  /// Warn with `why`). Idempotent per span: a second fault while already
+  /// degraded is not a new span.
   void enter_degraded(const std::string& why);
   /// Degraded-mode recovery probe, run at dispatch time: rebuild the
   /// transport, re-ship buffered promotions through the normal fold path,

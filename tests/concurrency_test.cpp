@@ -98,16 +98,9 @@ TEST(Concurrency, GlobalCacheParallelLookupInsert) {
   hammer_cache(cache, 8, 2000, 64);
 }
 
-TEST(Concurrency, ShardedGlobalCacheParallelLookupInsert) {
-  GlobalCache cache(64, /*shards=*/8);
-  EXPECT_EQ(cache.shards(), 8);
-  hammer_cache(cache, 8, 2000, 64);
-}
-
-TEST(Concurrency, ShardedGlobalCacheKeepsSameLocationSharing) {
-  // Sharding must not break the contract that a location can re-hit the
-  // entry it inserted.
-  GlobalCache cache(64, /*shards=*/8);
+TEST(Concurrency, GlobalCacheKeepsSameLocationSharing) {
+  // A location can re-hit the entry it inserted.
+  GlobalCache cache(64);
   for (i64 loc = 0; loc < 32; ++loc)
     cache.insert(OpKind::Fu2D, loc, unit_key(16, loc),
                  random_value(8, u64(loc)), 1.0);

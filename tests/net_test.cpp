@@ -1,14 +1,17 @@
 // Tests for the net/ remote-memo transport: wire primitives and the
 // snapshot codec (including the checked-in golden frame — the wire format
-// is a compatibility surface), the in-flight RequestTable's out-of-order
-// completion and sticky-failure semantics, the TierClient ↔ TierServer
-// round trip over loopback (mirror accounting bit-exact against a direct
-// SharedTier, index-only seed + lazy value fetch, one GET_BATCH per shard
-// for a remote-seeded engine stage), fault injection on every
-// transport failure mode (truncated reply, dropped reply → timeout,
-// reordered delivery, unsolicited id, torn snapshot import), and the real
-// TCP socket backend (round trip + disconnect → sticky error, never a
-// hang). Environments without sockets skip the TCP cases.
+// is a compatibility surface), the in-flight RequestTable's one failure
+// contract (out-of-order completion; a timeout fails only its request;
+// stale replies are dropped and counted; a never-issued id or fail_all
+// breaks the table), the TierClient ↔ TierServer round trip over loopback
+// (mirror accounting bit-exact against a direct SharedTier, index-only
+// seed + lazy value fetch, one GET_BATCH per shard for a remote-seeded
+// engine stage), fault injection on every transport failure mode
+// (truncated reply, dropped reply → per-request timeout, reordered
+// delivery, torn snapshot import), the reconnect ladder with budgets of 0
+// and more, and the real TCP socket backend (round trip, disconnect →
+// sticky error, never a hang; restart → reconnect). Environments without
+// sockets skip the TCP cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -320,23 +323,22 @@ TEST(RequestTable, FailAllIsStickyAndFirstErrorWins) {
   EXPECT_THROW(t.expect(t.next_id()), NetError);  // future requests too
 }
 
-TEST(RequestTable, TimeoutBreaksTheTable) {
-  RequestTable t;
-  const u64 a = t.next_id();
-  t.expect(a);
-  EXPECT_THROW(t.wait(a, 0.05), NetError);
-  // The reply may still arrive later and would then be unsolicited — the
-  // table is broken, not just the one slot.
-  EXPECT_TRUE(t.broken());
-}
-
 TEST(RequestTable, UnsolicitedReplyBreaksTheTable) {
-  RequestTable t;
-  const u64 a = t.next_id();
-  t.expect(a);
-  t.complete(999, {});  // the peer answered a request we never made
-  EXPECT_TRUE(t.broken());
-  EXPECT_THROW(t.wait(a, 1.0), NetError);
+  // A reply for an id never issued (0, one past the last issued id, far
+  // beyond it): the peer answered a request we never made, so the stream
+  // is desynchronized and the whole table breaks.
+  for (const int k : {0, 1, 2}) {
+    RequestTable t;
+    const u64 a = t.next_id();
+    t.expect(a);
+    const u64 bad = k == 0 ? 999 : k == 1 ? 0 : a + 1;
+    t.complete(bad, {});
+    EXPECT_TRUE(t.broken()) << "id " << bad;
+    EXPECT_NE(t.error().find("unsolicited reply for request id " +
+                             std::to_string(bad)),
+              std::string::npos);
+    EXPECT_THROW(t.wait(a, 1.0), NetError);
+  }
 }
 
 // --- TierClient over loopback ------------------------------------------------
@@ -510,7 +512,9 @@ TEST(TierClientFaults, TruncatedReplyIsStickyNotTorn) {
   EXPECT_THROW(client.fetch(0), NetError);
 }
 
-TEST(TierClientFaults, DroppedReplyTimesOutSticky) {
+TEST(TierClientFaults, DroppedReplyFailsOnlyItsRequest) {
+  // A lost reply costs its own request, not the transport: the waiter
+  // times out retryably and the next verb round-trips.
   const auto tc = tier_config(1);
   TierServer server(tc);
   auto transport = std::make_unique<LoopbackTransport>(&server, 1);
@@ -520,10 +524,11 @@ TEST(TierClientFaults, DroppedReplyTimesOutSticky) {
   std::vector<memo::MemoDb::Entry> storage;
   client.end_seed(client.begin_seed(), storage);
 
-  lb->fault_drop_replies(true);
-  EXPECT_THROW(client.fetch(0), NetError);  // waits 0.1 s, then breaks
-  lb->fault_drop_replies(false);
-  EXPECT_THROW(client.fold(fixture_entries()), NetError);  // still broken
+  lb->fault_drop_next(1);
+  EXPECT_THROW(client.fetch(0), RetryableError);  // waits 0.1 s, fails alone
+  EXPECT_FALSE(client.transport_mut().table().broken());
+  EXPECT_NO_THROW(client.fold(fixture_entries()));
+  EXPECT_TRUE(client.healthy());
 }
 
 TEST(TierClientFaults, ReorderedRepliesCompleteTheRightSlots) {
@@ -722,9 +727,8 @@ TEST(Wire, ReadVerbRepliesAreReplayEquivalent) {
   EXPECT_EQ(server.tier().size(), size_before + 1);
 }
 
-TEST(RequestTable, RetryModeTimeoutFailsOnlyThatRequest) {
+TEST(RequestTable, TimeoutFailsOnlyThatRequest) {
   RequestTable t;
-  t.set_retry_mode(true);
   const u64 a = t.next_id(), b = t.next_id();
   t.expect(a);
   t.expect(b);
@@ -740,17 +744,19 @@ TEST(RequestTable, RetryModeTimeoutFailsOnlyThatRequest) {
   EXPECT_NO_THROW(t.expect(t.next_id()));
 }
 
-TEST(RequestTable, RetryModeDropsStaleReplies) {
+TEST(RequestTable, StaleRepliesAreDroppedAndCounted) {
+  auto& stale = obs::metrics().counter("net.table.stale_replies");
+  const u64 before = stale.value();
   RequestTable t;
-  t.set_retry_mode(true);
-  t.complete(999, {});  // unknown id: dropped (legacy regime would break)
-  EXPECT_FALSE(t.broken());
   const u64 a = t.next_id();
   t.expect(a);
   t.complete(a, {std::byte{1}});
   t.complete(a, {std::byte{2}});  // duplicate after a replay: first wins
-  EXPECT_FALSE(t.broken());
   EXPECT_EQ(std::to_integer<int>(t.wait(a, 1.0)[0]), 1);
+  t.complete(a, {std::byte{3}});  // late reply to the released slot
+  EXPECT_FALSE(t.broken());
+  EXPECT_EQ(stale.value() - before, 2u);
+  EXPECT_NO_THROW(t.expect(t.next_id()));
 }
 
 TEST(LoopbackReconnect, ReplayAfterScriptedDisconnect) {
@@ -809,8 +815,8 @@ TEST(LoopbackReconnect, AtMostOncePutSurfacesRetryableError) {
 }
 
 TEST(LoopbackReconnect, ExhaustedBudgetIsSticky) {
-  // Every reopen attempt fails: the ladder's floor is the legacy sticky
-  // contract — fail_all with the root fault plus the budget diagnosis.
+  // Every reopen attempt fails: the ladder's floor is the sticky break —
+  // fail_all with the root fault plus the budget diagnosis.
   TierServer server(tier_config(1));
   LoopbackTransport lb(&server, 1);
   lb.set_retry({/*retry_max=*/2, /*backoff_ms=*/0.0});
@@ -830,11 +836,11 @@ TEST(LoopbackReconnect, ExhaustedBudgetIsSticky) {
   EXPECT_EQ(lb.reconnects(), 0u);
 }
 
-TEST(LoopbackReconnect, RetryDisabledPreservesStickyContract) {
-  // net_retry_max == 0 must behave exactly like before the ladder existed:
-  // the first carrier fault breaks the table, no reopen is attempted.
+TEST(LoopbackReconnect, ZeroBudgetIsSticky) {
+  // net_retry_max == 0 is the ladder with no attempts: the first carrier
+  // fault breaks the table and no reopen is attempted.
   TierServer server(tier_config(1));
-  LoopbackTransport lb(&server, 1);  // no set_retry: legacy regime
+  LoopbackTransport lb(&server, 1);  // no set_retry: a budget of 0
   auto& table = lb.table();
 
   lb.fault_disconnect_after(0);
@@ -844,14 +850,16 @@ TEST(LoopbackReconnect, RetryDisabledPreservesStickyContract) {
   w.u64(0);
   EXPECT_THROW(lb.send(0, FrameType::Get, a, w.data()), NetError);
   EXPECT_TRUE(table.broken());
+  EXPECT_NE(table.error().find("reconnect budget of 0 attempt(s) exhausted"),
+            std::string::npos);
   EXPECT_TRUE(lb.carrier_down());  // nobody tried to reopen
   EXPECT_EQ(lb.reconnects(), 0u);
 }
 
 TEST(TierClientFaults, SlowBatchRetriesBeforeBreakingTable) {
-  // A single lost GET_BATCH reply used to poison the whole table (the PR-7
-  // sticky contract). With a retry budget the harvester re-issues that one
-  // batch under a fresh id and every waiter gets its value.
+  // A single lost GET_BATCH reply times out per-request; with a retry
+  // budget the harvester re-issues that one batch under a fresh id and
+  // every waiter gets its value.
   const auto tc = tier_config(1);
   TierServer server(tc);
   auto transport = std::make_unique<LoopbackTransport>(&server, 1);

@@ -20,6 +20,7 @@
 #include "net/tier_server.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/service.hpp"
@@ -745,7 +746,8 @@ TEST(ReconService, MalformedTierAddressIsRejectedBeforeConnecting) {
 
 TEST(ReconServiceFaults, ColdPromotionsBufferedAndReshippedOnRecovery) {
   // The degradation ladder's tier leg: the carrier dies on the first
-  // promotion PUT (frame lost, sticky in the legacy regime), the service
+  // promotion PUT (frame lost; the default budget of 0 attempts no reopen,
+  // so the transport breaks), the service
   // flips to degraded, buffers every fold locally, and the next dispatch's
   // recovery probe re-ships the buffer through a fresh transport before the
   // job runs — so the tier ends up with everything and the job seeds warm.
@@ -791,6 +793,49 @@ TEST(ReconServiceFaults, ColdPromotionsBufferedAndReshippedOnRecovery) {
   EXPECT_FALSE(svc.degraded());
   EXPECT_EQ(svc.stats().degraded_spans, 1u);  // one span, closed
   EXPECT_GT(svc.shared_entries(), primed);    // the buffer was re-shipped
+}
+
+TEST(ReconServiceFaults, LostReplyCostsOneJobNotTheTier) {
+  // A reply lost on a healthy carrier times out per-request: the job whose
+  // seed export it carried fails alone, the transport stays up (no
+  // degraded span, no reconnect) and the next job seeds warm from the tier.
+  WorkloadConfig wc;
+  wc.jobs = 2;
+  wc.mean_interarrival = 40.0;
+  wc.mix = {{Scenario::PcbInspection, 1.0}};
+  wc.distinct_objects = 1;
+  WorkloadGenerator gen(wc);
+  const auto jobs = gen.generate();
+  const auto warm = gen.priming_set();
+
+  auto cfg = tiny_config(SchedulerPolicy::Fifo, /*slots=*/1);
+  cfg.transport = TierTransport::Loopback;
+  cfg.net_timeout_s = 0.2;
+  ReconService svc(cfg);
+  svc.prime(warm);
+  auto* client = dynamic_cast<net::TierClient*>(&svc.tier_mut());
+  ASSERT_NE(client, nullptr);
+  auto* lb = dynamic_cast<net::LoopbackTransport*>(&client->transport_mut());
+  ASSERT_NE(lb, nullptr);
+  lb->fault_drop_next(1);  // the first job's seed export reply vanishes
+  auto& reconnects = obs::metrics().counter("net.client.reconnects");
+  const u64 reconnects_before = reconnects.value();
+
+  const u64 first = svc.submit(jobs[0]);
+  const u64 second = svc.submit(jobs[1]);
+  const auto res = svc.drain();
+  ASSERT_EQ(res.size(), 2u);
+  EXPECT_EQ(res[0].id, first);
+  EXPECT_EQ(res[0].outcome, JobOutcome::Failed);
+  EXPECT_FALSE(res[0].failure.empty());
+  EXPECT_EQ(res[1].id, second);
+  EXPECT_EQ(res[1].outcome, JobOutcome::Completed);
+  EXPECT_FALSE(res[1].degraded);
+  EXPECT_GT(res[1].memo.db_hit_shared, 0u);  // seeded from the tier
+  EXPECT_FALSE(svc.degraded());
+  EXPECT_EQ(svc.stats().degraded_spans, 0u);
+  EXPECT_EQ(svc.stats().jobs_failed, 1u);
+  EXPECT_EQ(reconnects.value(), reconnects_before);
 }
 
 TEST(ReconServiceFaults, SocketTierKillRestartDegradesAndRecovers) {
