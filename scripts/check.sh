@@ -20,8 +20,11 @@
 # The serving layer alone (service/scheduler matrices, workload contracts,
 # tier wire protocol) can be run via its CTest label: `ctest -L serve`.
 # The TSan preset additionally re-runs the engine's golden digests and
-# cross-stage determinism matrix (threads x gpus x cache kind), the
+# cross-stage determinism matrix (threads x gpus x cache kind x oracle), the
 # trace-on/off identity matrix (recorder rings hammered from pool threads),
+# the lazy-key test (pool workers encode only their cache misses, skipping
+# the encoder mid-pass), the shared-norm test (four racing solves fill one
+# Operators' ||L*L|| slot under its mutex and read it back),
 # the obs unit suite, the fused elementwise-kernel suite (tiled reductions
 # racing on the shared partial buffer is exactly where a combine-order bug
 # would hide), the serve shard matrix (shards x policies x threads), the
@@ -73,7 +76,9 @@ if [[ "$preset" == "tsan" ]]; then
   ctest --preset tsan -j "$(nproc)"
   ./build-tsan/obs_test
   ./build-tsan/concurrency_test \
-    --gtest_filter='Concurrency.StageExecutorGoldenDigest:Concurrency.CrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial'
+    --gtest_filter='Concurrency.StageExecutorGoldenDigest:Concurrency.CrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.CacheHitNeverEncodes:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial'
+  ./build-tsan/admm_test \
+    --gtest_filter='Solver.ConcurrentSolvesShareOneNormEstimate'
   ./build-tsan/ew_test --gtest_filter='Ew.*'
   ./build-tsan/serve_test \
     --gtest_filter='ReconService.SharedTierShardMatrix:ReconService.LoopbackTransportMatrix:ReconService.TraceOnOffBitIdentity:ReconService.PreemptionDeterminismMatrix:ReconService.PreemptedJobResumesOnDifferentSlot:ReconService.AdmissionDecisionInvarianceMatrix'

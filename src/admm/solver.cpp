@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/log.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mlr::admm {
@@ -230,6 +231,34 @@ sim::VTime Solver::run_lsp(Array3D<cfloat>& u, const Array3D<cfloat>& dhat_or_d,
   return t;
 }
 
+double Solver::power_iteration() {
+  static auto& runs = obs::metrics().counter("admm.power_iterations");
+  runs.add();
+  // Power iteration on L*L (frequency-domain form; F_2D is unitary so the
+  // spectrum is identical). Plain operators: it starts from a fixed vector
+  // and its reductions are deterministic, so the estimate is a function of
+  // the geometry alone.
+  const auto& ops = ml_.ops();
+  const auto& geo = ops.geometry();
+  Array3D<cfloat> v(geo.object_shape());
+  Rng rng(77);
+  for (auto& x : v) x = cfloat(float(rng.normal()), float(rng.normal()));
+  Array3D<cfloat> fwd(geo.data_shape()), bwd(geo.object_shape());
+  // `nv` carries the norm measured when the iterate was produced, so each
+  // iteration is one fused scale pass instead of norm + scale.
+  double nv = knl_.l2_norm(v.span());
+  for (int it = 0; it < 8; ++it) {
+    MLR_CHECK(nv > 0);
+    knl_.normalize(v, nv);
+    ops.forward_freq(v, fwd);
+    ops.adjoint_freq(fwd, bwd);
+    nv = knl_.l2_norm(bwd.span());
+    std::swap(v, bwd);
+  }
+  MLR_LOG(Debug) << "power iteration: ||L*L|| ~= " << nv;
+  return nv;
+}
+
 SolveResult Solver::solve(const Array3D<cfloat>& d) {
   SolverCheckpoint ck;
   SolveResult result;
@@ -261,27 +290,10 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
     if (obs_ != nullptr) obs_->phase_begin(Phase::Init, t);
     const EwStats init_ew0 = knl_.stats();
     const auto init_w0 = std::chrono::steady_clock::now();
-    if (lip_ == 0.0) {
-      // Power iteration on L*L (frequency-domain form; F_2D is unitary so
-      // the spectrum is identical). Plain operators — a one-off setup cost.
-      const auto& ops = ml_.ops();
-      Array3D<cfloat> v(geo.object_shape());
-      Rng rng(77);
-      for (auto& x : v) x = cfloat(float(rng.normal()), float(rng.normal()));
-      Array3D<cfloat> fwd(geo.data_shape()), bwd(geo.object_shape());
-      // `nv` carries the norm measured when the iterate was produced, so
-      // each iteration is one fused scale pass instead of norm + scale.
-      double nv = knl_.l2_norm(v.span());
-      for (int it = 0; it < 8; ++it) {
-        MLR_CHECK(nv > 0);
-        knl_.normalize(v, nv);
-        ops.forward_freq(v, fwd);
-        ops.adjoint_freq(fwd, bwd);
-        nv = lip_ = knl_.l2_norm(bwd.span());
-        std::swap(v, bwd);
-      }
-      MLR_LOG(Debug) << "power iteration: ||L*L|| ~= " << lip_;
-    }
+    // ‖L*L‖ depends only on the geometry: the first solve on these
+    // operators estimates it, every later one (a service's other jobs)
+    // reads the kept value.
+    lip_ = ml_.ops().normal_operator_norm([this] { return power_iteration(); });
     u = Array3D<cfloat>(geo.object_shape());
     dref = d;
     mem_.alloc("u", double(u.bytes()), t);

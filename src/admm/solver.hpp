@@ -198,6 +198,10 @@ class Solver {
   // the simulated GPU, including its CPU↔GPU transfers.
   sim::VTime stage_f2d(Array3D<cfloat>& d, bool inverse, sim::VTime t);
 
+  // ‖L*L‖ by 8 power-iteration steps on the plain operators; fills the
+  // operators' per-geometry slot (see lamino::Operators::normal_operator_norm).
+  double power_iteration();
+
   // Host elementwise op cost: `elems` complex values touched `passes` times.
   double host_cost(double elems, double passes) const;
   // Virtual-time charge for a fused-kernel stats delta: the bytes the fused
@@ -218,7 +222,7 @@ class Solver {
   memo::MemoizedLamino& ml_;   ///< primary wrapper: encoder + detector FFTs
   AdmmConfig cfg_;
   SolverKernels knl_;  ///< fused elementwise kernels (pool set per solve)
-  double lip_ = 0.0;  ///< ‖L*L‖ estimate (power iteration, set in solve())
+  double lip_ = 0.0;  ///< ‖L*L‖: the operators' slot, or the checkpoint's
   sim::MemoryTracker mem_;
   PhaseObserver* obs_ = nullptr;
   std::function<void(int, const Array3D<cfloat>&)> hook_;

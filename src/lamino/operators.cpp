@@ -264,4 +264,19 @@ double Operators::f2d_proj_flops() const {
          double(geom_.w) * fft::fft_flops(geom_.h);
 }
 
+// A mutex rather than std::call_once: the slot must stay empty when the
+// estimate throws, and ThreadSanitizer's pthread_once interceptor leaves a
+// once_flag stuck after an exception, hanging the next call.
+double Operators::normal_operator_norm(
+    const std::function<double()>& estimate) const {
+  std::lock_guard lk(normal_norm_mu_);
+  if (!normal_norm_.has_value()) {
+    const double v = estimate();
+    MLR_CHECK_MSG(std::isfinite(v) && v > 0,
+                  "||L*L|| estimate is not finite and positive");
+    normal_norm_ = v;
+  }
+  return *normal_norm_;
+}
+
 }  // namespace mlr::lamino

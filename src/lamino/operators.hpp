@@ -12,7 +12,10 @@
 // multi-GPU distribution possible.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/array.hpp"
@@ -32,8 +35,10 @@ struct ChunkSpec {
 /// Partition [0, total) into chunks of at most `chunk_size`.
 std::vector<ChunkSpec> make_chunks(i64 total, i64 chunk_size);
 
-/// Laminography operators bound to a fixed geometry. Thread-safe: all state
-/// is immutable after construction.
+/// Laminography operators bound to a fixed geometry — the per-geometry
+/// object every solve of that geometry shares. Thread-safe: all state is
+/// immutable after construction, apart from the once-filled ‖L*L‖ slot,
+/// which a mutex guards.
 class Operators {
  public:
   explicit Operators(Geometry g);
@@ -106,6 +111,14 @@ class Operators {
   /// FLOPs of one detector-plane F_2D (per projection angle).
   [[nodiscard]] double f2d_proj_flops() const;
 
+  // --- per-geometry state shared by every solve --------------------------
+  /// ‖L*L‖ of this geometry, which the ADMM step size needs. The first call
+  /// runs `estimate` and keeps its result; later calls, from any thread,
+  /// return the kept value (a racing caller waits for the first). An
+  /// estimate that is not finite and positive throws and leaves the slot
+  /// empty: only its caller fails, and the next call estimates again.
+  double normal_operator_norm(const std::function<double()>& estimate) const;
+
  private:
   Geometry geom_;
   std::vector<double> znu_;                       // F_u1D target frequencies
@@ -114,6 +127,8 @@ class Operators {
   std::unique_ptr<fft::Nufft1D> nufft_z_;
   std::unique_ptr<fft::Nufft2D> nufft_plane_;
   float scale_1d_, scale_2d_;
+  mutable std::mutex normal_norm_mu_;
+  mutable std::optional<double> normal_norm_;
 };
 
 }  // namespace mlr::lamino

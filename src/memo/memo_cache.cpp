@@ -32,7 +32,9 @@ u64 hash_entry(u64 h, const CacheEntry& e) {
 }
 
 // Shared acceptance rule (see MemoDb::query_batch): oracle pooled-plane
-// cosine with a norm gate when probes exist, encoder proxy otherwise.
+// cosine with a norm gate when probes exist, encoder proxy otherwise. The
+// oracle branch never reads the key, so the engine looks a chunk up before
+// it encodes one; the key branch must then never see that empty key.
 bool accept_entry(const CacheEntry& e, std::span<const float> key, double tau,
                   double norm, std::span<const cfloat> probe) {
   if (!probe.empty() && e.probe.size() == probe.size()) {
@@ -40,6 +42,7 @@ bool accept_entry(const CacheEntry& e, std::span<const float> key, double tau,
     if (hi > 0 && lo / hi <= tau) return false;
     return cosine_similarity<cfloat>(probe, e.probe) > tau;
   }
+  MLR_CHECK_MSG(!key.empty(), "key-gated cache lookup without a key");
   return std::min(key_cosine(key, e.key),
                   estimated_chunk_cosine(key, e.key, norm, e.norm)) > tau;
 }

@@ -7,7 +7,10 @@
 //   * GlobalCache  — one shared pool over all locations: a lookup compares
 //     against every resident entry (64 for the paper's 1K³ case), which is
 //     where the 85 % extra comparison cost comes from.
-// Both accept a hit only when key cosine similarity exceeds τ.
+// Both accept a hit on the same rule as MemoDb: under oracle similarity the
+// pooled-probe cosine and the norm ratio must exceed τ, and the key is never
+// read (the engine passes an empty one and encodes only on a miss); in
+// encoder-gated mode (no probe) the key similarity must exceed τ.
 //
 // Thread safety: the batched StageExecutor probes the cache from many worker
 // threads at once, so every implementation must tolerate concurrent
@@ -65,7 +68,9 @@ struct CacheImage {
 class MemoCache {
  public:
   virtual ~MemoCache() = default;
-  /// Returns the cached value when a τ-similar key is resident.
+  /// Returns the cached value when a τ-similar entry is resident. `key` may
+  /// be empty when `probe` is given; a key-gated comparison with an empty
+  /// key throws.
   virtual std::optional<std::vector<cfloat>> lookup(
       OpKind kind, i64 location, std::span<const float> key, double tau,
       double norm = 1.0, std::span<const cfloat> probe = {}) = 0;

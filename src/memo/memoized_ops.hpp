@@ -8,6 +8,11 @@
 //         → hit: reuse the stored FFT result (case 2/3 of Fig 10)
 //         → miss: H2D, real FFT kernel on the simulated GPU, D2H, async
 //                 insert of (key, result) (case 1)
+// The virtual clock charges that order: every chunk pays its key encode.
+// The host skips keys nobody reads: under oracle similarity the cache
+// accepts on the pooled probe and the norm alone, so the engine looks a
+// chunk up first and encodes only the cache misses, whose keys the DB
+// query, the cache refill and the insertion read (see StageExecutor).
 // Real numerics run underneath; hits genuinely substitute results from prior
 // iterations, so approximation error, accuracy (Table 1) and convergence
 // (Fig 17) are measured, not modelled.

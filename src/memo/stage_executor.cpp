@@ -28,6 +28,7 @@ struct StageMetrics {
   obs::Counter& db_hit_shared;
   obs::Counter& miss;
   obs::Counter& computed;
+  obs::Counter& keys_encoded;
   obs::Counter& tail_items;
   static StageMetrics& get() {
     static StageMetrics m{
@@ -44,6 +45,7 @@ struct StageMetrics {
         obs::metrics().counter("memo.db_hit_shared"),
         obs::metrics().counter("memo.miss"),
         obs::metrics().counter("memo.computed"),
+        obs::metrics().counter("memo.keys_encoded"),
         obs::metrics().counter("stage.tail_items"),
     };
     return m;
@@ -239,10 +241,12 @@ void StageExecutor::run_memoized(MemoizedLamino& ml, OpKind kind,
   std::vector<std::vector<cfloat>> probes(n);
   std::vector<char> cache_hit(n, 0);  // char, not bool: written in parallel
 
-  // Phase 1+2 (parallel): encode every key, compute the pooled probes, and
-  // probe the thread-safe local cache; a hit copies its stored value
-  // straight into the chunk output. No inserts happen concurrently, so the
-  // lookup results are independent of evaluation order.
+  // Phase 1 (parallel): each chunk's norm and pooled probe, then the
+  // thread-safe local cache; a hit copies its stored value straight into
+  // the chunk output. The key is encoded only where it is read: a hit under
+  // oracle similarity was accepted on probe and norm alone, so only a miss
+  // encodes (for the DB round, its refill and insertion). No inserts happen
+  // concurrently, so the lookup results are independent of evaluation order.
   {
     MLR_TRACE_SPAN("stage.encode_probe", "engine", u64(n));
     const WallTimer wt;
@@ -252,25 +256,33 @@ void StageExecutor::run_memoized(MemoizedLamino& ml, OpKind kind,
       auto& rec = records[i];
       rec.kind = kind;
       rec.location = c.spec.index;
-      keys[i] = ml.encode_chunk(kind, c.spec, c.in);
+      auto encode = [&] {
+        keys[i] = ml.encode_chunk(kind, c.spec, c.in);
+        sm.keys_encoded.add();
+      };
       norms[i] = l2_norm<cfloat>(c.in);
       probes[i] = ml.pooled_probe(kind, c.spec, c.in);
       if (ml.cache_ != nullptr) {
+        if (probes[i].empty()) encode();  // the encoder-gated cache reads it
         auto hit = ml.cache_->lookup(kind, c.spec.index, keys[i], ml.cfg_.tau,
                                      norms[i], probes[i]);
         if (hit.has_value()) {
           MLR_CHECK(hit->size() == c.out.size());
           std::copy(hit->begin(), hit->end(), c.out.begin());
           cache_hit[i] = 1;
+          return;
         }
       }
+      if (keys[i].empty()) encode();
     });
     sm.encode_probe_s.observe(wt.seconds());
   }
 
   // Serial accounting pass: the host encodes keys and copies reused values
   // one after another (the paper's single host thread of control), so the
-  // virtual clock advances in chunk order regardless of pool width.
+  // virtual clock advances in chunk order regardless of pool width. The
+  // paper's pipeline encodes before it looks up, so every chunk is charged
+  // encode_s, including the cache hits the pass above never encoded.
   sim::VTime stage_done = ready;
   sim::VTime host_t = ready;
   std::vector<QueryRequest> reqs;
@@ -299,7 +311,7 @@ void StageExecutor::run_memoized(MemoizedLamino& ml, OpKind kind,
     return;
   }
 
-  // Phase 3: ONE coalesced DB round for everything the cache could not
+  // Phase 2: ONE coalesced DB round for everything the cache could not
   // serve, scored on the pool.
   std::vector<QueryReply> replies;
   {

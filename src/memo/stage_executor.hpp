@@ -4,17 +4,22 @@
 // A stage is a set of independent chunks by construction, so the engine
 // splits execution into batched phases instead of looping chunk-at-a-time:
 //
-//   phase 1  encode    all keys + pooled probes, fanned out on the thread
-//                      pool (the INT8 CNN forward is pure compute)
-//   phase 2  probe     the local memoization cache for every key in
-//                      parallel (caches are thread-safe; hits copy their
-//                      stored value straight into the chunk output)
-//   phase 3  resolve   chunks the cache could not serve go to the MemoDb as
+//   phase 1  probe     every chunk's norm and pooled probe, then the
+//                      thread-safe local cache, one pool task per chunk; a
+//                      hit copies its stored value straight into the chunk
+//                      output. The task runs the INT8 CNN key encoder only
+//                      where the key is read: after a cache miss under
+//                      oracle similarity (a hit is accepted on probe and
+//                      norm alone), before the lookup in encoder-gated
+//                      mode, and for every chunk of a cacheless wrapper
+//   phase 2  resolve   chunks the cache could not serve go to the MemoDb as
 //                      ONE barriered query_batch (scoring fans out on the
 //                      pool); then one parallel pass runs every miss FFT
 //                      before it materializes and copies the hits
-//   phase 4  account   a serial pass in chunk order charges the virtual
-//                      clock (device schedule, DB value arrival, copies)
+//   phase 3  account   a serial pass in chunk order charges the virtual
+//                      clock (encode for every chunk, as the paper's
+//                      pipeline encodes before it looks up; device
+//                      schedule, DB value arrival, copies)
 //   tail               inline, in barriered order: hit cache refills in
 //                      request order, then miss cache refills and DB
 //                      insertions in chunk order

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include "admm/solver.hpp"
 #include "admm/tv.hpp"
 #include "common/rng.hpp"
 #include "lamino/phantom.hpp"
+#include "obs/metrics.hpp"
 
 namespace mlr::admm {
 namespace {
@@ -225,6 +228,82 @@ TEST(Solver, MemoizationReducesVirtualTime) {
   auto r2 = s2.solve(f.d);
   EXPECT_GT(ml2.counters().cache_hit + ml2.counters().db_hit, 0u);
   EXPECT_LT(r2.total_vtime, r1.total_vtime);
+}
+
+bool same_bits(const Array3D<cfloat>& a, const Array3D<cfloat>& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), std::size_t(a.size()) *
+                                             sizeof(cfloat)) == 0;
+}
+
+// ‖L*L‖ depends only on the geometry, so solves sharing one Operators share
+// one estimate: the second solve reads the first one's, bit for bit what it
+// would have computed. The one visible difference is the Init phase's
+// EwStats, which lose the power iteration's kernels (1 norm, then 8 ×
+// normalize + norm).
+TEST(Solver, SolvesSharingOperatorsEstimateTheNormOnce) {
+  SolverFixture f;
+  auto& runs = obs::metrics().counter("admm.power_iterations");
+  const AdmmConfig cfgs[] = {
+      {.outer_iters = 2, .inner_iters = 2, .chunk_size = 4},
+      {.outer_iters = 2, .inner_iters = 1, .chunk_size = 4,
+       .use_cancellation = false, .use_fusion = false}};
+  auto solve_on = [&](const lamino::Operators& ops, const AdmmConfig& cfg) {
+    sim::Device dev(5);
+    memo::MemoizedLamino ml(ops, {.enable = false}, &dev, nullptr);
+    Solver s(ml, cfg);
+    return s.solve(f.d);
+  };
+  const lamino::Operators own_a{f.geom}, own_b{f.geom}, shared{f.geom};
+  u64 before = runs.value();
+  const SolveResult sep[] = {solve_on(own_a, cfgs[0]),
+                             solve_on(own_b, cfgs[1])};
+  EXPECT_EQ(runs.value() - before, 2u);
+  before = runs.value();
+  const SolveResult one[] = {solve_on(shared, cfgs[0]),
+                             solve_on(shared, cfgs[1])};
+  EXPECT_EQ(runs.value() - before, 1u);
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_TRUE(same_bits(sep[k].u, one[k].u)) << "solve " << k;
+    EXPECT_EQ(sep[k].total_vtime, one[k].total_vtime) << "solve " << k;
+  }
+  const auto& init_sep = sep[1].phases[std::size_t(Phase::Init)].ew;
+  const auto& init_one = one[1].phases[std::size_t(Phase::Init)].ew;
+  EXPECT_EQ(init_sep.kernels - init_one.kernels, 17u);
+  EXPECT_EQ(init_sep.passes - init_one.passes, 25u);
+  EXPECT_EQ(one[0].phases[std::size_t(Phase::Init)].ew.kernels,
+            init_sep.kernels);
+}
+
+// Racing solves on one Operators: the slot is filled once, and every solve
+// reproduces the serial solve's result bits.
+TEST(Solver, ConcurrentSolvesShareOneNormEstimate) {
+  SolverFixture f;
+  auto& runs = obs::metrics().counter("admm.power_iterations");
+  const AdmmConfig cfg{.outer_iters = 2, .inner_iters = 2, .chunk_size = 4};
+  auto solve_on = [&](const lamino::Operators& ops, int device) {
+    sim::Device dev(device);
+    memo::MemoizedLamino ml(ops, {.enable = false}, &dev, nullptr);
+    Solver s(ml, cfg);
+    return s.solve(f.d);
+  };
+  const lamino::Operators own{f.geom};
+  const SolveResult serial = solve_on(own, 0);
+  const lamino::Operators shared{f.geom};
+  constexpr int kThreads = 4;
+  std::vector<SolveResult> got(kThreads);
+  const u64 before = runs.value();
+  {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t)
+      workers.emplace_back([&, t] { got[size_t(t)] = solve_on(shared, t); });
+    for (auto& w : workers) w.join();
+  }
+  EXPECT_EQ(runs.value() - before, 1u);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_TRUE(same_bits(serial.u, got[size_t(t)].u)) << "thread " << t;
+    EXPECT_EQ(serial.total_vtime, got[size_t(t)].total_vtime);
+  }
 }
 
 TEST(Solver, IterationStatsPopulated) {

@@ -24,6 +24,7 @@
 #include "memo/memo_cache.hpp"
 #include "memo/memoized_ops.hpp"
 #include "memo/stage_executor.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mlr::memo {
@@ -273,7 +274,7 @@ struct AlternatingRun {
 };
 
 AlternatingRun run_alternating(unsigned threads, int gpus,
-                               CacheKind cache_kind) {
+                               CacheKind cache_kind, bool oracle = true) {
   const lamino::Operators ops{lamino::Geometry::cube(10)};
   const auto& g = ops.geometry();
   const auto u = lamino::to_complex(lamino::make_phantom(
@@ -310,7 +311,8 @@ AlternatingRun run_alternating(unsigned threads, int gpus,
     mls.push_back(std::make_unique<MemoizedLamino>(
         ops,
         MemoConfig{.enable = true, .tau = 0.92, .cache = cache_kind,
-                   .key_dim = 16, .encoder_hw = 16},
+                   .key_dim = 16, .encoder_hw = 16,
+                   .oracle_similarity = oracle},
         devs.back().get(), &db, reg));
     ptrs.push_back(mls.back().get());
   }
@@ -397,28 +399,33 @@ u64 digest(const AlternatingRun& r) {
 }
 
 /// Golden digests of the kind-alternating workload, recorded with an earlier
-/// engine (sliced async DB rounds) whose observables this one reproduces. A
-/// change that moves them changed behaviour: fix it, do not re-record.
+/// engine (sliced async DB rounds) whose observables this one reproduces. The
+/// encoder-gated row (`oracle` false: the cache and the DB accept on keys, as
+/// in Figs 15/16) was recorded with the engine that encoded every chunk's key
+/// before its cache lookup. A change that moves them changed behaviour: fix
+/// it, do not re-record.
 constexpr struct {
   int gpus;
   CacheKind cache;
+  bool oracle;
   u64 digest;
 } kGolden[] = {
-    {1, CacheKind::Private, 0x759b996da7149934ull},
-    {1, CacheKind::Global, 0xd8022f50baf2ed2cull},
-    {2, CacheKind::Private, 0x48af3a8672338411ull},
-    {2, CacheKind::Global, 0xa14449ab7f169749ull},
+    {1, CacheKind::Private, true, 0x759b996da7149934ull},
+    {1, CacheKind::Global, true, 0xd8022f50baf2ed2cull},
+    {2, CacheKind::Private, true, 0x48af3a8672338411ull},
+    {2, CacheKind::Global, true, 0xa14449ab7f169749ull},
+    {1, CacheKind::Private, false, 0x67226de8f2d60441ull},
 };
 
 // Every gpus × cache kind × pool width run reproduces its golden digest.
 TEST(Concurrency, StageExecutorGoldenDigest) {
   for (const auto& gd : kGolden)
     for (const unsigned threads : {1u, 4u})
-      EXPECT_EQ(digest(run_alternating(threads, gd.gpus, gd.cache)),
+      EXPECT_EQ(digest(run_alternating(threads, gd.gpus, gd.cache, gd.oracle)),
                 gd.digest)
           << std::hex << "gpus=" << gd.gpus
           << " global=" << (gd.cache == CacheKind::Global)
-          << " threads=" << threads;
+          << " oracle=" << gd.oracle << " threads=" << threads;
 }
 
 // The golden digests' field-by-field companion: for gpus × cache kind, a
@@ -428,8 +435,9 @@ TEST(Concurrency, StageExecutorGoldenDigest) {
 TEST(Concurrency, CrossStageDeterminismMatrix) {
   for (const auto& gd : kGolden) {
     SCOPED_TRACE("gpus=" + std::to_string(gd.gpus) + " global=" +
-                 std::to_string(gd.cache == CacheKind::Global));
-    const AlternatingRun a = run_alternating(1, gd.gpus, gd.cache);
+                 std::to_string(gd.cache == CacheKind::Global) + " oracle=" +
+                 std::to_string(gd.oracle));
+    const AlternatingRun a = run_alternating(1, gd.gpus, gd.cache, gd.oracle);
     // The mixed passes must really mix outcomes or the matrix is vacuous.
     u64 hits = 0, misses = 0;
     for (const auto& recs : a.recs)
@@ -441,7 +449,7 @@ TEST(Concurrency, CrossStageDeterminismMatrix) {
     EXPECT_GT(hits, 0u);
     EXPECT_GT(misses, 0u);
 
-    const AlternatingRun b = run_alternating(4, gd.gpus, gd.cache);
+    const AlternatingRun b = run_alternating(4, gd.gpus, gd.cache, gd.oracle);
     ASSERT_EQ(a.outs.size(), b.outs.size());
     for (std::size_t p = 0; p < a.outs.size(); ++p) {
       for (i64 i = 0; i < a.outs[p].size(); ++i)
@@ -483,6 +491,78 @@ TEST(Concurrency, TraceOnOffBitIdentityMatrix) {
     rec.disable();
     rec.clear();
     EXPECT_EQ(got, kGolden[0].digest) << "threads=" << threads;
+  }
+}
+
+// Lazy keys: under oracle similarity the local cache decides on the pooled
+// probe and the norm alone, so pool workers encode a key only for a chunk the
+// cache missed (its DB query, cache refill and insertion read it). An all-hit
+// stage encodes nothing and a mixed stage exactly its cache misses. The
+// encoder-gated cache compares keys and a cacheless wrapper sends every chunk
+// to the DB, so both encode every chunk.
+TEST(Concurrency, CacheHitNeverEncodes) {
+  const lamino::Operators ops{lamino::Geometry::cube(10)};
+  const auto& g = ops.geometry();
+  const auto u = lamino::to_complex(lamino::make_phantom(
+      g.object_shape(), lamino::PhantomKind::BrainTissue, 9));
+  Array3D<cfloat> churn(g.object_shape());
+  {
+    Rng rng(77);
+    for (i64 i = 0; i < churn.size(); ++i)
+      churn.data()[i] = cfloat(float(rng.normal()), float(rng.normal()));
+  }
+  const auto chunks = lamino::make_chunks(g.n1, 2);
+  const u64 n = chunks.size();
+  auto& encoded = obs::metrics().counter("memo.keys_encoded");
+  const struct {
+    bool oracle;
+    CacheKind cache;
+  } modes[] = {{true, CacheKind::Private},
+               {false, CacheKind::Private},
+               {true, CacheKind::None}};
+  for (const auto& m : modes) {
+    SCOPED_TRACE("oracle=" + std::to_string(m.oracle) +
+                 " cache=" + std::to_string(int(m.cache)));
+    const bool lazy = m.oracle && m.cache != CacheKind::None;
+    sim::Device dev{0};
+    sim::Interconnect net;
+    sim::MemoryNode node;
+    MemoDb db{{.key_dim = 16, .tau = 0.92,
+               .ivf = {.nlist = 2, .train_size = 8}},
+              &net, &node};
+    MemoizedLamino ml(ops,
+                      {.enable = true, .tau = 0.92, .cache = m.cache,
+                       .key_dim = 16, .encoder_hw = 16,
+                       .oracle_similarity = m.oracle},
+                      &dev, &db);
+    ThreadPool pool(4);
+    ml.executor().set_pool(&pool);
+    Array3D<cfloat> out(g.u1_shape());
+    // A cold pass (every chunk misses the cache), the same inputs again
+    // (all cache hits where a cache exists), then odd chunks on fresh churn.
+    enum Pass { Cold, Warm, Mixed };
+    for (const Pass pass : {Cold, Warm, Mixed}) {
+      SCOPED_TRACE("pass " + std::to_string(int(pass)));
+      std::vector<StageChunk> w;
+      for (std::size_t c = 0; c < chunks.size(); ++c) {
+        const auto& spec = chunks[c];
+        const auto& in = (pass == Mixed && c % 2 == 1) ? churn : u;
+        w.push_back({spec, in.slices(spec.begin, spec.count),
+                     out.slices(spec.begin, spec.count)});
+      }
+      const u64 before = encoded.value();
+      const auto rep = ml.run_stage(OpKind::Fu1D, w, 0.0);
+      u64 cache_misses = 0;
+      for (const auto& r : rep.records)
+        cache_misses += r.outcome != MemoOutcome::CacheHit;
+      EXPECT_EQ(encoded.value() - before, lazy ? cache_misses : n);
+      if (m.cache == CacheKind::None) continue;
+      if (pass == Warm) EXPECT_EQ(cache_misses, 0u);
+      if (pass == Mixed) {
+        EXPECT_GT(cache_misses, 0u);
+        EXPECT_LT(cache_misses, n);
+      }
+    }
   }
 }
 

@@ -245,6 +245,28 @@ TEST(Operators, FlopModelsPositiveMonotone) {
   EXPECT_GT(ops.f2d_proj_flops(), 0.0);
 }
 
+// The per-geometry ‖L*L‖ slot outlives the solve that fills it, so it keeps
+// only a finite, positive estimate: a bad one throws and leaves the slot
+// empty for the next caller, and a kept one is never re-estimated.
+TEST(Operators, NormalOperatorNormSlotKeepsOnlyValidEstimates) {
+  const Operators ops(Geometry::cube(8));
+  int calls = 0;
+  auto returning = [&calls](double v) {
+    return [&calls, v] {
+      ++calls;
+      return v;
+    };
+  };
+  EXPECT_THROW((void)ops.normal_operator_norm(returning(std::nan(""))),
+               mlr::Error);
+  EXPECT_THROW((void)ops.normal_operator_norm(returning(HUGE_VAL)),
+               mlr::Error);
+  EXPECT_THROW((void)ops.normal_operator_norm(returning(0.0)), mlr::Error);
+  EXPECT_EQ(ops.normal_operator_norm(returning(2.0)), 2.0);
+  EXPECT_EQ(ops.normal_operator_norm(returning(3.0)), 2.0);
+  EXPECT_EQ(calls, 4);
+}
+
 // ---------------------------------------------------------------------------
 // Reference: the operator kernels before batching, copied verbatim — one
 // column and one 1-D transform at a time, spreading windows evaluated per

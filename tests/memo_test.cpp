@@ -202,6 +202,62 @@ TEST(GlobalCache, FifoEvictionAtCapacity) {
   EXPECT_TRUE(cache.lookup(OpKind::Fu1D, 2, unit_key(8, 2), 0.9).has_value());
 }
 
+// Under oracle similarity a lookup decides on the pooled probe and the norm
+// alone, which lets the engine look a chunk up before encoding its key. So an
+// empty key with a probe must decide exactly as the full key does: same hits,
+// same values, same counters. Key-gated acceptance (no probe) must refuse an
+// empty key rather than compare it.
+void expect_probe_decides_without_key(MemoCache& with_key, MemoCache& no_key) {
+  const auto probe = [](u64 seed) { return random_value(16, seed); };
+  for (auto* c : {&with_key, &no_key}) {
+    c->insert(OpKind::Fu2D, 1, unit_key(8, 1), random_value(4, 21), 2.0,
+              probe(31));
+    c->insert(OpKind::Fu2D, 2, unit_key(8, 2), random_value(4, 22), 1.0,
+              probe(32));
+  }
+  auto near = probe(31);
+  near[0] += cfloat(0.3f, -0.2f);
+  const struct {
+    i64 location;
+    double tau, norm;
+    std::vector<cfloat> probe;
+  } queries[] = {
+      {1, 0.92, 2.0, probe(31)},   // identical probe and norm
+      {1, 0.92, 2.0, near},        // near probe
+      {1, 0.999, 2.0, near},       // near probe, strict τ
+      {1, 0.92, 1.5, probe(31)},   // norm gate
+      {1, 0.92, 2.0, probe(33)},   // unrelated probe
+      {2, 0.92, 1.0, probe(32)},   // the other entry
+      {3, 0.92, 1.0, probe(32)},   // empty slot (shared pool: a hit)
+  };
+  for (const auto& q : queries) {
+    const auto a = with_key.lookup(OpKind::Fu2D, q.location, unit_key(8, 7),
+                                   q.tau, q.norm, q.probe);
+    const auto b = no_key.lookup(OpKind::Fu2D, q.location, {}, q.tau, q.norm,
+                                 q.probe);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "location " << q.location;
+    if (a.has_value()) EXPECT_EQ(*a, *b);
+  }
+  const auto sa = with_key.stats(), sb = no_key.stats();
+  EXPECT_EQ(sa.lookups, sb.lookups);
+  EXPECT_EQ(sa.hits, sb.hits);
+  EXPECT_EQ(sa.comparisons, sb.comparisons);
+  EXPECT_GT(sa.hits, 0u);
+  EXPECT_LT(sa.hits, sa.lookups);
+  EXPECT_THROW((void)no_key.lookup(OpKind::Fu2D, 1, {}, 0.92, 2.0, {}),
+               mlr::Error);
+}
+
+TEST(PrivateCache, EmptyKeyWithProbeDecidesAsKey) {
+  PrivateCache with_key(8), no_key(8);
+  expect_probe_decides_without_key(with_key, no_key);
+}
+
+TEST(GlobalCache, EmptyKeyWithProbeDecidesAsKey) {
+  GlobalCache with_key(8), no_key(8);
+  expect_probe_decides_without_key(with_key, no_key);
+}
+
 // ---------------------------------------------------------------------------
 // MemoizedLamino.
 
