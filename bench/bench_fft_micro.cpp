@@ -12,7 +12,9 @@
 // must also be exactly 0 at any pool width. The key-encoder entries
 // (BM_EncodeQuantized, BM_EncoderTrainPair) hold the CNN layer kernels to
 // the same contract: their relaid weights and channels-last buffers live in
-// per-thread scratch. BM_FftBatch and BM_OperatorChunk time the batched
+// per-thread scratch. BM_EncoderTrainPair takes the pool width its training
+// step fans out on (1, 2, 4), and warms until every worker's scratch has
+// reached its size. BM_FftBatch and BM_OperatorChunk time the batched
 // operator kernels: many transforms per call, and the four F_u*D chunk
 // kernels the stage engine runs on every memo miss.
 #include <benchmark/benchmark.h>
@@ -276,20 +278,30 @@ void BM_EncodeQuantized(benchmark::State& state) {
 BENCHMARK(BM_EncodeQuantized)->Arg(12)->Arg(32);
 
 // One contrastive training step (two forwards, two backwards, six Adam
-// updates) on a pair of 32×32 chunk planes.
+// updates) on a pair of 32×32 chunk planes, its layer kernels fanned out on
+// a pool of range(0) workers (1: the serial step on the calling thread).
+// Each worker's kernel scratch grows the first time it runs each kernel,
+// which depends on scheduling, so the warm-up runs steps until 32 in a row
+// allocate nothing.
 void BM_EncoderTrainPair(benchmark::State& state) {
   encoder::CnnEncoder enc;
+  ThreadPool pool(unsigned(state.range(0)));
   const auto a = signal(32 * 32, 16);
   const auto b = signal(32 * 32, 17);
-  double loss = enc.train_pair({32, 32, a}, {32, 32, b});  // warm
+  double loss = 0;
+  for (int calm = 0; calm < 32;) {
+    const u64 before = scratch_heap_allocs();
+    loss = enc.train_pair({32, 32, a}, {32, 32, b}, pool);
+    calm = scratch_heap_allocs() == before ? calm + 1 : 0;
+  }
   AllocCounter allocs;
   for (auto _ : state) {
-    loss = enc.train_pair({32, 32, a}, {32, 32, b});
+    loss = enc.train_pair({32, 32, a}, {32, 32, b}, pool);
     benchmark::DoNotOptimize(loss);
   }
   allocs.report(state);
 }
-BENCHMARK(BM_EncoderTrainPair);
+BENCHMARK(BM_EncoderTrainPair)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_NaiveNdftReference(benchmark::State& state) {
   const i64 n = state.range(0);

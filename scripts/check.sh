@@ -18,12 +18,17 @@
 #     reconstruction accuracy (paper Eq. 5) drops below its calibrated
 #     Table 1 bounds.
 # The serving layer alone (service/scheduler matrices, workload contracts,
-# tier wire protocol) can be run via its CTest label: `ctest -L serve`.
+# tier wire protocol) can be run via its CTest label: `ctest -L serve`;
+# `ctest -L unit` runs every suite but serve_test's matrices (label
+# `matrix`) in seconds.
 # The TSan preset additionally re-runs the engine's golden digests and
 # cross-stage determinism matrix (threads x gpus x cache kind x oracle), the
 # trace-on/off identity matrix (recorder rings hammered from pool threads),
 # the lazy-key test (pool workers encode only their cache misses, skipping
-# the encoder mid-pass), the shared-norm test (four racing solves fill one
+# the encoder mid-pass), the pooled-training tests (the golden encoder
+# trained at pool widths 1-4, and two threads training two encoders on one
+# shared pool: workers write disjoint gradient and weight ranges while
+# reading shared weights), the shared-norm test (four racing solves fill one
 # Operators' ||L*L|| slot under its mutex and read it back),
 # the obs unit suite, the fused elementwise-kernel suite (tiled reductions
 # racing on the shared partial buffer is exactly where a combine-order bug
@@ -76,7 +81,8 @@ if [[ "$preset" == "tsan" ]]; then
   ctest --preset tsan -j "$(nproc)"
   ./build-tsan/obs_test
   ./build-tsan/concurrency_test \
-    --gtest_filter='Concurrency.StageExecutorGoldenDigest:Concurrency.CrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.CacheHitNeverEncodes:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial'
+    --gtest_filter='Concurrency.StageExecutorGoldenDigest:Concurrency.CrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.CacheHitNeverEncodes:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial:Concurrency.ConcurrentTrainingMatchesSerial'
+  ./build-tsan/encoder_test --gtest_filter='CnnEncoder.GoldenTrainingAndKeys'
   ./build-tsan/admm_test \
     --gtest_filter='Solver.ConcurrentSolvesShareOneNormEstimate'
   ./build-tsan/ew_test --gtest_filter='Ew.*'

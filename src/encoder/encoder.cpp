@@ -1,10 +1,12 @@
 #include "encoder/encoder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 
 #include "common/error.hpp"
+#include "obs/metrics.hpp"
 
 namespace mlr::encoder {
 
@@ -92,46 +94,79 @@ std::vector<float> CnnEncoder::encode_quantized(const ChunkImage& chunk) const {
 }
 
 struct CnnEncoder::Trace {
-  FeatureMap in, a, p1, b, p2;
+  FeatureMap in, a, p1, b, p2;  ///< input; conv1, pool, conv2, pool outputs
   std::vector<float> z;
+  FeatureMap db, dp1, da;  ///< dL/db, dL/dp1, dL/da
 };
 
-std::vector<float> CnnEncoder::forward_train(const FeatureMap& in,
-                                             Trace& t) const {
-  t.in = in;
-  t.a = conv1_.forward(in);
-  relu_forward(t.a.v);
-  t.p1 = avgpool2(t.a);
-  t.b = conv2_.forward(t.p1);
-  relu_forward(t.b.v);
-  t.p2 = avgpool2(t.b);
-  t.z = fc_.forward(t.p2.v);
-  return t.z;
+namespace {
+
+/// Output channels one forward task computes: one conv kernel block.
+constexpr i64 kBlock = 8;
+/// Elements per Adam task.
+constexpr std::size_t kAdamTile = 8192;
+
+/// Part r of [0, n) split into `parts` near-equal ranges.
+std::pair<i64, i64> part(i64 n, i64 parts, i64 r) {
+  return {n * r / parts, n * (r + 1) / parts};
 }
 
-void CnnEncoder::backward_from_embedding(const Trace& t,
-                                         std::vector<float> dz) {
-  auto dflat = fc_.backward(t.p2.v, dz);
-  FeatureMap dp2(t.p2.c, t.p2.h, t.p2.w);
-  dp2.v = std::move(dflat);
-  FeatureMap db = avgpool2_backward(t.b, dp2);
-  relu_backward(t.b.v, db.v);
-  FeatureMap dp1 = conv2_.backward(t.p1, db);
-  FeatureMap da = avgpool2_backward(t.a, dp1);
-  relu_backward(t.a.v, da.v);
-  conv1_.accumulate_grads(t.in, da);
-}
+struct AdamTile {
+  Adam* opt;
+  std::vector<float>* param;
+  std::vector<float>* grad;
+  std::size_t lo, hi;
+};
 
-double CnnEncoder::train_pair(const ChunkImage& a, const ChunkImage& b) {
+}  // namespace
+
+// The serial step — forward a, forward b, backward a, backward b, Adam —
+// split into four pool rounds and a short serial middle. Every task owns
+// the outputs it writes, and every accumulator still takes its terms in
+// the serial order:
+//   1, 2  conv1, then conv2, with ReLU and pooling: one task per (image,
+//         block of output channels); ReLU and the pool act per channel
+//   —     fc forward, loss, fc backward (a's terms, then b's), and the way
+//         back through pool 2 and ReLU, on the calling thread
+//   3     conv2: each image's dL/dp1 is a task, and each output-channel
+//         range adds a's weight-gradient terms, then b's
+//   4     conv1 the same way (nobody reads its dL/din), each range then
+//         Adam-updating its own channels; conv2's and fc's Adam tiles share
+//         the round, their gradients being complete
+double CnnEncoder::train_pair(const ChunkImage& a, const ChunkImage& b,
+                              ThreadPool& pool) {
   MLR_CHECK_MSG(!quantized(), "encoder already frozen to INT8");
-  Trace ta, tb;
-  forward_train(preprocess(a), ta);
-  forward_train(preprocess(b), tb);
+  std::array<Trace, 2> t;
+  t[0].in = preprocess(a);
+  t[1].in = preprocess(b);
+  for (auto& x : t) {
+    x.a = FeatureMap(conv1_.out_ch(), conv1_.out_h(x.in.h), conv1_.out_w(x.in.w));
+    x.p1 = FeatureMap(x.a.c, x.a.h / 2, x.a.w / 2);
+    x.b = FeatureMap(conv2_.out_ch(), conv2_.out_h(x.p1.h), conv2_.out_w(x.p1.w));
+    x.p2 = FeatureMap(x.b.c, x.b.h / 2, x.b.w / 2);
+  }
+  const auto conv_relu_pool = [&](const Conv2D& conv, FeatureMap Trace::*in,
+                                  FeatureMap Trace::*out,
+                                  FeatureMap Trace::*pooled) {
+    const i64 blocks = (conv.out_ch() + kBlock - 1) / kBlock;
+    parallel_for(pool, 0, 2 * blocks, [&](i64 task) {
+      Trace& x = t[size_t(task / blocks)];
+      const i64 c0 = task % blocks * kBlock;
+      const i64 c1 = std::min(conv.out_ch(), c0 + kBlock);
+      conv.forward_channels(x.*in, c0, c1, x.*out);
+      relu_forward((x.*out).channels(c0, c1));
+      avgpool2_channels(x.*out, c0, c1, x.*pooled);
+    });
+  };
+  conv_relu_pool(conv1_, &Trace::in, &Trace::a, &Trace::p1);
+  conv_relu_pool(conv2_, &Trace::p1, &Trace::b, &Trace::p2);
+
+  for (auto& x : t) x.z = fc_.forward(x.p2.v);
   const i64 d = cfg_.embed_dim;
   std::vector<float> diff(static_cast<size_t>(d));
   double zdist2 = 0;
   for (i64 i = 0; i < d; ++i) {
-    diff[size_t(i)] = ta.z[size_t(i)] - tb.z[size_t(i)];
+    diff[size_t(i)] = t[0].z[size_t(i)] - t[1].z[size_t(i)];
     zdist2 += double(diff[size_t(i)]) * diff[size_t(i)];
   }
   const double zdist = std::sqrt(zdist2) + 1e-12;
@@ -139,24 +174,70 @@ double CnnEncoder::train_pair(const ChunkImage& a, const ChunkImage& b) {
   const double loss = std::abs(zdist - gt);
   const double sign = (zdist - gt) >= 0 ? 1.0 : -1.0;
   // dL/dza = sign · (za − zb)/‖za − zb‖, dL/dzb = −dL/dza.
-  std::vector<float> dza(static_cast<size_t>(d)), dzb(static_cast<size_t>(d));
+  std::array<std::vector<float>, 2> dz;
+  for (auto& g : dz) g.resize(static_cast<size_t>(d));
   for (i64 i = 0; i < d; ++i) {
-    dza[size_t(i)] = float(sign * diff[size_t(i)] / zdist);
-    dzb[size_t(i)] = -dza[size_t(i)];
+    dz[0][size_t(i)] = float(sign * diff[size_t(i)] / zdist);
+    dz[1][size_t(i)] = -dz[0][size_t(i)];
   }
-  backward_from_embedding(ta, std::move(dza));
-  backward_from_embedding(tb, std::move(dzb));
-  opt_w1_.step(conv1_.w, conv1_.gw);
-  opt_b1_.step(conv1_.b, conv1_.gb);
-  opt_w2_.step(conv2_.w, conv2_.gw);
-  opt_b2_.step(conv2_.b, conv2_.gb);
-  opt_wf_.step(fc_.w, fc_.gw);
-  opt_bf_.step(fc_.b, fc_.gb);
+  for (std::size_t i = 0; i < 2; ++i) {
+    Trace& x = t[i];
+    FeatureMap dp2(x.p2.c, x.p2.h, x.p2.w);
+    dp2.v = fc_.backward(x.p2.v, dz[i]);
+    x.db = avgpool2_backward(x.b, dp2);
+    relu_backward(x.b.v, x.db.v);
+    x.dp1 = FeatureMap(x.p1.c, x.p1.h, x.p1.w);
+    x.da = FeatureMap(x.a.c, x.a.h, x.a.w);
+  }
+
+  // Twice as many ranges as workers keeps them busy when ranges differ in
+  // cost (a ReLU zero skips its gradient's whole tap loop).
+  const i64 parts = 2 * i64(pool.size());
+  const i64 r2 = std::min(conv2_.out_ch(), parts);
+  parallel_for(pool, 0, 2 + r2, [&](i64 task) {
+    if (task < 2) {
+      conv2_.input_grad(t[size_t(task)].db, t[size_t(task)].dp1);
+      return;
+    }
+    const auto [c0, c1] = part(conv2_.out_ch(), r2, task - 2);
+    for (const auto& x : t) conv2_.accumulate_weight_grads(x.p1, x.db, c0, c1);
+  });
+
+  for (Adam* opt : {&opt_w1_, &opt_b1_, &opt_w2_, &opt_b2_, &opt_wf_, &opt_bf_})
+    opt->begin_step();
+  std::vector<AdamTile> tiles;
+  for (const AdamTile& whole :
+       {AdamTile{&opt_w2_, &conv2_.w, &conv2_.gw, 0, conv2_.w.size()},
+        AdamTile{&opt_b2_, &conv2_.b, &conv2_.gb, 0, conv2_.b.size()},
+        AdamTile{&opt_wf_, &fc_.w, &fc_.gw, 0, fc_.w.size()},
+        AdamTile{&opt_bf_, &fc_.b, &fc_.gb, 0, fc_.b.size()}})
+    for (std::size_t lo = 0; lo < whole.hi; lo += kAdamTile)
+      tiles.push_back({whole.opt, whole.param, whole.grad, lo,
+                       std::min(whole.hi, lo + kAdamTile)});
+  const i64 r1 = std::min(conv1_.out_ch(), parts);
+  const auto filter1 = conv1_.w.size() / size_t(conv1_.out_ch());
+  parallel_for(pool, 0, r1 + i64(tiles.size()), [&](i64 task) {
+    if (task >= r1) {
+      const AdamTile& tl = tiles[size_t(task - r1)];
+      tl.opt->update(*tl.param, *tl.grad, tl.lo, tl.hi);
+      return;
+    }
+    const auto [c0, c1] = part(conv1_.out_ch(), r1, task);
+    for (auto& x : t) {
+      avgpool2_backward_channels(x.dp1, c0, c1, x.da);
+      relu_backward(x.a.channels(c0, c1), x.da.channels(c0, c1));
+      conv1_.accumulate_weight_grads(x.in, x.da, c0, c1);
+    }
+    opt_w1_.update(conv1_.w, conv1_.gw, size_t(c0) * filter1,
+                   size_t(c1) * filter1);
+    opt_b1_.update(conv1_.b, conv1_.gb, size_t(c0), size_t(c1));
+  });
   return loss;
 }
 
 double CnnEncoder::train(const std::vector<std::vector<cfloat>>& samples,
-                         i64 rows, i64 cols, int steps, u64 seed) {
+                         i64 rows, i64 cols, int steps, u64 seed,
+                         ThreadPool& pool) {
   MLR_CHECK(samples.size() >= 2);
   Rng rng(seed);
   double tail_loss = 0;
@@ -166,7 +247,7 @@ double CnnEncoder::train(const std::vector<std::vector<cfloat>>& samples,
     auto j = size_t(rng.uniform_int(0, i64(samples.size()) - 2));
     if (j >= i) ++j;
     const double loss =
-        train_pair({rows, cols, samples[i]}, {rows, cols, samples[j]});
+        train_pair({rows, cols, samples[i]}, {rows, cols, samples[j]}, pool);
     if (s >= steps * 3 / 4) {
       tail_loss += loss;
       ++tail_n;
@@ -220,11 +301,20 @@ double CnnEncoder::encode_flops() const {
 bool EncoderRegistry::add_sample(std::vector<cfloat> plane, i64 rows,
                                  i64 cols) {
   if (samples_.size() >= cap_) return false;
+  const auto finite = [](cfloat v) {
+    return std::isfinite(v.real()) && std::isfinite(v.imag());
+  };
+  if (!std::all_of(plane.begin(), plane.end(), finite)) {
+    static auto& dropped = obs::metrics().counter("encoder.nonfinite_samples");
+    dropped.add();
+    return true;
+  }
   samples_.push_back({std::move(plane), rows, cols});
   return true;
 }
 
-double EncoderRegistry::train_from_collected(int steps) {
+double EncoderRegistry::train_from_collected(int steps, ThreadPool& pool) {
+  steps_trained_ = 0;
   if (samples_.size() < 2) return 0.0;
   Rng rng(97);
   double tail = 0;
@@ -239,7 +329,8 @@ double EncoderRegistry::train_from_collected(int steps) {
       continue;
     const double loss = enc_.train_pair(
         {samples_[i].rows, samples_[i].cols, samples_[i].plane},
-        {samples_[j].rows, samples_[j].cols, samples_[j].plane});
+        {samples_[j].rows, samples_[j].cols, samples_[j].plane}, pool);
+    ++steps_trained_;
     if (s >= steps * 3 / 4) {
       tail += loss;
       ++tail_n;

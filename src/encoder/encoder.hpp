@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/types.hpp"
 #include "encoder/layers.hpp"
 
@@ -49,12 +50,21 @@ class CnnEncoder {
 
   /// One contrastive training step on a pair of chunks; returns the loss
   /// L = | ‖za−zb‖ − ‖Cha−Chb‖ |.
-  double train_pair(const ChunkImage& a, const ChunkImage& b);
+  ///
+  /// The step's layer kernels fan out on `pool`, split by image and by
+  /// output channel so that every accumulator receives its terms in the
+  /// serial step's order: the trained weights are the same bits at any pool
+  /// width, and a one-worker pool runs the step on the calling thread. Must
+  /// not be called from a worker of `pool` (its rounds would wait on
+  /// themselves); two callers may share one pool.
+  double train_pair(const ChunkImage& a, const ChunkImage& b,
+                    ThreadPool& pool = ThreadPool::global());
 
   /// Train on random pairs drawn from `samples`; returns mean loss of the
-  /// final quarter of steps.
+  /// final quarter of steps. Each step runs as train_pair() on `pool`.
   double train(const std::vector<std::vector<cfloat>>& samples, i64 rows,
-               i64 cols, int steps, u64 seed = 5);
+               i64 cols, int steps, u64 seed = 5,
+               ThreadPool& pool = ThreadPool::global());
 
   /// Freeze float weights into per-tensor symmetric INT8.
   void quantize();
@@ -72,10 +82,8 @@ class CnnEncoder {
  private:
   FeatureMap preprocess(const ChunkImage& chunk) const;
   std::vector<float> forward(const FeatureMap& in, bool use_int8) const;
-  // Full forward keeping intermediates for backprop.
+  // One image's intermediates in a training step.
   struct Trace;
-  std::vector<float> forward_train(const FeatureMap& in, Trace& t) const;
-  void backward_from_embedding(const Trace& t, std::vector<float> dz);
 
   EncoderConfig cfg_;
   Rng rng_;
@@ -106,9 +114,10 @@ double chunk_l2(std::span<const cfloat> a, std::span<const cfloat> b);
 /// standalone (test/bench) wrappers self-contained.
 ///
 /// Thread safety: encode paths on the contained CnnEncoder are const and may
-/// run concurrently from pool workers; sample collection and training are
-/// serial by contract (the StageExecutor collects in its deterministic
-/// serial pass, training happens between stages).
+/// run concurrently from pool workers. Sample collection is serial (the
+/// StageExecutor collects in its deterministic serial pass). Training has
+/// one caller at a time, between stages, and fans its steps out on the
+/// caller's pool (the StageExecutor passes the pool it runs stages on).
 class EncoderRegistry {
  public:
   explicit EncoderRegistry(EncoderConfig cfg = {}, u64 seed = 2024)
@@ -129,14 +138,22 @@ class EncoderRegistry {
     return collect_ && samples_.size() < cap_;
   }
   /// Deposit one (plane, rows, cols) sample; returns false once the set is
-  /// full (collection for this registry is then finished).
+  /// full (collection for this registry is then finished). A plane holding
+  /// a NaN or infinity is dropped without taking a slot and counted
+  /// (`encoder.nonfinite_samples`): one such sample would make every
+  /// gradient, and through Adam every weight and key, NaN.
   bool add_sample(std::vector<cfloat> plane, i64 rows, i64 cols);
   [[nodiscard]] std::size_t collected() const { return samples_.size(); }
 
   /// Contrastive-train on the collected set (pairs must share a shape) and
-  /// freeze to INT8. Returns mean tail loss; no-op (0) with fewer than 2
-  /// samples.
-  double train_from_collected(int steps);
+  /// freeze to INT8, each step fanned out on `pool` (see
+  /// CnnEncoder::train_pair). Returns mean tail loss; no-op (0) with fewer
+  /// than 2 samples.
+  double train_from_collected(int steps,
+                              ThreadPool& pool = ThreadPool::global());
+  /// Steps the last train_from_collected() trained: pairs of mismatched
+  /// shape are drawn but skipped.
+  [[nodiscard]] int steps_trained() const { return steps_trained_; }
 
  private:
   struct Sample {
@@ -147,6 +164,7 @@ class EncoderRegistry {
   std::vector<Sample> samples_;
   bool collect_ = false;
   std::size_t cap_ = 0;
+  int steps_trained_ = 0;
 };
 
 }  // namespace mlr::encoder

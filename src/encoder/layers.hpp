@@ -4,6 +4,7 @@
 // consume COMPLEX64 inputs, hence the real/imag decomposition done here).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -24,20 +25,44 @@ struct FeatureMap {
     return v[size_t((ci * h + y) * w + x)];
   }
   [[nodiscard]] i64 size() const { return c * h * w; }
+  /// Channels [c0, c1), whole: a contiguous run of the flat storage.
+  std::span<float> channels(i64 c0, i64 c1) {
+    return std::span(v).subspan(size_t(c0 * h * w), size_t((c1 - c0) * h * w));
+  }
 };
 
 /// 2-D convolution, 'same'-size semantics with stride, He-initialized.
+///
+/// The training kernels come split by output channel and by image, so a
+/// contrastive step can fan them out on a pool: forward_channels fills a
+/// range of output channels, accumulate_weight_grads adds one image's terms
+/// to a range of channels' gradients, input_grad computes one image's
+/// dL/din. Every output and accumulator receives exactly the terms, in
+/// exactly the order, of the whole-layer forward()/backward(), which are
+/// compositions of them. Calls on disjoint channel ranges (and input_grad
+/// on distinct outputs) may run concurrently.
 class Conv2D {
  public:
   Conv2D(i64 in_ch, i64 out_ch, i64 ksize, i64 stride, Rng& rng);
 
   [[nodiscard]] FeatureMap forward(const FeatureMap& in) const;
+  /// Output channels [oc0, oc1) of forward(in), written into `out`, which
+  /// the caller shaped [out_ch][out_h][out_w]; other channels are untouched.
+  void forward_channels(const FeatureMap& in, i64 oc0, i64 oc1,
+                        FeatureMap& out) const;
   /// Backward: given dL/dout, accumulates dL/dw and dL/db into the gradient
   /// buffers and returns dL/din. `in` must be the forward input.
   FeatureMap backward(const FeatureMap& in, const FeatureMap& dout);
   /// backward() without dL/din, for a first layer whose input gradient
   /// nobody reads.
   void accumulate_grads(const FeatureMap& in, const FeatureMap& dout);
+  /// What backward(in, dout) adds to dL/dw and dL/db of output channels
+  /// [oc0, oc1). Each channel's bias sum is stored once, at the end.
+  void accumulate_weight_grads(const FeatureMap& in, const FeatureMap& dout,
+                               i64 oc0, i64 oc1);
+  /// What backward(in, dout) returns, written into `din`, which the caller
+  /// shaped like `in`. Reads the weights only.
+  void input_grad(const FeatureMap& dout, FeatureMap& din) const;
 
   [[nodiscard]] i64 out_h(i64 in_h) const { return (in_h + stride_ - 1) / stride_; }
   [[nodiscard]] i64 out_w(i64 in_w) const { return (in_w + stride_ - 1) / stride_; }
@@ -53,9 +78,6 @@ class Conv2D {
   [[nodiscard]] i64 stride() const { return stride_; }
 
  private:
-  void backward_into(const FeatureMap& in, const FeatureMap& dout,
-                     FeatureMap* din);
-
   i64 in_ch_, out_ch_, k_, stride_, pad_;
 };
 
@@ -80,24 +102,43 @@ class Dense {
 };
 
 /// In-place ReLU; backward masks by the forward output.
-void relu_forward(std::vector<float>& v);
-void relu_backward(const std::vector<float>& out, std::vector<float>& grad);
+void relu_forward(std::span<float> v);
+void relu_backward(std::span<const float> out, std::span<float> grad);
 
-/// 2×2 average pooling (floor semantics).
+/// 2×2 average pooling (floor semantics). The _channels forms fill channels
+/// [c0, c1) of an output the caller shaped, the rest untouched.
 FeatureMap avgpool2(const FeatureMap& in);
+void avgpool2_channels(const FeatureMap& in, i64 c0, i64 c1, FeatureMap& out);
 FeatureMap avgpool2_backward(const FeatureMap& in_shape_ref,
                              const FeatureMap& dout);
+void avgpool2_backward_channels(const FeatureMap& dout, i64 c0, i64 c1,
+                                FeatureMap& din);
 
 /// Adam optimizer state for one parameter tensor.
+///
+/// A step is begin_step() followed by update() over every element, in any
+/// split: each element's update reads only its own parameter, gradient and
+/// moments, so update() calls on disjoint ranges may run concurrently. The
+/// update runs two elements per SSE2 register with the scalar loop's IEEE
+/// operations in the scalar loop's order, so any split gives the bits of
+/// one scalar pass.
 class Adam {
  public:
   Adam(std::size_t n, double lr = 1e-3) : lr_(lr), m_(n, 0.0f), v_(n, 0.0f) {}
+  /// begin_step(), then update() of every element.
   void step(std::vector<float>& param, std::vector<float>& grad);
+  /// Advances the step count and its bias corrections.
+  void begin_step();
+  /// Updates elements [lo, hi) of `param` and consumes (zeroes) their
+  /// gradient accumulators.
+  void update(std::vector<float>& param, std::vector<float>& grad,
+              std::size_t lo, std::size_t hi);
 
  private:
   double lr_;
   std::vector<float> m_, v_;
   i64 t_ = 0;
+  double bc1_ = 0, bc2_ = 0;  ///< 1 − β^t of the current step
 };
 
 }  // namespace mlr::encoder

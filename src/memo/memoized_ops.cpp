@@ -133,8 +133,4 @@ std::size_t MemoizedLamino::collected_samples() const {
   return registry_->collected();
 }
 
-double MemoizedLamino::train_encoder_from_collected(int steps) {
-  return registry_->train_from_collected(steps);
-}
-
 }  // namespace mlr::memo

@@ -155,9 +155,6 @@ class MemoizedLamino {
   void set_collect_samples(bool collect, std::size_t cap_per_kind = 128) {
     registry_->set_collect(collect, cap_per_kind * kNumOpKinds);
   }
-  /// Contrastive-train on everything collected so far and freeze to INT8.
-  /// Returns tail loss; no-op (returns 0) when fewer than 2 samples exist.
-  double train_encoder_from_collected(int steps);
   [[nodiscard]] std::size_t collected_samples() const;
 
   [[nodiscard]] const lamino::Operators& ops() const { return ops_; }

@@ -97,15 +97,24 @@ void StageExecutor::set_collect_samples(bool collect,
 }
 
 double StageExecutor::train_encoder_from_collected(int steps) {
-  // A registry shared by several wrappers is trained exactly once.
-  std::vector<const encoder::EncoderRegistry*> seen;
+  static auto& train_s =
+      obs::metrics().histogram("encoder.train_s", obs::latency_edges_s());
+  static auto& trained = obs::metrics().counter("encoder.train_steps");
+  MLR_TRACE_SPAN("encoder.train", "engine", u64(steps));
+  const WallTimer timer;
+  // A registry shared by several wrappers is trained exactly once. Its
+  // steps fan out on the engine's pool: training runs between stages, on
+  // the thread that runs them, never on a pool worker.
+  std::vector<encoder::EncoderRegistry*> seen;
   double loss = 0;
   for (auto* w : wrappers_) {
-    const auto* r = &w->registry();
+    auto* r = &w->registry();
     if (std::find(seen.begin(), seen.end(), r) != seen.end()) continue;
     seen.push_back(r);
-    loss += w->train_encoder_from_collected(steps);
+    loss += r->train_from_collected(steps, pool());
+    trained.add(u64(r->steps_trained()));
   }
+  train_s.observe(timer.seconds());
   return loss / double(seen.size());
 }
 

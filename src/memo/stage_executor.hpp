@@ -87,7 +87,9 @@ class StageExecutor {
   /// Contrastive-train the wrappers' encoders on their collected samples and
   /// freeze to INT8. Wrappers sharing one EncoderRegistry (the multi-GPU
   /// configuration) train it exactly once — one cross-device encoder — and
-  /// the mean tail loss across distinct registries is returned.
+  /// the mean tail loss across distinct registries is returned. Each
+  /// training step fans out on pool(); the caller must not be one of its
+  /// workers (the engine's rule for run_stage too).
   double train_encoder_from_collected(int steps);
   /// Cumulative CPU↔GPU copy-engine busy seconds over every device.
   [[nodiscard]] double device_transfer_busy() const;

@@ -3,9 +3,9 @@
 // must neither lose counter updates nor corrupt entries; the StageExecutor
 // must produce bit-identical results, records, cache contents, DB entries
 // and virtual times for any pool width, pinned by golden digests;
-// ann::Index::search_batch must match looped search; keys encoded and
-// operator chunks computed concurrently by pool workers must match a serial
-// pass.
+// ann::Index::search_batch must match looped search; keys encoded,
+// operator chunks computed and encoders trained concurrently on pool
+// workers must match a serial pass.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -689,6 +689,54 @@ TEST(Concurrency, ConcurrentQuantizedEncodesMatchSerial) {
                           want.size() * sizeof(float)),
               0)
         << "pass " << k / chunks.size() << " chunk " << k % chunks.size();
+  }
+}
+
+// Two threads each train their own encoder, both fanning every step out on
+// one shared 4-worker pool, so the two encoders' layer kernels interleave on
+// every worker's scratch. Each must end with exactly the loss, weights and
+// INT8 keys of a serial run (a one-worker pool trains on its caller).
+TEST(Concurrency, ConcurrentTrainingMatchesSerial) {
+  struct Run {
+    std::vector<std::vector<cfloat>> samples;
+    double loss = 0;
+    u64 digest = 0;
+  };
+  const auto train = [](Run& r, ThreadPool& pool) {
+    encoder::CnnEncoder enc;
+    r.loss = enc.train(r.samples, 32, 32, 24, 19, pool);
+    enc.quantize();
+    u64 h = kFnvOffsetBasis;
+    const auto fold = [&h](const std::vector<float>& v) {
+      h = fnv1a(h, v.data(), v.size() * sizeof(float));
+    };
+    for (const auto* c : {&enc.conv1(), &enc.conv2()}) {
+      fold(c->w);
+      fold(c->b);
+    }
+    fold(enc.fc().w);
+    fold(enc.fc().b);
+    for (const auto& s : r.samples) fold(enc.encode_quantized({32, 32, s}));
+    r.digest = h;
+  };
+  std::vector<Run> serial(2), shared(2);
+  for (std::size_t i = 0; i < 2; ++i)
+    for (u64 j = 0; j < 5; ++j) {
+      serial[i].samples.push_back(random_value(32 * 32, 400 + 10 * i + j));
+      shared[i].samples = serial[i].samples;
+    }
+  ThreadPool one(1);
+  for (auto& r : serial) train(r, one);
+  ASSERT_NE(serial[0].digest, serial[1].digest);
+
+  ThreadPool pool(4);
+  std::thread other([&] { train(shared[1], pool); });
+  train(shared[0], pool);
+  other.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(std::memcmp(&shared[i].loss, &serial[i].loss, sizeof(double)), 0)
+        << "encoder " << i;
+    EXPECT_EQ(shared[i].digest, serial[i].digest) << "encoder " << i;
   }
 }
 

@@ -1,5 +1,7 @@
-// Tests for the CNN key encoder: bitwise pins of the layer kernels against
-// the direct loops they replaced, golden digests of training and keys,
+// Tests for the CNN key encoder: bitwise pins of the layer kernels (whole
+// and split by channel range and image) and of Adam against the direct
+// loops they replaced, golden digests of training at several pool widths
+// and of keys, the registry's non-finite sample guard,
 // numerical gradient checks of every layer, contrastive training
 // convergence, INT8 quantization fidelity, and the metric property the
 // memoization system needs (similar chunks → nearby keys).
@@ -11,9 +13,11 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "encoder/encoder.hpp"
 #include "encoder/layers.hpp"
+#include "obs/metrics.hpp"
 
 namespace mlr::encoder {
 namespace {
@@ -206,6 +210,85 @@ TEST(LayerKernels, ConvMatchesDirectLoopsBitForBit) {
   EXPECT_EQ(cases, 2 * 2 * 3 * 5 * 4);
 }
 
+// The split kernels a pooled training step runs: a channel-range forward,
+// weight gradients of a channel range added image by image, and the input
+// gradient alone. Ranges are uneven and cut through forward blocks; every
+// piece must equal the direct loops' bits.
+TEST(LayerKernels, SplitConvKernelsMatchDirectLoopsBitForBit) {
+  Rng rng(42);
+  int cases = 0;
+  for (const bool cancelling : {false, true})
+    for (const i64 stride : {1, 2})
+      for (const i64 k : {1, 3, 5})
+        for (const auto& [ic, oc] : {std::pair<i64, i64>{2, 3}, {3, 9},
+                                     {7, 17}, {32, 64}})
+          for (const auto& [h, w] : {std::pair<i64, i64>{2, 3}, {5, 7},
+                                     {8, 8}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "stride " << stride << " k " << k << " ic " << ic
+                         << " oc " << oc << " " << h << "x" << w
+                         << (cancelling ? " cancelling" : ""));
+            Rng init(static_cast<u64>(cases));
+            Conv2D split(ic, oc, k, stride, init);
+            fill_hard(split.w, rng, cancelling);
+            fill_hard(split.b, rng, cancelling);
+            Conv2D ref = split;
+            FeatureMap in_a(ic, h, w), in_b(ic, h, w);
+            fill_hard(in_a.v, rng, cancelling);
+            fill_hard(in_b.v, rng, cancelling);
+            // Range cuts: uneven, one empty range, blocks cut mid-way.
+            std::vector<i64> cuts = {0, oc / 3, oc / 3, (2 * oc) / 3 + 1, oc};
+            for (auto& c : cuts) c = std::min(c, oc);
+            FeatureMap out(oc, split.out_h(h), split.out_w(w));
+            for (std::size_t r = 0; r + 1 < cuts.size(); ++r)
+              split.forward_channels(in_a, cuts[r], cuts[r + 1], out);
+            EXPECT_TRUE(same_bits(out.v, naive_conv_forward(ref, in_a).v));
+
+            FeatureMap dout_a(out.c, out.h, out.w), dout_b(out.c, out.h, out.w);
+            fill_hard(dout_a.v, rng, cancelling);
+            fill_hard(dout_b.v, rng, cancelling);
+            // Image a then image b on each range: one training pair.
+            for (std::size_t r = 0; r + 1 < cuts.size(); ++r) {
+              split.accumulate_weight_grads(in_a, dout_a, cuts[r], cuts[r + 1]);
+              split.accumulate_weight_grads(in_b, dout_b, cuts[r], cuts[r + 1]);
+            }
+            const auto din_a = naive_conv_backward(ref, in_a, dout_a);
+            const auto din_b = naive_conv_backward(ref, in_b, dout_b);
+            EXPECT_TRUE(same_bits(split.gw, ref.gw));
+            EXPECT_TRUE(same_bits(split.gb, ref.gb));
+
+            const auto gw_before = split.gw;
+            FeatureMap din(ic, h, w);
+            split.input_grad(dout_a, din);
+            EXPECT_TRUE(same_bits(din.v, din_a.v));
+            split.input_grad(dout_b, din);  // overwrites, never accumulates
+            EXPECT_TRUE(same_bits(din.v, din_b.v));
+            EXPECT_TRUE(same_bits(split.gw, gw_before));
+            ++cases;
+          }
+  EXPECT_EQ(cases, 2 * 2 * 3 * 4 * 3);
+}
+
+// ReLU and pooling act per channel, so their channel-range forms, applied
+// range by range, give the whole-map results.
+TEST(LayerKernels, ChannelRangePoolingMatchesWholeMap) {
+  Rng rng(43);
+  FeatureMap in(7, 9, 6);
+  fill_hard(in.v, rng, true);
+  FeatureMap pooled(in.c, in.h / 2, in.w / 2), dpool(pooled.c, pooled.h, pooled.w);
+  fill_hard(dpool.v, rng, true);
+  FeatureMap din(in.c, in.h, in.w);
+  fill_hard(din.v, rng, true);  // stale values the ranges must overwrite
+  for (const auto& [c0, c1] : {std::pair<i64, i64>{0, 2}, {2, 2}, {2, 7}}) {
+    avgpool2_channels(in, c0, c1, pooled);
+    avgpool2_backward_channels(dpool, c0, c1, din);
+  }
+  EXPECT_TRUE(same_bits(pooled.v, avgpool2(in).v));
+  EXPECT_TRUE(same_bits(din.v, avgpool2_backward(in, dpool).v));
+  EXPECT_EQ(in.channels(2, 5).size(), size_t(3 * 9 * 6));
+  EXPECT_EQ(in.channels(2, 5).data(), &in.at(2, 0, 0));
+}
+
 TEST(LayerKernels, DenseMatchesDirectLoopsBitForBit) {
   Rng rng(41);
   for (const bool cancelling : {false, true})
@@ -351,6 +434,84 @@ TEST(Adam, DecreasesQuadratic) {
   EXPECT_LT(std::abs(x[0]), 0.3f);
 }
 
+// The scalar Adam loop the two-lane update replaced, verbatim.
+struct ScalarAdam {
+  double lr_;
+  std::vector<float> m_, v_;
+  i64 t_ = 0;
+  void step(std::vector<float>& param, std::vector<float>& grad) {
+    constexpr double b1 = 0.9, b2 = 0.999, eps = 1e-8;
+    ++t_;
+    const double bc1 = 1.0 - std::pow(b1, double(t_));
+    const double bc2 = 1.0 - std::pow(b2, double(t_));
+    for (std::size_t i = 0; i < param.size(); ++i) {
+      m_[i] = float(b1 * m_[i] + (1.0 - b1) * grad[i]);
+      v_[i] = float(b2 * v_[i] + (1.0 - b2) * double(grad[i]) * grad[i]);
+      const double mh = m_[i] / bc1;
+      const double vh = v_[i] / bc2;
+      param[i] -= float(lr_ * mh / (std::sqrt(vh) + eps));
+      grad[i] = 0.0f;  // consume the accumulator
+    }
+  }
+};
+
+// Odd lengths run the scalar tail; updates split into uneven ranges start
+// pairs at odd offsets. Gradients mix zeros of both signs, subnormals,
+// huge values (whose squares overflow the float second moment) and plain
+// normals; parameters start at ±0 among them.
+TEST(Adam, MatchesScalarLoopBitForBit) {
+  Rng rng(44);
+  for (const std::size_t n : {1ul, 2ul, 7ul, 64ul, 1001ul}) {
+    SCOPED_TRACE(::testing::Message() << "n " << n);
+    Adam lanes(n, 1e-3);
+    ScalarAdam ref{1e-3, std::vector<float>(n, 0.0f), std::vector<float>(n, 0.0f)};
+    std::vector<float> p(n);
+    fill_hard(p, rng, false);
+    std::vector<float> q = p;
+    for (int step = 0; step < 40; ++step) {
+      std::vector<float> g(n);
+      for (auto& x : g) {
+        const double u = rng.uniform();
+        const float sign = rng.flip() ? 1.0f : -1.0f;
+        x = u < 0.1    ? 0.0f
+            : u < 0.2  ? -0.0f
+            : u < 0.35 ? sign * 0x1p-140f  // subnormal
+            : u < 0.45 ? sign * 0x1p100f   // square overflows float
+                       : float(rng.normal());
+      }
+      std::vector<float> h = g;
+      if (step % 2 == 0) {
+        lanes.step(p, g);
+      } else {
+        lanes.begin_step();
+        const std::size_t cut1 = n / 3 | 1, cut2 = std::min(n, cut1 + n / 2);
+        lanes.update(p, g, cut2, n);
+        lanes.update(p, g, std::min(cut1, n), cut2);
+        lanes.update(p, g, 0, std::min(cut1, n));
+      }
+      ref.step(q, h);
+      ASSERT_TRUE(same_bits(p, q)) << "step " << step;
+      ASSERT_TRUE(same_bits(g, h)) << "step " << step;
+    }
+  }
+  // Random inputs rarely show a reordered quotient once it is rounded to
+  // float. These two-step gradients, found by search, move the parameter
+  // by one float ulp if lr·m̂/(√v̂+ε) is computed as lr·(m̂/(√v̂+ε)): two
+  // elements fill an SSE pair, the third runs the scalar tail.
+  Adam lanes(3, 1e-3);
+  ScalarAdam ref{1e-3, std::vector<float>(3, 0.0f), std::vector<float>(3, 0.0f)};
+  std::vector<float> p(3, 0.0f), q(3, 0.0f);
+  for (const auto& step : {std::vector<float>{0x1.11d4f8p-1f, 0x1.acbe64p-1f,
+                                              0x1.11d4f8p-1f},
+                           std::vector<float>{0x1.1dbf04p+0f, 0x1.8d12e6p+0f,
+                                              0x1.1dbf04p+0f}}) {
+    std::vector<float> g = step, h = step;
+    lanes.step(p, g);
+    ref.step(q, h);
+  }
+  EXPECT_TRUE(same_bits(p, q));
+}
+
 // ---------------------------------------------------------------------------
 // Encoder end-to-end.
 
@@ -456,37 +617,92 @@ u64 fold(u64 h, const V& v) {
 
 // FNV-1a digests of the default encoder's parameters after 40 training
 // steps, of its float keys and of its INT8 keys on fixed seeded chunks,
-// recorded with the direct-loop layers. Any change to a key bit changes the
-// hit pattern, and so the accuracy, of every memoized run.
+// recorded with the direct-loop layers and serial training. Any change to a
+// key bit changes the hit pattern, and so the accuracy, of every memoized
+// run. Training fans out on the given pool; every width must reproduce the
+// serial bits (3 workers split the channel ranges unevenly).
 TEST(CnnEncoder, GoldenTrainingAndKeys) {
-  CnnEncoder enc;
   Rng rng(2025);
   std::vector<std::vector<cfloat>> samples;
   for (int i = 0; i < 6; ++i) samples.push_back(random_chunk(32 * 32, rng));
-  const double loss = enc.train(samples, 32, 32, 40, 17);
-  u64 loss_bits = 0;
-  std::memcpy(&loss_bits, &loss, sizeof loss);
-  EXPECT_EQ(loss_bits, 0x4038b02037bf2fecull) << loss;
-
-  u64 weights = kFnvOffsetBasis;
-  for (const Conv2D* c : {&enc.conv1(), &enc.conv2()})
-    weights = fold(fold(weights, c->w), c->b);
-  weights = fold(fold(weights, enc.fc().w), enc.fc().b);
-  EXPECT_EQ(weights, 0x4d614514e9c4d382ull);
-
   Rng crng(2026);
   std::vector<std::tuple<i64, i64, std::vector<cfloat>>> chunks;
   for (const auto& [r, c] : {std::pair<i64, i64>{32, 32}, {12, 12},
                              {12, 40}, {5, 7}, {64, 64}})
     chunks.emplace_back(r, c, random_chunk(r * c, crng));
-  u64 keys = kFnvOffsetBasis;
-  for (const auto& [r, c, d] : chunks) keys = fold(keys, enc.encode({r, c, d}));
-  EXPECT_EQ(keys, 0x7a7a27d5579341d4ull);
-  enc.quantize();
-  u64 int8_keys = kFnvOffsetBasis;
-  for (const auto& [r, c, d] : chunks)
-    int8_keys = fold(int8_keys, enc.encode_quantized({r, c, d}));
-  EXPECT_EQ(int8_keys, 0x3241cd4940ea8b17ull);
+
+  for (const unsigned width : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "pool width " << width);
+    ThreadPool pool(width);
+    CnnEncoder enc;
+    const double loss = enc.train(samples, 32, 32, 40, 17, pool);
+    u64 loss_bits = 0;
+    std::memcpy(&loss_bits, &loss, sizeof loss);
+    EXPECT_EQ(loss_bits, 0x4038b02037bf2fecull) << loss;
+
+    u64 weights = kFnvOffsetBasis;
+    for (const Conv2D* c : {&enc.conv1(), &enc.conv2()})
+      weights = fold(fold(weights, c->w), c->b);
+    weights = fold(fold(weights, enc.fc().w), enc.fc().b);
+    EXPECT_EQ(weights, 0x4d614514e9c4d382ull);
+
+    u64 keys = kFnvOffsetBasis;
+    for (const auto& [r, c, d] : chunks) keys = fold(keys, enc.encode({r, c, d}));
+    EXPECT_EQ(keys, 0x7a7a27d5579341d4ull);
+    enc.quantize();
+    u64 int8_keys = kFnvOffsetBasis;
+    for (const auto& [r, c, d] : chunks)
+      int8_keys = fold(int8_keys, enc.encode_quantized({r, c, d}));
+    EXPECT_EQ(int8_keys, 0x3241cd4940ea8b17ull);
+  }
+}
+
+// A warm chunk holding a NaN or an infinity never reaches training: the
+// registry drops it without using a slot, counts it, and trains exactly as
+// if it had never been offered.
+TEST(EncoderRegistry, NonFiniteSampleIsDroppedAndCounted) {
+  const EncoderConfig cfg{.input_hw = 16, .embed_dim = 16};
+  Rng rng(18);
+  std::vector<std::vector<cfloat>> planes;
+  for (int i = 0; i < 5; ++i) planes.push_back(random_chunk(12 * 12, rng));
+  std::vector<cfloat> nan_plane = random_chunk(12 * 12, rng);
+  nan_plane[7] = cfloat(std::nanf(""), 0.0f);
+  std::vector<cfloat> inf_plane = random_chunk(12 * 12, rng);
+  inf_plane[0] = cfloat(0.0f, -INFINITY);
+
+  auto& dropped = obs::metrics().counter("encoder.nonfinite_samples");
+  const u64 before = dropped.value();
+  EncoderRegistry clean(cfg), fed(cfg);
+  clean.set_collect(true, 4);
+  fed.set_collect(true, 4);
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(clean.add_sample(planes[size_t(i)], 12, 12));
+  EXPECT_TRUE(fed.add_sample(planes[0], 12, 12));
+  EXPECT_TRUE(fed.add_sample(nan_plane, 12, 12));
+  EXPECT_EQ(dropped.value() - before, 1u);
+  for (int i = 1; i < 4; ++i) EXPECT_TRUE(fed.add_sample(planes[size_t(i)], 12, 12));
+  EXPECT_FALSE(fed.add_sample(inf_plane, 12, 12));  // full: refused first
+  EXPECT_EQ(dropped.value() - before, 1u);
+  EXPECT_EQ(fed.collected(), 4u);
+
+  ThreadPool pool(2);
+  const double lc = clean.train_from_collected(30, pool);
+  const double lf = fed.train_from_collected(30, pool);
+  EXPECT_EQ(std::memcmp(&lc, &lf, sizeof lc), 0);
+  EXPECT_EQ(fed.steps_trained(), 30);
+  const auto digest = [](const CnnEncoder& e) {
+    u64 h = kFnvOffsetBasis;
+    for (const Conv2D* c : {&e.conv1(), &e.conv2()}) h = fold(fold(h, c->w), c->b);
+    return fold(fold(h, e.fc().w), e.fc().b);
+  };
+  EXPECT_EQ(digest(fed.encoder()), digest(clean.encoder()));
+  EXPECT_TRUE(fed.encoder().quantized());
+
+  // With room left, an infinite plane is dropped and collection goes on.
+  EncoderRegistry roomy(cfg);
+  roomy.set_collect(true, 2);
+  EXPECT_TRUE(roomy.add_sample(inf_plane, 12, 12));
+  EXPECT_EQ(roomy.collected(), 0u);
+  EXPECT_EQ(dropped.value() - before, 2u);
 }
 
 TEST(CnnEncoder, TrainAfterQuantizeRejected) {
