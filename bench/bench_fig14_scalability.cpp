@@ -30,9 +30,8 @@ int main(int argc, char** argv) {
               "pass (s)", "speedup");
   double t1 = 0;
   for (int gpus : {1, 2, 4, 8, 16}) {
-    cluster::ClusterSpec spec;
-    spec.gpus = gpus;
-    cluster::Cluster c(ops, spec, {.enable = false, .work_scale = ws});
+    cluster::Cluster c(ops, {.gpus = gpus,
+                             .memo = {.enable = false, .work_scale = ws}});
     std::vector<double> per_op;
     const double t = c.forward_adjoint_pass(u, dhat, 1, 0.0, &per_op);
     if (gpus == 1) t1 = t;

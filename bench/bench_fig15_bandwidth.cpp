@@ -26,15 +26,15 @@ int main(int argc, char** argv) {
 
   std::printf("%-6s %-10s %s\n", "GPUs", "util (%)", "");
   for (int gpus : {1, 2, 4, 6, 8, 12, 16}) {
-    cluster::ClusterSpec spec;
-    spec.gpus = gpus;
     // Memoization on: the fabric carries both redistribution and the
     // memoization DB traffic of every node.
-    cluster::Cluster c(ops, spec,
-                       {.enable = true, .tau = 0.5, .key_dim = 16,
-                        .encoder_hw = 16, .work_scale = ws,
-                        .oracle_similarity = false},
-                       {.key_dim = 16, .tau = 0.5, .value_scale = ws});
+    cluster::Cluster c(ops, {.gpus = gpus,
+                             .memo = {.enable = true, .tau = 0.5,
+                                      .key_dim = 16, .encoder_hw = 16,
+                                      .work_scale = ws,
+                                      .oracle_similarity = false},
+                             .db = {.key_dim = 16, .tau = 0.5,
+                                    .value_scale = ws}});
     sim::VTime t = 0;
     for (int p = 0; p < passes; ++p)
       t = c.forward_adjoint_pass(u, dhat, 1, t);

@@ -23,22 +23,25 @@ int main(int argc, char** argv) {
   ops.forward_freq(u, dhat);
   const double s = 1024.0 / double(n);
   const double ws = s * s * s;
+  auto options = [ws](int gpus) {
+    return ExecutionOptions{.gpus = gpus,
+                            .memo = {.enable = true, .tau = 0.5,
+                                     .key_dim = 16, .encoder_hw = 16,
+                                     .work_scale = ws,
+                                     .oracle_similarity = false},
+                            .db = {.key_dim = 16, .tau = 0.5,
+                                   .value_scale = ws}};
+  };
 
   std::printf("query latency percentiles (us):\n\n");
   std::printf("%-6s %-10s %-10s %-10s %-10s %-12s\n", "GPUs", "p25", "p50",
               "p90", "p99", ">100ms (%)");
   for (int gpus : {1, 2, 4, 8, 16}) {
-    cluster::ClusterSpec spec;
-    spec.gpus = gpus;
-    cluster::Cluster c(ops, spec,
-                       {.enable = true, .tau = 0.5, .key_dim = 16,
-                        .encoder_hw = 16, .work_scale = ws,
-                        .oracle_similarity = false},
-                       {.key_dim = 16, .tau = 0.5, .value_scale = ws});
+    cluster::Cluster c(ops, options(gpus));
     sim::VTime t = 0;
     for (int p = 0; p < passes; ++p)
       t = c.forward_adjoint_pass(u, dhat, 1, t);
-    const auto& lat = c.db().timing().query_latency_us;
+    const auto& lat = c.context().db()->timing().query_latency_us;
     if (lat.count() == 0) continue;
     std::printf("%-6d %-10.0f %-10.0f %-10.0f %-10.0f %.0f\n", gpus,
                 lat.percentile(0.25), lat.percentile(0.50),
@@ -47,17 +50,12 @@ int main(int argc, char** argv) {
   }
   std::printf("\nCDF (16 GPUs): value(us) -> cumulative fraction\n");
   {
-    cluster::ClusterSpec spec;
-    spec.gpus = 16;
-    cluster::Cluster c(ops, spec,
-                       {.enable = true, .tau = 0.5, .key_dim = 16,
-                        .encoder_hw = 16, .work_scale = ws,
-                        .oracle_similarity = false},
-                       {.key_dim = 16, .tau = 0.5, .value_scale = ws});
+    cluster::Cluster c(ops, options(16));
     sim::VTime t = 0;
     for (int p = 0; p < passes; ++p)
       t = c.forward_adjoint_pass(u, dhat, 1, t);
-    for (const auto& [v, q] : c.db().timing().query_latency_us.cdf(8))
+    const auto& lat = c.context().db()->timing().query_latency_us;
+    for (const auto& [v, q] : lat.cdf(8))
       std::printf("  %10.0f us -> %.2f\n", v, q);
   }
   bench::footer(wall.seconds());

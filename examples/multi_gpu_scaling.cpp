@@ -2,18 +2,14 @@
 // one forward+adjoint pass across simulated A100s (4 per node) and watch
 // the within-node speedup and the cross-node plateau.
 #include <cstdio>
-#include <memory>
 
 #include "cluster/cluster.hpp"
-#include "common/parallel.hpp"
 #include "lamino/phantom.hpp"
 
 int main(int argc, char** argv) {
   using namespace mlr;
   const i64 n = argc > 1 ? std::atoll(argv[1]) : 16;
   const unsigned threads = argc > 2 ? unsigned(std::max(0, std::atoi(argv[2]))) : 0;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
   auto geom = lamino::Geometry::cube(n);
   lamino::Operators ops(geom);
   auto u = lamino::to_complex(lamino::make_phantom(
@@ -29,10 +25,10 @@ int main(int argc, char** argv) {
               "speedup", "fabric util");
   double t1 = 0;
   for (int gpus : {1, 2, 4, 8, 16}) {
-    cluster::ClusterSpec spec;
-    spec.gpus = gpus;
-    cluster::Cluster c(ops, spec, {.enable = false, .work_scale = work_scale});
-    if (pool) c.executor().set_pool(pool.get());
+    cluster::Cluster c(ops, {.threads = threads,
+                             .gpus = gpus,
+                             .memo = {.enable = false,
+                                      .work_scale = work_scale}});
     const double t = c.forward_adjoint_pass(u, dhat, 1, 0.0);
     if (gpus == 1) t1 = t;
     std::printf("%-6d %-7d %-12.2f %-9.2f %.0f%%\n", gpus, c.num_nodes(), t,

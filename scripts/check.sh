@@ -3,7 +3,8 @@
 # hot paths —
 #   * bench_serve_traffic exits non-zero if job outputs are not
 #     bit-identical across scheduling policies and tier transports (the
-#     loopback/socket smokes below),
+#     loopback/socket smokes below); (release only) the --gpus-per-job 2
+#     smoke holds the same gate on two-device sessions,
 #   * bench_stage_scaling exits non-zero if any pool width resolves
 #     different memo outcomes than the serial run, and emits the BENCH_*.json
 #     perf-trajectory point,
@@ -33,6 +34,8 @@
 # the obs unit suite, the fused elementwise-kernel suite (tiled reductions
 # racing on the shared partial buffer is exactly where a combine-order bug
 # would hide), the serve shard matrix (shards x policies x threads), the
+# multi-device session tests (two- and three-device sessions run their
+# wrappers' engines on the shared service pool), the
 # remote-tier loopback matrix (same workload rehosted on the wire
 # protocol), the TierClient suite (a remote-seeded stage harvesting its
 # GET_BATCH replies from pool workers), the transport fault-injection suite
@@ -87,7 +90,7 @@ if [[ "$preset" == "tsan" ]]; then
     --gtest_filter='Solver.ConcurrentSolvesShareOneNormEstimate'
   ./build-tsan/ew_test --gtest_filter='Ew.*'
   ./build-tsan/serve_test \
-    --gtest_filter='ReconService.SharedTierShardMatrix:ReconService.LoopbackTransportMatrix:ReconService.TraceOnOffBitIdentity:ReconService.PreemptionDeterminismMatrix:ReconService.PreemptedJobResumesOnDifferentSlot:ReconService.AdmissionDecisionInvarianceMatrix'
+    --gtest_filter='ReconService.SharedTierShardMatrix:ReconService.LoopbackTransportMatrix:ReconService.TraceOnOffBitIdentity:ReconService.PreemptionDeterminismMatrix:ReconService.PreemptedJobResumesOnDifferentSlot:ReconService.AdmissionDecisionInvarianceMatrix:ReconService.ClusterSessionsIdenticalAcrossPolicies:ReconService.ClusterSessionsGolden'
   ./build-tsan/workload_test
   ./build-tsan/net_test \
     --gtest_filter='RequestTable.*:TierClient.*:TierClientFaults.*:TierServerFaults.*:SocketTransport.*:LoopbackReconnect.*'
@@ -121,6 +124,7 @@ else
     --json /tmp/BENCH_stage_scaling.smoke.json
   ./build/bench_serve_traffic --jobs 8 --n small \
     --json /tmp/BENCH_serve_traffic.smoke.json
+  ./build/bench_serve_traffic --jobs 8 --n small --gpus-per-job 2
   ./build/bench_serve_traffic --preempt --jobs 32 --n small \
     --json /tmp/BENCH_serve_traffic.preempt.json
   ./build/bench_serve_traffic --jobs 8 --n small --transport loopback \

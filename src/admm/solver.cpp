@@ -64,63 +64,6 @@ void Solver::end_phase(SolveResult& r, Phase p, const EwStats& ew0,
   }
 }
 
-sim::VTime Solver::stage_fu1d(const Array3D<cfloat>& in, Array3D<cfloat>& out,
-                              bool adjoint, sim::VTime t) {
-  const auto& g = ml_.ops().geometry();
-  auto chunks = lamino::make_chunks(g.n1, cfg_.chunk_size);
-  std::vector<memo::StageChunk> work;
-  work.reserve(chunks.size());
-  for (const auto& spec : chunks) {
-    work.push_back({spec, in.slices(spec.begin, spec.count),
-                    out.slices(spec.begin, spec.count)});
-  }
-  auto rep = exec_.run_stage(
-      adjoint ? memo::OpKind::Fu1DAdj : memo::OpKind::Fu1D, work, t);
-  return rep.done;
-}
-
-sim::VTime Solver::stage_fu2d(const Array3D<cfloat>& in, Array3D<cfloat>& out,
-                              const Array3D<cfloat>* fused_ref, bool adjoint,
-                              sim::VTime t) {
-  const auto& ops = ml_.ops();
-  const auto& g = ops.geometry();
-  auto chunks = lamino::make_chunks(g.h, cfg_.chunk_size);
-  const std::size_t n = chunks.size();
-  std::vector<std::vector<cfloat>> ins(n), outs(n), refs(n);
-  std::vector<memo::StageChunk> work;
-  work.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& spec = chunks[i];
-    const auto plane = size_t(spec.count * g.n1 * g.n2);
-    const auto rows = size_t(spec.count * g.ntheta * g.w);
-    if (!adjoint) {
-      ins[i].resize(plane);
-      outs[i].resize(rows);
-      ops.pack_u1_rows(in, spec, ins[i]);
-      if (fused_ref != nullptr) {
-        refs[i].resize(rows);
-        ops.pack_dhat_rows(*fused_ref, spec, refs[i]);
-      }
-      work.push_back({spec, ins[i], outs[i], refs[i]});
-    } else {
-      ins[i].resize(rows);
-      outs[i].resize(plane);
-      ops.pack_dhat_rows(in, spec, ins[i]);
-      work.push_back({spec, ins[i], outs[i]});
-    }
-  }
-  auto rep = exec_.run_stage(
-      adjoint ? memo::OpKind::Fu2DAdj : memo::OpKind::Fu2D, work, t);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!adjoint) {
-      ops.unpack_dhat_rows(outs[i], chunks[i], out);
-    } else {
-      ops.unpack_u1_rows(outs[i], chunks[i], out);
-    }
-  }
-  return rep.done;
-}
-
 sim::VTime Solver::stage_f2d(Array3D<cfloat>& d, bool inverse, sim::VTime t) {
   // Algorithm 1 path: every projection is shipped to the GPU, transformed,
   // and shipped back — the transfers the cancellation optimization removes.
@@ -154,11 +97,12 @@ sim::VTime Solver::data_gradient(const Array3D<cfloat>& u,
   mem_.alloc("residual", double(r.bytes()), t);
 
   // Forward pass.
-  t = stage_fu1d(u, u1, /*adjoint=*/false, t);
+  t = exec_.run_fu1d(u, u1, /*adjoint=*/false, cfg_.chunk_size, t);
   if (cfg_.use_cancellation && cfg_.use_fusion) {
     // Fused GPU kernel computes r̂ = F_u2D(ũ1) − d̂ directly; only the loss
     // reduction remains on the host.
-    t = stage_fu2d(u1, r, &dhat_or_d, /*adjoint=*/false, t);
+    t = exec_.run_fu2d(u1, r, &dhat_or_d, /*adjoint=*/false, cfg_.chunk_size,
+                       t);
     if (loss_out != nullptr) {
       const EwStats ew0 = knl_.stats();
       *loss_out = 0.5 * knl_.norm_sq(r.span());
@@ -168,7 +112,7 @@ sim::VTime Solver::data_gradient(const Array3D<cfloat>& u,
     // Cancellation without fusion: subtraction on the CPU in the frequency
     // domain — COMPLEX64 arithmetic, the §6.3 regression on small inputs.
     // One fused sweep subtracts and accumulates the loss.
-    t = stage_fu2d(u1, r, nullptr, /*adjoint=*/false, t);
+    t = exec_.run_fu2d(u1, r, nullptr, /*adjoint=*/false, cfg_.chunk_size, t);
     const EwStats ew0 = knl_.stats();
     const double r2 = knl_.residual_norm_sq(r, dhat_or_d);
     if (loss_out != nullptr) *loss_out = 0.5 * r2;
@@ -176,7 +120,7 @@ sim::VTime Solver::data_gradient(const Array3D<cfloat>& u,
   } else {
     // Algorithm 1: back to the spatial domain, subtract there (cheaper
     // element type), then re-enter the frequency domain.
-    t = stage_fu2d(u1, r, nullptr, /*adjoint=*/false, t);
+    t = exec_.run_fu2d(u1, r, nullptr, /*adjoint=*/false, cfg_.chunk_size, t);
     t = stage_f2d(r, /*inverse=*/true, t);  // F*_2D
     const EwStats ew0 = knl_.stats();
     const double r2 = knl_.residual_norm_sq(r, dhat_or_d);
@@ -187,8 +131,8 @@ sim::VTime Solver::data_gradient(const Array3D<cfloat>& u,
 
   // Adjoint pass.
   Array3D<cfloat> w1(g.u1_shape());
-  t = stage_fu2d(r, w1, nullptr, /*adjoint=*/true, t);
-  t = stage_fu1d(w1, grad, /*adjoint=*/true, t);
+  t = exec_.run_fu2d(r, w1, nullptr, /*adjoint=*/true, cfg_.chunk_size, t);
+  t = exec_.run_fu1d(w1, grad, /*adjoint=*/true, cfg_.chunk_size, t);
   mem_.release("u1", t);
   mem_.release("residual", t);
   return t;

@@ -188,12 +188,6 @@ class Solver {
                            Array3D<cfloat>& grad, sim::VTime t,
                            double* loss_out);
 
-  // Stage helpers.
-  sim::VTime stage_fu1d(const Array3D<cfloat>& u, Array3D<cfloat>& u1,
-                        bool adjoint, sim::VTime t);
-  sim::VTime stage_fu2d(const Array3D<cfloat>& u1, Array3D<cfloat>& dhat,
-                        const Array3D<cfloat>* fused_ref, bool adjoint,
-                        sim::VTime t);
   // Detector-plane FFT stage (Algorithm 1 only): per-θ unitary transform on
   // the simulated GPU, including its CPU↔GPU transfers.
   sim::VTime stage_f2d(Array3D<cfloat>& d, bool inverse, sim::VTime t);

@@ -2,68 +2,41 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace mlr::cluster {
 
-Cluster::Cluster(const lamino::Operators& ops, ClusterSpec spec,
-                 memo::MemoConfig memo_cfg, memo::MemoDbConfig db_cfg)
-    : ops_(ops),
-      spec_(spec),
-      fabric_(spec.fabric),
-      memnode_(spec.memory_node),
-      nvlink_("nvlink") {
-  MLR_CHECK(spec.gpus >= 1 && spec.gpus_per_node >= 1);
-  if (memo_cfg.enable) {
-    db_ = std::make_unique<memo::MemoDb>(db_cfg, &fabric_, &memnode_);
-    if (spec_.db_seed != nullptr)
-      db_->import_entries(*spec_.db_seed, spec_.db_values);
-  }
-  // All GPUs key through one shared encoder (see core::ExecutionContext):
-  // cluster hit patterns match the single-GPU run for any gpu count. A
-  // serving session shares the service's registry across every job instead.
-  auto registry = spec_.registry != nullptr
-                      ? spec_.registry
-                      : std::make_shared<encoder::EncoderRegistry>(
-                            encoder::EncoderConfig{
-                                .input_hw = memo_cfg.encoder_hw,
-                                .embed_dim = memo_cfg.key_dim});
-  for (int g = 0; g < spec_.gpus; ++g) {
-    devices_.push_back(std::make_unique<sim::Device>(g, spec_.device));
-    wrappers_.push_back(std::make_unique<memo::MemoizedLamino>(
-        ops_, memo_cfg, devices_.back().get(), db_.get(), registry));
-  }
-  std::vector<memo::MemoizedLamino*> ptrs;
-  ptrs.reserve(wrappers_.size());
-  for (auto& w : wrappers_) ptrs.push_back(w.get());
-  exec_ = std::make_unique<memo::StageExecutor>(std::move(ptrs));
+namespace {
+constexpr int kGpusPerNode = 4;        ///< Polaris: 4×A100 per node
+constexpr double kNvlinkBw = 150.0e9;  ///< intra-node all-gather bytes/s
+}  // namespace
+
+Cluster::Cluster(const lamino::Operators& ops, ExecutionOptions opt)
+    : ctx_(ops, opt) {}
+
+int Cluster::num_nodes() const {
+  return (num_gpus() + kGpusPerNode - 1) / kGpusPerNode;
 }
 
-memo::StageReport Cluster::run_stage(memo::OpKind kind,
-                                     std::span<memo::StageChunk> chunks,
-                                     sim::VTime ready) {
-  return exec_->run_stage(kind, chunks, ready);
-}
+int Cluster::node_of(int gpu) const { return gpu / kGpusPerNode; }
 
 sim::VTime Cluster::redistribute(double total_bytes, sim::VTime ready) {
-  const int G = spec_.gpus;
+  const int G = num_gpus();
   if (G <= 1 || total_bytes <= 0) return ready;
   const int nodes = num_nodes();
   const double per_gpu = total_bytes / double(G);
   // Each GPU must gather the other GPUs' shares. Split the traffic into the
   // portion that stays inside a node (NVLink) and the portion that crosses
   // nodes (shared fabric, contending with memoization traffic).
-  const int peers_intra = std::min(G, spec_.gpus_per_node) - 1;
+  const int peers_intra = std::min(G, kGpusPerNode) - 1;
   const int peers_inter = G - 1 - peers_intra;
   sim::VTime done = ready;
   if (peers_intra > 0) {
     const double intra_bytes = per_gpu * double(peers_intra) * double(G);
-    done = std::max(done, nvlink_.schedule(ready, intra_bytes / spec_.nvlink_bw /
-                                                      double(nodes)));
+    done = std::max(
+        done, nvlink_.schedule(ready, intra_bytes / kNvlinkBw / double(nodes)));
   }
   if (peers_inter > 0) {
     const double inter_bytes = per_gpu * double(peers_inter) * double(G);
-    done = std::max(done, fabric_.transfer(ready, inter_bytes));
+    done = std::max(done, fabric().transfer(ready, inter_bytes));
   }
   return done;
 }
@@ -72,84 +45,32 @@ sim::VTime Cluster::forward_adjoint_pass(const Array3D<cfloat>& u,
                                          const Array3D<cfloat>& dhat,
                                          i64 chunk_size, sim::VTime ready,
                                          std::vector<double>* per_op_s) {
-  const auto& g = ops_.geometry();
-  const double ws = wrappers_.front()->config().work_scale;
+  auto& exec = ctx_.executor();
+  const auto& g = ctx_.wrapper(0).ops().geometry();
+  const double ws = ctx_.wrapper(0).config().work_scale;
   Array3D<cfloat> u1(g.u1_shape());
   Array3D<cfloat> r(g.data_shape());
   Array3D<cfloat> w1(g.u1_shape());
   Array3D<cfloat> grad(g.object_shape());
   if (per_op_s != nullptr) per_op_s->assign(4, 0.0);
   sim::VTime t = ready;
+  // Stage `op` started at t and completed at `done`.
+  auto stage = [&](int op, sim::VTime done) {
+    if (per_op_s != nullptr) (*per_op_s)[std::size_t(op)] = done - t;
+    t = done;
+  };
 
-  // Stage 1: F_u1D over n1 chunks.
-  {
-    auto chunks = lamino::make_chunks(g.n1, chunk_size);
-    std::vector<memo::StageChunk> work;
-    for (const auto& spec : chunks)
-      work.push_back({spec, u.slices(spec.begin, spec.count),
-                      u1.slices(spec.begin, spec.count)});
-    auto rep = run_stage(memo::OpKind::Fu1D, work, t);
-    if (per_op_s != nullptr) (*per_op_s)[0] = rep.done - t;
-    t = rep.done;
-  }
+  // F_u1D over n1 chunks.
+  stage(0, exec.run_fu1d(u, u1, /*adjoint=*/false, chunk_size, t));
   // Redistribution: n1 partitioning → h partitioning.
   t = redistribute(double(u1.bytes()) * ws, t);
-  // Stage 2: fused F_u2D over h chunks.
-  {
-    auto chunks = lamino::make_chunks(g.h, chunk_size);
-    const std::size_t n = chunks.size();
-    std::vector<std::vector<cfloat>> ins(n), outs(n), refs(n);
-    std::vector<memo::StageChunk> work;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& spec = chunks[i];
-      ins[i].resize(size_t(spec.count * g.n1 * g.n2));
-      refs[i].resize(size_t(spec.count * g.ntheta * g.w));
-      outs[i].resize(size_t(spec.count * g.ntheta * g.w));
-      ops_.pack_u1_rows(u1, spec, ins[i]);
-      ops_.pack_dhat_rows(dhat, spec, refs[i]);
-      work.push_back({spec, ins[i], outs[i], refs[i]});
-    }
-    const sim::VTime t0 = t;
-    auto rep = run_stage(memo::OpKind::Fu2D, work, t);
-    if (per_op_s != nullptr) (*per_op_s)[1] = rep.done - t0;
-    t = rep.done;
-    for (std::size_t i = 0; i < n; ++i)
-      ops_.unpack_dhat_rows(outs[i], chunks[i], r);
-  }
-  // Stage 3: adjoint F*_u2D over h chunks.
-  {
-    auto chunks = lamino::make_chunks(g.h, chunk_size);
-    const std::size_t n = chunks.size();
-    std::vector<std::vector<cfloat>> ins(n), outs(n);
-    std::vector<memo::StageChunk> work;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& spec = chunks[i];
-      ins[i].resize(size_t(spec.count * g.ntheta * g.w));
-      outs[i].resize(size_t(spec.count * g.n1 * g.n2));
-      ops_.pack_dhat_rows(r, spec, ins[i]);
-      work.push_back({spec, ins[i], outs[i]});
-    }
-    const sim::VTime t0 = t;
-    auto rep = run_stage(memo::OpKind::Fu2DAdj, work, t);
-    if (per_op_s != nullptr) (*per_op_s)[2] = rep.done - t0;
-    t = rep.done;
-    for (std::size_t i = 0; i < n; ++i)
-      ops_.unpack_u1_rows(outs[i], chunks[i], w1);
-  }
+  // Fused F_u2D over h chunks, then its adjoint.
+  stage(1, exec.run_fu2d(u1, r, &dhat, /*adjoint=*/false, chunk_size, t));
+  stage(2, exec.run_fu2d(r, w1, nullptr, /*adjoint=*/true, chunk_size, t));
   // Redistribution back: h partitioning → n1 partitioning.
   t = redistribute(double(w1.bytes()) * ws, t);
-  // Stage 4: adjoint F*_u1D over n1 chunks.
-  {
-    auto chunks = lamino::make_chunks(g.n1, chunk_size);
-    std::vector<memo::StageChunk> work;
-    for (const auto& spec : chunks)
-      work.push_back({spec, w1.slices(spec.begin, spec.count),
-                      grad.slices(spec.begin, spec.count)});
-    const sim::VTime t0 = t;
-    auto rep = run_stage(memo::OpKind::Fu1DAdj, work, t);
-    if (per_op_s != nullptr) (*per_op_s)[3] = rep.done - t0;
-    t = rep.done;
-  }
+  // Adjoint F*_u1D over n1 chunks.
+  stage(3, exec.run_fu1d(w1, grad, /*adjoint=*/true, chunk_size, t));
   return t;
 }
 

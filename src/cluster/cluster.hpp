@@ -9,59 +9,37 @@
 // returns past 4 GPUs), Fig 15 (fabric saturation) and Fig 16 (query-latency
 // tail).
 //
+// A Cluster is an ExecutionContext (devices, fabric, memory node, DB,
+// encoder, engine) plus this redistribution model: the NVLink timeline and
+// the node topology (4 GPUs per node).
+//
 // Numerics are real: every chunk is computed (or memoized) exactly once by
-// the wrapper that owns it, so the distributed result is bit-identical to
-// single-device execution regardless of the GPU count.
+// the wrapper that owns it. With memoization off the result is bit-identical
+// to single-device execution for any GPU count; with it on, a device's DB
+// query sees what earlier devices inserted in the same stage, so hits (and
+// outputs) depend on the GPU count (see memo/stage_executor.hpp).
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "memo/memoized_ops.hpp"
-#include "memo/stage_executor.hpp"
+#include "core/execution_context.hpp"
 
 namespace mlr::cluster {
-
-struct ClusterSpec {
-  int gpus = 1;
-  int gpus_per_node = 4;            ///< Polaris: 4×A100 per node
-  double nvlink_bw = 150.0e9;       ///< intra-node all-gather bytes/s
-  sim::DeviceSpec device{};
-  sim::LinkSpec fabric{};           ///< Slingshot: inter-node + memory node
-  sim::MemoryNodeSpec memory_node{};
-  /// Shared-memo session wiring (see ExecutionOptions): a serving job that
-  /// spans several GPUs runs on a Cluster seeded with the service's shared
-  /// tier and keying through the service's one cross-job encoder.
-  std::shared_ptr<encoder::EncoderRegistry> registry{};
-  const std::vector<memo::MemoDb::Entry>* db_seed = nullptr;
-  /// Lazy value fetcher for an index-only db_seed (remote tier) — see
-  /// ExecutionOptions::db_values.
-  memo::ValueFetcher* db_values = nullptr;
-};
 
 /// A set of simulated GPUs plus the shared fabric and memory node, executing
 /// chunk stages round-robin across devices.
 class Cluster {
  public:
-  Cluster(const lamino::Operators& ops, ClusterSpec spec,
-          memo::MemoConfig memo_cfg, memo::MemoDbConfig db_cfg = {});
+  Cluster(const lamino::Operators& ops, ExecutionOptions opt);
 
-  [[nodiscard]] int num_gpus() const { return spec_.gpus; }
-  [[nodiscard]] int num_nodes() const {
-    return (spec_.gpus + spec_.gpus_per_node - 1) / spec_.gpus_per_node;
-  }
-  [[nodiscard]] int node_of(int gpu) const { return gpu / spec_.gpus_per_node; }
+  [[nodiscard]] int num_gpus() const { return ctx_.num_gpus(); }
+  [[nodiscard]] int num_nodes() const;
+  [[nodiscard]] int node_of(int gpu) const;
 
-  /// Execute one operator stage: chunks are assigned round-robin to GPUs;
-  /// the stage completes when the slowest GPU finishes. Returns the stage's
-  /// per-chunk records merged in chunk order. Delegates to the shared
-  /// StageExecutor engine (same code path as core::Reconstructor).
-  memo::StageReport run_stage(memo::OpKind kind,
-                              std::span<memo::StageChunk> chunks,
-                              sim::VTime ready);
-
-  /// The multi-device engine executing the stages.
-  [[nodiscard]] memo::StageExecutor& executor() { return *exec_; }
+  /// The devices, DB, encoder and engine the stages run on.
+  [[nodiscard]] ExecutionContext& context() { return ctx_; }
+  /// The shared Slingshot fabric: cross-node redistribution + memo traffic.
+  [[nodiscard]] sim::Interconnect& fabric() { return ctx_.network(); }
 
   /// Model the redistribution between n1-partitioned and h-partitioned
   /// stages: every GPU exchanges (G−1)/G of `total_bytes` — NVLink within a
@@ -75,24 +53,9 @@ class Cluster {
                                   sim::VTime ready,
                                   std::vector<double>* per_op_s = nullptr);
 
-  [[nodiscard]] sim::Interconnect& fabric() { return fabric_; }
-  [[nodiscard]] sim::MemoryNode& memory_node() { return memnode_; }
-  [[nodiscard]] memo::MemoDb& db() { return *db_; }
-  [[nodiscard]] memo::MemoizedLamino& wrapper(int gpu) {
-    return *wrappers_[size_t(gpu)];
-  }
-  [[nodiscard]] const lamino::Operators& ops() const { return ops_; }
-
  private:
-  const lamino::Operators& ops_;
-  ClusterSpec spec_;
-  sim::Interconnect fabric_;
-  sim::MemoryNode memnode_;
-  std::unique_ptr<memo::MemoDb> db_;
-  std::vector<std::unique_ptr<sim::Device>> devices_;
-  std::vector<std::unique_ptr<memo::MemoizedLamino>> wrappers_;
-  std::unique_ptr<memo::StageExecutor> exec_;
-  sim::Timeline nvlink_;
+  ExecutionContext ctx_;
+  sim::Timeline nvlink_{"nvlink"};
 };
 
 }  // namespace mlr::cluster

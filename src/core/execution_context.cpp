@@ -1,23 +1,21 @@
 #include "core/execution_context.hpp"
 
 #include "common/error.hpp"
-#include "obs/trace.hpp"
 
 namespace mlr {
 
 ExecutionContext::ExecutionContext(const lamino::Operators& ops,
                                    ExecutionOptions opt)
-    : opt_(opt), net_(opt.link), memnode_(opt.memory_node) {
+    : opt_(opt) {
   MLR_CHECK(opt_.gpus >= 1);
-  if (opt_.trace) obs::TraceRecorder::instance().enable();
   if (opt_.memo.enable) {
     db_ = std::make_unique<memo::MemoDb>(opt_.db, &net_, &memnode_);
     if (opt_.db_seed != nullptr)
       db_->import_entries(*opt_.db_seed, opt_.db_values);
   }
   // One key encoder for the whole run: every device wrapper keys (and
-  // trains) through the same registry, so gpus>1 reproduces the single-GPU
-  // hit patterns. A serving session goes one step further and shares the
+  // trains) through the same registry, so gpus>1 trains on the single-GPU
+  // training set. A serving session goes one step further and shares the
   // service's registry across every job.
   registry_ = opt_.registry != nullptr
                   ? opt_.registry
@@ -25,7 +23,7 @@ ExecutionContext::ExecutionContext(const lamino::Operators& ops,
                         encoder::EncoderConfig{.input_hw = opt_.memo.encoder_hw,
                                                .embed_dim = opt_.memo.key_dim});
   for (int g = 0; g < opt_.gpus; ++g) {
-    devices_.push_back(std::make_unique<sim::Device>(g, opt_.device));
+    devices_.push_back(std::make_unique<sim::Device>(g));
     wrappers_.push_back(std::make_unique<memo::MemoizedLamino>(
         ops, opt_.memo, devices_.back().get(), db_.get(), registry_));
   }

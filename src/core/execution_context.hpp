@@ -1,15 +1,19 @@
 // ExecutionContext — ownership of the execution substrate for one
-// reconstruction run.
+// reconstruction run, and the only code that wires one.
 //
 // Wires together everything the StageExecutor engine drives: the simulated
 // GPU(s), the interconnect + memory node, the distributed memoization DB,
 // one MemoizedLamino wrapper per device, the shared EncoderRegistry (all
-// devices key with ONE encoder, so multi-GPU hit patterns match single-GPU
-// runs), and the worker pool for the engine's parallel phases. This
-// replaces the ad-hoc pointer plumbing that used to live inside
-// Reconstructor::prepare(), and gives multi-GPU chunk distribution, offload
-// experiments and memoization one shared code path: everything executes
-// stages through `executor()`.
+// devices key and train through ONE encoder) and the worker pool for the
+// engine's parallel phases. Reconstructor, every serve session (at any
+// `gpus_per_job`) and cluster::Cluster build their devices this way, and
+// everything executes stages through `executor()`.
+//
+// Several devices do not reproduce a single device's hit patterns when
+// memoization is on: the engine runs each device's whole round, tail
+// included, in device order, so device g's DB query already sees what
+// devices before it inserted earlier in the same stage. With memoization
+// off the result is bit-identical for any device count.
 #pragma once
 
 #include <memory>
@@ -32,9 +36,6 @@ struct ExecutionOptions {
   int gpus = 1;
   memo::MemoConfig memo{};   ///< wrapper config, shared by every device
   memo::MemoDbConfig db{};   ///< memoization DB config (used when memo.enable)
-  sim::DeviceSpec device{};
-  sim::LinkSpec link{};
-  sim::MemoryNodeSpec memory_node{};
 
   // --- Shared-memo session wiring (serve::ReconService) -------------------
   // A serving session is an ExecutionContext whose expensive shared state is
@@ -57,12 +58,6 @@ struct ExecutionOptions {
   /// Borrow an existing worker pool instead of owning one (all job sessions
   /// of a service share the service pool). Overrides `threads` when set.
   ThreadPool* shared_pool = nullptr;
-  /// Enable the process-global trace recorder (obs/trace.hpp) for this run.
-  /// Enable-only — a context never turns recording off behind another
-  /// context's back; the caller drains via obs::TraceRecorder::write_json.
-  /// Tracing never perturbs outputs, records, fingerprints or virtual
-  /// times.
-  bool trace = false;
 };
 
 class ExecutionContext {

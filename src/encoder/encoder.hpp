@@ -105,11 +105,12 @@ double chunk_l2(std::span<const cfloat> a, std::span<const cfloat> b);
 
 /// Shared ownership of one key encoder plus its contrastive training set.
 ///
-/// Every device wrapper of a run (core::ExecutionContext, cluster::Cluster)
-/// points at the same registry, so a multi-GPU run collects ONE training set
-/// — deposited in global chunk order by the StageExecutor, the order a
-/// single-GPU run would see — trains ONE encoder, and therefore produces the
-/// same keys and the same DB/cache hit patterns as the single-GPU run.
+/// Every device wrapper of a run (wired by core::ExecutionContext) points at
+/// the same registry, so a multi-GPU run collects ONE training set —
+/// deposited in global chunk order by the StageExecutor, the order a
+/// single-GPU run would see — and trains ONE encoder, producing the
+/// single-GPU run's keys. (Its hit patterns can still differ: see
+/// memo/stage_executor.hpp.)
 /// A wrapper constructed without a registry creates a private one, keeping
 /// standalone (test/bench) wrappers self-contained.
 ///

@@ -120,8 +120,8 @@ class StageExecutor;
 class MemoizedLamino {
  public:
   /// `db` may be null when cfg.enable is false. `registry` is the shared
-  /// key-encoder owner (ExecutionContext/Cluster pass one registry to every
-  /// device wrapper so multi-GPU runs train a single encoder); when null the
+  /// key-encoder owner (ExecutionContext passes one registry to every device
+  /// wrapper so multi-GPU runs train a single encoder); when null the
   /// wrapper creates a private registry, so standalone wrappers keep
   /// working unchanged.
   MemoizedLamino(const lamino::Operators& ops, MemoConfig cfg,

@@ -173,6 +173,65 @@ StageReport StageExecutor::run_stage(OpKind kind,
   return report;
 }
 
+sim::VTime StageExecutor::run_fu1d(const Array3D<cfloat>& in,
+                                   Array3D<cfloat>& out, bool adjoint,
+                                   i64 chunk_size, sim::VTime ready) {
+  const auto& g = wrapper(0).ops().geometry();
+  auto chunks = lamino::make_chunks(g.n1, chunk_size);
+  std::vector<StageChunk> work;
+  work.reserve(chunks.size());
+  for (const auto& spec : chunks) {
+    work.push_back({spec, in.slices(spec.begin, spec.count),
+                    out.slices(spec.begin, spec.count)});
+  }
+  return run_stage(adjoint ? OpKind::Fu1DAdj : OpKind::Fu1D, work, ready)
+      .done;
+}
+
+sim::VTime StageExecutor::run_fu2d(const Array3D<cfloat>& in,
+                                   Array3D<cfloat>& out,
+                                   const Array3D<cfloat>* fused_ref,
+                                   bool adjoint, i64 chunk_size,
+                                   sim::VTime ready) {
+  const auto& ops = wrapper(0).ops();
+  const auto& g = ops.geometry();
+  auto chunks = lamino::make_chunks(g.h, chunk_size);
+  const std::size_t n = chunks.size();
+  std::vector<std::vector<cfloat>> ins(n), outs(n), refs(n);
+  std::vector<StageChunk> work;
+  work.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& spec = chunks[i];
+    const auto plane = size_t(spec.count * g.n1 * g.n2);
+    const auto rows = size_t(spec.count * g.ntheta * g.w);
+    if (!adjoint) {
+      ins[i].resize(plane);
+      outs[i].resize(rows);
+      ops.pack_u1_rows(in, spec, ins[i]);
+      if (fused_ref != nullptr) {
+        refs[i].resize(rows);
+        ops.pack_dhat_rows(*fused_ref, spec, refs[i]);
+      }
+      work.push_back({spec, ins[i], outs[i], refs[i]});
+    } else {
+      ins[i].resize(rows);
+      outs[i].resize(plane);
+      ops.pack_dhat_rows(in, spec, ins[i]);
+      work.push_back({spec, ins[i], outs[i]});
+    }
+  }
+  const sim::VTime done =
+      run_stage(adjoint ? OpKind::Fu2DAdj : OpKind::Fu2D, work, ready).done;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!adjoint) {
+      ops.unpack_dhat_rows(outs[i], chunks[i], out);
+    } else {
+      ops.unpack_u1_rows(outs[i], chunks[i], out);
+    }
+  }
+  return done;
+}
+
 void StageExecutor::run_wrapper_stage(MemoizedLamino& ml, OpKind kind,
                                       std::span<StageChunk> chunks,
                                       sim::VTime ready,

@@ -37,12 +37,19 @@
 // DB insertion order are bit-identical for any `threads` setting.
 //
 // The engine also owns multi-device distribution: constructed over several
-// MemoizedLamino wrappers (one per simulated GPU) it round-robins chunks
-// across them — the single code path shared by core::Reconstructor and
-// cluster::Cluster. Encoder-training samples are collected ABOVE the device
-// distribution, in global chunk order, into each wrapper's EncoderRegistry:
-// wrappers sharing one registry (multi-GPU) therefore assemble exactly the
-// training set a single-GPU run sees and train one shared encoder.
+// MemoizedLamino wrappers (one per simulated GPU, wired by
+// core::ExecutionContext) it round-robins chunks across them. Each device
+// runs its whole round, tail included, in device order, so with memoization
+// on device g's DB query sees what earlier devices inserted in the same
+// stage: several devices need not reproduce one device's hits.
+// Encoder-training samples are collected ABOVE the device distribution, in
+// global chunk order, into each wrapper's EncoderRegistry: wrappers sharing
+// one registry (multi-GPU) therefore assemble exactly the training set a
+// single-GPU run sees and train one shared encoder.
+//
+// run_fu1d / run_fu2d assemble a whole-volume F_u1D / F_u2D stage (chunking,
+// row packing, run_stage, unpacking) — the one copy the ADMM solver and
+// cluster::Cluster's forward-adjoint pass share.
 #pragma once
 
 #include <span>
@@ -72,6 +79,18 @@ class StageExecutor {
   /// are written into each chunk's `out`; records come back in chunk order.
   StageReport run_stage(OpKind kind, std::span<StageChunk> chunks,
                         sim::VTime ready);
+
+  /// Whole-volume F_u1D (or its adjoint) in n1 chunks of `chunk_size`
+  /// slices, `in` → `out`. Returns the stage's completion time.
+  sim::VTime run_fu1d(const Array3D<cfloat>& in, Array3D<cfloat>& out,
+                      bool adjoint, i64 chunk_size, sim::VTime ready);
+  /// Whole-volume F_u2D (or its adjoint) in h chunks of `chunk_size` rows,
+  /// packed from `in` and unpacked into `out`. A forward stage given
+  /// `fused_ref` (d̂) fuses the residual subtraction into the kernel.
+  /// Returns the stage's completion time.
+  sim::VTime run_fu2d(const Array3D<cfloat>& in, Array3D<cfloat>& out,
+                      const Array3D<cfloat>* fused_ref, bool adjoint,
+                      i64 chunk_size, sim::VTime ready);
 
   [[nodiscard]] MemoizedLamino& wrapper(std::size_t gpu = 0) const {
     return *wrappers_[gpu];

@@ -164,6 +164,7 @@ struct JobStats {
   double cache_hit_rate = 0;
   u64 output_fingerprint = 0;    ///< FNV-1a over the result bits
   u64 cache_fingerprint = 0;     ///< session cache digest at completion
+                                 ///< (0 for a multi-GPU session)
 
   [[nodiscard]] double queue_wait() const { return start - arrival; }
   [[nodiscard]] double turnaround() const { return finish - arrival; }

@@ -5,7 +5,6 @@
 #include <set>
 #include <utility>
 
-#include "cluster/cluster.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/log.hpp"
@@ -242,36 +241,21 @@ ReconService::RunOutcome ReconService::run_job(
     MLR_TRACE_SPAN("job.seed_harvest", "serve", req.id);
     seed = tier_->end_seed(seed_ticket, seed_storage);
   }
+  ExecutionOptions eo;
+  eo.gpus = cfg_.gpus_per_job;
+  eo.memo = mc;
+  eo.db = dbc;
+  eo.registry = registry_;
+  eo.db_seed = seed.entries;
+  eo.db_values = seed.values;
+  eo.shared_pool = pool_.get();
   std::unique_ptr<ExecutionContext> ctx;
-  std::unique_ptr<cluster::Cluster> clu;
-  memo::StageExecutor* exec = nullptr;
-  memo::MemoDb* db = nullptr;
   {
     MLR_TRACE_SPAN("job.session_build", "serve", req.id);
-    if (cfg_.gpus_per_job <= 1) {
-      ExecutionOptions eo;
-      eo.gpus = 1;
-      eo.memo = mc;
-      eo.db = dbc;
-      eo.registry = registry_;
-      eo.db_seed = seed.entries;
-      eo.db_values = seed.values;
-      eo.shared_pool = pool_.get();
-      ctx = std::make_unique<ExecutionContext>(ops_, eo);
-      exec = &ctx->executor();
-      db = ctx->db();
-    } else {
-      cluster::ClusterSpec cs;
-      cs.gpus = cfg_.gpus_per_job;
-      cs.registry = registry_;
-      cs.db_seed = seed.entries;
-      cs.db_values = seed.values;
-      clu = std::make_unique<cluster::Cluster>(ops_, cs, mc, dbc);
-      if (pool_ != nullptr) clu->executor().set_pool(pool_.get());
-      exec = &clu->executor();
-      db = cfg_.memoize ? &clu->db() : nullptr;
-    }
+    ctx = std::make_unique<ExecutionContext>(ops_, eo);
   }
+  memo::StageExecutor& exec = ctx->executor();
+  memo::MemoDb* db = ctx->db();
 
   // Resumed segment: re-install the checkpointed session state on top of
   // the freshly seeded context. The tier is constant during a drain (folds
@@ -284,11 +268,9 @@ ReconService::RunOutcome ReconService::run_job(
     MLR_TRACE_SPAN("job.session_restore", "serve", req.id);
     if (db != nullptr && !resume->own_entries.empty())
       db->restore_session_entries(resume->own_entries);
-    if (ctx != nullptr) {
-      ctx->wrapper(0).restore_cache(resume->cache);
-      ctx->wrapper(0).set_counters(resume->counters);
-      ctx->restore_clock(resume->clocks);
-    }
+    ctx->wrapper(0).restore_cache(resume->cache);
+    ctx->wrapper(0).set_counters(resume->counters);
+    ctx->restore_clock(resume->clocks);
   }
 
   admm::SolverCheckpoint ck;
@@ -306,7 +288,7 @@ ReconService::RunOutcome ReconService::run_job(
     };
   }
 
-  admm::Solver solver(*exec, ac);
+  admm::Solver solver(exec, ac);
   admm::SolveResult res;
   const bool finished = [&] {
     MLR_TRACE_SPAN("job.solve", "serve", req.id);
@@ -326,11 +308,9 @@ ReconService::RunOutcome ReconService::run_job(
       MLR_TRACE_SPAN("job.export", "serve", req.id);
       pj.own_entries = db->export_entries(/*session_only=*/true);
     }
-    if (ctx != nullptr) {
-      pj.cache = ctx->wrapper(0).cache_image();
-      pj.counters = ctx->wrapper(0).counters();
-      pj.clocks = ctx->clock_state();
-    }
+    pj.cache = ctx->wrapper(0).cache_image();
+    pj.counters = ctx->wrapper(0).counters();
+    pj.clocks = ctx->clock_state();
     return ro;
   }
 
@@ -340,11 +320,12 @@ ReconService::RunOutcome ReconService::run_job(
   // clock domain, exported as a counter track against the wall-clock axis.
   obs::trace_counter("vclock.service", st.finish);
   st.deadline_met = req.deadline <= 0 || st.finish <= req.deadline;
-  st.memo = exec->counters();
-  st.cache_hit_rate = exec->cache_stats().hit_rate();
+  st.memo = exec.counters();
+  st.cache_hit_rate = exec.cache_stats().hit_rate();
   st.error_vs_truth = relative_error<cfloat>(pb.truth.span(), res.u.span());
   st.output_fingerprint = fnv1a_bytes(res.u.data(), std::size_t(res.u.bytes()));
-  if (ctx != nullptr && ctx->wrapper(0).cache() != nullptr)
+  // One device's cache is not a multi-device session's cache.
+  if (ctx->num_gpus() == 1 && ctx->wrapper(0).cache() != nullptr)
     st.cache_fingerprint = ctx->wrapper(0).cache()->fingerprint();
   if (own_entries != nullptr && db != nullptr) {
     MLR_TRACE_SPAN("job.export", "serve", req.id);

@@ -5,8 +5,9 @@
 //   * One service = one shared geometry + ONE cross-job key encoder + a
 //     *shared memo tier* (serve::SharedTier — promoted MemoDb entries on
 //     `shard_count` memory-node shards behind one contended sim::Fabric) +
-//     `slots` execution slots (one simulated GPU each, or `gpus_per_job`
-//     GPUs via cluster::Cluster) + a host worker pool every session shares.
+//     `slots` execution slots (each session an ExecutionContext of
+//     `gpus_per_job` simulated GPUs) + a host worker pool every session
+//     shares.
 //   * Lifecycle: configure → prime() → submit()* → drain(). prime() trains
 //     the encoder and seeds the shared tier by running a canonical warm-up
 //     workload back-to-back; drain() runs the event loop on the sim virtual
@@ -121,7 +122,11 @@ struct ServiceConfig {
 
   // Capacity.
   int slots = 2;           ///< jobs running concurrently (virtual time)
-  int gpus_per_job = 1;    ///< >1: each session is a cluster::Cluster
+  /// Simulated GPUs of each session's ExecutionContext. A multi-GPU
+  /// session reports cache_fingerprint 0 (no one device's cache is the
+  /// session's) and cannot be preempted (a checkpoint holds one device's
+  /// cache image and counters).
+  int gpus_per_job = 1;
   unsigned threads = 0;    ///< host worker pool shared by all sessions
 
   // Memo tier.

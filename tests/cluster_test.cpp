@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "common/hash.hpp"
 #include "lamino/phantom.hpp"
 
 namespace mlr::cluster {
@@ -19,16 +20,17 @@ struct Fixture {
     dhat = Array3D<cfloat>(geom.data_shape());
     ops.forward_freq(u, dhat);
   }
-  ClusterSpec spec(int gpus) {
-    ClusterSpec s;
-    s.gpus = gpus;
-    return s;
-  }
 };
+
+/// Options for a `gpus`-device cluster, memoization off unless `mc` says.
+ExecutionOptions opts(int gpus, memo::MemoConfig mc = {.enable = false},
+                      memo::MemoDbConfig db = {}) {
+  return {.gpus = gpus, .memo = mc, .db = db};
+}
 
 TEST(Cluster, NodeTopology) {
   Fixture f;
-  Cluster c(f.ops, f.spec(10), {.enable = false});
+  Cluster c(f.ops, opts(10));
   EXPECT_EQ(c.num_gpus(), 10);
   EXPECT_EQ(c.num_nodes(), 3);  // 4 + 4 + 2
   EXPECT_EQ(c.node_of(0), 0);
@@ -41,25 +43,23 @@ TEST(Cluster, StageResultIndependentOfGpuCount) {
   Fixture f;
   const auto& g = f.geom;
   auto run = [&](int gpus) {
-    Cluster c(f.ops, f.spec(gpus), {.enable = false});
+    Cluster c(f.ops, opts(gpus));
     Array3D<cfloat> u1(g.u1_shape());
-    auto chunks = lamino::make_chunks(g.n1, 3);
-    std::vector<memo::StageChunk> work;
-    for (const auto& spec : chunks)
-      work.push_back({spec, f.u.slices(spec.begin, spec.count),
-                      u1.slices(spec.begin, spec.count)});
-    (void)c.run_stage(memo::OpKind::Fu1D, work, 0.0);
+    (void)c.context().executor().run_fu1d(f.u, u1, /*adjoint=*/false, 3, 0.0);
     return u1;
   };
-  auto r1 = run(1), r2 = run(2), r5 = run(5);
-  EXPECT_LT(relative_error<cfloat>(r1.span(), r2.span()), 1e-12);
-  EXPECT_LT(relative_error<cfloat>(r1.span(), r5.span()), 1e-12);
+  auto digest = [](const Array3D<cfloat>& a) {
+    return fnv1a_bytes(a.data(), std::size_t(a.bytes()));
+  };
+  const u64 d1 = digest(run(1));
+  EXPECT_EQ(digest(run(2)), d1);
+  EXPECT_EQ(digest(run(5)), d1);
 }
 
 TEST(Cluster, MoreGpusFasterWithinNode) {
   Fixture f;
   auto time_for = [&](int gpus) {
-    Cluster c(f.ops, f.spec(gpus), {.enable = false, .work_scale = 1.0e6});
+    Cluster c(f.ops, opts(gpus, {.enable = false, .work_scale = 1.0e6}));
     return c.forward_adjoint_pass(f.u, f.dhat, 1, 0.0);
   };
   const double t1 = time_for(1), t2 = time_for(2), t4 = time_for(4);
@@ -74,7 +74,7 @@ TEST(Cluster, CrossNodeScalingDiminishes) {
   // fabric and the marginal gain collapses (Fig 14's plateau).
   Fixture f;
   auto time_for = [&](int gpus) {
-    Cluster c(f.ops, f.spec(gpus), {.enable = false, .work_scale = 1.0e6});
+    Cluster c(f.ops, opts(gpus, {.enable = false, .work_scale = 1.0e6}));
     return c.forward_adjoint_pass(f.u, f.dhat, 1, 0.0);
   };
   const double t2 = time_for(2), t4 = time_for(4), t8 = time_for(8);
@@ -85,8 +85,8 @@ TEST(Cluster, CrossNodeScalingDiminishes) {
 
 TEST(Cluster, RedistributionCostsGrowAcrossNodes) {
   Fixture f;
-  Cluster intra(f.ops, f.spec(4), {.enable = false});
-  Cluster inter(f.ops, f.spec(8), {.enable = false});
+  Cluster intra(f.ops, opts(4));
+  Cluster inter(f.ops, opts(8));
   const double bytes = 1.0e9;
   const double t_intra = intra.redistribute(bytes, 0.0);
   const double t_inter = inter.redistribute(bytes, 0.0);
@@ -95,61 +95,58 @@ TEST(Cluster, RedistributionCostsGrowAcrossNodes) {
 
 TEST(Cluster, SingleGpuRedistributionFree) {
   Fixture f;
-  Cluster c(f.ops, f.spec(1), {.enable = false});
+  Cluster c(f.ops, opts(1));
   EXPECT_DOUBLE_EQ(c.redistribute(1.0e9, 5.0), 5.0);
 }
 
 TEST(Cluster, MemoizedClusterSharesOneDatabase) {
   Fixture f;
-  Cluster c(f.ops, f.spec(2),
-            {.enable = true, .tau = 0.9, .key_dim = 16, .encoder_hw = 16},
-            {.key_dim = 16, .tau = 0.9, .ivf = {.nlist = 2, .train_size = 8}});
-  const auto& g = f.geom;
-  Array3D<cfloat> u1(g.u1_shape());
-  auto chunks = lamino::make_chunks(g.n1, 3);
-  std::vector<memo::StageChunk> work;
-  for (const auto& spec : chunks)
-    work.push_back({spec, f.u.slices(spec.begin, spec.count),
-                    u1.slices(spec.begin, spec.count)});
-  (void)c.run_stage(memo::OpKind::Fu1D, work, 0.0);
+  Cluster c(f.ops,
+            opts(2, {.enable = true, .tau = 0.9, .key_dim = 16,
+                     .encoder_hw = 16},
+                 {.key_dim = 16, .tau = 0.9,
+                  .ivf = {.nlist = 2, .train_size = 8}}));
+  auto& ctx = c.context();
+  Array3D<cfloat> u1(f.geom.u1_shape());
+  (void)ctx.executor().run_fu1d(f.u, u1, /*adjoint=*/false, 3, 0.0);
+  const std::size_t chunks = lamino::make_chunks(f.geom.n1, 3).size();
   // Every chunk either inserted into the shared DB or served from it,
   // regardless of which GPU owned it.
   u64 hits = 0;
   for (int g = 0; g < 2; ++g)
-    hits += c.wrapper(g).counters().db_hit + c.wrapper(g).counters().cache_hit;
-  EXPECT_EQ(c.db().entries(memo::OpKind::Fu1D) + hits, chunks.size());
+    hits += ctx.wrapper(g).counters().db_hit +
+            ctx.wrapper(g).counters().cache_hit;
+  EXPECT_EQ(ctx.db()->entries(memo::OpKind::Fu1D) + hits, chunks);
 }
 
 TEST(Cluster, GpusShareOneEncoderRegistry) {
   // Every wrapper keys (and trains) through the same EncoderRegistry, so a
-  // multi-GPU run trains ONE encoder and reproduces single-GPU hit
-  // patterns: collected samples pool in one place and training on any
-  // wrapper quantizes the encoder every other wrapper sees.
+  // multi-GPU run trains ONE encoder on the single-GPU training set:
+  // collected samples pool in one place and training on any wrapper
+  // quantizes the encoder every other wrapper sees.
   Fixture f;
-  Cluster c(f.ops, f.spec(3),
-            {.enable = true, .tau = 0.9, .key_dim = 16, .encoder_hw = 16},
-            {.key_dim = 16, .tau = 0.9, .ivf = {.nlist = 2, .train_size = 8}});
+  Cluster c(f.ops,
+            opts(3, {.enable = true, .tau = 0.9, .key_dim = 16,
+                     .encoder_hw = 16},
+                 {.key_dim = 16, .tau = 0.9,
+                  .ivf = {.nlist = 2, .train_size = 8}}));
+  auto& ctx = c.context();
   for (int g = 1; g < 3; ++g)
-    EXPECT_EQ(&c.wrapper(0).key_encoder(), &c.wrapper(g).key_encoder());
+    EXPECT_EQ(&ctx.wrapper(0).key_encoder(), &ctx.wrapper(g).key_encoder());
 
-  c.executor().set_bypass(true);
-  c.executor().set_collect_samples(true, 64);
-  const auto& geom = f.geom;
-  Array3D<cfloat> u1(geom.u1_shape());
-  auto chunks = lamino::make_chunks(geom.n1, 2);
-  std::vector<memo::StageChunk> work;
-  for (const auto& spec : chunks)
-    work.push_back({spec, f.u.slices(spec.begin, spec.count),
-                    u1.slices(spec.begin, spec.count)});
-  (void)c.run_stage(memo::OpKind::Fu1D, work, 0.0);
+  ctx.executor().set_bypass(true);
+  ctx.executor().set_collect_samples(true, 64);
+  Array3D<cfloat> u1(f.geom.u1_shape());
+  (void)ctx.executor().run_fu1d(f.u, u1, /*adjoint=*/false, 2, 0.0);
+  const std::size_t chunks = lamino::make_chunks(f.geom.n1, 2).size();
   // Collection is global-chunk-ordered into the one registry: each wrapper
   // reports the same pooled count — the whole stage, not a per-GPU share.
-  EXPECT_EQ(c.wrapper(0).collected_samples(), chunks.size());
-  EXPECT_EQ(c.wrapper(1).collected_samples(), chunks.size());
-  c.executor().set_collect_samples(false);
-  (void)c.executor().train_encoder_from_collected(8);
+  EXPECT_EQ(ctx.wrapper(0).collected_samples(), chunks);
+  EXPECT_EQ(ctx.wrapper(1).collected_samples(), chunks);
+  ctx.executor().set_collect_samples(false);
+  (void)ctx.executor().train_encoder_from_collected(8);
   for (int g = 0; g < 3; ++g)
-    EXPECT_TRUE(c.wrapper(g).key_encoder().quantized());
+    EXPECT_TRUE(ctx.wrapper(g).key_encoder().quantized());
 }
 
 TEST(Cluster, FabricUtilizationGrowsWithGpus) {
@@ -157,13 +154,66 @@ TEST(Cluster, FabricUtilizationGrowsWithGpus) {
   // fabric (Fig 15).
   Fixture f;
   auto util = [&](int gpus) {
-    Cluster c(f.ops, f.spec(gpus),
-              {.enable = false, .work_scale = 1.0e6});
+    Cluster c(f.ops, opts(gpus, {.enable = false, .work_scale = 1.0e6}));
     const double done = c.forward_adjoint_pass(f.u, f.dhat, 1, 0.0);
     return c.fabric().utilization(done);
   };
   EXPECT_GT(util(8), util(4));
   EXPECT_GT(util(16), util(8));
+}
+
+/// FNV-1a over three chained forward-adjoint passes: each pass's completion
+/// time and four per-op seconds as raw bits, then the fabric utilization at
+/// the end and, with memoization on, the DB's query-latency sample count.
+/// `memo` selects Figs 15/16's configuration (encoder-gated keys, tau 0.5);
+/// off, the Fig 14 one.
+u64 pass_digest(Fixture& f, int gpus, bool memo) {
+  const double s = 1024.0 / double(f.geom.n1);
+  const double ws = s * s * s;
+  const memo::MemoConfig mc =
+      memo ? memo::MemoConfig{.enable = true, .tau = 0.5, .key_dim = 16,
+                              .encoder_hw = 16, .work_scale = ws,
+                              .oracle_similarity = false}
+           : memo::MemoConfig{.enable = false, .work_scale = ws};
+  const memo::MemoDbConfig dbc =
+      memo ? memo::MemoDbConfig{.key_dim = 16, .tau = 0.5, .value_scale = ws}
+           : memo::MemoDbConfig{};
+  Cluster c(f.ops, opts(gpus, mc, dbc));
+  u64 h = kFnvOffsetBasis;
+  auto pod = [&h](const auto& v) { h = fnv1a(h, &v, sizeof v); };
+  sim::VTime t = 0;
+  std::vector<double> per_op;
+  for (int p = 0; p < 3; ++p) {
+    t = c.forward_adjoint_pass(f.u, f.dhat, 1, t, &per_op);
+    pod(t);
+    for (const double x : per_op) pod(x);
+  }
+  pod(c.fabric().utilization(t));
+  if (memo) pod(c.context().db()->timing().query_latency_us.count());
+  return h;
+}
+
+TEST(Cluster, ForwardAdjointPassGolden) {
+  // Recorded when Cluster still wired its own devices, DB, encoder registry
+  // and engine. A change that moves one changed behaviour: fix it, do not
+  // re-record.
+  constexpr struct {
+    int gpus;
+    bool memo;
+    u64 digest;
+  } kGolden[] = {
+      {1, false, 0xfafbb4d0d8be8f76ull}, {2, false, 0xb4f58a470574fb72ull},
+      {4, false, 0xc2f804709cb867e5ull}, {8, false, 0x0eee44528caa0b8aull},
+      {16, false, 0x765aded8c6475bc8ull}, {1, true, 0x608e2500efb49ed3ull},
+      {2, true, 0xb5db9545366f9b9full},  {4, true, 0x68915b74da4351e9ull},
+      {8, true, 0xcc723c599d8be257ull},  {16, true, 0xb9468a42da56ef56ull},
+  };
+  Fixture f;
+  for (const auto& gd : kGolden) {
+    const u64 got = pass_digest(f, gd.gpus, gd.memo);
+    EXPECT_EQ(got, gd.digest) << "gpus=" << gd.gpus << " memo=" << gd.memo
+                              << " digest=0x" << std::hex << got;
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "common/hash.hpp"
 #include "net/request_table.hpp"
 #include "net/tier_client.hpp"
 #include "net/tier_server.hpp"
@@ -623,8 +624,8 @@ TEST(ReconService, FabricContentionShiftsOnlyConcurrentClocks) {
 }
 
 TEST(ReconService, ClusterSessionsIdenticalAcrossPolicies) {
-  // gpus_per_job > 1 routes sessions through cluster::Cluster; the identity
-  // guarantee must hold there too.
+  // gpus_per_job > 1 builds two-device sessions; the identity guarantee
+  // must hold there too.
   WorkloadConfig wc;
   wc.jobs = 3;
   wc.mean_interarrival = 30.0;
@@ -643,6 +644,64 @@ TEST(ReconService, ClusterSessionsIdenticalAcrossPolicies) {
   const auto b = run_workload(fair, jobs, warm);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.run_vtime, b.run_vtime);
+}
+
+TEST(ReconService, ClusterSessionsGolden) {
+  // Per-job outputs, run vtimes, cache fingerprints and memo outcomes of
+  // the brain workload above at 1, 2 and 3 GPUs per job, folded into one
+  // FNV-1a digest per width. Recorded when multi-GPU sessions ran on a
+  // separately wired cluster::Cluster; a change that moves one changed
+  // behaviour: fix it, do not re-record.
+  WorkloadConfig wc;
+  wc.jobs = 3;
+  wc.mean_interarrival = 30.0;
+  wc.mix = {{Scenario::BrainScan, 1.0}};
+  wc.distinct_objects = 1;
+  WorkloadGenerator gen(wc);
+  const auto jobs = gen.generate();
+  const auto warm = gen.priming_set();
+
+  constexpr struct {
+    int gpus;
+    u64 digest;
+  } kGolden[] = {{1, 0x7a8cd37446b02504ull},
+                 {2, 0x0f45549b4be905ccull},
+                 {3, 0xd7575120cd2b0c19ull}};
+  for (const auto& gd : kGolden) {
+    auto cfg = tiny_config(SchedulerPolicy::Fifo);
+    cfg.gpus_per_job = gd.gpus;
+    const auto r = run_workload(cfg, jobs, warm);
+    ASSERT_EQ(r.fingerprint.size(), jobs.size());
+    u64 h = kFnvOffsetBasis;
+    auto pod = [&h](const auto& v) { h = fnv1a(h, &v, sizeof v); };
+    for (const auto& [id, fp] : r.fingerprint) {
+      // One device's cache is not a multi-device session's cache.
+      EXPECT_EQ(r.cache_fp.at(id) == 0, gd.gpus > 1) << "job " << id;
+      pod(id);
+      pod(fp);
+      pod(r.cache_fp.at(id));
+      pod(r.run_vtime.at(id));
+      for (const u64 m : r.memo.at(id)) pod(m);
+    }
+    EXPECT_EQ(h, gd.digest) << "gpus_per_job=" << gd.gpus << " digest=0x"
+                            << std::hex << h;
+  }
+}
+
+TEST(ReconService, PreemptionRequiresOneGpuPerJob) {
+  // A checkpoint captures only wrapper 0's cache image and counters, so a
+  // multi-GPU session cannot yield: the service refuses the configuration.
+  auto cfg = tiny_config(SchedulerPolicy::Fifo);
+  cfg.gpus_per_job = 2;
+  EXPECT_NO_THROW(ReconService{cfg});
+  cfg.preempt_quantum_s = 1.0;
+  EXPECT_THROW(ReconService{cfg}, Error);
+  cfg.preempt_quantum_s = 0.0;
+  cfg.preempt_force = true;
+  EXPECT_THROW(ReconService{cfg}, Error);
+  cfg.preempt_force = false;
+  cfg.gpus_per_job = 0;
+  EXPECT_THROW(ReconService{cfg}, Error);
 }
 
 // --- Remote-tier transports (net/) -------------------------------------------
