@@ -30,7 +30,9 @@
 # trained at pool widths 1-4, and two threads training two encoders on one
 # shared pool: workers write disjoint gradient and weight ranges while
 # reading shared weights), the shared-norm test (four racing solves fill one
-# Operators' ||L*L|| slot under its mutex and read it back),
+# Operators' ||L*L|| slot under its mutex and read it back), the memo DB
+# suite and the remote-harvest test (pool workers storing fetched payloads
+# into one entry's row under its kind's mutex while other workers read it),
 # the obs unit suite, the fused elementwise-kernel suite (tiled reductions
 # racing on the shared partial buffer is exactly where a combine-order bug
 # would hide), the serve shard matrix (shards x policies x threads), the
@@ -84,7 +86,8 @@ if [[ "$preset" == "tsan" ]]; then
   ctest --preset tsan -j "$(nproc)"
   ./build-tsan/obs_test
   ./build-tsan/concurrency_test \
-    --gtest_filter='Concurrency.StageExecutorGoldenDigest:Concurrency.CrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.CacheHitNeverEncodes:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial:Concurrency.ConcurrentTrainingMatchesSerial'
+    --gtest_filter='Concurrency.StageExecutorGoldenDigest:Concurrency.CrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.CacheHitNeverEncodes:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial:Concurrency.ConcurrentTrainingMatchesSerial:Concurrency.MemoDbHarvestsOneRemoteEntryFromManyWorkers'
+  ./build-tsan/memo_test --gtest_filter='MemoDb.*'
   ./build-tsan/encoder_test --gtest_filter='CnnEncoder.GoldenTrainingAndKeys'
   ./build-tsan/admm_test \
     --gtest_filter='Solver.ConcurrentSolvesShareOneNormEstimate'

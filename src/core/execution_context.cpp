@@ -5,35 +5,34 @@
 namespace mlr {
 
 ExecutionContext::ExecutionContext(const lamino::Operators& ops,
-                                   ExecutionOptions opt)
-    : opt_(opt) {
-  MLR_CHECK(opt_.gpus >= 1);
-  if (opt_.memo.enable) {
-    db_ = std::make_unique<memo::MemoDb>(opt_.db, &net_, &memnode_);
-    if (opt_.db_seed != nullptr)
-      db_->import_entries(*opt_.db_seed, opt_.db_values);
+                                   ExecutionOptions opt) {
+  MLR_CHECK(opt.gpus >= 1);
+  if (opt.memo.enable) {
+    db_ = std::make_unique<memo::MemoDb>(opt.db, &net_, &memnode_);
+    if (opt.db_seed != nullptr)
+      db_->import_entries(*opt.db_seed, opt.db_values);
   }
   // One key encoder for the whole run: every device wrapper keys (and
   // trains) through the same registry, so gpus>1 trains on the single-GPU
   // training set. A serving session goes one step further and shares the
   // service's registry across every job.
-  registry_ = opt_.registry != nullptr
-                  ? opt_.registry
+  registry_ = opt.registry != nullptr
+                  ? opt.registry
                   : std::make_shared<encoder::EncoderRegistry>(
-                        encoder::EncoderConfig{.input_hw = opt_.memo.encoder_hw,
-                                               .embed_dim = opt_.memo.key_dim});
-  for (int g = 0; g < opt_.gpus; ++g) {
+                        encoder::EncoderConfig{.input_hw = opt.memo.encoder_hw,
+                                               .embed_dim = opt.memo.key_dim});
+  for (int g = 0; g < opt.gpus; ++g) {
     devices_.push_back(std::make_unique<sim::Device>(g));
     wrappers_.push_back(std::make_unique<memo::MemoizedLamino>(
-        ops, opt_.memo, devices_.back().get(), db_.get(), registry_));
+        ops, opt.memo, devices_.back().get(), db_.get(), registry_));
   }
   std::vector<memo::MemoizedLamino*> ptrs;
   ptrs.reserve(wrappers_.size());
   for (auto& w : wrappers_) ptrs.push_back(w.get());
   exec_ = std::make_unique<memo::StageExecutor>(std::move(ptrs));
-  ThreadPool* pool = opt_.shared_pool;
-  if (pool == nullptr && opt_.threads > 0) {
-    pool_ = std::make_unique<ThreadPool>(opt_.threads);
+  ThreadPool* pool = opt.shared_pool;
+  if (pool == nullptr && opt.threads > 0) {
+    pool_ = std::make_unique<ThreadPool>(opt.threads);
     pool = pool_.get();
   }
   if (pool != nullptr) {

@@ -80,7 +80,6 @@ class ExecutionContext {
     return *devices_[std::size_t(gpu)];
   }
   [[nodiscard]] sim::Interconnect& network() { return net_; }
-  [[nodiscard]] sim::MemoryNode& memory_node() { return memnode_; }
   [[nodiscard]] memo::MemoDb* db() { return db_.get(); }
   /// The cross-device key encoder shared by every wrapper.
   [[nodiscard]] encoder::EncoderRegistry& encoder_registry() {
@@ -88,7 +87,6 @@ class ExecutionContext {
   }
   /// Dedicated pool (null when sharing the process-global one).
   [[nodiscard]] ThreadPool* pool() { return pool_.get(); }
-  [[nodiscard]] const ExecutionOptions& options() const { return opt_; }
 
   /// Snapshot of every virtual timeline in the context (per-device compute +
   /// copy engines, the interconnect link, the memory-node CPU). A preempted
@@ -118,7 +116,6 @@ class ExecutionContext {
   }
 
  private:
-  ExecutionOptions opt_;
   sim::Interconnect net_;
   sim::MemoryNode memnode_;
   std::unique_ptr<memo::MemoDb> db_;

@@ -113,7 +113,6 @@ class Reconstructor {
   [[nodiscard]] memo::MemoizedLamino& wrapper() { return ctx_->wrapper(); }
   [[nodiscard]] admm::Solver& solver() { return *solver_; }
   [[nodiscard]] sim::Interconnect& network() { return ctx_->network(); }
-  [[nodiscard]] sim::MemoryNode& memory_node() { return ctx_->memory_node(); }
   [[nodiscard]] memo::MemoDb* db() { return ctx_->db(); }
   [[nodiscard]] const ReconstructionConfig& config() const { return cfg_; }
 

@@ -1,8 +1,5 @@
 #include "memo/memo_cache.hpp"
 
-#include <algorithm>
-
-#include "common/array.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 
@@ -31,20 +28,11 @@ u64 hash_entry(u64 h, const CacheEntry& e) {
   return h;
 }
 
-// Shared acceptance rule (see MemoDb::query_batch): oracle pooled-plane
-// cosine with a norm gate when probes exist, encoder proxy otherwise. The
-// oracle branch never reads the key, so the engine looks a chunk up before
-// it encodes one; the key branch must then never see that empty key.
+// The DB's acceptance rule (gate_similarity): the oracle branch never reads
+// the key, so the engine looks a chunk up before it encodes one.
 bool accept_entry(const CacheEntry& e, std::span<const float> key, double tau,
                   double norm, std::span<const cfloat> probe) {
-  if (!probe.empty() && e.probe.size() == probe.size()) {
-    const double lo = std::min(norm, e.norm), hi = std::max(norm, e.norm);
-    if (hi > 0 && lo / hi <= tau) return false;
-    return cosine_similarity<cfloat>(probe, e.probe) > tau;
-  }
-  MLR_CHECK_MSG(!key.empty(), "key-gated cache lookup without a key");
-  return std::min(key_cosine(key, e.key),
-                  estimated_chunk_cosine(key, e.key, norm, e.norm)) > tau;
+  return gate_similarity(key, norm, probe, e.key, e.norm, e.probe, tau) > tau;
 }
 }  // namespace
 

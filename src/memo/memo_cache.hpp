@@ -7,10 +7,11 @@
 //   * GlobalCache  — one shared pool over all locations: a lookup compares
 //     against every resident entry (64 for the paper's 1K³ case), which is
 //     where the 85 % extra comparison cost comes from.
-// Both accept a hit on the same rule as MemoDb: under oracle similarity the
-// pooled-probe cosine and the norm ratio must exceed τ, and the key is never
-// read (the engine passes an empty one and encodes only on a miss); in
-// encoder-gated mode (no probe) the key similarity must exceed τ.
+// Both accept a hit by MemoDb's own rule (gate_similarity): under oracle
+// similarity the pooled-probe cosine and the norm ratio must exceed τ, and
+// the key is never read (the engine passes an empty one and encodes only on
+// a miss); in encoder-gated mode (no probe) the key similarity must exceed
+// τ.
 //
 // Thread safety: the batched StageExecutor probes the cache from many worker
 // threads at once, so every implementation must tolerate concurrent

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/array.hpp"
 #include "common/error.hpp"
@@ -64,6 +65,21 @@ std::size_t entry_bytes(const MemoDb::Entry& e) {
          e.probe.size() * sizeof(cfloat) + sizeof e.norm;
 }
 
+double gate_similarity(std::span<const float> key, double norm,
+                       std::span<const cfloat> probe,
+                       std::span<const float> stored_key, double stored_norm,
+                       std::span<const cfloat> stored_probe, double tau) {
+  if (!probe.empty() && stored_probe.size() == probe.size()) {
+    const double lo = std::min(norm, stored_norm),
+                 hi = std::max(norm, stored_norm);
+    if (hi > 0 && lo / hi <= tau) return -1.0;
+    return cosine_similarity<cfloat>(probe, stored_probe);
+  }
+  MLR_CHECK_MSG(!key.empty(), "key-gated lookup without a key");
+  return std::min(key_cosine(key, stored_key),
+                  estimated_chunk_cosine(key, stored_key, norm, stored_norm));
+}
+
 double entry_similarity(const MemoDb::Entry& a, const MemoDb::Entry& b) {
   if (a.kind != b.kind || a.value.size() != b.value.size()) return -1.0;
   const double lo = std::min(a.norm, b.norm), hi = std::max(a.norm, b.norm);
@@ -112,77 +128,35 @@ void MemoDb::score_requests(std::span<const QueryRequest> reqs,
       if (!found[m].empty()) nn[members[m]] = found[m].front();
   }
 
-  // 2) Value fetch + τ gate per request. Pure reads of the value store and
-  //    the norm/probe maps — no insertion runs while a round scores.
+  // 2) τ gate per request, reading the matched row in place; only a hit
+  //    copies the value. No insertion runs while a round scores.
   auto gate_one = [&](i64 ii) {
     const auto i = size_t(ii);
     const auto& rq = reqs[i];
     auto& rp = replies[i];
     rp = QueryReply{};
     if (!nn[i].has_value()) return;
-    // Re-fetching the stored key via id is not needed: IVF gives distance;
-    // we accept by cosine, which requires the stored key — the value blob
-    // stores key+value together.
-    auto blob = values_.get(nn[i]->id);
-    if (!blob.has_value()) return;
-    auto stored = kvstore::from_blob(*blob);
-    // Layout: first ceil(key_dim/2) cfloats hold the key (2 floats each).
-    const std::size_t key_cf = (size_t(cfg_.key_dim) + 1) / 2;
-    // A remote-seeded entry stores a key-only blob; its full value length
-    // (and its fetch address — the snapshot position) live in the per-kind
-    // seed tables. Hit decisions need only the length, so scoring is
-    // bit-identical whether the payload is local or still on the tier.
-    std::size_t vlen = stored.size() - key_cf;
-    u64 remote_pos = QueryReply::kNoRemote;
-    if (vlen == 0 && fetcher_ != nullptr) {
-      const auto k2 = size_t(int(rq.kind));
-      const u64 seq = nn[i]->id & kSeqMask;
-      if (seq < seed_vlen_[k2].size() && seed_vlen_[k2][size_t(seq)] > 0) {
-        vlen = seed_vlen_[k2][size_t(seq)];
-        remote_pos = seed_pos_[k2][size_t(seq)];
-      }
-    }
-    if (rq.value_size != 0 && vlen != rq.value_size)
+    const u64 id = nn[i]->id;
+    const auto& row = rows_[size_t(int(rq.kind))][size_t(id & kSeqMask)];
+    const auto& e = row.e;
+    if (rq.value_size != 0 && e.value_cf != rq.value_size)
       return;  // shape mismatch: not a valid answer for this chunk
-    std::vector<float> stored_key(static_cast<size_t>(cfg_.key_dim));
-    for (i64 d = 0; d < cfg_.key_dim; ++d) {
-      const auto c = stored[size_t(d / 2)];
-      stored_key[size_t(d)] = (d % 2 == 0) ? c.real() : c.imag();
-    }
-    const auto& norms = norms_[size_t(int(rq.kind))];
-    const auto& probes = probes_[size_t(int(rq.kind))];
-    const auto nit = norms.find(nn[i]->id);
-    const double ndb = nit != norms.end() ? nit->second : rq.norm;
     const double tau = rq.tau > 0.0 ? rq.tau : cfg_.tau;
-    double cs;
-    const auto pit = probes.find(nn[i]->id);
-    if (cfg_.oracle_similarity && !rq.probe.empty() && pit != probes.end() &&
-        pit->second.size() == rq.probe.size()) {
-      // Oracle: true cosine of the pooled input planes (Eq. 3 computed on
-      // the chunks the keys stand for).
-      cs = cosine_similarity<cfloat>(rq.probe, pit->second);
-      // Scale gate: cosine is magnitude-blind.
-      const double lo = std::min(rq.norm, ndb), hi = std::max(rq.norm, ndb);
-      if (hi > 0 && lo / hi <= tau) cs = -1.0;
-    } else {
-      // Encoder proxy: key cosine AND the chunk-cosine estimate from the
-      // distance-preserving embedding must both clear τ.
-      cs = std::min(key_cosine(rq.key, stored_key),
-                    estimated_chunk_cosine(rq.key, stored_key, rq.norm, ndb));
-    }
+    const double cs = gate_similarity(rq.key, rq.norm, rq.probe, e.key,
+                                      e.norm, e.probe, tau);
     if (cs > tau) {
       rp.hit = true;
-      rp.match_id = nn[i]->id;
+      rp.match_id = id;
       rp.cosine = cs;
-      rp.value_cf = vlen;
-      if (remote_pos != QueryReply::kNoRemote) {
+      rp.value_cf = e.value_cf;
+      if (e.value.empty() && e.value_cf > 0) {
         // Payload still on the tier: note interest now (the round's flush
         // below ships one coalesced GET_BATCH per shard) and let the engine
         // harvest with materialize() once its miss FFTs are in flight.
-        rp.remote_pos = remote_pos;
-        fetcher_->request(remote_pos);
+        rp.remote_pos = row.seed_pos;
+        fetcher_->request(row.seed_pos);
       } else {
-        rp.value.assign(stored.begin() + i64(key_cf), stored.end());
+        rp.value = e.value;
       }
     }
   };
@@ -261,67 +235,50 @@ std::vector<QueryReply> MemoDb::query_batch(
     std::span<const QueryRequest> reqs, sim::VTime ready, ThreadPool* pool) {
   std::vector<QueryReply> replies(reqs.size());
   if (reqs.empty()) return replies;
-  // Asynchronous insertions complete before the next round of queries (they
-  // overlap the intervening iteration's compute).
-  values_.drain();
   score_requests(reqs, replies, pool);
   schedule_replies(replies, ready);
   return replies;
 }
 
-u64 MemoDb::store_entry(OpKind kind, std::span<const float> key,
-                        std::span<const cfloat> value, double norm,
-                        std::vector<cfloat> probe, bool async) {
-  MLR_CHECK(i64(key.size()) == cfg_.key_dim);
-  const auto k = size_t(int(kind));
+void MemoDb::append(Entry e, u64 seed_pos) {
+  MLR_CHECK(i64(e.key.size()) == cfg_.key_dim);
+  if (!e.value.empty()) e.value_cf = e.value.size();
+  const auto k = size_t(int(e.kind));
   // Per-kind lock: stores within a kind serialize, so the kind's sequence
   // numbers follow its insertion order.
   std::lock_guard store_lk(store_mu_[k]);
-  const u64 seq = next_seq_[k].fetch_add(1, std::memory_order_acq_rel);
-  const u64 id = (u64(kind) << 56) | seq;
-  index_[k]->add(id, key);
-  norms_[k][id] = norm;
-  if (!probe.empty()) probes_[k][id] = std::move(probe);
-  // Pack key + value into one blob (key padded into cfloat pairs).
-  const std::size_t key_cf = (key.size() + 1) / 2;
-  std::vector<cfloat> packed(key_cf + value.size());
-  for (std::size_t d = 0; d < key.size(); ++d) {
-    auto& c = packed[d / 2];
-    c = (d % 2 == 0) ? cfloat(key[d], c.imag()) : cfloat(c.real(), key[d]);
-  }
-  std::copy(value.begin(), value.end(), packed.begin() + i64(key_cf));
-  if (async) {
-    values_.put_async(id, kvstore::to_blob(packed));
-  } else {
-    values_.put(id, kvstore::to_blob(packed));
-  }
-  return id;
+  auto& rows = rows_[k];
+  index_[k]->add((u64(k) << 56) | u64(rows.size()), e.key);
+  rows.push_back({std::move(e), seed_pos});
 }
 
 void MemoDb::insert(OpKind kind, std::span<const float> key,
                     std::span<const cfloat> value, sim::VTime ready,
                     double norm, std::vector<cfloat> probe) {
-  (void)store_entry(kind, key, value, norm, std::move(probe), /*async=*/true);
+  append({.kind = kind,
+          .key = {key.begin(), key.end()},
+          .norm = norm,
+          .probe = std::move(probe),
+          .value = {value.begin(), value.end()}},
+         0);
   // Virtual-time: the store travels over the link and lands in DRAM, but
-  // asynchronously — nothing waits on the returned completion time. DRAM
-  // growth is accounted in insertion order (not from values_.bytes(), which
-  // trails the async writer), so the footprint curve is deterministic.
+  // nothing waits on the returned completion time. The footprint counts
+  // ⌈key_dim/2⌉ + value cfloats per entry, in insertion order.
   const std::size_t key_cf = (key.size() + 1) / 2;
-  const double blob_bytes = double(key_cf + value.size()) * sizeof(cfloat);
-  const double wire_bytes = blob_bytes * cfg_.value_scale;
+  const double store_bytes = double(key_cf + value.size()) * sizeof(cfloat);
+  const double wire_bytes = store_bytes * cfg_.value_scale;
   const sim::VTime arrived = net_->transfer(ready, wire_bytes);
   (void)node_->serve_value(arrived, wire_bytes);
   node_->dram().alloc("memo_values", accounted_store_bytes_ + wire_bytes,
                       arrived);
-  accounted_store_bytes_ += blob_bytes;
+  accounted_store_bytes_ += store_bytes;
 }
 
 std::vector<MemoDb::Entry> MemoDb::export_entries(bool session_only) {
-  // A remote-seeded session may hold key-only blobs for payloads it never
-  // fetched — a full export would silently produce empty values.
+  // A remote-seeded session may hold rows whose payload it never fetched —
+  // a full export would silently produce empty values.
   MLR_CHECK_MSG(session_only || fetcher_ == nullptr,
                 "full export of a remote-seeded session");
-  values_.drain();  // pending async insertions become part of the snapshot
   // Canonical kind-major order: each kind's entries in its own insertion
   // order.
   std::scoped_lock store_lk(store_mu_[0], store_mu_[1], store_mu_[2],
@@ -329,32 +286,10 @@ std::vector<MemoDb::Entry> MemoDb::export_entries(bool session_only) {
   static_assert(kNumOpKinds == 4);
   std::vector<Entry> out;
   for (int k = 0; k < kNumOpKinds; ++k) {
-    const OpKind kind = OpKind(k);
+    const auto& rows = rows_[size_t(k)];
     const u64 from_seq = session_only ? shared_boundary_[size_t(k)] : 0;
-    const u64 end_seq = next_seq_[size_t(k)].load(std::memory_order_acquire);
-    for (u64 seq = from_seq; seq < end_seq; ++seq) {
-      const u64 id = (u64(kind) << 56) | seq;
-      auto blob = values_.get(id);
-      MLR_CHECK(blob.has_value());
-      auto stored = kvstore::from_blob(*blob);
-      const std::size_t key_cf = (size_t(cfg_.key_dim) + 1) / 2;
-      Entry e;
-      e.kind = kind;
-      e.key.resize(size_t(cfg_.key_dim));
-      for (i64 d = 0; d < cfg_.key_dim; ++d) {
-        const auto c = stored[size_t(d / 2)];
-        e.key[size_t(d)] = (d % 2 == 0) ? c.real() : c.imag();
-      }
-      e.value.assign(stored.begin() + i64(key_cf), stored.end());
-      e.value_cf = e.value.size();
-      const auto& norms = norms_[size_t(k)];
-      const auto& probes = probes_[size_t(k)];
-      const auto nit = norms.find(id);
-      e.norm = nit != norms.end() ? nit->second : 1.0;
-      const auto pit = probes.find(id);
-      if (pit != probes.end()) e.probe = pit->second;
-      out.push_back(std::move(e));
-    }
+    for (auto seq = std::size_t(from_seq); seq < rows.size(); ++seq)
+      out.push_back(rows[seq].e);
   }
   return out;
 }
@@ -372,28 +307,16 @@ void MemoDb::import_entries(std::span<const Entry> entries,
   double logical_bytes = 0;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& e = entries[i];
-    const auto k = size_t(int(e.kind));
     const std::size_t vcf = e.value.empty() ? e.value_cf : e.value.size();
     const bool remote = e.value.empty() && e.value_cf > 0;
     MLR_CHECK_MSG(!remote || values != nullptr,
                   "index-only seed entry without a value fetcher");
-    if (values != nullptr) {
-      // Per-kind seq the entry is about to get == the kind's current count.
-      const u64 seq = next_seq_[k].load(std::memory_order_acquire);
-      seed_vlen_[k].resize(size_t(seq) + 1, 0);
-      seed_pos_[k].resize(size_t(seq) + 1, 0);
-      if (remote) {
-        seed_vlen_[k][size_t(seq)] = u32(vcf);
-        seed_pos_[k][size_t(seq)] = u64(i);
-      }
-    }
-    (void)store_entry(e.kind, e.key, e.value, e.norm, e.probe,
-                      /*async=*/false);
+    append(e, u64(i));
     logical_bytes += double(key_cf + vcf) * sizeof(cfloat);
   }
   for (int k = 0; k < kNumOpKinds; ++k)
-    shared_boundary_[size_t(k)] = next_seq_[size_t(k)].load();
-  // Seed blobs are (logically) resident before the session runs; account
+    shared_boundary_[size_t(k)] = rows_[size_t(k)].size();
+  // Seed entries are (logically) resident before the session runs; account
   // them so the first insertion charge continues from the real footprint.
   // The *logical* footprint — key + full value per entry — is what the
   // paper-scale DRAM curve means, and for an index-only seed it is what the
@@ -404,16 +327,14 @@ void MemoDb::import_entries(std::span<const Entry> entries,
 
 void MemoDb::restore_session_entries(std::span<const Entry> entries) {
   for (int k = 0; k < kNumOpKinds; ++k)
-    MLR_CHECK_MSG(
-        next_seq_[size_t(k)].load() == shared_boundary_[size_t(k)],
-        "restore_session_entries must run on a seed-only database");
+    MLR_CHECK_MSG(rows_[size_t(k)].size() == shared_boundary_[size_t(k)],
+                  "restore_session_entries must run on a seed-only database");
   const std::size_t key_cf = (size_t(cfg_.key_dim) + 1) / 2;
   for (const auto& e : entries) {
     // Own entries always carry their payload inline: the session stored
     // them locally even when its *seed* was index-only.
     MLR_CHECK(!e.value.empty() || e.value_cf == 0);
-    (void)store_entry(e.kind, e.key, e.value, e.norm, e.probe,
-                      /*async=*/false);
+    append(e, 0);
     accounted_store_bytes_ +=
         double(key_cf + e.value.size()) * sizeof(cfloat);
   }
@@ -421,25 +342,30 @@ void MemoDb::restore_session_entries(std::span<const Entry> entries) {
 
 void MemoDb::materialize(QueryReply& rp) {
   if (!rp.hit || rp.remote_pos == QueryReply::kNoRemote) return;
-  const std::size_t key_cf = (size_t(cfg_.key_dim) + 1) / 2;
-  // Another harvest of the same entry may already have cached the payload.
-  auto blob = values_.get(rp.match_id);
-  MLR_CHECK(blob.has_value());
-  auto stored = kvstore::from_blob(*blob);
-  if (stored.size() > key_cf) {
-    rp.value.assign(stored.begin() + i64(key_cf), stored.end());
-  } else {
-    MLR_CHECK(fetcher_ != nullptr);
-    auto v = fetcher_->fetch(rp.remote_pos);
-    MLR_CHECK_MSG(v.size() == rp.value_cf,
-                  "fetched payload length disagrees with the seed index");
-    // Upgrade the key-only blob so later rounds (and the dedup/export
-    // paths) serve this entry locally. Concurrent upgrades write identical
-    // bytes; KvStore::put is atomic per key.
-    stored.insert(stored.end(), v.begin(), v.end());
-    values_.put(rp.match_id, kvstore::to_blob(stored));
-    rp.value = std::move(v);
+  const auto k = size_t(rp.match_id >> 56);
+  const auto seq = size_t(rp.match_id & kSeqMask);
+  {
+    // Another harvest of the same entry may already have stored the payload.
+    std::lock_guard lk(store_mu_[k]);
+    const auto& stored = rows_[k][seq].e.value;
+    if (!stored.empty()) {
+      rp.value = stored;
+      rp.remote_pos = QueryReply::kNoRemote;
+      return;
+    }
   }
+  MLR_CHECK(fetcher_ != nullptr);
+  auto v = fetcher_->fetch(rp.remote_pos);
+  MLR_CHECK_MSG(v.size() == rp.value_cf,
+                "fetched payload length disagrees with the seed index");
+  {
+    // Later rounds (and the dedup/export paths) serve this entry locally.
+    // Concurrent harvests fetched identical bytes; the first one stores.
+    std::lock_guard lk(store_mu_[k]);
+    auto& stored = rows_[k][seq].e.value;
+    if (stored.empty()) stored = v;
+  }
+  rp.value = std::move(v);
   rp.remote_pos = QueryReply::kNoRemote;
 }
 

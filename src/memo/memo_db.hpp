@@ -3,15 +3,17 @@
 //
 // Architecture mirrors Fig 6: the *memory node* hosts an index database
 // (ANN over encoder keys — Faiss IVF in the paper, our IvfFlatIndex here)
-// and a value database (Redis in the paper, our KvStore here). The compute
-// node reaches it over the shared interconnect. Queries are optionally
-// *coalesced* into ≥4 KB payloads (§4.3.3) and looked up as a batch.
+// and a value database (Redis in the paper). The value database's service
+// time is modelled on the virtual clock by sim::MemoryNode; the host keeps
+// each entry once, in a per-kind table. The compute node reaches the memory
+// node over the shared interconnect. Queries are optionally *coalesced*
+// into ≥4 KB payloads (§4.3.3) and looked up as a batch.
 //
 // query_batch() splits every lookup round into two halves:
 //
 //   * scoring — the real work: ANN search (fanned across a ThreadPool via
-//     ann::Index::search_batch), value fetch and the τ similarity gate.
-//     Scoring touches no virtual timeline.
+//     ann::Index::search_batch), the τ similarity gate and, for hits, the
+//     value copy. Scoring touches no virtual timeline.
 //   * scheduling — a deterministic serial pass over the round's requests in
 //     submission order that charges key transfer (Interconnect), batched
 //     lookup + value serve (MemoryNode) and value transfer back
@@ -19,27 +21,23 @@
 //     on which worker scored what, reported virtual times are bit-identical
 //     for any pool width.
 //
-// Insertions are asynchronous — they occupy the link/node timelines but
-// never gate the caller's ready time (the paper hides insertion behind the
-// next iteration); they become visible to queries at the next query_batch().
-// Key/value spaces are partitioned by OpKind end to end (per-kind ANN
-// index, per-kind norm/probe maps, per-kind id sequences), and stores of
-// one kind serialize on that kind's mutex. Callers must not insert while a
-// query_batch() of the same kind is scoring.
+// Insertion charges occupy the link/node timelines but never gate the
+// caller's ready time (the paper hides insertion behind the next
+// iteration); the host stores the entry synchronously, and the next
+// query_batch() sees it. Key/value spaces are partitioned by OpKind end to
+// end (per-kind ANN index, per-kind entry table, per-kind id sequences), and
+// stores of one kind serialize on that kind's mutex. Callers must not insert
+// while a query_batch() of the same kind is scoring.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "ann/ann.hpp"
 #include "common/stats.hpp"
-#include "kvstore/kvstore.hpp"
 #include "sim/device.hpp"
 
 namespace mlr {
@@ -122,13 +120,6 @@ struct MemoDbConfig {
   /// down volume is *timed* as its paper-scale counterpart (keys are tiny
   /// at any scale and are not multiplied).
   double value_scale = 1.0;
-  /// Oracle similarity: accept by the true cosine of pooled input planes
-  /// instead of the encoder-key proxy. The paper's encoder is trained at
-  /// dataset scale and approximates exactly this quantity; at this repo's
-  /// reduced scale the oracle removes encoder fidelity as a confounder for
-  /// the accuracy/convergence experiments (see DESIGN.md). Keys are still
-  /// encoded and timed for the performance path either way.
-  bool oracle_similarity = true;
   ann::IvfParams ivf{};         ///< index database parameters
 };
 
@@ -146,17 +137,17 @@ class MemoDb {
 
   /// Batched lookup: all requests travel together (coalesced into
   /// ceil(batch·key_bytes / coalesce_bytes) messages when enabled, one
-  /// message per key otherwise). Pending asynchronous insertions become
-  /// visible first. Returns one reply per request; replies for hits include
-  /// the value (or, for a remote seed, its length — see materialize()) and
-  /// its arrival time. Scoring fans out across `pool` when given (timing is
+  /// message per key otherwise). Every earlier insertion is visible.
+  /// Returns one reply per request; replies for hits include the value (or,
+  /// for a remote seed, its length — see materialize()) and its arrival
+  /// time. Scoring fans out across `pool` when given (timing is
   /// unaffected — see the header comment's scoring/scheduling split).
   std::vector<QueryReply> query_batch(std::span<const QueryRequest> reqs,
                                       sim::VTime ready,
                                       ThreadPool* pool = nullptr);
 
-  /// Asynchronous insertion of (key, value): charged to the link/node
-  /// timelines from `ready`, never blocks the caller. `norm` is the raw
+  /// Insertion of (key, value): stored at once, and charged to the link/node
+  /// timelines from `ready` without gating the caller. `norm` is the raw
   /// chunk L2 norm. Assigns the kind's next insertion sequence number.
   void insert(OpKind kind, std::span<const float> key,
               std::span<const cfloat> value, sim::VTime ready,
@@ -168,7 +159,7 @@ class MemoDb {
   // shards (serve::SharedTier) — and seeds every job's session database from
   // it. The lifecycle, and who pays for what on the virtual clock:
   //
-  //   * export — after a session drains the async writer,
+  //   * export — after a session's last stage,
   //     export_entries(/*session_only=*/true) yields "what this job
   //     inserted on top of its seed", in canonical kind-major order.
   //     Exporting is free: the entries' link/node/DRAM traffic was charged
@@ -213,8 +204,8 @@ class MemoDb {
   };
 
   /// Export entries in canonical kind-major order (all of kind 0 in
-  /// insertion order, then kind 1, …); pending async insertions are drained
-  /// first. With `session_only`, only entries above the per-kind shared
+  /// insertion order, then kind 1, …). With `session_only`, only entries
+  /// above the per-kind shared
   /// boundary — what this session inserted on top of its seed — are
   /// exported.
   [[nodiscard]] std::vector<Entry> export_entries(bool session_only = false);
@@ -225,18 +216,18 @@ class MemoDb {
   /// this session's own insertions.
   ///
   /// With a non-null `values` fetcher, *index-only* entries (empty value,
-  /// value_cf > 0) are accepted: the session stores a key-only blob plus the
-  /// value length, scores hits exactly as if the payload were local (hit
+  /// value_cf > 0) are accepted: the session stores the entry without its
+  /// payload, scores hits exactly as if the payload were local (hit
   /// decisions need key/norm/probe/length only), and resolves the payload
   /// lazily — score_requests batches fetcher->request() calls per round and
-  /// the engine harvests via materialize(). A fetched payload is cached
-  /// into the value store, so later rounds serve it locally.
+  /// the engine harvests via materialize(). A fetched payload is stored in
+  /// the entry's row, so later rounds serve it locally.
   void import_entries(std::span<const Entry> entries,
                       ValueFetcher* values = nullptr);
 
   /// Re-install a preempted session's *own* insertions on top of a freshly
-  /// imported seed (serve-layer checkpoint/resume). Entries replay through
-  /// the synchronous store path in snapshot order, continuing the per-kind
+  /// imported seed (serve-layer checkpoint/resume). Entries are appended in
+  /// snapshot order, continuing the per-kind
   /// sequences exactly where the seed left them — so the restored entries
   /// get the ids they had in the original session and stay *above* the
   /// shared boundary (a hit on one remains db_hit, not db_hit_shared). No
@@ -247,9 +238,10 @@ class MemoDb {
   void restore_session_entries(std::span<const Entry> entries);
 
   /// Resolve a remote hit in place: fetch the value payload (blocking — the
-  /// engine calls this after the stage's miss FFTs were issued), cache it
-  /// into the value store, and clear remote_pos. No-op for local replies.
-  /// Never touches a virtual timeline. Safe on pool workers.
+  /// engine calls this after the stage's miss FFTs were issued), store it in
+  /// the entry's row, and clear remote_pos. No-op for local replies. Never
+  /// touches a virtual timeline. Safe on pool workers, also for many replies
+  /// of one entry at once.
   void materialize(QueryReply& rp);
   /// True when `match_id` (a QueryReply::match_id) refers to a seeded —
   /// i.e. cross-job — entry (its per-kind sequence is below that kind's
@@ -259,30 +251,33 @@ class MemoDb {
   }
 
   /// Low 56 bits of an entry id hold the entry's *per-kind* insertion
-  /// sequence number (the high byte is the OpKind); the remote-seed tables
-  /// and is_shared_entry() index by it.
+  /// sequence number (the high byte is the OpKind): its row in the kind's
+  /// table, and what is_shared_entry() compares.
   static constexpr u64 kSeqMask = (u64(1) << 56) - 1;
 
   [[nodiscard]] std::size_t entries(OpKind kind) const;
   [[nodiscard]] std::size_t total_entries() const;
-  [[nodiscard]] std::size_t value_bytes() const { return values_.bytes(); }
   [[nodiscard]] const DbTiming& timing() const { return timing_; }
-  [[nodiscard]] const MemoDbConfig& config() const { return cfg_; }
   /// Number of coalesced wire messages sent so far for queries.
   [[nodiscard]] u64 messages_sent() const { return messages_; }
 
  private:
-  /// Store one entry (index add, norm/probe bookkeeping, packed value blob)
-  /// without touching any virtual timeline. insert() layers the async write
-  /// and the link/node charges on top; import_entries() replays a snapshot
-  /// through the synchronous write path.
-  u64 store_entry(OpKind kind, std::span<const float> key,
-                  std::span<const cfloat> value, double norm,
-                  std::vector<cfloat> probe, bool async);
+  /// One row of a kind's table. An index-only seed row holds an empty
+  /// `e.value` (with `e.value_cf` > 0) until materialize() stores the
+  /// payload fetched from snapshot position `seed_pos`.
+  struct Stored {
+    Entry e;
+    u64 seed_pos = 0;
+  };
 
-  /// Scoring half: ANN search (search_batch on `pool`), value fetch and the
-  /// τ gate for every request. Touches no timeline and mutates no DB state,
-  /// so it is safe on pool workers while the index is not being inserted to.
+  /// Index and store one entry in its kind's table, without touching any
+  /// virtual timeline. insert() layers the link/node charges on top.
+  void append(Entry e, u64 seed_pos);
+
+  /// Scoring half: ANN search (search_batch on `pool`), the τ gate and the
+  /// hit value copy for every request. Touches no timeline and mutates no
+  /// DB state, so it is safe on pool workers while the index is not being
+  /// inserted to.
   void score_requests(std::span<const QueryRequest> reqs,
                       std::span<QueryReply> replies, ThreadPool* pool) const;
   /// Scheduling half: charge key transfer, batched lookup and hit value
@@ -294,31 +289,19 @@ class MemoDb {
   sim::Interconnect* net_;
   sim::MemoryNode* node_;
   std::vector<std::unique_ptr<ann::IvfFlatIndex>> index_;  // one per OpKind
-  kvstore::KvStore values_;
-  // Norm/probe bookkeeping is sharded by OpKind, mirroring the per-kind ANN
-  // indexes.
-  std::array<std::unordered_map<u64, double>, kNumOpKinds> norms_;
-  std::array<std::unordered_map<u64, std::vector<cfloat>>, kNumOpKinds>
-      probes_;
+  /// Per-kind entry tables; a row's position is its per-kind sequence.
+  std::array<std::vector<Stored>, kNumOpKinds> rows_;
   /// Per-kind store serialization, mirroring the per-kind indexes: stores
   /// within a kind stay in total insertion order. export_entries locks all
   /// kinds for a consistent snapshot.
   std::array<std::mutex, kNumOpKinds> store_mu_;
-  /// Per-kind insertion-sequence counters (the low 56 bits of an id).
-  std::array<std::atomic<u64>, kNumOpKinds> next_seq_{};
   /// Per-kind sequence below which entries came from import_entries().
   std::array<u64, kNumOpKinds> shared_boundary_{};
   /// Lazy value source for an index-only seed (null for local seeds).
   ValueFetcher* fetcher_ = nullptr;
-  /// Remote-seed bookkeeping, indexed by per-kind seq (only filled when the
-  /// seed is index-only): the full value length and the entry's snapshot
-  /// position (the fetch key — snapshot order is what GET addresses).
-  std::array<std::vector<u32>, kNumOpKinds> seed_vlen_;
-  std::array<std::vector<u64>, kNumOpKinds> seed_pos_;
   u64 messages_ = 0;
   /// Store bytes accounted in insertion order — the DRAM footprint the
-  /// virtual clock sees. Decoupled from values_.bytes() (which trails the
-  /// async writer) so the accounting is deterministic for every pool width.
+  /// virtual clock sees: (⌈key_dim/2⌉ + value) cfloats per entry.
   double accounted_store_bytes_ = 0;
   DbTiming timing_;
 };
@@ -345,6 +328,18 @@ std::size_t entry_bytes(const MemoDb::Entry& e);
 /// the min with the norm ratio lo/hi guards against rescaled copies, as the
 /// live scale gate does.
 double entry_similarity(const MemoDb::Entry& a, const MemoDb::Entry& b);
+
+/// The query-time τ gate's similarity between a lookup (key, norm, probe)
+/// and a stored entry — the one acceptance rule of MemoDb and the caches.
+/// With oracle probes of equal length on both sides it is the true pooled-
+/// plane cosine, or −1 when the norm ratio lo/hi does not exceed τ (cosine
+/// is magnitude-blind); that branch never reads the keys. Otherwise it is
+/// the encoder proxy: the min of key cosine and the chunk-cosine estimate,
+/// and an empty `key` throws. A match requires the result to exceed τ.
+double gate_similarity(std::span<const float> key, double norm,
+                       std::span<const cfloat> probe,
+                       std::span<const float> stored_key, double stored_norm,
+                       std::span<const cfloat> stored_probe, double tau);
 
 /// Cosine similarity between two float keys.
 double key_cosine(std::span<const float> a, std::span<const float> b);

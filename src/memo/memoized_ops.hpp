@@ -54,8 +54,13 @@ struct MemoConfig {
   /// than the dense 2-D gridding kernels (calibrated to Fig 10's
   /// compute:retrieval ratio for F_u1D).
   double fu1d_extra_derate = 4.0;
-  /// Oracle similarity (see MemoDbConfig::oracle_similarity). Pooled input
-  /// planes accompany keys into the cache/DB for acceptance decisions.
+  /// Oracle similarity: pooled input planes accompany keys into the cache
+  /// and DB, which then accept by their true cosine instead of the encoder-
+  /// key proxy (see gate_similarity). The paper's encoder is trained at
+  /// dataset scale and approximates exactly this quantity; at this repo's
+  /// reduced scale the oracle removes encoder fidelity as a confounder for
+  /// the accuracy/convergence experiments. Keys are still encoded and timed
+  /// for the performance path either way.
   bool oracle_similarity = true;
   i64 probe_hw = 16;  ///< pooled probe resolution
 };

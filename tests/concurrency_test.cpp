@@ -1,6 +1,7 @@
 // Concurrency tests for the batched stage-execution engine's shared state:
-// the memoization caches and the KvStore are hammered from many threads and
-// must neither lose counter updates nor corrupt entries; the StageExecutor
+// the memoization caches are hammered from many threads and must neither
+// lose counter updates nor corrupt entries; pool workers harvesting one
+// remote DB entry at once must all land its payload; the StageExecutor
 // must produce bit-identical results, records, cache contents, DB entries
 // and virtual times for any pool width, pinned by golden digests;
 // ann::Index::search_batch must match looped search; keys encoded,
@@ -18,7 +19,6 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "encoder/encoder.hpp"
-#include "kvstore/kvstore.hpp"
 #include "lamino/operators.hpp"
 #include "lamino/phantom.hpp"
 #include "memo/memo_cache.hpp"
@@ -111,42 +111,88 @@ TEST(Concurrency, GlobalCacheKeepsSameLocationSharing) {
         << "location " << loc;
 }
 
-TEST(Concurrency, KvStoreParallelGetAsyncPut) {
-  kvstore::KvStore store(8);
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 1000;
-  std::vector<std::thread> workers;
-  std::atomic<u64> mismatches{0};
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      Rng rng(u64(7 + t));
-      for (int r = 0; r < kRounds; ++r) {
-        const u64 key = u64(rng.uniform_int(0, 255));
-        if (rng.uniform() < 0.5) {
-          // Every blob for `key` holds key-derived bytes — torn or
-          // cross-keyed reads are detectable.
-          kvstore::Blob b(64, std::byte(key & 0xff));
-          store.put_async(key, std::move(b));
-        } else {
-          auto got = store.get(key);
-          if (got.has_value()) {
-            for (const auto byte : *got) {
-              if (byte != std::byte(key & 0xff)) {
-                mismatches.fetch_add(1);
-                break;
-              }
-            }
-          }
-        }
-      }
-    });
+/// The remote tier's stand-in for a seeded session: serves each snapshot
+/// position's payload and counts requests and fetches from any thread.
+class FakeTier final : public ValueFetcher {
+ public:
+  explicit FakeTier(std::vector<std::vector<cfloat>> payloads)
+      : payloads_(std::move(payloads)) {}
+  void request(u64 /*pos*/) override { requests.fetch_add(1); }
+  void flush() override {}
+  std::vector<cfloat> fetch(u64 pos) override {
+    fetches.fetch_add(1);
+    auto v = payloads_.at(size_t(pos));
+    if (short_payloads) v.pop_back();
+    return v;
   }
-  for (auto& w : workers) w.join();
-  store.drain();
-  EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_LE(store.size(), 256u);
-  // bytes() must agree with the surviving entries (no double counting).
-  EXPECT_EQ(store.bytes(), store.size() * 64u);
+  std::atomic<u64> requests{0};
+  std::atomic<u64> fetches{0};
+  bool short_payloads = false;  ///< one cfloat fewer than the seed index says
+
+ private:
+  std::vector<std::vector<cfloat>> payloads_;
+};
+
+// Pool workers harvest many replies of the same two remote entries at once:
+// every reply lands the tier's payload bit for bit, the harvested entries
+// serve the next round locally, and a payload whose length disagrees with
+// the seed index is refused.
+TEST(Concurrency, MemoDbHarvestsOneRemoteEntryFromManyWorkers) {
+  const MemoDbConfig cfg{.key_dim = 16, .tau = 0.9,
+                         .ivf = {.nlist = 2, .train_size = 8}};
+  const std::vector<std::vector<cfloat>> payloads = {random_value(48, 1),
+                                                     random_value(48, 2)};
+  std::vector<MemoDb::Entry> seed;
+  for (std::size_t p = 0; p < payloads.size(); ++p)
+    seed.push_back({.kind = OpKind::Fu2D,
+                    .key = unit_key(16, i64(p)),
+                    .value_cf = payloads[p].size()});
+  std::vector<QueryRequest> reqs;
+  for (int r = 0; r < 64; ++r)
+    reqs.push_back({OpKind::Fu2D, unit_key(16, r % 2), 1.0, {}, 0.0, 48});
+
+  FakeTier tier(payloads);
+  sim::Interconnect net;
+  sim::MemoryNode node;
+  MemoDb db(cfg, &net, &node);
+  db.import_entries(seed, &tier);
+  ThreadPool pool(4);
+  auto replies = db.query_batch(reqs, 0.0, &pool);
+  for (const auto& rp : replies) {
+    ASSERT_TRUE(rp.hit);
+    ASSERT_NE(rp.remote_pos, QueryReply::kNoRemote);
+    EXPECT_TRUE(rp.value.empty());
+  }
+  EXPECT_EQ(tier.requests.load(), 64u);
+  parallel_for(pool, 0, i64(replies.size()),
+               [&](i64 r) { db.materialize(replies[size_t(r)]); });
+  for (std::size_t r = 0; r < replies.size(); ++r) {
+    EXPECT_EQ(replies[r].remote_pos, QueryReply::kNoRemote);
+    EXPECT_EQ(replies[r].value, payloads[r % 2]) << "reply " << r;
+  }
+  EXPECT_GE(tier.fetches.load(), 2u);
+  EXPECT_LE(tier.fetches.load(), 64u);
+
+  // The next round scores the harvested entries as local ones.
+  const u64 fetched = tier.fetches.load();
+  const auto again = db.query_batch(reqs, 1.0, &pool);
+  for (std::size_t r = 0; r < again.size(); ++r) {
+    ASSERT_TRUE(again[r].hit);
+    EXPECT_EQ(again[r].remote_pos, QueryReply::kNoRemote);
+    EXPECT_EQ(again[r].value, payloads[r % 2]) << "reply " << r;
+  }
+  EXPECT_EQ(tier.requests.load(), 64u);
+  EXPECT_EQ(tier.fetches.load(), fetched);
+
+  FakeTier short_tier(payloads);
+  short_tier.short_payloads = true;
+  sim::Interconnect net2;
+  sim::MemoryNode node2;
+  MemoDb short_db(cfg, &net2, &node2);
+  short_db.import_entries(seed, &short_tier);
+  auto short_replies = short_db.query_batch(reqs, 0.0, &pool);
+  ASSERT_TRUE(short_replies[0].hit);
+  EXPECT_THROW(short_db.materialize(short_replies[0]), mlr::Error);
 }
 
 TEST(Concurrency, PoolScopedParallelForCoversRange) {

@@ -3,8 +3,10 @@
 // operator wrapper (exactness on miss, genuine reuse on hit).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "lamino/phantom.hpp"
 #include "memo/memo_cache.hpp"
@@ -127,6 +129,250 @@ TEST(MemoDb, AsyncInsertDoesNotBlock) {
     f.db.insert(OpKind::Fu1D, unit_key(8, i), random_value(32, u64(i)), 0.0);
   EXPECT_EQ(f.db.entries(OpKind::Fu1D), 10u);
   EXPECT_EQ(f.db.total_entries(), 10u);
+}
+
+// --- Snapshot round trips, pinned bit for bit ---------------------------------
+
+/// Seed-side stand-in for the remote tier: serves snapshot payloads by
+/// position and counts the calls the DB makes.
+class CountingFetcher final : public ValueFetcher {
+ public:
+  explicit CountingFetcher(std::vector<MemoDb::Entry> snapshot)
+      : snapshot_(std::move(snapshot)) {}
+  void request(u64 /*pos*/) override { requests.fetch_add(1); }
+  void flush() override {}
+  std::vector<cfloat> fetch(u64 pos) override {
+    fetches.fetch_add(1);
+    return snapshot_.at(size_t(pos)).value;
+  }
+  std::atomic<u64> requests{0};
+  std::atomic<u64> fetches{0};
+
+ private:
+  std::vector<MemoDb::Entry> snapshot_;
+};
+
+/// Every QueryReply field, doubles as raw bits, folded into `h`.
+u64 digest_replies(u64 h, std::span<const QueryReply> replies) {
+  auto pod = [&h](const auto& v) { h = fnv1a(h, &v, sizeof v); };
+  for (const auto& rp : replies) {
+    pod(rp.hit);
+    pod(rp.match_id);
+    pod(rp.cosine);
+    pod(rp.value_cf);
+    pod(rp.remote_pos);
+    h = fnv1a(h, rp.value.data(), rp.value.size() * sizeof(cfloat));
+    pod(rp.value_ready);
+  }
+  return h;
+}
+
+/// The DB's timing sums and message count, folded into `h`.
+u64 digest_timing(u64 h, const MemoDb& db) {
+  auto pod = [&h](const auto& v) { h = fnv1a(h, &v, sizeof v); };
+  const auto& t = db.timing();
+  pod(t.comm_s);
+  pod(t.search_s);
+  pod(t.value_serve_s);
+  double lat = 0;
+  for (const double x : t.query_latency_us.raw()) lat += x;
+  pod(lat);
+  pod(t.query_latency_us.count());
+  pod(db.messages_sent());
+  return h;
+}
+
+/// The memory node's DRAM curve: the insertion charges' byte accounting.
+u64 digest_dram(u64 h, sim::MemoryNode& node) {
+  for (const auto& s : node.dram().timeline()) {
+    h = fnv1a(h, &s.t, sizeof s.t);
+    h = fnv1a(h, &s.bytes, sizeof s.bytes);
+  }
+  return h;
+}
+
+u64 digest_entries(u64 h, std::span<const MemoDb::Entry> entries) {
+  auto pod = [&h](const auto& v) { h = fnv1a(h, &v, sizeof v); };
+  auto bytes = [&h](const auto& vec) {
+    h = fnv1a(h, vec.data(), vec.size() * sizeof vec[0]);
+  };
+  for (const auto& e : entries) {
+    pod(int(e.kind));
+    bytes(e.key);
+    pod(e.norm);
+    bytes(e.probe);
+    bytes(e.value);
+    pod(e.value_cf);
+  }
+  return h;
+}
+
+u64 digest_shared(u64 h, const MemoDb& db,
+                  std::span<const QueryReply> replies) {
+  for (const auto& rp : replies) {
+    const bool shared = rp.hit && db.is_shared_entry(rp.match_id);
+    h = fnv1a(h, &shared, sizeof shared);
+  }
+  return h;
+}
+
+// Odd key dimension: the insertion charge rounds a key up to ⌈7/2⌉ cfloats.
+constexpr i64 kGoldenKeyDim = 7;
+
+MemoDbConfig golden_db_config() {
+  return {.key_dim = kGoldenKeyDim,
+          .tau = 0.9,
+          .ivf = {.nlist = 2, .train_size = 6}};
+}
+
+std::vector<float> golden_key(u64 seed) {
+  Rng rng(seed);
+  std::vector<float> k(static_cast<size_t>(kGoldenKeyDim));
+  for (auto& x : k) x = float(std::abs(rng.normal()) + 0.1);
+  return k;
+}
+
+/// Entries of all four kinds at value lengths 12 and 20, every third one
+/// without an oracle probe, inserted at staggered ready times.
+void fill_golden_db(MemoDb& db) {
+  for (int i = 0; i < 16; ++i) {
+    const auto kind = OpKind(i % kNumOpKinds);
+    const i64 len = (i / kNumOpKinds) % 2 == 0 ? 12 : 20;
+    std::vector<cfloat> probe;
+    if (i % 3 != 0) probe = random_value(6, u64(500 + i));
+    db.insert(kind, golden_key(u64(100 + i)), random_value(len, u64(300 + i)),
+              0.01 * i, 1.0 + 0.25 * i, std::move(probe));
+  }
+}
+
+/// Oracle requests (exact and near probes, one failing the norm gate),
+/// key-gated requests (no probe; exact, near and unrelated keys) and one
+/// shape mismatch.
+std::vector<QueryRequest> golden_requests() {
+  std::vector<QueryRequest> reqs;
+  for (int i = 0; i < 16; ++i) {
+    const auto kind = OpKind(i % kNumOpKinds);
+    const std::size_t len = (i / kNumOpKinds) % 2 == 0 ? 12 : 20;
+    auto key = golden_key(u64(100 + i));
+    const double norm = 1.0 + 0.25 * i;
+    if (i % 3 != 0) {
+      auto probe = random_value(6, u64(500 + i));
+      if (i % 2 == 0) probe[0] += cfloat(0.2f, -0.1f);
+      const double qnorm = i == 5 ? 0.5 * norm : norm;  // norm gate
+      reqs.push_back({kind, key, qnorm, probe, 0.0, len});
+    } else {
+      key[1] += 0.02f * float(i % 5);
+      reqs.push_back({kind, key, norm, {}, i == 9 ? 0.95 : 0.0, len});
+    }
+  }
+  reqs.push_back({OpKind::Fu2D, golden_key(999), 2.0, {}, 0.0, 12});
+  // Shape mismatch: entry 1's key and probe, but a 20-cfloat chunk.
+  reqs.push_back({OpKind::Fu1DAdj, golden_key(101), 1.25,
+                  random_value(6, 501), 0.0, 20});
+  return reqs;
+}
+
+// Export → import (inline and index-only) → restore round trips reproduce
+// every reply, timing sum, message count and exported entry bit for bit.
+// The digest was recorded with the key-packing value store this DB
+// replaced; a change that moves it changed behaviour.
+TEST(MemoDb, SnapshotRoundTripGolden) {
+  const auto cfg = golden_db_config();
+  const auto reqs = golden_requests();
+  u64 h = kFnvOffsetBasis;
+
+  // The producer: every insertion charged, then one query round.
+  sim::Interconnect net0;
+  sim::MemoryNode node0;
+  MemoDb src(cfg, &net0, &node0);
+  fill_golden_db(src);
+  const auto r0 = src.query_batch(reqs, 1.0);
+  h = digest_replies(h, r0);
+  h = digest_timing(h, src);
+  h = digest_dram(h, node0);
+  const auto snapshot = src.export_entries();
+  ASSERT_EQ(snapshot.size(), 16u);
+  h = digest_entries(h, snapshot);
+
+  // Inline seed: the same replies, every match cross-job.
+  sim::Interconnect net1;
+  sim::MemoryNode node1;
+  MemoDb inline_db(cfg, &net1, &node1);
+  inline_db.import_entries(snapshot);
+  const auto r1 = inline_db.query_batch(reqs, 1.0);
+  h = digest_replies(h, r1);
+  h = digest_timing(h, inline_db);
+  h = digest_shared(h, inline_db, r1);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(r1[i].hit, r0[i].hit) << "request " << i;
+    EXPECT_EQ(r1[i].value, r0[i].value) << "request " << i;
+  }
+
+  // Index-only seed: hits carry their length and snapshot position, and
+  // the fetcher hears one request per remote hit.
+  auto index_only = snapshot;
+  for (auto& e : index_only) e.value.clear();
+  CountingFetcher fetcher(snapshot);
+  sim::Interconnect net2;
+  sim::MemoryNode node2;
+  MemoDb remote_db(cfg, &net2, &node2);
+  remote_db.import_entries(index_only, &fetcher);
+  auto r2 = remote_db.query_batch(reqs, 1.0);
+  h = digest_replies(h, r2);
+  h = digest_shared(h, remote_db, r2);
+  std::size_t hits = 0;
+  for (const auto& rp : r2) hits += rp.hit ? 1 : 0;
+  ASSERT_GT(hits, 0u);
+  EXPECT_EQ(fetcher.requests.load(), hits);
+  EXPECT_EQ(fetcher.fetches.load(), 0u);
+  for (auto& rp : r2) remote_db.materialize(rp);
+  h = digest_replies(h, r2);
+  EXPECT_EQ(fetcher.fetches.load(), hits);
+  for (std::size_t i = 0; i < reqs.size(); ++i)
+    EXPECT_EQ(r2[i].value, r0[i].value) << "request " << i;
+  // Harvested payloads are local now: no new request, no new fetch.
+  const auto r3 = remote_db.query_batch(reqs, 2.0);
+  h = digest_replies(h, r3);
+  h = digest_timing(h, remote_db);
+  EXPECT_EQ(fetcher.requests.load(), hits);
+  EXPECT_EQ(fetcher.fetches.load(), hits);
+  // The index-only seed is accounted at its logical (full-value) size.
+  remote_db.insert(OpKind::Fu2D, golden_key(600), random_value(12, 601), 2.5);
+  h = digest_dram(h, node2);
+
+  // A session on the inline seed, checkpointed and restored: its own
+  // entries export identically and keep their session-local ids.
+  for (int i = 0; i < 6; ++i)
+    inline_db.insert(OpKind(i % kNumOpKinds), golden_key(u64(700 + i)),
+                     random_value(i % 2 == 0 ? 12 : 20, u64(800 + i)),
+                     3.0 + 0.01 * i, 0.5 + 0.125 * i,
+                     i % 2 == 0 ? random_value(6, u64(900 + i))
+                                : std::vector<cfloat>{});
+  h = digest_dram(h, node1);
+  const auto own = inline_db.export_entries(/*session_only=*/true);
+  ASSERT_EQ(own.size(), 6u);
+  h = digest_entries(h, own);
+  sim::Interconnect net3;
+  sim::MemoryNode node3;
+  MemoDb resumed(cfg, &net3, &node3);
+  resumed.import_entries(snapshot);
+  resumed.restore_session_entries(own);
+  const auto own_again = resumed.export_entries(/*session_only=*/true);
+  h = digest_entries(h, own_again);
+  EXPECT_EQ(digest_entries(kFnvOffsetBasis, own_again),
+            digest_entries(kFnvOffsetBasis, own));
+  auto resumed_reqs = reqs;
+  for (int i = 0; i < 6; ++i)
+    resumed_reqs.push_back({OpKind(i % kNumOpKinds), golden_key(u64(700 + i)),
+                            0.5 + 0.125 * i, {}, 0.0, 0});
+  const auto r4 = resumed.query_batch(resumed_reqs, 4.0);
+  h = digest_replies(h, r4);
+  h = digest_timing(h, resumed);
+  h = digest_shared(h, resumed, r4);
+  resumed.insert(OpKind::Fu1D, golden_key(602), random_value(20, 603), 5.0);
+  h = digest_dram(h, node3);
+
+  EXPECT_EQ(h, 0xd74d8fb7c8dd77efull) << std::hex << "0x" << h;
 }
 
 // ---------------------------------------------------------------------------
