@@ -288,7 +288,7 @@ int main(int argc, char** argv) {
     for (const auto& st : pr.job_stats)
       if (st.admitted) pr.fingerprints[st.id] = st.output_fingerprint;
     pr.stats = svc.stats();
-    pr.contention_s = svc.tier().fabric().contention_wait_s();
+    pr.contention_s = svc.fabric().contention_wait_s();
     pr.tier_entries = svc.shared_entries();
     for (int s = 0; s < shard_count; ++s)
       pr.shard_entries.push_back(svc.tier().shard_entries(s));

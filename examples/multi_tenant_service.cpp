@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
       "%.0f s waited on the shared uplink\n",
       (unsigned long long)ss.shared_dedup_drops,
       (unsigned long long)ss.shared_cap_drops,
-      (unsigned long long)tier.fabric().transfers(), ss.fabric_fetch_s,
-      ss.fabric_promote_s, tier.fabric().contention_wait_s());
+      (unsigned long long)svc.fabric().transfers(), ss.fabric_fetch_s,
+      ss.fabric_promote_s, svc.fabric().contention_wait_s());
   return 0;
 }

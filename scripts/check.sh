@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verify: configure, build, run the full test suite, then smoke the
-# hot paths —
+# Tier-1 verify: configure, build (release: fail on any compiler warning
+# the build prints), run the full test suite, then smoke the hot paths —
 #   * bench_serve_traffic exits non-zero if job outputs are not
 #     bit-identical across scheduling policies and tier transports (the
 #     loopback/socket smokes below); (release only) the --gpus-per-job 2
@@ -120,7 +120,13 @@ elif [[ "$preset" == "asan" ]]; then
   ./build-asan/bench_serve_traffic --preempt --jobs 32 --n small
 else
   cmake -B build -S .
-  cmake --build build -j "$(nproc)"
+  # Warning gate. The log holds this build's output only, so an incremental
+  # build checks just the files it recompiled; a fresh build checks all.
+  cmake --build build -j "$(nproc)" 2>&1 | tee build/build.log
+  if grep -q "warning:" build/build.log; then
+    echo "release build printed compiler warnings (build/build.log)"
+    exit 1
+  fi
   (cd build && ctest --output-on-failure -j "$(nproc)")
   ./build/bench_table1_accuracy --n 14
   ./build/bench_stage_scaling --n 12 --reps 2 --threads 2 \

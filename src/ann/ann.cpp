@@ -195,103 +195,6 @@ std::vector<Neighbor> IvfFlatIndex::search(std::span<const float> q,
   return cand;
 }
 
-std::vector<std::vector<Neighbor>> IvfFlatIndex::search_batch(
-    std::span<const float> queries, i64 k, ThreadPool* pool) const {
-  MLR_CHECK(dim_ >= 1 && i64(queries.size()) % dim_ == 0);
-  const i64 nq = i64(queries.size()) / dim_;
-  // The split only pays off (and is only well-defined) on the trained,
-  // list-organized index with real workers available.
-  if (pool == nullptr || pool->size() <= 1 || !trained_ ||
-      params_.split_min <= 0 || nq == 0) {
-    return Index::search_batch(queries, k, pool);
-  }
-  // No query can probe split_min candidates when the whole index holds fewer
-  // — the common MemoDb case; skip the plan machinery (and its two extra
-  // pool barriers) entirely.
-  if (i64(total_) < params_.split_min)
-    return Index::search_batch(queries, k, pool);
-  auto query_of = [&](i64 i) {
-    return std::span<const float>{queries.data() + size_t(i) * size_t(dim_),
-                                  size_t(dim_)};
-  };
-
-  // Phase A (parallel over queries): rank centroids and gather each query's
-  // candidates in the exact order the serial scan visits them (nprobe-nearest
-  // lists by centroid distance, entries in list order).
-  struct Plan {
-    std::vector<const ListEntry*> cand;
-    std::vector<float> dist;  // filled in phase B, candidate order
-  };
-  std::vector<Plan> plans(static_cast<size_t>(nq));
-  parallel_for(*pool, 0, nq, [&](i64 i) {
-    u64 local = 0;
-    DistAccScope scope(*this, &local);
-    const auto q = query_of(i);
-    std::vector<std::pair<float, i64>> cd(static_cast<size_t>(params_.nlist));
-    for (i64 c = 0; c < params_.nlist; ++c) {
-      std::span<const float> cen{centroids_.data() + size_t(c) * size_t(dim_),
-                                 size_t(dim_)};
-      cd[size_t(c)] = {l2(q, cen), c};
-    }
-    const i64 nprobe = std::min(params_.nprobe, params_.nlist);
-    std::partial_sort(cd.begin(), cd.begin() + nprobe, cd.end());
-    auto& pl = plans[size_t(i)];
-    for (i64 p = 0; p < nprobe; ++p)
-      for (const auto& e : lists_[size_t(cd[size_t(p)].second)])
-        pl.cand.push_back(&e);
-    pl.dist.resize(pl.cand.size());
-  });
-
-  // Phase B: distance evaluation as a flat task list — one task per
-  // ≤ split_min candidates, so a query with a big probed set becomes several
-  // tasks sharing its scan while small queries stay one task each.
-  struct Task {
-    i64 q;
-    std::size_t begin, end;
-  };
-  std::vector<Task> tasks;
-  const auto split = std::size_t(params_.split_min);
-  for (i64 i = 0; i < nq; ++i) {
-    const std::size_t n = plans[size_t(i)].cand.size();
-    if (n == 0) continue;
-    const std::size_t pieces = n >= split ? (n + split - 1) / split : 1;
-    const std::size_t per = (n + pieces - 1) / pieces;
-    for (std::size_t b = 0; b < n; b += per)
-      tasks.push_back({i, b, std::min(n, b + per)});
-  }
-  parallel_for(*pool, 0, i64(tasks.size()), [&](i64 t) {
-    u64 local = 0;
-    DistAccScope scope(*this, &local);
-    const auto& tk = tasks[size_t(t)];
-    const auto q = query_of(tk.q);
-    auto& pl = plans[size_t(tk.q)];
-    for (std::size_t c = tk.begin; c < tk.end; ++c) {
-      std::span<const float> v{data_.data() + pl.cand[c]->offset,
-                               size_t(dim_)};
-      pl.dist[c] = l2(q, v);
-    }
-  });
-
-  // Phase C (parallel over queries): the same top-k selection search() runs,
-  // over the same candidate sequence — identical neighbours, identical ties.
-  std::vector<std::vector<Neighbor>> out(static_cast<size_t>(nq));
-  parallel_for(*pool, 0, nq, [&](i64 i) {
-    auto& pl = plans[size_t(i)];
-    std::vector<Neighbor> cand(pl.cand.size());
-    for (std::size_t c = 0; c < pl.cand.size(); ++c)
-      cand[c] = {pl.cand[c]->id, pl.dist[c]};
-    const auto kk =
-        std::min<std::size_t>(size_t(std::max<i64>(k, 0)), cand.size());
-    std::partial_sort(cand.begin(), cand.begin() + i64(kk), cand.end(),
-                      [](const Neighbor& a, const Neighbor& b) {
-                        return a.dist < b.dist;
-                      });
-    cand.resize(kk);
-    out[size_t(i)] = std::move(cand);
-  });
-  return out;
-}
-
 // --- NswIndex -----------------------------------------------------------------
 
 NswIndex::NswIndex(i64 dim, Params p, u64 seed)

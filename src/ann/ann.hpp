@@ -49,11 +49,8 @@ class Index {
   /// (the MemoDb defers a stage's insertions until its queries finished).
   /// Distance evaluations are accumulated per query and folded into
   /// distance_evals() with one atomic add each, so reported counts match
-  /// the looped-search total for any pool width. Virtual so an index can
-  /// pick a finer fan-out than whole queries (IvfFlatIndex splits a single
-  /// query's inverted-list scan across workers above a size threshold);
-  /// every override must keep results and counts identical to the base.
-  [[nodiscard]] virtual std::vector<std::vector<Neighbor>> search_batch(
+  /// the looped-search total for any pool width.
+  [[nodiscard]] std::vector<std::vector<Neighbor>> search_batch(
       std::span<const float> queries, i64 k, ThreadPool* pool = nullptr) const;
   /// Convenience single-nearest.
   [[nodiscard]] std::optional<Neighbor> nearest(std::span<const float> q) const {
@@ -136,11 +133,6 @@ struct IvfParams {
   i64 nprobe = 4;      ///< clusters scanned per query
   i64 train_size = 0;  ///< auto-train after this many adds (0 → 8·nlist)
   int kmeans_iters = 8;
-  /// search_batch splits ONE query's inverted-list scan across pool workers
-  /// once its probed candidate count reaches this (intra-query parallelism
-  /// for large lists / large k). 0 disables the split; results and distance
-  /// counts are identical either way.
-  i64 split_min = 4096;
 };
 
 class IvfFlatIndex : public Index {
@@ -152,15 +144,6 @@ class IvfFlatIndex : public Index {
   void add(u64 id, std::span<const float> vec) override;
   [[nodiscard]] std::vector<Neighbor> search(std::span<const float> q,
                                              i64 k) const override;
-  /// Batched search with intra-query parallelism: a query whose probed
-  /// inverted lists hold ≥ params.split_min candidates has its distance
-  /// scan split across pool workers (the ROADMAP follow-up for large lists)
-  /// instead of riding one worker. Candidates are gathered and ranked in
-  /// exactly the serial scan order, so neighbours and distance_evals()
-  /// match search() / the base search_batch() bit-for-bit.
-  [[nodiscard]] std::vector<std::vector<Neighbor>> search_batch(
-      std::span<const float> queries, i64 k,
-      ThreadPool* pool = nullptr) const override;
   [[nodiscard]] std::size_t size() const override { return total_; }
 
   /// Explicitly train the coarse quantizer on the vectors seen so far

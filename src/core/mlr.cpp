@@ -39,7 +39,6 @@ void Reconstructor::prepare() {
   eo.memo.enable = cfg_.memoize;
   eo.memo.tau = cfg_.tau;
   eo.memo.cache = cfg_.cache;
-  eo.memo.coalesce = cfg_.coalesce;
   eo.memo.work_scale = ws;
   ctx_ = std::make_unique<ExecutionContext>(*ops_, eo);
   admm::AdmmConfig ac;

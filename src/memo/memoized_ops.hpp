@@ -36,7 +36,6 @@ struct MemoConfig {
   bool enable = true;          ///< memoization on/off (off = plain pipeline)
   double tau = 0.92;           ///< similarity threshold (paper default)
   CacheKind cache = CacheKind::Private;
-  bool coalesce = true;        ///< 4 KB key coalescing
   i64 key_dim = 60;
   i64 encoder_hw = 32;
   double host_flops = 2.0e11;  ///< AVX-512 INT8 CNN throughput on the host

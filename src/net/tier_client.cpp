@@ -59,11 +59,9 @@ const char* verb_span_name(FrameType t) {
 
 }  // namespace
 
-TierClient::TierClient(std::unique_ptr<Transport> transport,
-                       sim::FabricSpec fabric, int shard_count,
+TierClient::TierClient(std::unique_ptr<Transport> transport, int shard_count,
                        double timeout_s, RetrySpec retry)
     : transport_(std::move(transport)),
-      fabric_(fabric, shard_count),
       shard_count_(shard_count),
       timeout_s_(timeout_s),
       retry_(retry),
@@ -85,7 +83,7 @@ void TierClient::reconnect(std::unique_ptr<Transport> transport) {
   obs::metrics().counter("net.client.reconnects").add();
   // The lazy fetch state is keyed by request ids of the dead table; reset
   // it (positions re-request against the new carrier as needed). The stats
-  // mirror and the fabric survive — they model the tier, not the carrier.
+  // mirror survives — it models the tier, not the carrier.
   std::lock_guard lk(vmu_);
   vstate_.clear();
   batch_pos_.clear();
@@ -164,22 +162,6 @@ serve::TierSeed TierClient::end_seed(
     for (auto& q : queued_) q.clear();
   }
   return {&storage, this};
-}
-
-sim::VTime TierClient::charge_fetch(sim::VTime ready, double scale) {
-  // Same math as SharedTier::charge_fetch on the mirrored occupancy: the
-  // remote tier's bytes, the client's clock.
-  std::vector<double> wire(shard_bytes_);
-  for (double& b : wire) b *= scale;
-  return fabric_.transfer(ready, wire, total_bytes_ * scale);
-}
-
-sim::VTime TierClient::charge_store(
-    const std::vector<memo::MemoDb::Entry>& entries, sim::VTime ready,
-    double scale) {
-  double total = 0;
-  const auto wire = serve::promotion_wire(entries, shard_count_, scale, &total);
-  return fabric_.transfer(ready, wire, total);
 }
 
 serve::PromotionOutcome TierClient::fold(

@@ -1,7 +1,7 @@
 // net/tier_client — the remote serve::TierBackend: speaks the memo wire
-// protocol to a TierServer over a Transport and mirrors the tier's byte
-// accounting so ALL virtual-clock charging stays client-side (the contract
-// of serve/shared_tier.hpp).
+// protocol to a TierServer over a Transport and mirrors the tier's
+// occupancy, which the service charges its fabric from (the contract of
+// serve/shared_tier.hpp).
 //
 // How each backend verb maps to wire traffic:
 //
@@ -16,11 +16,8 @@
 //   fold()          → one PUT with full payloads; the reply carries the
 //                     PromotionOutcome and the post-fold tier stats the
 //                     mirror adopts bit-exactly (doubles travel as IEEE-754
-//                     bits), so the next charge_fetch is bit-identical to
-//                     an in-process tier's.
-//   charge_fetch/charge_store → pure local math on the mirror + the
-//                     client's own sim::Fabric — promotion_wire() is shared
-//                     with SharedTier, so the charges cannot drift.
+//                     bits), so the occupancy the service charges the next
+//                     seed fetch from equals an in-process tier's.
 //
 // The ValueFetcher half (the wall-clock overlap win): score_requests calls
 // request(pos) per remote hit and flush() once per query round (one per
@@ -61,20 +58,16 @@ namespace mlr::net {
 
 class TierClient final : public serve::TierBackend, public memo::ValueFetcher {
  public:
-  /// `fabric` is the client-side charging model (the one the in-process
-  /// tier would own); `timeout_s` bounds every wire wait; `retry` is the
-  /// transport's reconnect budget (default: 0 attempts — the first carrier
-  /// fault breaks the table).
-  TierClient(std::unique_ptr<Transport> transport, sim::FabricSpec fabric,
-             int shard_count, double timeout_s, RetrySpec retry = {});
+  /// `timeout_s` bounds every wire wait; `retry` is the transport's
+  /// reconnect budget (default: 0 attempts — the first carrier fault breaks
+  /// the table).
+  TierClient(std::unique_ptr<Transport> transport, int shard_count,
+             double timeout_s, RetrySpec retry = {});
 
   // --- serve::TierBackend ---------------------------------------------------
   u64 begin_seed() override;
   serve::TierSeed end_seed(u64 ticket,
                            std::vector<memo::MemoDb::Entry>& storage) override;
-  sim::VTime charge_fetch(sim::VTime ready, double scale) override;
-  sim::VTime charge_store(const std::vector<memo::MemoDb::Entry>& entries,
-                          sim::VTime ready, double scale) override;
   serve::PromotionOutcome fold(
       std::vector<memo::MemoDb::Entry> entries) override;
   [[nodiscard]] std::size_t size() const override { return size_; }
@@ -86,7 +79,6 @@ class TierClient final : public serve::TierBackend, public memo::ValueFetcher {
     return shard_bytes_[std::size_t(shard)];
   }
   [[nodiscard]] double total_bytes() const override { return total_bytes_; }
-  [[nodiscard]] const sim::Fabric& fabric() const override { return fabric_; }
   /// The tier is reachable as far as this client knows: the transport's
   /// table has not been broken (reconnect budget not exhausted). A false
   /// here is what flips the service into degraded cold-session mode.
@@ -103,10 +95,10 @@ class TierClient final : public serve::TierBackend, public memo::ValueFetcher {
   [[nodiscard]] Transport& transport_mut() { return *transport_; }
 
   /// Swap in a freshly connected transport after the old one's budget was
-  /// exhausted (the service's recovery probe). Keeps the fabric and the
-  /// stats mirror — the tier's accounting survived the outage server-side
-  /// (or was restored from a checkpoint); only the carrier is new. Lazy
-  /// fetch state is reset (its request ids belong to the dead table).
+  /// exhausted (the service's recovery probe). Keeps the stats mirror — the
+  /// tier's accounting survived the outage server-side (or was restored from
+  /// a checkpoint); only the carrier is new. Lazy fetch state is reset (its
+  /// request ids belong to the dead table).
   void reconnect(std::unique_ptr<Transport> transport);
 
  private:
@@ -117,7 +109,6 @@ class TierClient final : public serve::TierBackend, public memo::ValueFetcher {
   void adopt_stats(WireReader& r);
 
   std::unique_ptr<Transport> transport_;
-  sim::Fabric fabric_;
   int shard_count_;
   double timeout_s_;
   RetrySpec retry_{};

@@ -50,8 +50,9 @@ ServerVerbMetrics& server_verb_metrics(FrameType t) {
 }
 
 /// Stats block appended to PUT / SNAPSHOT_EXPORT / SNAPSHOT_IMPORT replies:
-/// the tier occupancy a remote client mirrors for its client-side fabric
-/// charges. Doubles travel as IEEE-754 bits, so the mirror is bit-exact.
+/// the tier occupancy a remote client mirrors, which the service charges
+/// its fabric from. Doubles travel as IEEE-754 bits, so the mirror is
+/// bit-exact.
 void encode_tier_stats(WireWriter& w, const serve::SharedTier& tier) {
   w.u64(tier.size());
   w.u32(u32(tier.shard_count()));
@@ -86,13 +87,7 @@ bool write_full(int fd, const std::byte* buf, std::size_t n) {
 
 }  // namespace
 
-TierServer::TierServer(serve::SharedTierConfig cfg)
-    : tier_([&] {
-        // Client-side charging contract (shared_tier.hpp): the server's own
-        // tier never touches a virtual clock.
-        cfg.fabric.enabled = false;
-        return cfg;
-      }()) {}
+TierServer::TierServer(serve::SharedTierConfig cfg) : tier_(cfg) {}
 
 TierServer::~TierServer() { stop(); }
 

@@ -14,10 +14,9 @@
 //                        (deployment handoff; decode-then-apply, so a
 //                        truncated frame can never tear the tier)
 //
-// All virtual-clock charging stays on the *client* (net::TierClient mirrors
-// the tier's per-shard byte accounting from the stats block every PUT /
-// export reply carries, bit-exactly), so the server's own SharedTier runs
-// with its fabric disabled and the wall clock is the only clock here.
+// The server keeps no virtual clock: a SharedTier has none, and the stats
+// block every PUT / export reply carries is the occupancy the client
+// mirrors bit-exactly for the service's fabric charges.
 //
 // handle()/handle_frame() are mutex-serialized — fold order is whatever
 // order requests arrive in, which the service already fixes (job-id order)
@@ -42,7 +41,6 @@ namespace mlr::net {
 
 class TierServer {
  public:
-  /// The fabric is forced off: remote charging is client-side by contract.
   explicit TierServer(serve::SharedTierConfig cfg);
   ~TierServer();
 

@@ -9,10 +9,10 @@
 //     TierServer::handle_frame and the reply bytes come back through the
 //     same decode path the socket reader uses — frames are byte-identical
 //     to the socket path, only the carrier differs. Replies complete
-//     synchronously (wall clock only; the virtual clock never sees
-//     transport at all — see shared_tier.hpp's client-side charging
-//     contract). Fault injection hooks simulate a truncated reply, a
-//     dropped reply, held-back (reordered) delivery, and — for the
+//     synchronously (wall clock only; the virtual clock never sees a
+//     transport — the service charges its fabric from tier occupancy, see
+//     serve/shared_tier.hpp). Fault injection hooks simulate a truncated
+//     reply, a dropped reply, held-back (reordered) delivery, and — for the
 //     reconnect ladder — a scripted carrier loss (disconnect after N more
 //     frames, or on the first PUT) whose reopen succeeds only after K
 //     failed attempts, so every recovery path is testable without a real

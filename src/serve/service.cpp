@@ -53,10 +53,28 @@ struct ServeMetrics {
   }
 };
 
+/// A job's record as its request sets it: identity, class and arrival, and
+/// `deadline_met` false whenever there is a deadline — a job that never
+/// finishes misses it; run_job sets it from the finish time.
+JobStats record_for(const JobRequest& req) {
+  JobStats st;
+  st.id = req.id;
+  st.tenant = req.tenant;
+  st.scenario = req.scenario;
+  st.priority = req.priority;
+  st.slo = req.slo;
+  st.arrival = req.arrival;
+  st.deadline_met = req.deadline <= 0;
+  return st;
+}
+
 }  // namespace
 
 ReconService::ReconService(ServiceConfig cfg)
-    : cfg_(cfg), geom_(lamino::Geometry::cube(cfg.n)), ops_(geom_) {
+    : cfg_(cfg),
+      geom_(lamino::Geometry::cube(cfg.n)),
+      ops_(geom_),
+      fabric_(cfg.fabric, cfg.shard_count) {
   MLR_CHECK(cfg_.n >= 8 && cfg_.chunk_size >= 1);
   MLR_CHECK(cfg_.slots >= 1 && cfg_.gpus_per_job >= 1);
   MLR_CHECK_MSG(cfg_.max_queue >= 1, "admission needs room for one waiter");
@@ -73,13 +91,12 @@ ReconService::ReconService(ServiceConfig cfg)
   tc.max_entries = cfg_.max_shared_entries;
   tc.tau_dedup = cfg_.tau_dedup;
   tc.key_dim = mc.key_dim;
-  tc.fabric = cfg_.fabric;
   if (cfg_.transport == TierTransport::Inproc) {
     tier_ = std::make_unique<SharedTier>(tc);
   } else {
-    // Remote tier: the authoritative entries live in a TierServer (whose
-    // own fabric is forced off — all virtual charging happens here, on the
-    // client's fabric, so clocks are transport-invariant).
+    // Remote tier: the authoritative entries live in a TierServer; the
+    // client mirrors their occupancy, which fabric_ is charged from here
+    // exactly as for the in-process tier.
     if (cfg_.transport == TierTransport::Loopback) {
       server_ = std::make_unique<net::TierServer>(tc);
     } else {
@@ -107,7 +124,7 @@ ReconService::ReconService(ServiceConfig cfg)
       }
     }
     tier_ = std::make_unique<net::TierClient>(
-        make_transport(), cfg_.fabric, cfg_.shard_count, cfg_.net_timeout_s,
+        make_transport(), cfg_.shard_count, cfg_.net_timeout_s,
         net::RetrySpec{cfg_.net_retry_max, cfg_.net_backoff_ms});
   }
   slot_free_.assign(std::size_t(cfg_.slots), 0.0);
@@ -219,13 +236,7 @@ ReconService::RunOutcome ReconService::run_job(
   ac.work_scale = ws;
   ac.encoder_train_steps = cfg_.encoder_train_steps;
 
-  JobStats st;
-  st.id = req.id;
-  st.tenant = req.tenant;
-  st.scenario = req.scenario;
-  st.priority = req.priority;
-  st.slo = req.slo;
-  st.arrival = req.arrival;
+  JobStats st = record_for(req);
   st.start = start;
   st.seed_fetch_s = seed_ready - start;
   st.degraded = cold;
@@ -331,7 +342,9 @@ ReconService::RunOutcome ReconService::run_job(
     MLR_TRACE_SPAN("job.export", "serve", req.id);
     *own_entries = db->export_entries(/*session_only=*/true);
   }
-  return RunOutcome{std::move(st)};
+  RunOutcome ro;
+  ro.st = std::move(st);
+  return ro;
 }
 
 double ReconService::work_scale_for(Scenario s) const {
@@ -340,15 +353,39 @@ double ReconService::work_scale_for(Scenario s) const {
 }
 
 sim::VTime ReconService::charge_seed_fetch(sim::VTime t, double scale) {
-  const sim::VTime ready = tier_->charge_fetch(t, scale);
+  // Each shard streams its resident bytes on its own link while the whole
+  // tier funnels through the uplink. The uplink total is the backend's
+  // fold-order sum, not a sum of the shard split, so the completion is
+  // bit-identical for every shard count.
+  std::vector<double> wire(std::size_t(cfg_.shard_count));
+  for (int s = 0; s < cfg_.shard_count; ++s)
+    wire[std::size_t(s)] = tier_->shard_bytes(s) * scale;
+  const sim::VTime ready =
+      fabric_.transfer(t, wire, tier_->total_bytes() * scale);
   stats_.fabric_fetch_s += ready - t;
   return ready;
 }
 
+void ReconService::charge_shipment(
+    const std::vector<memo::MemoDb::Entry>& entries, sim::VTime ready,
+    double scale) {
+  // The whole batch travels — the session ships first, the tier filters on
+  // arrival, so a dropped entry still spent its fabric time. The uplink
+  // total accumulates in batch order (shard-count independent).
+  std::vector<double> wire(std::size_t(cfg_.shard_count), 0.0);
+  double total = 0;
+  for (const auto& e : entries) {
+    const double b = double(memo::entry_bytes(e)) * scale;
+    wire[std::size_t(memo::entry_shard(e, cfg_.shard_count))] += b;
+    total += b;
+  }
+  stats_.fabric_promote_s += fabric_.transfer(ready, wire, total) - ready;
+}
+
 double ReconService::estimate_fetch_s(double scale) const {
   if (!cfg_.memoize || !cfg_.fabric.enabled || tier_->size() == 0) return 0.0;
-  // The uncontended lower bound of charge_fetch: every fetch funnels the
-  // whole tier through the shared uplink, so this is exact on an idle
+  // The uncontended lower bound of charge_seed_fetch: every fetch funnels
+  // the whole tier through the shared uplink, so this is exact on an idle
   // fabric and optimistic under contention.
   return cfg_.fabric.latency +
          tier_->total_bytes() * scale / cfg_.fabric.uplink_bandwidth;
@@ -396,12 +433,8 @@ std::vector<JobStats> ReconService::prime(std::span<const JobRequest> warm) {
     } catch (const std::exception& e) {
       // A warm job that throws poisons only itself: later warm jobs (and
       // the drain) still run against whatever tier was built so far.
-      JobStats st;
-      st.id = req.id;
-      st.tenant = req.tenant;
-      st.scenario = req.scenario;
-      st.priority = req.priority;
-      st.arrival = st.start = st.finish = req.arrival;
+      JobStats st = record_for(req);
+      st.start = st.finish = req.arrival;
       st.outcome = JobOutcome::Failed;
       st.failure = e.what();
       ++stats_.jobs_failed;
@@ -467,8 +500,7 @@ std::vector<JobStats> ReconService::drain() {
   // order, interleaved with the fetch charges so timeline ready times stay
   // monotone — a finished job's promotion traffic contends with every later
   // dispatch's seed fetch. The tier itself *folds* at the end in job-id
-  // order: its evolution is identical for every scheduling policy (the
-  // charge/fold split of shared_tier.hpp).
+  // order: its evolution is identical for every scheduling policy.
   std::map<u64, std::vector<memo::MemoDb::Entry>> own;
   struct Shipment {
     sim::VTime finish;
@@ -485,9 +517,7 @@ std::vector<JobStats> ReconService::drain() {
     std::size_t shipped = 0;
     while (shipped < pending.size() && pending[shipped].finish <= upto) {
       const Shipment& sh = pending[shipped];
-      const sim::VTime done = tier_->charge_store(
-          own[sh.id], sh.finish, work_scale_for(sh.scenario));
-      stats_.fabric_promote_s += done - sh.finish;
+      charge_shipment(own[sh.id], sh.finish, work_scale_for(sh.scenario));
       ++shipped;
     }
     pending.erase(pending.begin(), pending.begin() + i64(shipped));
@@ -526,17 +556,11 @@ std::vector<JobStats> ReconService::drain() {
     while (next < arr.size() && arr[next].arrival <= t) {
       JobRequest& jr = arr[next];  // mutable: Downgrade rewrites jr.slo
       auto reject = [&](const char* why) {
-        JobStats rej;
-        rej.id = jr.id;
-        rej.tenant = jr.tenant;
-        rej.scenario = jr.scenario;
-        rej.priority = jr.priority;
-        rej.slo = jr.slo;
+        JobStats rej = record_for(jr);
         rej.admitted = false;
         rej.reject_reason = why;
         rej.outcome = JobOutcome::Rejected;
-        rej.arrival = rej.start = rej.finish = jr.arrival;
-        rej.deadline_met = jr.deadline <= 0;
+        rej.start = rej.finish = jr.arrival;
         ++stats_.rejected;
         ServeMetrics::get().jobs_rejected.add();
         obs::trace_instant("job.rejected", "serve", jr.id);
@@ -705,13 +729,7 @@ std::vector<JobStats> ReconService::drain() {
         out.push_back(std::move(st));
       }
     } catch (const std::exception& e) {
-      JobStats st;
-      st.id = req.id;
-      st.tenant = req.tenant;
-      st.scenario = req.scenario;
-      st.priority = req.priority;
-      st.slo = req.slo;
-      st.arrival = req.arrival;
+      JobStats st = record_for(req);
       st.start = st.finish = t;
       st.slot = int(slot);
       st.outcome = JobOutcome::Failed;
@@ -777,16 +795,15 @@ std::vector<JobStats> ReconService::drain() {
   // Fabric busy/contention gauges: read from sim/ here rather than
   // instrumenting the fabric itself — sim/ stays free of obs dependencies.
   {
-    const sim::Fabric& fab = tier_->fabric();
     auto& m = obs::metrics();
-    m.gauge("fabric.uplink_busy_vs").set(fab.uplink().busy_time());
+    m.gauge("fabric.uplink_busy_vs").set(fabric_.uplink().busy_time());
     double link_busy = 0;
-    for (int i = 0; i < fab.links(); ++i)
-      link_busy += fab.link(i).busy_time();
+    for (int i = 0; i < fabric_.links(); ++i)
+      link_busy += fabric_.link(i).busy_time();
     m.gauge("fabric.links_busy_vs").set(link_busy);
-    m.gauge("fabric.contention_vs").set(fab.contention_wait_s());
-    m.gauge("fabric.bytes_moved").set(fab.bytes_moved());
-    m.gauge("fabric.transfers").set(double(fab.transfers()));
+    m.gauge("fabric.contention_vs").set(fabric_.contention_wait_s());
+    m.gauge("fabric.bytes_moved").set(fabric_.bytes_moved());
+    m.gauge("fabric.transfers").set(double(fabric_.transfers()));
   }
   if (obs::trace_enabled()) {
     auto& tr = obs::TraceRecorder::instance();

@@ -3,11 +3,11 @@
 // The serving model (docs/serving.md has the long form):
 //
 //   * One service = one shared geometry + ONE cross-job key encoder + a
-//     *shared memo tier* (serve::SharedTier — promoted MemoDb entries on
-//     `shard_count` memory-node shards behind one contended sim::Fabric) +
-//     `slots` execution slots (each session an ExecutionContext of
-//     `gpus_per_job` simulated GPUs) + a host worker pool every session
-//     shares.
+//     *shared memo tier* (a serve::TierBackend — promoted MemoDb entries on
+//     `shard_count` memory-node shards) + the ONE contended sim::Fabric its
+//     traffic is charged on + `slots` execution slots (each session an
+//     ExecutionContext of `gpus_per_job` simulated GPUs) + a host worker
+//     pool every session shares.
 //   * Lifecycle: configure → prime() → submit()* → drain(). prime() trains
 //     the encoder and seeds the shared tier by running a canonical warm-up
 //     workload back-to-back; drain() runs the event loop on the sim virtual
@@ -15,9 +15,11 @@
 //     max_queue are rejected), wait in the JobQueue, and are dispatched by
 //     the pluggable Scheduler whenever a slot frees and an admitted job has
 //     arrived.
-//   * Who charges fabric time (all of it on the event-loop thread, with
-//     monotone ready times — deterministic per policy): at dispatch the
-//     service charges the *seed fetch* — the whole tier crosses the fabric
+//   * Who charges fabric time: the service alone, on its own fabric, from
+//     the occupancy the backend reports and the entries a job ships — for
+//     every transport (all of it on the event-loop thread, with monotone
+//     ready times — deterministic per policy). At dispatch the service
+//     charges the *seed fetch* — the whole tier crosses the fabric
 //     (shard links in parallel, shared uplink serialized across sessions),
 //     timed at the job's work_scale like every other wire charge — and the
 //     session's compute starts only at its completion, so
@@ -30,12 +32,12 @@
 //     carries over between drains: this epoch's promotion traffic delays
 //     the next epoch's fetches.
 //   * Promotion order and dedup semantics: separate from the shipment
-//     charges, the tier *folds* each job's entries in job-id order (the
-//     charge/fold split of serve/shared_tier.hpp), which makes the tier's
-//     evolution policy-invariant; each entry meets the max_shared_entries
-//     cap first (at capacity it drops unprobed, shared_cap_drops) and the
-//     dedup probe second (nearest tier key within τ_dedup ⇒ dropped as a
-//     near-duplicate, MemoCounters::shared_dedup_drops).
+//     charges, the tier *folds* each job's entries in job-id order, which
+//     makes the tier's evolution policy-invariant; each entry meets the
+//     max_shared_entries cap first (at capacity it drops unprobed,
+//     shared_cap_drops) and the dedup probe second (nearest tier key within
+//     τ_dedup ⇒ dropped as a near-duplicate,
+//     MemoCounters::shared_dedup_drops).
 //   * Cross-drain approximation: shipments still pending when a drain ends
 //     are charged then, at their finish times. A later drain whose early
 //     dispatches precede those finishes sees that traffic as already
@@ -67,6 +69,7 @@
 #include "serve/job.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/shared_tier.hpp"
+#include "sim/fabric.hpp"
 
 namespace mlr::net {
 class TierServer;
@@ -165,10 +168,9 @@ struct ServiceConfig {
   /// default only rejects effectively-identical chunks — far above any
   /// scenario's query τ, so dedup compacts the tier without starving reuse.
   double tau_dedup = 0.999;
-  /// Fabric the seed fetches and promotions are charged on. Disable to
-  /// restore the pre-fabric network-isolated sessions (zero charges). With
-  /// a remote transport the fabric still lives client-side — the charge
-  /// model is transport-invariant (shared_tier.hpp's client-side charging).
+  /// The service's fabric: seed fetches and promotion shipments are charged
+  /// on it, the same way for every transport. Disable to restore
+  /// network-isolated sessions (zero charges).
   sim::FabricSpec fabric{};
   /// How the shared tier is reached (see TierTransport above).
   TierTransport transport = TierTransport::Inproc;
@@ -283,9 +285,11 @@ class ReconService {
   [[nodiscard]] const ServiceStats& stats() const { return stats_; }
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t shared_entries() const { return tier_->size(); }
-  /// The tier backend (shard occupancy, fabric contention counters) —
-  /// in-process or a remote client, per ServiceConfig::transport.
+  /// The tier backend (shard occupancy) — in-process or a remote client,
+  /// per ServiceConfig::transport.
   [[nodiscard]] const TierBackend& tier() const { return *tier_; }
+  /// The fabric the tier's traffic is charged on (contention counters).
+  [[nodiscard]] const sim::Fabric& fabric() const { return fabric_; }
   /// Mutable backend access (tests inject transport faults through it).
   [[nodiscard]] TierBackend& tier_mut() { return *tier_; }
   /// In degraded cold-session mode right now (tier declared down; see
@@ -364,6 +368,10 @@ class ReconService {
   /// Charge the seed fetch for a job dispatched at `t`; returns when the
   /// session may start computing.
   sim::VTime charge_seed_fetch(sim::VTime t, double scale);
+  /// Charge the shipment of the entries a job finished at `ready` offers
+  /// the tier.
+  void charge_shipment(const std::vector<memo::MemoDb::Entry>& entries,
+                       sim::VTime ready, double scale);
   /// Fold one job's insertions into the tier (no clock charges — shipments
   /// are charged separately in finish order) and account the outcome into
   /// service stats and — when non-null — the job's own record
@@ -381,6 +389,7 @@ class ReconService {
   /// pointer/connection into it and must be destroyed first.
   std::unique_ptr<net::TierServer> server_;
   std::unique_ptr<TierBackend> tier_;  ///< the shared memo tier backend
+  sim::Fabric fabric_;  ///< cross-session fabric; links = shard_count
   /// Degraded cold-session mode: the remote tier is down (reconnect budget
   /// exhausted). Jobs run unseeded, promotions buffer locally in job-id
   /// order and re-ship through the normal fold path on recovery.

@@ -8,7 +8,6 @@ namespace mlr::serve {
 
 SharedTier::SharedTier(SharedTierConfig cfg)
     : cfg_(cfg),
-      fabric_(cfg.fabric, cfg.shard_count),
       shard_entries_(std::size_t(cfg.shard_count), 0),
       shard_bytes_(std::size_t(cfg.shard_count), 0.0) {
   MLR_CHECK(cfg_.shard_count >= 1 && cfg_.max_entries >= 1);
@@ -18,53 +17,12 @@ SharedTier::SharedTier(SharedTierConfig cfg)
         std::make_unique<ann::IvfFlatIndex>(cfg_.key_dim, cfg_.ivf));
 }
 
-sim::VTime SharedTier::charge_fetch(sim::VTime ready, double scale) {
-  std::vector<double> wire(shard_bytes_);
-  for (double& b : wire) b *= scale;
-  // The uplink total accumulates in fold order — shard-count independent —
-  // so completion is bit-identical for every shard split.
-  return fabric_.transfer(ready, wire, total_bytes_ * scale);
-}
-
 bool SharedTier::near_duplicate(const memo::MemoDb::Entry& e) const {
   const auto& idx = *index_[std::size_t(int(e.kind))];
   const auto nn = idx.nearest(e.key);
   if (!nn.has_value()) return false;
   return memo::entry_similarity(e, entries_[std::size_t(nn->id)]) >
          cfg_.tau_dedup;
-}
-
-std::vector<double> promotion_wire(
-    const std::vector<memo::MemoDb::Entry>& entries, int shard_count,
-    double scale, double* total) {
-  std::vector<double> wire(std::size_t(shard_count), 0.0);
-  double sum = 0;
-  for (const auto& e : entries) {
-    const double b = double(memo::entry_bytes(e)) * scale;
-    wire[std::size_t(memo::entry_shard(e, shard_count))] += b;
-    sum += b;
-  }
-  if (total != nullptr) *total = sum;
-  return wire;
-}
-
-sim::VTime SharedTier::charge_store(
-    const std::vector<memo::MemoDb::Entry>& entries, sim::VTime ready,
-    double scale) {
-  // The whole batch travels: the session ships first, the tier filters on
-  // arrival — a rejected entry still spent its fabric time. The uplink
-  // total accumulates in batch order (shard-count independent).
-  double total = 0;
-  const auto wire = promotion_wire(entries, cfg_.shard_count, scale, &total);
-  return fabric_.transfer(ready, wire, total);
-}
-
-PromotionOutcome SharedTier::promote(std::vector<memo::MemoDb::Entry> entries,
-                                     sim::VTime ready, double scale) {
-  const sim::VTime done = charge_store(entries, ready, scale);
-  PromotionOutcome out = fold(std::move(entries));
-  out.done = done;
-  return out;
 }
 
 void SharedTier::place(const memo::MemoDb::Entry& e) {

@@ -6,7 +6,7 @@
 //
 //   * SharedTier (this file) — the in-process tier: entries live in this
 //     address space, seeds are handed out as a borrowed snapshot pointer,
-//     and the "network" is purely the virtual-clock fabric model.
+//     and nothing crosses a wire.
 //   * net::TierClient — the remote tier: the authoritative entries live in
 //     a net::TierServer (same process over the deterministic loopback
 //     transport, or another process over TCP), every verb travels as a wire
@@ -22,40 +22,24 @@
 //     backend (or shard count) serves the seed. Sharding decides
 //     *placement* — which memory-node link carries an entry's bytes, by
 //     content hash memo::entry_shard — never ordering or membership.
-//   * Charge/fold split. fold(entries) mutates the composition (cap check,
-//     then the dedup probe) and never touches a clock; charge_fetch /
-//     charge_store put the bytes on the virtual fabric. The service folds
-//     in job-id order (policy-invariant tier) but charges in time order.
-//   * Client-side charging. ALL virtual-clock charging happens in the
-//     client process, on the backend's own sim::Fabric, from per-shard byte
-//     accounting that a remote backend mirrors bit-exactly from the stats
-//     block in every PUT/export reply (doubles travel as their IEEE-754
-//     bits). Wire frames themselves charge nothing: the data path is
-//     pre-paid by the fetch/store charge model, which is what keeps
-//     loopback-transport virtual times bit-identical to the in-process
-//     tier. Socket transport adds real wall-clock latency only.
+//   * No clock. A backend holds entries and reports their occupancy —
+//     size, per-shard entries and bytes, and the fold-order byte total — and
+//     never touches a virtual clock. serve::ReconService owns the one
+//     sim::Fabric and charges seed fetches and promotion shipments from that
+//     occupancy and from the shipped entries themselves; a remote backend
+//     mirrors the server's occupancy bit-exactly from the stats block in
+//     every PUT/export reply (doubles travel as their IEEE-754 bits), so
+//     every virtual time is the same for every transport.
 //   * Seed handoff. begin_seed() issues the (possibly remote, non-blocking)
 //     snapshot request and end_seed() completes it — the service overlaps
 //     the gap with per-job setup work. For the in-process tier the pair
 //     degenerates to handing out &entries_.
-//
-// What the virtual clock sees (unchanged by the transport):
-//
-//   * charge_fetch(ready, scale) — a dispatched job fetches the whole tier
-//     before its compute starts: each shard streams its bytes on its own
-//     link while the total funnels through the shared uplink; concurrent
-//     sessions queue on that uplink. `scale` is the session's work_scale.
-//   * charge_store(entries, ready, scale) — a finished job ships its
-//     session insertions back; all offered bytes travel (the tier filters
-//     on arrival). The per-shard split both sides compute is
-//     promotion_wire() — one function, so in-process and remote mirrors
-//     can never drift.
-//   * fold(entries) — entry by entry in insertion order: the max_entries
-//     cap first (at capacity the drop is inevitable — no probe), then the
-//     dedup probe (nearest tier key within τ_dedup ⇒ dropped as a
-//     near-duplicate; accepted entries join the index immediately, so a
-//     batch dedups against itself). Drop classes are counted separately
-//     (dedup = compaction, cap = overflow).
+//   * Fold. fold(entries) takes one session's insertions entry by entry in
+//     insertion order: the max_entries cap first (at capacity the drop is
+//     inevitable — no probe), then the dedup probe (nearest tier key within
+//     τ_dedup ⇒ dropped as a near-duplicate; accepted entries join the
+//     index immediately, so a batch dedups against itself). Drop classes
+//     are counted separately (dedup = compaction, cap = overflow).
 #pragma once
 
 #include <memory>
@@ -63,7 +47,6 @@
 
 #include "ann/ann.hpp"
 #include "memo/memo_db.hpp"
-#include "sim/fabric.hpp"
 
 namespace mlr::serve {
 
@@ -75,7 +58,6 @@ struct SharedTierConfig {
   double tau_dedup = 0.999;
   i64 key_dim = 60;                 ///< dedup-index dimensionality
   ann::IvfParams ivf{};             ///< dedup-index parameters
-  sim::FabricSpec fabric{};         ///< the contended cross-session fabric
 };
 
 /// Outcome of one promotion batch.
@@ -83,7 +65,6 @@ struct PromotionOutcome {
   u64 promoted = 0;     ///< entries accepted into the tier
   u64 dedup_drops = 0;  ///< rejected: near-duplicate within τ_dedup
   u64 cap_drops = 0;    ///< rejected: tier at max_entries
-  sim::VTime done = 0;  ///< fabric completion time of the shipment
 };
 
 /// What end_seed() hands a session: the snapshot to import and — for a
@@ -110,32 +91,20 @@ class TierBackend {
   virtual TierSeed end_seed(u64 ticket,
                             std::vector<memo::MemoDb::Entry>& storage) = 0;
 
-  virtual sim::VTime charge_fetch(sim::VTime ready, double scale) = 0;
-  virtual sim::VTime charge_store(
-      const std::vector<memo::MemoDb::Entry>& entries, sim::VTime ready,
-      double scale) = 0;
   virtual PromotionOutcome fold(std::vector<memo::MemoDb::Entry> entries) = 0;
 
   [[nodiscard]] virtual std::size_t size() const = 0;
   [[nodiscard]] virtual int shard_count() const = 0;
   [[nodiscard]] virtual std::size_t shard_entries(int shard) const = 0;
   [[nodiscard]] virtual double shard_bytes(int shard) const = 0;
+  /// Resident bytes summed in fold order: the shard-count independent
+  /// total a seed fetch pushes through the shared uplink.
   [[nodiscard]] virtual double total_bytes() const = 0;
-  /// The fabric all of this backend's charges land on (contention stats).
-  [[nodiscard]] virtual const sim::Fabric& fabric() const = 0;
   /// Is the tier reachable? The in-process tier always is; a remote client
   /// reports false once its transport's reconnect budget is exhausted — the
   /// signal that flips ReconService into degraded cold-session mode.
   [[nodiscard]] virtual bool healthy() const { return true; }
 };
-
-/// Per-shard wire byte split of one offered batch at `scale`, plus (via
-/// `total`) the batch-order uplink total. The ONE place the split is
-/// computed: SharedTier::charge_store and the remote client's mirror both
-/// call it, so their fabric charges are bit-identical by construction.
-std::vector<double> promotion_wire(
-    const std::vector<memo::MemoDb::Entry>& entries, int shard_count,
-    double scale, double* total);
 
 /// The in-process tier (see the header comment).
 class SharedTier final : public TierBackend {
@@ -149,29 +118,9 @@ class SharedTier final : public TierBackend {
     return {&entries_, nullptr};
   }
 
-  /// Charge fetching the whole tier (per-shard byte split, timed at `scale`×
-  /// the resident bytes) to the fabric; returns the completion time a
-  /// dispatched session must wait for. An empty tier (or a disabled fabric)
-  /// returns `ready`.
-  sim::VTime charge_fetch(sim::VTime ready, double scale = 1.0) override;
-
-  /// Charge shipping the whole offered batch (drops included — the session
-  /// ships first, the tier filters on arrival) at `ready`; returns the
-  /// fabric completion time.
-  sim::VTime charge_store(const std::vector<memo::MemoDb::Entry>& entries,
-                          sim::VTime ready, double scale = 1.0) override;
-
   /// Fold `entries` (one session's insertions, in insertion order) into the
-  /// tier: cap check, then dedup probe (a tier at capacity drops without
-  /// probing — the drop is inevitable either way). Touches no timeline —
-  /// see the header comment's charge/fold split.
+  /// tier — see the header comment's "Fold".
   PromotionOutcome fold(std::vector<memo::MemoDb::Entry> entries) override;
-
-  /// charge_store + fold in one call (the outcome carries the charge's
-  /// completion time). Pass the session's work_scale as `scale`, exactly as
-  /// the split calls would.
-  PromotionOutcome promote(std::vector<memo::MemoDb::Entry> entries,
-                           sim::VTime ready, double scale = 1.0);
 
   /// Preload an EMPTY tier from a full snapshot, bypassing cap and dedup:
   /// the tier reproduces the snapshot exactly (entry i keeps position i).
@@ -192,15 +141,12 @@ class SharedTier final : public TierBackend {
     return shard_bytes_[std::size_t(shard)];
   }
   [[nodiscard]] double total_bytes() const override { return total_bytes_; }
-  [[nodiscard]] const sim::Fabric& fabric() const override { return fabric_; }
-  [[nodiscard]] const SharedTierConfig& config() const { return cfg_; }
 
  private:
   [[nodiscard]] bool near_duplicate(const memo::MemoDb::Entry& e) const;
   void place(const memo::MemoDb::Entry& e);  ///< shard + byte accounting
 
   SharedTierConfig cfg_;
-  sim::Fabric fabric_;
   std::vector<memo::MemoDb::Entry> entries_;  ///< canonical snapshot order
   std::vector<std::size_t> shard_entries_;    ///< per-shard entry counts
   std::vector<double> shard_bytes_;           ///< per-shard resident bytes

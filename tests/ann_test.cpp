@@ -8,7 +8,6 @@
 
 #include "ann/ann.hpp"
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 
 namespace mlr::ann {
@@ -135,78 +134,6 @@ TEST(IvfFlat, InsertCostIsConstantInIndexSize) {
 TEST(IvfFlat, EmptySearchSafe) {
   IvfFlatIndex idx(4);
   EXPECT_TRUE(idx.search(std::vector<float>{0, 0, 0, 0}, 3).empty());
-}
-
-TEST(IvfFlat, IntraQuerySplitMatchesSerialSearch) {
-  // search_batch with a tiny split_min forces one query's inverted-list scan
-  // across several pool workers; neighbours (ids, distances, tie order) and
-  // the distance-eval count must match the serial scan exactly.
-  const i64 dim = 8;
-  Rng rng(17);
-  IvfFlatIndex split(dim, {.nlist = 4, .nprobe = 4, .train_size = 64,
-                           .split_min = 8});
-  IvfFlatIndex serial(dim, {.nlist = 4, .nprobe = 4, .train_size = 64,
-                            .split_min = 8});
-  auto data = clustered_data(400, dim, 4, rng);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    split.add(u64(i), data[i]);
-    serial.add(u64(i), data[i]);
-  }
-  ASSERT_TRUE(split.trained());
-  const i64 nq = 6, k = 5;
-  std::vector<float> queries;
-  for (i64 i = 0; i < nq; ++i) {
-    auto q = random_vec(dim, rng);
-    queries.insert(queries.end(), q.begin(), q.end());
-  }
-  ThreadPool pool(4);
-  const u64 split_before = split.distance_evals();
-  auto batched = split.search_batch(queries, k, &pool);
-  const u64 split_cost = split.distance_evals() - split_before;
-  u64 serial_cost = 0;
-  ASSERT_EQ(batched.size(), std::size_t(nq));
-  for (i64 i = 0; i < nq; ++i) {
-    const u64 before = serial.distance_evals();
-    auto want = serial.search(
-        std::span<const float>{queries.data() + size_t(i * dim), size_t(dim)},
-        k);
-    serial_cost += serial.distance_evals() - before;
-    ASSERT_EQ(batched[size_t(i)].size(), want.size());
-    for (std::size_t j = 0; j < want.size(); ++j) {
-      EXPECT_EQ(batched[size_t(i)][j].id, want[j].id);
-      EXPECT_EQ(batched[size_t(i)][j].dist, want[j].dist);
-    }
-  }
-  EXPECT_EQ(split_cost, serial_cost);
-}
-
-TEST(IvfFlat, SplitDisabledMatchesBaseBatch) {
-  // split_min = 0 must take the base whole-query fan-out and still agree.
-  const i64 dim = 6;
-  Rng rng(23);
-  IvfFlatIndex off(dim, {.nlist = 4, .train_size = 48, .split_min = 0});
-  IvfFlatIndex on(dim, {.nlist = 4, .train_size = 48, .split_min = 4});
-  auto data = clustered_data(200, dim, 4, rng);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    off.add(u64(i), data[i]);
-    on.add(u64(i), data[i]);
-  }
-  std::vector<float> queries;
-  for (i64 i = 0; i < 4; ++i) {
-    auto q = random_vec(dim, rng);
-    queries.insert(queries.end(), q.begin(), q.end());
-  }
-  ThreadPool pool(3);
-  auto a = off.search_batch(queries, 3, &pool);
-  auto b = on.search_batch(queries, 3, &pool);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size());
-    for (std::size_t j = 0; j < a[i].size(); ++j) {
-      EXPECT_EQ(a[i][j].id, b[i][j].id);
-      EXPECT_EQ(a[i][j].dist, b[i][j].dist);
-    }
-  }
 }
 
 TEST(Nsw, ExactOnTinyIndex) {

@@ -246,7 +246,7 @@ TEST(ErrorMacros, CheckThrowsWithMessage) {
 TEST(WallTimer, MeasuresNonNegative) {
   WallTimer t;
   volatile double x = 0;
-  for (int i = 0; i < 1000; ++i) x += i;
+  for (int i = 0; i < 1000; ++i) x = x + i;
   EXPECT_GE(t.seconds(), 0.0);
 }
 

@@ -346,8 +346,8 @@ TEST(RequestTable, UnsolicitedReplyBreaksTheTable) {
 TEST(TierClient, MirrorsTierAccountingBitExactly) {
   const auto tc = tier_config(2);
   TierServer server(tc);
-  TierClient client(std::make_unique<LoopbackTransport>(&server, 2), tc.fabric,
-                    2, /*timeout_s=*/5.0);
+  TierClient client(std::make_unique<LoopbackTransport>(&server, 2), 2,
+                    /*timeout_s=*/5.0);
   serve::SharedTier direct(tc);  // the in-process reference
 
   EXPECT_EQ(client.size(), 0u);
@@ -359,7 +359,7 @@ TEST(TierClient, MirrorsTierAccountingBitExactly) {
   EXPECT_EQ(remote.cap_drops, local.cap_drops);
 
   // The stats block carried doubles as IEEE-754 bits: the mirror is
-  // bit-exact, so client-side fabric charges cannot drift from in-process.
+  // bit-exact, so the service's fabric charges cannot tell the two apart.
   ASSERT_EQ(client.size(), direct.size());
   ASSERT_EQ(client.shard_count(), direct.shard_count());
   for (int s = 0; s < 2; ++s) {
@@ -367,17 +367,13 @@ TEST(TierClient, MirrorsTierAccountingBitExactly) {
     EXPECT_EQ(client.shard_bytes(s), direct.shard_bytes(s));
   }
   EXPECT_EQ(client.total_bytes(), direct.total_bytes());
-  EXPECT_EQ(client.charge_fetch(3.0, 1.5), direct.charge_fetch(3.0, 1.5));
-  const auto more = fixture_entries();
-  EXPECT_EQ(client.charge_store(more, 7.0, 2.0),
-            direct.charge_store(more, 7.0, 2.0));
 }
 
 TEST(TierClient, IndexOnlySeedThenLazyValueFetch) {
   const auto tc = tier_config(2);
   TierServer server(tc);
   auto transport = std::make_unique<LoopbackTransport>(&server, 2);
-  TierClient client(std::move(transport), tc.fabric, 2, /*timeout_s=*/5.0);
+  TierClient client(std::move(transport), 2, /*timeout_s=*/5.0);
   const auto ref = fixture_entries();
   client.fold(ref);
 
@@ -456,8 +452,8 @@ TEST(TierClient, RemoteSeededStageShipsOneGetBatchPerShard) {
   auto tc = tier_config(2);
   tc.key_dim = 16;
   TierServer server(tc);
-  TierClient client(std::make_unique<LoopbackTransport>(&server, 2),
-                    tc.fabric, 2, /*timeout_s=*/5.0);
+  TierClient client(std::make_unique<LoopbackTransport>(&server, 2), 2,
+                    /*timeout_s=*/5.0);
   client.fold(entries);
   ASSERT_EQ(client.size(), entries.size());
 
@@ -500,7 +496,7 @@ TEST(TierClientFaults, TruncatedReplyIsStickyNotTorn) {
   TierServer server(tc);
   auto transport = std::make_unique<LoopbackTransport>(&server, 1);
   auto* lb = transport.get();
-  TierClient client(std::move(transport), tc.fabric, 1, /*timeout_s=*/1.0);
+  TierClient client(std::move(transport), 1, /*timeout_s=*/1.0);
   client.fold(fixture_entries());
   std::vector<memo::MemoDb::Entry> storage;
   client.end_seed(client.begin_seed(), storage);
@@ -519,7 +515,7 @@ TEST(TierClientFaults, DroppedReplyFailsOnlyItsRequest) {
   TierServer server(tc);
   auto transport = std::make_unique<LoopbackTransport>(&server, 1);
   auto* lb = transport.get();
-  TierClient client(std::move(transport), tc.fabric, 1, /*timeout_s=*/0.1);
+  TierClient client(std::move(transport), 1, /*timeout_s=*/0.1);
   client.fold(fixture_entries());
   std::vector<memo::MemoDb::Entry> storage;
   client.end_seed(client.begin_seed(), storage);
@@ -635,7 +631,7 @@ TEST(SocketTransport, RoundTripOverLocalhost) {
   } catch (const NetError& e) {
     GTEST_SKIP() << "connect failed: " << e.what();
   }
-  TierClient client(std::move(transport), tc.fabric, 2, /*timeout_s=*/10.0);
+  TierClient client(std::move(transport), 2, /*timeout_s=*/10.0);
   const auto ref = fixture_entries();
   const auto out = client.fold(ref);
   EXPECT_EQ(out.promoted, server.tier().size());
@@ -666,7 +662,7 @@ TEST(SocketTransport, DisconnectSurfacesStickyErrorNeverHangs) {
   } catch (const NetError& e) {
     GTEST_SKIP() << "connect failed: " << e.what();
   }
-  TierClient client(std::move(transport), tc.fabric, 1, /*timeout_s=*/5.0);
+  TierClient client(std::move(transport), 1, /*timeout_s=*/5.0);
   client.fold(fixture_entries());
   std::vector<memo::MemoDb::Entry> storage;
   client.end_seed(client.begin_seed(), storage);
@@ -864,7 +860,7 @@ TEST(TierClientFaults, SlowBatchRetriesBeforeBreakingTable) {
   TierServer server(tc);
   auto transport = std::make_unique<LoopbackTransport>(&server, 1);
   auto* lb = transport.get();
-  TierClient client(std::move(transport), tc.fabric, 1, /*timeout_s=*/0.2,
+  TierClient client(std::move(transport), 1, /*timeout_s=*/0.2,
                     RetrySpec{/*retry_max=*/2, /*backoff_ms=*/1.0});
   client.fold(fixture_entries());
   std::vector<memo::MemoDb::Entry> storage;
@@ -901,7 +897,7 @@ TEST(SocketTransport, ReconnectReplaysAcrossServerRestart) {
   }
   transport->set_retry({/*retry_max=*/40, /*backoff_ms=*/25.0});
   auto* raw = transport.get();
-  TierClient client(std::move(transport), tc.fabric, 1, /*timeout_s=*/20.0,
+  TierClient client(std::move(transport), 1, /*timeout_s=*/20.0,
                     RetrySpec{/*retry_max=*/40, /*backoff_ms=*/25.0});
   const auto ref = fixture_entries();
   client.fold(ref);

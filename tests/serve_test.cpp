@@ -151,6 +151,7 @@ TEST(ReconService, FifoScheduleMatchesRecurrence) {
     prev_finish = st.finish;
   }
   EXPECT_GT(svc.stats().fabric_fetch_s, 0.0);
+  EXPECT_GT(svc.stats().fabric_promote_s, 0.0);  // promotions cross it too
 }
 
 TEST(ReconService, StartNeverPrecedesArrival) {
@@ -288,7 +289,7 @@ TEST(ReconService, PromotionRespectsCap) {
   EXPECT_EQ(primed[0].promoted, 4u);
 }
 
-// --- Sharded tier: promotion dedup + fabric ---------------------------------
+// --- Sharded tier: promotion dedup -------------------------------------------
 
 memo::MemoDb::Entry tier_entry(std::vector<float> key, double norm = 1.0,
                                std::size_t value_size = 8) {
@@ -313,12 +314,11 @@ TEST(SharedTier, DedupAndCapDropsCountedSeparately) {
   batch.push_back(tier_entry({0, 1, 0, 0}));  // accepted (orthogonal)
   batch.push_back(tier_entry({0, 0, 1, 0}));  // accepted
   batch.push_back(tier_entry({0, 0, 0, 1}));  // cap (3 entries) -> cap drop
-  const auto out = tier.promote(std::move(batch), 5.0);
+  const auto out = tier.fold(std::move(batch));
   EXPECT_EQ(out.promoted, 3u);
   EXPECT_EQ(out.dedup_drops, 1u);
   EXPECT_EQ(out.cap_drops, 1u);
   EXPECT_EQ(tier.size(), 3u);
-  EXPECT_GT(out.done, 5.0);  // the batch crossed the fabric
   EXPECT_EQ(tier.shard_entries(0) + tier.shard_entries(1), 3u);
 }
 
@@ -338,7 +338,7 @@ TEST(SharedTier, DedupNeverCrossesValueShapesAndSnapshotOrderIsShardFree) {
     tc.key_dim = 4;
     SharedTier tier(tc);
     auto copy = batch;
-    const auto out = tier.promote(std::move(copy), 0.0);
+    const auto out = tier.fold(std::move(copy));
     EXPECT_EQ(out.promoted, 3u);
     EXPECT_EQ(out.dedup_drops, 0u);
     auto& snap = shards == 1 ? snap1 : snap4;
@@ -621,6 +621,84 @@ TEST(ReconService, FabricContentionShiftsOnlyConcurrentClocks) {
     contended_shift += fin - off.finish.at(id);
   }
   EXPECT_GT(contended_shift, 0.0);  // concurrent sessions really interfere
+}
+
+TEST(ReconService, FabricScheduleGolden) {
+  // The fabric charge model, pinned end to end: per job its dispatch, seed
+  // fetch, finish, run vtime, output and preemption count; then the
+  // service's charged fetch and promote seconds, its makespan and every
+  // fabric.* gauge — over two drains of one service, the second shifted by
+  // 1000 vs so the fabric's carry-over between drains is pinned too, for
+  // both deterministic tier carriers × 1 and 3 shards × preemption off and
+  // forced. A change that moves a digest moved a virtual time: fix it, do
+  // not re-record.
+  WorkloadConfig wc;
+  wc.jobs = 6;
+  wc.mean_interarrival = 10.0;
+  wc.bursty = true;
+  wc.burst_size = 3;
+  wc.mix = {{Scenario::PcbInspection, 1.0}, {Scenario::BrainScan, 1.0}};
+  wc.distinct_objects = 2;
+  WorkloadGenerator gen(wc);
+  const auto jobs = gen.generate();
+  const auto warm = gen.priming_set();
+
+  // Inproc and Loopback share each digest: the carrier moves no virtual
+  // time.
+  constexpr struct {
+    int shards;
+    bool preempt;
+    u64 digest;
+  } kGolden[] = {{1, false, 0x1d198f46bc650c94ull},
+                 {1, true, 0xc967711e7bf80876ull},
+                 {3, false, 0xa11f034fe45632c3ull},
+                 {3, true, 0xcdc75cedc28497c4ull}};
+  for (const auto& gd : kGolden) {
+    for (const auto transport :
+         {TierTransport::Inproc, TierTransport::Loopback}) {
+      auto cfg = tiny_config(SchedulerPolicy::Fifo, /*slots=*/2);
+      cfg.transport = transport;
+      cfg.shard_count = gd.shards;
+      cfg.preempt_force = gd.preempt;
+      ReconService svc(cfg);
+      svc.prime(warm);
+      u64 h = kFnvOffsetBasis;
+      auto pod = [&h](const auto& v) { h = fnv1a(h, &v, sizeof v); };
+      u64 preemptions = 0;
+      for (const double shift : {0.0, 1000.0}) {
+        for (auto j : jobs) {
+          j.arrival += shift;
+          svc.submit(j);
+        }
+        for (const auto& st : svc.drain()) {
+          ASSERT_EQ(st.outcome, JobOutcome::Completed) << "job " << st.id;
+          pod(st.id);
+          pod(st.start);
+          pod(st.seed_fetch_s);
+          pod(st.finish);
+          pod(st.run_vtime);
+          pod(st.output_fingerprint);
+          pod(st.preemptions);
+          preemptions += st.preemptions;
+        }
+      }
+      const auto& ss = svc.stats();
+      EXPECT_GT(ss.fabric_fetch_s, 0.0);
+      EXPECT_GT(ss.fabric_promote_s, 0.0);
+      EXPECT_EQ(preemptions > 0, gd.preempt);
+      pod(ss.fabric_fetch_s);
+      pod(ss.fabric_promote_s);
+      pod(ss.makespan);
+      for (const char* g :
+           {"fabric.uplink_busy_vs", "fabric.links_busy_vs",
+            "fabric.contention_vs", "fabric.bytes_moved", "fabric.transfers"})
+        pod(obs::metrics().gauge(g).value());
+      EXPECT_EQ(h, gd.digest)
+          << (transport == TierTransport::Inproc ? "inproc" : "loopback")
+          << " shards=" << gd.shards << " preempt=" << gd.preempt
+          << " digest=0x" << std::hex << h;
+    }
+  }
 }
 
 TEST(ReconService, ClusterSessionsIdenticalAcrossPolicies) {
@@ -976,6 +1054,41 @@ TEST(ReconServiceFaults, SocketTierKillRestartDegradesAndRecovers) {
   }
   EXPECT_FALSE(svc->degraded());
   EXPECT_EQ(svc->stats().jobs_failed, 1u);  // no new casualties
+}
+
+TEST(ReconServiceFaults, FailedJobRecordKeepsItsRequest) {
+  // A job whose session fails still reports what it asked for: its SLO
+  // class, and a missed deadline when it carried one. Covers prime()'s
+  // failure path (the warm job's promotion PUT drops the carrier; a budget
+  // of 0 reopens nothing) and the dispatch failure path (a throwing hook).
+  auto cfg = tiny_config(SchedulerPolicy::Fifo, /*slots=*/1);
+  cfg.transport = TierTransport::Loopback;
+  cfg.net_retry_max = 0;
+  cfg.dispatch_hook = [](const JobRequest&) {
+    throw std::runtime_error("injected session fault");
+  };
+  ReconService svc(cfg);
+  auto* client = dynamic_cast<net::TierClient*>(&svc.tier_mut());
+  ASSERT_NE(client, nullptr);
+  auto* lb = dynamic_cast<net::LoopbackTransport*>(&client->transport_mut());
+  ASSERT_NE(lb, nullptr);
+  lb->fault_disconnect_on_put(true);
+
+  JobRequest w = warm_set()[0];
+  w.slo = SloClass::Interactive;
+  w.deadline = 1e12;
+  const auto primed = svc.prime(std::vector<JobRequest>{w});
+  ASSERT_EQ(primed.size(), 1u);
+  EXPECT_EQ(primed[0].outcome, JobOutcome::Failed);
+  EXPECT_EQ(int(primed[0].slo), int(SloClass::Interactive));
+  EXPECT_FALSE(primed[0].deadline_met);
+
+  svc.submit(w);
+  const auto drained = svc.drain();
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].outcome, JobOutcome::Failed);
+  EXPECT_EQ(int(drained[0].slo), int(SloClass::Interactive));
+  EXPECT_FALSE(drained[0].deadline_met);
 }
 
 // --- Fault tolerance: per-job isolation (transport-independent) --------------
