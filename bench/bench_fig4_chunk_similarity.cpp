@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   const i64 chunk = cfg.chunk_size;
   const std::vector<i64> locations{0, geom.n1 / chunk / 2,
                                    geom.n1 / chunk - 1};
-  const char* names[3] = {"top", "middle", "bottom"};
 
   // History of pooled chunk planes per probed location.
   std::vector<std::vector<std::vector<cfloat>>> history(locations.size());

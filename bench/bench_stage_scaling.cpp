@@ -1,8 +1,8 @@
-// Stage-throughput microbench for the StageExecutor engine: memoized
-// operator stages executed with increasing worker-pool widths, one engine
-// timing per width. Each stage runs one barriered DB round (scoring fanned
-// out on the pool), then its miss FFTs and hit copies in one parallel pass,
-// then its data tail inline.
+// Stage-throughput microbench for the memo layer's stage engine
+// (memo::MemoizedLamino::run_stage): memoized operator stages executed with
+// increasing worker-pool widths, one timing per width. Each stage runs one
+// barriered DB round (scoring fanned out on the pool), then its miss FFTs
+// and hit copies in one parallel pass, then its data tail inline.
 //
 // The workload alternates operator kinds per pass (Fu1D / Fu1DAdj, like
 // the ADMM loop) and alternates hit and miss chunks within each pass (even
@@ -30,7 +30,6 @@
 #include "lamino/phantom.hpp"
 #include "memo/memo_db.hpp"
 #include "memo/memoized_ops.hpp"
-#include "memo/stage_executor.hpp"
 #include "obs/trace.hpp"
 #include "sim/device.hpp"
 
@@ -92,7 +91,7 @@ int main(int argc, char** argv) {
         ops, {.enable = true, .tau = 0.92, .cache = memo::CacheKind::None},
         &dev, &db);
     ThreadPool pool{unsigned(threads)};
-    ml.executor().set_pool(&pool);
+    ml.set_pool(&pool);
 
     Array3D<cfloat> out_u1(g.u1_shape()), out_obj(g.object_shape());
     auto make_work = [&](memo::OpKind kind, const Array3D<cfloat>* alt) {
@@ -113,13 +112,13 @@ int main(int argc, char** argv) {
     sim::VTime t = 0;
     for (const auto kind : {memo::OpKind::Fu1D, memo::OpKind::Fu1DAdj}) {
       auto w = make_work(kind, nullptr);
-      t = ml.executor().run_stage(kind, w, t).done;
+      t = ml.run_stage(kind, w, t).done;
     }
     for (i64 r = 0; r < reps; ++r) {
       auto wa = make_work(memo::OpKind::Fu1D, &churn_obj[size_t(r)]);
-      t = ml.executor().run_stage(memo::OpKind::Fu1D, wa, t).done;
+      t = ml.run_stage(memo::OpKind::Fu1D, wa, t).done;
       auto wb = make_work(memo::OpKind::Fu1DAdj, &churn_u1[size_t(r)]);
-      t = ml.executor().run_stage(memo::OpKind::Fu1DAdj, wb, t).done;
+      t = ml.run_stage(memo::OpKind::Fu1DAdj, wb, t).done;
     }
     return std::pair{wall.seconds(), ml.counters()};
   };

@@ -126,7 +126,9 @@ class JsonObject {
       const auto& f = fields_[i];
       out += pad1 + "\"" + escape(f.key) + "\": ";
       if (const auto* s = std::get_if<std::string>(&f.value)) {
-        out += "\"" + escape(*s) + "\"";
+        out += '"';
+        out += escape(*s);
+        out += '"';
       } else if (const auto* d = std::get_if<double>(&f.value)) {
         char buf[64];
         std::snprintf(buf, sizeof buf, "%.17g", *d);

@@ -4,9 +4,9 @@
 //
 //   ./quickstart [n] [threads]
 //     n        volume edge (default 16; volume is n³)
-//     threads  engine workers (0 shares the process pool, 1 runs serial)
+//     threads  memo-layer workers (0 shares the process pool, 1 runs serial)
 // The reconstruction is bit-identical for every `threads` value — only host
-// wall time changes (the StageExecutor schedules the virtual clock
+// wall time changes (the memo layer schedules the virtual clock
 // deterministically).
 #include <cstdio>
 #include <cstdlib>

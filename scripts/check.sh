@@ -37,7 +37,7 @@
 # racing on the shared partial buffer is exactly where a combine-order bug
 # would hide), the serve shard matrix (shards x policies x threads), the
 # multi-device session tests (two- and three-device sessions run their
-# wrappers' engines on the shared service pool), the
+# memo layer on the shared service pool), the
 # remote-tier loopback matrix (same workload rehosted on the wire
 # protocol), the TierClient suite (a remote-seeded stage harvesting its
 # GET_BATCH replies from pool workers), the transport fault-injection suite

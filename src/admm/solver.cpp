@@ -22,10 +22,7 @@ const char* phase_name(Phase p) {
 }
 
 Solver::Solver(memo::MemoizedLamino& ml, AdmmConfig cfg)
-    : Solver(ml.executor(), cfg) {}
-
-Solver::Solver(memo::StageExecutor& exec, AdmmConfig cfg)
-    : exec_(exec), ml_(exec.wrapper(0)), cfg_(cfg) {
+    : ml_(ml), cfg_(cfg) {
   MLR_CHECK(cfg.outer_iters >= 1 && cfg.inner_iters >= 1);
   MLR_CHECK(cfg.alpha >= 0 && cfg.rho > 0 && cfg.chunk_size >= 1);
   MLR_CHECK_MSG(!(cfg.use_fusion && !cfg.use_cancellation),
@@ -73,15 +70,16 @@ sim::VTime Solver::stage_f2d(Array3D<cfloat>& d, bool inverse, sim::VTime t) {
   ops.f2d(d, inverse);
   // Virtual time: chunked by groups of projections.
   sim::VTime done = t;
+  sim::Device& dev = ml_.device();
   auto chunks = lamino::make_chunks(g.ntheta, cfg_.chunk_size);
   for (const auto& spec : chunks) {
     const double bytes =
         double(spec.count * g.h * g.w) * sizeof(cfloat) * cfg_.work_scale;
     const double flops = double(spec.count) * ops.f2d_proj_flops() *
                          cfg_.f2d_cost_factor * cfg_.work_scale;
-    done = ml_.device_h2d(t, bytes);
-    done = ml_.device_kernel(done, flops);
-    done = ml_.device_d2h(done, bytes);
+    done = dev.h2d(t, bytes);
+    done = dev.run_kernel(done, flops);
+    done = dev.d2h(done, bytes);
   }
   return done;
 }
@@ -97,12 +95,12 @@ sim::VTime Solver::data_gradient(const Array3D<cfloat>& u,
   mem_.alloc("residual", double(r.bytes()), t);
 
   // Forward pass.
-  t = exec_.run_fu1d(u, u1, /*adjoint=*/false, cfg_.chunk_size, t);
+  t = ml_.run_fu1d(u, u1, /*adjoint=*/false, cfg_.chunk_size, t);
   if (cfg_.use_cancellation && cfg_.use_fusion) {
     // Fused GPU kernel computes r̂ = F_u2D(ũ1) − d̂ directly; only the loss
     // reduction remains on the host.
-    t = exec_.run_fu2d(u1, r, &dhat_or_d, /*adjoint=*/false, cfg_.chunk_size,
-                       t);
+    t = ml_.run_fu2d(u1, r, &dhat_or_d, /*adjoint=*/false, cfg_.chunk_size,
+                     t);
     if (loss_out != nullptr) {
       const EwStats ew0 = knl_.stats();
       *loss_out = 0.5 * knl_.norm_sq(r.span());
@@ -112,7 +110,7 @@ sim::VTime Solver::data_gradient(const Array3D<cfloat>& u,
     // Cancellation without fusion: subtraction on the CPU in the frequency
     // domain — COMPLEX64 arithmetic, the §6.3 regression on small inputs.
     // One fused sweep subtracts and accumulates the loss.
-    t = exec_.run_fu2d(u1, r, nullptr, /*adjoint=*/false, cfg_.chunk_size, t);
+    t = ml_.run_fu2d(u1, r, nullptr, /*adjoint=*/false, cfg_.chunk_size, t);
     const EwStats ew0 = knl_.stats();
     const double r2 = knl_.residual_norm_sq(r, dhat_or_d);
     if (loss_out != nullptr) *loss_out = 0.5 * r2;
@@ -120,7 +118,7 @@ sim::VTime Solver::data_gradient(const Array3D<cfloat>& u,
   } else {
     // Algorithm 1: back to the spatial domain, subtract there (cheaper
     // element type), then re-enter the frequency domain.
-    t = exec_.run_fu2d(u1, r, nullptr, /*adjoint=*/false, cfg_.chunk_size, t);
+    t = ml_.run_fu2d(u1, r, nullptr, /*adjoint=*/false, cfg_.chunk_size, t);
     t = stage_f2d(r, /*inverse=*/true, t);  // F*_2D
     const EwStats ew0 = knl_.stats();
     const double r2 = knl_.residual_norm_sq(r, dhat_or_d);
@@ -131,15 +129,15 @@ sim::VTime Solver::data_gradient(const Array3D<cfloat>& u,
 
   // Adjoint pass.
   Array3D<cfloat> w1(g.u1_shape());
-  t = exec_.run_fu2d(r, w1, nullptr, /*adjoint=*/true, cfg_.chunk_size, t);
-  t = exec_.run_fu1d(w1, grad, /*adjoint=*/true, cfg_.chunk_size, t);
+  t = ml_.run_fu2d(r, w1, nullptr, /*adjoint=*/true, cfg_.chunk_size, t);
+  t = ml_.run_fu1d(w1, grad, /*adjoint=*/true, cfg_.chunk_size, t);
   mem_.release("u1", t);
   mem_.release("residual", t);
   return t;
 }
 
 sim::VTime Solver::run_lsp(Array3D<cfloat>& u, const Array3D<cfloat>& dhat_or_d,
-                           const VectorField& g, sim::VTime t,
+                           const VectorField& g, double rho, sim::VTime t,
                            double* loss_out, IterationStats* st) {
   const auto& geo = ml_.ops().geometry();
   const Shape3 os = geo.object_shape();
@@ -148,7 +146,7 @@ sim::VTime Solver::run_lsp(Array3D<cfloat>& u, const Array3D<cfloat>& dhat_or_d,
   // Quadratic-safe fixed step: ‖L*L‖ from power iteration (the angular
   // oversampling of low frequencies makes it ≫1) plus the TV Laplacian
   // bound ‖∇ᵀ∇‖ ≤ 12.
-  const double step = 1.0 / (1.1 * lip_ + cfg_.rho * 12.0);
+  const double step = 1.0 / (1.1 * lip_ + rho * 12.0);
   double g_prev_dot = 0;
   for (int k = 0; k < cfg_.inner_iters; ++k) {
     t = observe("u", t);
@@ -158,7 +156,7 @@ sim::VTime Solver::run_lsp(Array3D<cfloat>& u, const Array3D<cfloat>& dhat_or_d,
     const EwStats ew0 = knl_.stats();
     // G = L*(r) + ρ·∇ᵀ(∇u − g) with both CG dot products, one fused sweep —
     // the TV gradient/adjoint run in gather form with no intermediate field.
-    const auto dots = knl_.lsp_combine(u, g, grad_data, cfg_.rho, G_prev,
+    const auto dots = knl_.lsp_combine(u, g, grad_data, rho, G_prev,
                                        /*has_prev=*/k > 0, G);
     // CG update (Polak–Ribière+ direction, fixed quadratic-safe step).
     double beta = 0;
@@ -169,7 +167,7 @@ sim::VTime Solver::run_lsp(Array3D<cfloat>& u, const Array3D<cfloat>& dhat_or_d,
     std::swap(G, G_prev);  // replaces the old G_prev = G copy pass
     g_prev_dot = dots.gg;
     t += ew_cost(knl_.stats() - ew0);
-    if (st != nullptr) st->rho = cfg_.rho;
+    if (st != nullptr) st->rho = rho;
   }
   mem_.release("G_prev", t);
   return t;
@@ -220,12 +218,12 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
   const bool resuming = ck.valid;
   SolveResult result;
   sim::VTime t = resuming ? ck.t : 0;
-  const double dev_xfer0 = exec_.device_transfer_busy();
+  const double dev_xfer0 = ml_.device_transfer_busy();
   const EwStats solve_ew0 = knl_.stats();
-  // All fused elementwise kernels of this solve tile across the engine's
+  // All fused elementwise kernels of this solve tile across the memo layer's
   // worker pool (deterministic size-based partition — results are
   // bit-identical for any pool width).
-  knl_.set_pool(&exec_.pool());
+  knl_.set_pool(&ml_.pool());
   Array3D<cfloat> u, dref;
   VectorField psi, lambda, gfield(geo.object_shape());
   double rho = cfg_.rho;
@@ -256,7 +254,6 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
     t = observe("psi", t);
     t = observe("lambda", t);
     t = observe("g", t);
-    rho = cfg_.rho;
     end_phase(result, Phase::Init, init_ew0, init_w0, t);
     if (obs_ != nullptr) obs_->phase_end(Phase::Init, t);
   } else {
@@ -285,8 +282,8 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
   MLR_CHECK_MSG(!(resuming && needs_warmup),
                 "resume requires a trained (quantized) encoder");
   if (needs_warmup) {
-    exec_.set_bypass(true);
-    exec_.set_collect_samples(true);
+    ml_.set_bypass(true);
+    ml_.set_collect_samples(true);
   }
 
   VectorField gu(geo.object_shape());
@@ -294,14 +291,14 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
   for (int iter = first_iter; iter < cfg_.outer_iters; ++iter) {
     IterationStats st;
     st.iter = iter;
-    const auto memo0 = exec_.counters();
+    const auto memo0 = ml_.counters();
     const EwStats iter_ew0 = knl_.stats();
     if (needs_warmup && iter == cfg_.encoder_warmup_iters) {
-      exec_.set_collect_samples(false);
-      (void)exec_.train_encoder_from_collected(cfg_.encoder_train_steps);
-      exec_.set_bypass(false);
+      ml_.set_collect_samples(false);
+      (void)ml_.train_encoder_from_collected(cfg_.encoder_train_steps);
+      ml_.set_bypass(false);
       // Training runs on the GPU (paper §4.3.1); charge its kernel time.
-      t = ml_.device_kernel(
+      t = ml_.device().run_kernel(
           t, double(cfg_.encoder_train_steps) * 6.0 *
                  ml_.key_encoder().encode_flops());
     }
@@ -319,8 +316,7 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
       t += ew_cost(knl_.stats() - ew0);
     }
     t = observe("g", t);
-    cfg_.rho = rho;  // keep step size consistent with current penalty
-    t = run_lsp(u, dref, gfield, t, &st.loss, &st);
+    t = run_lsp(u, dref, gfield, rho, t, &st.loss, &st);
     st.lsp_s = t - lsp0;
     end_phase(result, Phase::Lsp, lsp_ew0, lsp_w0, t);
     if (obs_ != nullptr) obs_->phase_end(Phase::Lsp, t);
@@ -379,7 +375,7 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
     if (obs_ != nullptr) obs_->phase_end(Phase::PenaltyUpdate, t);
 
     st.t_end = t;
-    const auto memo1 = exec_.counters();
+    const auto memo1 = ml_.counters();
     st.memo_delta.computed = memo1.computed - memo0.computed;
     st.memo_delta.miss = memo1.miss - memo0.miss;
     st.memo_delta.db_hit = memo1.db_hit - memo0.db_hit;
@@ -411,7 +407,7 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
         ck.phases[p].wall_s += result.phases[p].wall_s;
       }
       ck.ew_total += knl_.stats() - solve_ew0;
-      ck.transfer_busy += exec_.device_transfer_busy() - dev_xfer0;
+      ck.transfer_busy += ml_.device_transfer_busy() - dev_xfer0;
       paused = true;
       break;
     }
@@ -444,7 +440,7 @@ bool Solver::solve_resumable(const Array3D<cfloat>& d, SolverCheckpoint& ck,
   result.ew_total = ck.ew_total;
   result.ew_total += knl_.stats() - solve_ew0;
   const double xfer =
-      ck.transfer_busy + (exec_.device_transfer_busy() - dev_xfer0);
+      ck.transfer_busy + (ml_.device_transfer_busy() - dev_xfer0);
   result.transfer_share = t > 0 ? xfer / t : 0.0;
   result.u = std::move(u);
   ck = SolverCheckpoint{};  // consumed

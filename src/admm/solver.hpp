@@ -28,7 +28,6 @@
 #include "admm/tv.hpp"
 #include "lamino/phantom.hpp"
 #include "memo/memoized_ops.hpp"
-#include "memo/stage_executor.hpp"
 #include "sim/clock.hpp"
 
 namespace mlr::admm {
@@ -136,14 +135,10 @@ using YieldFn = std::function<bool(int, sim::VTime)>;
 
 class Solver {
  public:
-  /// `ml` supplies both the real operators and the execution backend (all
-  /// chunk stages run through its built-in StageExecutor).
+  /// `ml` supplies the real operators and runs every chunked stage, on one
+  /// or several devices and on its worker pool. Its device 0 also hosts the
+  /// un-memoized detector stages and encoder training.
   Solver(memo::MemoizedLamino& ml, AdmmConfig cfg);
-  /// Engine injection: chunk stages run through `exec`, which may span
-  /// several devices and carry a dedicated worker pool (the
-  /// ExecutionContext path). `exec.wrapper(0)` hosts the un-memoized
-  /// detector stages and the encoder.
-  Solver(memo::StageExecutor& exec, AdmmConfig cfg);
 
   /// Reconstruct from measured projections `d` (spatial detector domain).
   SolveResult solve(const Array3D<cfloat>& d);
@@ -175,11 +170,12 @@ class Solver {
   }
 
  private:
-  // One LSP pass: N_inner CG refinements of u. Returns vtime at completion
-  // and accumulates the data-fidelity loss of the last inner iteration.
+  // One LSP pass at penalty `rho`: N_inner CG refinements of u. Returns
+  // vtime at completion and accumulates the data-fidelity loss of the last
+  // inner iteration.
   sim::VTime run_lsp(Array3D<cfloat>& u, const Array3D<cfloat>& dhat_or_d,
-                     const VectorField& g, sim::VTime t, double* loss_out,
-                     IterationStats* st);
+                     const VectorField& g, double rho, sim::VTime t,
+                     double* loss_out, IterationStats* st);
 
   // Gradient of the data term via the chunked operator stages; result in
   // `grad`. Returns vtime when the gradient is available.
@@ -212,15 +208,13 @@ class Solver {
     return obs_ != nullptr ? obs_->on_access(var, t) : t;
   }
 
-  memo::StageExecutor& exec_;  ///< runs every chunked operator stage
-  memo::MemoizedLamino& ml_;   ///< primary wrapper: encoder + detector FFTs
+  memo::MemoizedLamino& ml_;  ///< runs every chunked operator stage
   AdmmConfig cfg_;
   SolverKernels knl_;  ///< fused elementwise kernels (pool set per solve)
   double lip_ = 0.0;  ///< ‖L*L‖: the operators' slot, or the checkpoint's
   sim::MemoryTracker mem_;
   PhaseObserver* obs_ = nullptr;
   std::function<void(int, const Array3D<cfloat>&)> hook_;
-  double transfer_busy_before_ = 0;
 };
 
 /// Reconstruction accuracy between a reference reconstruction and a

@@ -45,9 +45,9 @@ sim::VTime Cluster::forward_adjoint_pass(const Array3D<cfloat>& u,
                                          const Array3D<cfloat>& dhat,
                                          i64 chunk_size, sim::VTime ready,
                                          std::vector<double>* per_op_s) {
-  auto& exec = ctx_.executor();
-  const auto& g = ctx_.wrapper(0).ops().geometry();
-  const double ws = ctx_.wrapper(0).config().work_scale;
+  auto& ml = ctx_.memo();
+  const auto& g = ml.ops().geometry();
+  const double ws = ml.config().work_scale;
   Array3D<cfloat> u1(g.u1_shape());
   Array3D<cfloat> r(g.data_shape());
   Array3D<cfloat> w1(g.u1_shape());
@@ -61,16 +61,16 @@ sim::VTime Cluster::forward_adjoint_pass(const Array3D<cfloat>& u,
   };
 
   // F_u1D over n1 chunks.
-  stage(0, exec.run_fu1d(u, u1, /*adjoint=*/false, chunk_size, t));
+  stage(0, ml.run_fu1d(u, u1, /*adjoint=*/false, chunk_size, t));
   // Redistribution: n1 partitioning → h partitioning.
   t = redistribute(double(u1.bytes()) * ws, t);
   // Fused F_u2D over h chunks, then its adjoint.
-  stage(1, exec.run_fu2d(u1, r, &dhat, /*adjoint=*/false, chunk_size, t));
-  stage(2, exec.run_fu2d(r, w1, nullptr, /*adjoint=*/true, chunk_size, t));
+  stage(1, ml.run_fu2d(u1, r, &dhat, /*adjoint=*/false, chunk_size, t));
+  stage(2, ml.run_fu2d(r, w1, nullptr, /*adjoint=*/true, chunk_size, t));
   // Redistribution back: h partitioning → n1 partitioning.
   t = redistribute(double(w1.bytes()) * ws, t);
   // Adjoint F*_u1D over n1 chunks.
-  stage(3, exec.run_fu1d(w1, grad, /*adjoint=*/true, chunk_size, t));
+  stage(3, ml.run_fu1d(w1, grad, /*adjoint=*/true, chunk_size, t));
   return t;
 }
 

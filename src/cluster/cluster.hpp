@@ -9,15 +9,15 @@
 // returns past 4 GPUs), Fig 15 (fabric saturation) and Fig 16 (query-latency
 // tail).
 //
-// A Cluster is an ExecutionContext (devices, fabric, memory node, DB,
-// encoder, engine) plus this redistribution model: the NVLink timeline and
-// the node topology (4 GPUs per node).
+// A Cluster is an ExecutionContext (devices, fabric, memory node, DB and the
+// memoized-operator layer over all devices) plus this redistribution model:
+// the NVLink timeline and the node topology (4 GPUs per node).
 //
 // Numerics are real: every chunk is computed (or memoized) exactly once by
-// the wrapper that owns it. With memoization off the result is bit-identical
+// the device that owns it. With memoization off the result is bit-identical
 // to single-device execution for any GPU count; with it on, a device's DB
 // query sees what earlier devices inserted in the same stage, so hits (and
-// outputs) depend on the GPU count (see memo/stage_executor.hpp).
+// outputs) depend on the GPU count (see memo/memoized_ops.hpp).
 #pragma once
 
 #include <vector>
@@ -36,7 +36,7 @@ class Cluster {
   [[nodiscard]] int num_nodes() const;
   [[nodiscard]] int node_of(int gpu) const;
 
-  /// The devices, DB, encoder and engine the stages run on.
+  /// The devices, DB and memo layer the stages run on.
   [[nodiscard]] ExecutionContext& context() { return ctx_; }
   /// The shared Slingshot fabric: cross-node redistribution + memo traffic.
   [[nodiscard]] sim::Interconnect& fabric() { return ctx_.network(); }

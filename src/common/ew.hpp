@@ -12,7 +12,7 @@
 //   * tile-ordered reduction combining — per-tile double partials are
 //     written into caller-provided slots and summed serially in fixed tile
 //     order, making every reduction bit-identical for any ThreadPool size
-//     (the same contract the StageExecutor keeps for virtual time).
+//     (the same contract the memo layer keeps for virtual time).
 //
 // EwStats is the measurement side: each fused kernel records the passes it
 // actually made and the passes the unfused chain would have made, so the

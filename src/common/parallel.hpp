@@ -58,7 +58,7 @@ void parallel_for_ranges(i64 begin, i64 end,
                          const std::function<void(i64, i64)>& fn);
 
 /// Pool-scoped variants: run the loop on an explicit pool instead of the
-/// process-global one (the StageExecutor's `threads` knob). A one-worker
+/// process-global one (the memo layer's `threads` knob). A one-worker
 /// pool degrades to a serial loop on the calling thread — same numerics,
 /// no handoff.
 void parallel_for(ThreadPool& pool, i64 begin, i64 end,

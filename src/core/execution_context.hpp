@@ -1,16 +1,16 @@
 // ExecutionContext — ownership of the execution substrate for one
 // reconstruction run, and the only code that wires one.
 //
-// Wires together everything the StageExecutor engine drives: the simulated
-// GPU(s), the interconnect + memory node, the distributed memoization DB,
-// one MemoizedLamino wrapper per device, the shared EncoderRegistry (all
-// devices key and train through ONE encoder) and the worker pool for the
-// engine's parallel phases. Reconstructor, every serve session (at any
-// `gpus_per_job`) and cluster::Cluster build their devices this way, and
-// everything executes stages through `executor()`.
+// Wires together everything the memoized-operator layer drives: the
+// simulated GPU(s), the interconnect + memory node, the distributed
+// memoization DB, the worker pool for the layer's parallel phases, and the
+// one memo::MemoizedLamino over all devices (one key encoder, one lane per
+// device). Reconstructor, every serve session (at any `gpus_per_job`) and
+// cluster::Cluster build their devices this way, and everything executes
+// stages through `memo()`.
 //
 // Several devices do not reproduce a single device's hit patterns when
-// memoization is on: the engine runs each device's whole round, tail
+// memoization is on: the layer runs each device's whole round, tail
 // included, in device order, so device g's DB query already sees what
 // devices before it inserted earlier in the same stage. With memoization
 // off the result is bit-identical for any device count.
@@ -22,19 +22,18 @@
 #include "common/parallel.hpp"
 #include "memo/memo_db.hpp"
 #include "memo/memoized_ops.hpp"
-#include "memo/stage_executor.hpp"
 #include "sim/device.hpp"
 
 namespace mlr {
 
 struct ExecutionOptions {
-  /// Worker threads for the engine's parallel phases. 0 = share the
+  /// Worker threads for the layer's parallel phases. 0 = share the
   /// process-global pool (hardware concurrency); 1 = strictly serial
   /// execution on the calling thread; N = a dedicated N-worker pool.
   unsigned threads = 0;
   /// Simulated devices; chunks are distributed round-robin across them.
   int gpus = 1;
-  memo::MemoConfig memo{};   ///< wrapper config, shared by every device
+  memo::MemoConfig memo{};   ///< memo layer config, shared by every device
   memo::MemoDbConfig db{};   ///< memoization DB config (used when memo.enable)
 
   // --- Shared-memo session wiring (serve::ReconService) -------------------
@@ -68,25 +67,13 @@ class ExecutionContext {
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
-  /// The stage-execution engine over all devices — the one entry point for
+  /// The memoized-operator layer over all devices — the one entry point for
   /// running operator stages.
-  [[nodiscard]] memo::StageExecutor& executor() { return *exec_; }
+  [[nodiscard]] memo::MemoizedLamino& memo() { return *memo_; }
 
   [[nodiscard]] int num_gpus() const { return int(devices_.size()); }
-  [[nodiscard]] memo::MemoizedLamino& wrapper(int gpu = 0) {
-    return *wrappers_[std::size_t(gpu)];
-  }
-  [[nodiscard]] sim::Device& device(int gpu = 0) {
-    return *devices_[std::size_t(gpu)];
-  }
   [[nodiscard]] sim::Interconnect& network() { return net_; }
   [[nodiscard]] memo::MemoDb* db() { return db_.get(); }
-  /// The cross-device key encoder shared by every wrapper.
-  [[nodiscard]] encoder::EncoderRegistry& encoder_registry() {
-    return *registry_;
-  }
-  /// Dedicated pool (null when sharing the process-global one).
-  [[nodiscard]] ThreadPool* pool() { return pool_.get(); }
 
   /// Snapshot of every virtual timeline in the context (per-device compute +
   /// copy engines, the interconnect link, the memory-node CPU). A preempted
@@ -119,11 +106,9 @@ class ExecutionContext {
   sim::Interconnect net_;
   sim::MemoryNode memnode_;
   std::unique_ptr<memo::MemoDb> db_;
-  std::shared_ptr<encoder::EncoderRegistry> registry_;
   std::vector<std::unique_ptr<sim::Device>> devices_;
-  std::vector<std::unique_ptr<memo::MemoizedLamino>> wrappers_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<memo::StageExecutor> exec_;
+  std::unique_ptr<memo::MemoizedLamino> memo_;
 };
 
 }  // namespace mlr

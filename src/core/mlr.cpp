@@ -16,7 +16,7 @@ Dataset Dataset::large(i64 n) {
 }
 
 Reconstructor::Reconstructor(ReconstructionConfig cfg) : cfg_(std::move(cfg)) {
-  MLR_CHECK(cfg_.iters >= 1 && cfg_.gpus >= 1);
+  MLR_CHECK(cfg_.iters >= 1);
 }
 
 Reconstructor::~Reconstructor() = default;
@@ -32,9 +32,7 @@ void Reconstructor::prepare() {
   const double ws = cfg_.dataset.work_scale();
   ExecutionOptions eo;
   eo.threads = cfg_.threads;
-  eo.gpus = cfg_.gpus;
   eo.db.tau = cfg_.tau;
-  eo.db.coalesce = cfg_.coalesce;
   eo.db.value_scale = ws;
   eo.memo.enable = cfg_.memoize;
   eo.memo.tau = cfg_.tau;
@@ -49,7 +47,7 @@ void Reconstructor::prepare() {
   ac.use_cancellation = cfg_.cancellation;
   ac.use_fusion = cfg_.fusion;
   ac.work_scale = ws;
-  solver_ = std::make_unique<admm::Solver>(ctx_->executor(), ac);
+  solver_ = std::make_unique<admm::Solver>(ctx_->memo(), ac);
   prepared_ = true;
 }
 
@@ -109,8 +107,8 @@ Report Reconstructor::run() {
   rep.vtime_s = rep.result.total_vtime;
   rep.error_vs_truth =
       relative_error<cfloat>(u_true_.span(), rep.result.u.span());
-  rep.memo = ctx_->executor().counters();
-  rep.cache_hit_rate = ctx_->executor().cache_stats().hit_rate();
+  rep.memo = ctx_->memo().counters();
+  rep.cache_hit_rate = ctx_->memo().cache_stats().hit_rate();
   // Steady-state peak: skip the Init/first-iteration transient where all
   // variables are co-resident while the policy's initial writes are still in
   // flight (the paper's variables materialize staggered across phases).

@@ -67,16 +67,13 @@ struct ReconstructionConfig {
   double tau = 0.92;
   bool cancellation = true;
   bool fusion = true;
-  bool coalesce = true;
   memo::CacheKind cache = memo::CacheKind::Private;
   OffloadMode offload = OffloadMode::None;
 
-  int gpus = 1;  ///< >1 distributes chunks across simulated GPUs
-
-  // Stage-execution engine knobs (see ExecutionOptions/StageExecutor):
-  /// Worker threads for the engine's parallel phases. 0 = process-global
-  /// pool (hardware concurrency), 1 = serial. Results are bit-identical for
-  /// any value — only host wall time changes.
+  /// Worker threads for the memo layer's parallel phases (see
+  /// ExecutionOptions). 0 = process-global pool (hardware concurrency),
+  /// 1 = serial. Results are bit-identical for any value — only host wall
+  /// time changes. Multi-device runs go through cluster::Cluster.
   unsigned threads = 0;
 };
 
@@ -109,8 +106,8 @@ class Reconstructor {
   [[nodiscard]] const Array3D<cfloat>& projections() const { return d_; }
   [[nodiscard]] const Array3D<cfloat>& ground_truth() const { return u_true_; }
   [[nodiscard]] ExecutionContext& context() { return *ctx_; }
-  [[nodiscard]] memo::StageExecutor& engine() { return ctx_->executor(); }
-  [[nodiscard]] memo::MemoizedLamino& wrapper() { return ctx_->wrapper(); }
+  /// The run's memoized-operator layer (record sink, cache, counters).
+  [[nodiscard]] memo::MemoizedLamino& wrapper() { return ctx_->memo(); }
   [[nodiscard]] admm::Solver& solver() { return *solver_; }
   [[nodiscard]] sim::Interconnect& network() { return ctx_->network(); }
   [[nodiscard]] memo::MemoDb* db() { return ctx_->db(); }
@@ -121,7 +118,7 @@ class Reconstructor {
   std::unique_ptr<lamino::Operators> ops_;
   Array3D<cfloat> u_true_;
   Array3D<cfloat> d_;
-  std::unique_ptr<ExecutionContext> ctx_;  ///< devices/pool/cache/DB wiring
+  std::unique_ptr<ExecutionContext> ctx_;  ///< devices/pool/memo layer/DB
   std::unique_ptr<admm::Solver> solver_;
   bool prepared_ = false;
 };

@@ -105,20 +105,19 @@ double chunk_l2(std::span<const cfloat> a, std::span<const cfloat> b);
 
 /// Shared ownership of one key encoder plus its contrastive training set.
 ///
-/// Every device wrapper of a run (wired by core::ExecutionContext) points at
-/// the same registry, so a multi-GPU run collects ONE training set —
-/// deposited in global chunk order by the StageExecutor, the order a
-/// single-GPU run would see — and trains ONE encoder, producing the
-/// single-GPU run's keys. (Its hit patterns can still differ: see
-/// memo/stage_executor.hpp.)
-/// A wrapper constructed without a registry creates a private one, keeping
-/// standalone (test/bench) wrappers self-contained.
+/// A run's one memo::MemoizedLamino keys every device through one registry,
+/// so a multi-GPU run collects ONE training set — deposited in global chunk
+/// order, the order a single-GPU run would see — and trains ONE encoder,
+/// producing the single-GPU run's keys. (Its hit patterns can still differ:
+/// see memo/memoized_ops.hpp.) A serving session hands in the service's
+/// registry, shared by every job; a layer constructed without one creates a
+/// private registry.
 ///
 /// Thread safety: encode paths on the contained CnnEncoder are const and may
 /// run concurrently from pool workers. Sample collection is serial (the
-/// StageExecutor collects in its deterministic serial pass). Training has
-/// one caller at a time, between stages, and fans its steps out on the
-/// caller's pool (the StageExecutor passes the pool it runs stages on).
+/// layer collects in its deterministic serial pass). Training has one caller
+/// at a time, between stages, and fans its steps out on the caller's pool
+/// (the layer passes the pool it runs stages on).
 class EncoderRegistry {
  public:
   explicit EncoderRegistry(EncoderConfig cfg = {}, u64 seed = 2024)

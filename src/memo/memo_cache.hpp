@@ -13,7 +13,7 @@
 // a miss); in encoder-gated mode (no probe) the key similarity must exceed
 // τ.
 //
-// Thread safety: the batched StageExecutor probes the cache from many worker
+// Thread safety: the memo layer's batched stages probe a cache from many worker
 // threads at once, so every implementation must tolerate concurrent
 // lookup/lookup and lookup/insert. Stats counters are atomic; entry state is
 // guarded by striped mutexes (PrivateCache) or one pool mutex (GlobalCache).

@@ -61,7 +61,7 @@ struct QueryRequest {
   std::vector<float> key;
   double norm = 1.0;
   /// Pooled input plane for oracle similarity (empty in encoder mode).
-  std::vector<cfloat> probe;
+  std::vector<cfloat> probe{};
   /// Per-query acceptance threshold; 0 → use the DB's configured τ.
   double tau = 0.0;
   /// Expected value length in cfloats; 0 → any. A stored result for a
@@ -194,8 +194,8 @@ class MemoDb {
     OpKind kind{};
     std::vector<float> key;
     double norm = 1.0;
-    std::vector<cfloat> probe;
-    std::vector<cfloat> value;
+    std::vector<cfloat> probe{};
+    std::vector<cfloat> value{};
     /// Full value length in cfloats. Equals value.size() when the payload
     /// is present; an *index-only* entry (net wire format's seed form) has
     /// an empty `value` with value_cf > 0 — the payload stays on the tier

@@ -1,4 +1,5 @@
-// MemoizedLamino — the memoized FFT operator layer of mLR (paper §4).
+// MemoizedLamino — the memoized FFT operator layer of mLR (paper §4), one
+// per run.
 //
 // Wraps lamino::Operators so every chunk-level FFT call follows Fig 3's
 // pipeline:
@@ -9,19 +10,67 @@
 //         → miss: H2D, real FFT kernel on the simulated GPU, D2H, async
 //                 insert of (key, result) (case 1)
 // The virtual clock charges that order: every chunk pays its key encode.
-// The host skips keys nobody reads: under oracle similarity the cache
-// accepts on the pooled probe and the norm alone, so the engine looks a
-// chunk up first and encodes only the cache misses, whose keys the DB
-// query, the cache refill and the insertion read (see StageExecutor).
 // Real numerics run underneath; hits genuinely substitute results from prior
 // iterations, so approximation error, accuracy (Table 1) and convergence
 // (Fig 17) are measured, not modelled.
+//
+// One layer holds the run's memo state: the config, the MemoDb, the key
+// encoder registry, the bypass/collect calibration flags, the record sink,
+// the outcome counters and the worker pool, plus one lane per simulated GPU
+// (the device and its private local cache). A stage is a set of independent
+// chunks by construction, so each lane runs its share in batched phases
+// instead of chunk-at-a-time:
+//
+//   phase 1  probe     every chunk's norm and pooled probe, then the
+//                      thread-safe local cache, one pool task per chunk; a
+//                      hit copies its stored value straight into the chunk
+//                      output. The task runs the INT8 CNN key encoder only
+//                      where the key is read: after a cache miss under
+//                      oracle similarity (a hit is accepted on probe and
+//                      norm alone), before the lookup in encoder-gated
+//                      mode, and for every chunk of a cacheless layer
+//   phase 2  resolve   chunks the cache could not serve go to the MemoDb as
+//                      ONE barriered query_batch (scoring fans out on the
+//                      pool); then one parallel pass runs every miss FFT
+//                      before it materializes and copies the hits
+//   phase 3  account   a serial pass in chunk order charges the virtual
+//                      clock (encode for every chunk, as the paper's
+//                      pipeline encodes before it looks up; device
+//                      schedule, DB value arrival, copies)
+//   tail               inline, in barriered order: hit cache refills in
+//                      request order, then miss cache refills and DB
+//                      insertions in chunk order
+//
+// The misses-before-hits order is the one wall-clock overlap the layer
+// keeps. A remote-seeded DB ships one GET_BATCH per shard for the stage's
+// remote hits at the end of scoring, and the layer harvests them only after
+// every miss FFT was issued, so the round trip hides under local compute.
+// In-process seeds materialize for free, and outputs never depend on the
+// order.
+//
+// Wall-clock parallelism never touches the virtual clock: device/link/node
+// timelines are scheduled in a deterministic serial pass in chunk order, so
+// reported virtual times, ChunkRecords (Fig 10/12), cache FIFO contents and
+// DB insertion order are bit-identical for any pool width.
+//
+// Several devices (paper §5.2) take the stage's chunks round-robin, and each
+// runs its whole round, tail included, in device order, so with memoization
+// on device g's DB query sees what earlier devices inserted in the same
+// stage: several devices need not reproduce one device's hits. Encoder
+// training samples are collected ABOVE the device distribution, in global
+// chunk order, so a multi-GPU run trains its one encoder on exactly the
+// training set a single-GPU run sees.
+//
+// run_fu1d / run_fu2d assemble a whole-volume F_u1D / F_u2D stage (chunking,
+// row packing, run_stage, unpacking) — the one copy the ADMM solver and
+// cluster::Cluster's forward-adjoint pass share.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "encoder/encoder.hpp"
 #include "lamino/operators.hpp"
 #include "memo/memo_cache.hpp"
@@ -119,43 +168,59 @@ struct MemoCounters {
   [[nodiscard]] u64 lookups() const { return miss + db_hit + cache_hit; }
 };
 
-class StageExecutor;
-
 class MemoizedLamino {
  public:
-  /// `db` may be null when cfg.enable is false. `registry` is the shared
-  /// key-encoder owner (ExecutionContext passes one registry to every device
-  /// wrapper so multi-GPU runs train a single encoder); when null the
-  /// wrapper creates a private registry, so standalone wrappers keep
-  /// working unchanged.
+  /// One device. `db` may be null when cfg.enable is false. `registry` is the
+  /// key-encoder owner (a serving session passes the service's one encoder);
+  /// when null the layer creates a private registry.
   MemoizedLamino(const lamino::Operators& ops, MemoConfig cfg,
                  sim::Device* device, MemoDb* db,
                  std::shared_ptr<encoder::EncoderRegistry> registry = nullptr);
-  ~MemoizedLamino();
+  /// One lane per device: chunks are distributed round-robin, device g
+  /// taking chunks g, g+G, g+2G, … (the paper's §5.2 distribution).
+  MemoizedLamino(const lamino::Operators& ops, MemoConfig cfg,
+                 std::vector<sim::Device*> devices, MemoDb* db,
+                 std::shared_ptr<encoder::EncoderRegistry> registry = nullptr);
+
+  /// Worker pool for the parallel phases and encoder training; nullptr
+  /// restores the process-wide pool. A one-worker pool runs every phase
+  /// serially on the caller.
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
+  [[nodiscard]] ThreadPool& pool() const {
+    return pool_ != nullptr ? *pool_ : ThreadPool::global();
+  }
 
   /// Execute one operator stage (a set of independent chunks) starting at
-  /// virtual time `ready`. Outputs are written into each chunk's `out`.
-  /// Delegates to the built-in StageExecutor (batched phases; parallel real
-  /// work, deterministic virtual clock).
+  /// virtual time `ready`. Outputs are written into each chunk's `out`;
+  /// records come back in chunk order.
   StageReport run_stage(OpKind kind, std::span<StageChunk> chunks,
                         sim::VTime ready);
-
-  /// The wrapper's own single-device engine. Callers wanting a dedicated
-  /// worker pool or multi-device distribution build their own StageExecutor
-  /// over one or more wrappers instead.
-  [[nodiscard]] StageExecutor& executor() { return *exec_; }
+  /// Whole-volume F_u1D (or its adjoint) in n1 chunks of `chunk_size`
+  /// slices, `in` → `out`. Returns the stage's completion time.
+  sim::VTime run_fu1d(const Array3D<cfloat>& in, Array3D<cfloat>& out,
+                      bool adjoint, i64 chunk_size, sim::VTime ready);
+  /// Whole-volume F_u2D (or its adjoint) in h chunks of `chunk_size` rows,
+  /// packed from `in` and unpacked into `out`. A forward stage given
+  /// `fused_ref` (d̂) fuses the residual subtraction into the kernel.
+  /// Returns the stage's completion time.
+  sim::VTime run_fu2d(const Array3D<cfloat>& in, Array3D<cfloat>& out,
+                      const Array3D<cfloat>* fused_ref, bool adjoint,
+                      i64 chunk_size, sim::VTime ready);
 
   /// Train the key encoder on sample chunks (contrastive pairs) and freeze
   /// it to INT8 — done once before reconstruction starts.
   double train_encoder(const std::vector<std::vector<cfloat>>& samples,
                        i64 rows, i64 cols, int steps);
+  /// Contrastive-train the encoder on the collected samples and freeze it
+  /// to INT8. Each training step fans out on pool(); the caller must not be
+  /// one of its workers (the rule for run_stage too).
+  double train_encoder_from_collected(int steps);
 
   /// Calibration flow: while bypass is on, stages run the plain compute path
   /// and (optionally) record their chunk planes as encoder training samples
   /// — the warmup iteration mLR uses to train the CNN on real data. Samples
-  /// land in the shared registry in global chunk order (see StageExecutor).
+  /// land in the registry in global chunk order, whatever the device count.
   void set_bypass(bool bypass) { bypass_ = bypass; }
-  [[nodiscard]] bool bypass() const { return bypass_; }
   void set_collect_samples(bool collect, std::size_t cap_per_kind = 128) {
     registry_->set_collect(collect, cap_per_kind * kNumOpKinds);
   }
@@ -163,24 +228,30 @@ class MemoizedLamino {
 
   [[nodiscard]] const lamino::Operators& ops() const { return ops_; }
   [[nodiscard]] const MemoConfig& config() const { return cfg_; }
+  /// Outcomes of every chunk the layer ran, over all devices.
   [[nodiscard]] const MemoCounters& counters() const { return counters_; }
-  [[nodiscard]] const MemoCache* cache() const { return cache_.get(); }
-  /// Checkpoint/resume surface (serve-layer stage-boundary preemption): a
-  /// resumed session restores the wrapper's cache contents and outcome
-  /// counters so the continuation is indistinguishable from never pausing.
-  [[nodiscard]] CacheImage cache_image() const {
-    return cache_ ? cache_->image() : CacheImage{};
+  /// Local-cache counters summed over the devices' caches.
+  [[nodiscard]] CacheStats cache_stats() const;
+  [[nodiscard]] std::size_t num_devices() const { return lanes_.size(); }
+  /// Device `g`: its timelines also carry the stages the layer does not
+  /// memoize (the detector F_2D of Algorithm 1, encoder training).
+  [[nodiscard]] sim::Device& device(std::size_t g = 0) const {
+    return *lanes_[g].device;
   }
-  void restore_cache(const CacheImage& img) {
-    if (cache_) cache_->restore(img);
+  /// Device `g`'s local cache (null when memoization is off or cacheless).
+  [[nodiscard]] const MemoCache* cache(std::size_t g = 0) const {
+    return lanes_[g].cache.get();
   }
+  /// Checkpoint/resume surface (serve-layer stage-boundary preemption, one
+  /// device only): a resumed session restores the cache contents and
+  /// outcome counters so the continuation is indistinguishable from never
+  /// pausing.
+  [[nodiscard]] CacheImage cache_image() const;
+  void restore_cache(const CacheImage& img);
   void set_counters(const MemoCounters& c) { counters_ = c; }
   [[nodiscard]] const encoder::CnnEncoder& key_encoder() const {
     return registry_->encoder();
   }
-  /// The shared (or private) encoder owner backing this wrapper.
-  [[nodiscard]] encoder::EncoderRegistry& registry() { return *registry_; }
-  [[nodiscard]] MemoDb* db() const { return db_; }
 
   /// Encode a chunk into a key (exposed for characterization benches).
   std::vector<float> encode_chunk(OpKind kind, const lamino::ChunkSpec& spec,
@@ -193,41 +264,40 @@ class MemoizedLamino {
   /// (characterization benches: Fig 10 breakdown, Fig 12 hit rates).
   void set_record_sink(std::vector<ChunkRecord>* sink) { sink_ = sink; }
 
-  /// Raw device scheduling passthroughs for stages the wrapper does not
-  /// memoize (the detector F_2D of Algorithm 1).
-  sim::VTime device_h2d(sim::VTime t, double bytes) {
-    return device_->h2d(t, bytes);
-  }
-  sim::VTime device_d2h(sim::VTime t, double bytes) {
-    return device_->d2h(t, bytes);
-  }
-  sim::VTime device_kernel(sim::VTime t, double flops) {
-    return device_->run_kernel(t, flops);
-  }
-  /// Cumulative CPU↔GPU copy-engine busy seconds (transfer-share metric).
-  [[nodiscard]] double device_transfer_busy() const {
-    return device_->h2d_engine().busy_time() + device_->d2h_engine().busy_time();
-  }
+  /// Cumulative CPU↔GPU copy-engine busy seconds over every device
+  /// (transfer-share metric).
+  [[nodiscard]] double device_transfer_busy() const;
 
  private:
-  friend class StageExecutor;  // the engine drives the members below
+  /// One simulated GPU and its private local cache (paper §4.4).
+  struct Lane {
+    sim::Device* device = nullptr;
+    std::unique_ptr<MemoCache> cache;
+  };
 
+  /// The batched phases for one device's share of the stage: the plain
+  /// compute path, or the memoized one.
+  void run_bypass(Lane& lane, OpKind kind, std::span<StageChunk> chunks,
+                  sim::VTime ready, std::span<ChunkRecord> records,
+                  sim::VTime* done);
+  void run_memoized(Lane& lane, OpKind kind, std::span<StageChunk> chunks,
+                    sim::VTime ready, std::span<ChunkRecord> records,
+                    sim::VTime* done);
   double compute_chunk(OpKind kind, const StageChunk& c,
                        double* flops_out) const;
   std::pair<i64, i64> chunk_plane_dims(OpKind kind) const;
 
   const lamino::Operators& ops_;
   MemoConfig cfg_;
-  sim::Device* device_;
   MemoDb* db_;
-  // Shared across the run's wrappers (or private to this one); planes of
-  // different kinds share the encoder, which pools to a fixed resolution.
+  // Planes of different kinds share the encoder, which pools to a fixed
+  // resolution.
   std::shared_ptr<encoder::EncoderRegistry> registry_;
-  std::unique_ptr<MemoCache> cache_;
+  std::vector<Lane> lanes_;
   MemoCounters counters_;
   std::vector<ChunkRecord>* sink_ = nullptr;
+  ThreadPool* pool_ = nullptr;
   bool bypass_ = false;
-  std::unique_ptr<StageExecutor> exec_;
 };
 
 }  // namespace mlr::memo

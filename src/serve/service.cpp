@@ -265,7 +265,7 @@ ReconService::RunOutcome ReconService::run_job(
     MLR_TRACE_SPAN("job.session_build", "serve", req.id);
     ctx = std::make_unique<ExecutionContext>(ops_, eo);
   }
-  memo::StageExecutor& exec = ctx->executor();
+  memo::MemoizedLamino& ml = ctx->memo();
   memo::MemoDb* db = ctx->db();
 
   // Resumed segment: re-install the checkpointed session state on top of
@@ -279,8 +279,8 @@ ReconService::RunOutcome ReconService::run_job(
     MLR_TRACE_SPAN("job.session_restore", "serve", req.id);
     if (db != nullptr && !resume->own_entries.empty())
       db->restore_session_entries(resume->own_entries);
-    ctx->wrapper(0).restore_cache(resume->cache);
-    ctx->wrapper(0).set_counters(resume->counters);
+    ml.restore_cache(resume->cache);
+    ml.set_counters(resume->counters);
     ctx->restore_clock(resume->clocks);
   }
 
@@ -299,7 +299,7 @@ ReconService::RunOutcome ReconService::run_job(
     };
   }
 
-  admm::Solver solver(exec, ac);
+  admm::Solver solver(ml, ac);
   admm::SolveResult res;
   const bool finished = [&] {
     MLR_TRACE_SPAN("job.solve", "serve", req.id);
@@ -319,8 +319,8 @@ ReconService::RunOutcome ReconService::run_job(
       MLR_TRACE_SPAN("job.export", "serve", req.id);
       pj.own_entries = db->export_entries(/*session_only=*/true);
     }
-    pj.cache = ctx->wrapper(0).cache_image();
-    pj.counters = ctx->wrapper(0).counters();
+    pj.cache = ml.cache_image();
+    pj.counters = ml.counters();
     pj.clocks = ctx->clock_state();
     return ro;
   }
@@ -331,13 +331,13 @@ ReconService::RunOutcome ReconService::run_job(
   // clock domain, exported as a counter track against the wall-clock axis.
   obs::trace_counter("vclock.service", st.finish);
   st.deadline_met = req.deadline <= 0 || st.finish <= req.deadline;
-  st.memo = exec.counters();
-  st.cache_hit_rate = exec.cache_stats().hit_rate();
+  st.memo = ml.counters();
+  st.cache_hit_rate = ml.cache_stats().hit_rate();
   st.error_vs_truth = relative_error<cfloat>(pb.truth.span(), res.u.span());
   st.output_fingerprint = fnv1a_bytes(res.u.data(), std::size_t(res.u.bytes()));
   // One device's cache is not a multi-device session's cache.
-  if (ctx->num_gpus() == 1 && ctx->wrapper(0).cache() != nullptr)
-    st.cache_fingerprint = ctx->wrapper(0).cache()->fingerprint();
+  if (ctx->num_gpus() == 1 && ml.cache() != nullptr)
+    st.cache_fingerprint = ml.cache()->fingerprint();
   if (own_entries != nullptr && db != nullptr) {
     MLR_TRACE_SPAN("job.export", "serve", req.id);
     *own_entries = db->export_entries(/*session_only=*/true);

@@ -125,10 +125,10 @@ struct ServiceConfig {
 
   // Capacity.
   int slots = 2;           ///< jobs running concurrently (virtual time)
-  /// Simulated GPUs of each session's ExecutionContext. A multi-GPU
-  /// session reports cache_fingerprint 0 (no one device's cache is the
-  /// session's) and cannot be preempted (a checkpoint holds one device's
-  /// cache image and counters).
+  /// Simulated GPUs of each session's ExecutionContext, all driven by the
+  /// session's one memo layer. A multi-GPU session reports
+  /// cache_fingerprint 0 (no one device's cache is the session's) and
+  /// cannot be preempted (a checkpoint holds one device's cache image).
   int gpus_per_job = 1;
   unsigned threads = 0;    ///< host worker pool shared by all sessions
 

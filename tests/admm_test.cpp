@@ -399,5 +399,32 @@ TEST(Solver, AdaptiveRhoStaysPositive) {
   for (const auto& st : res.iterations) EXPECT_GT(st.rho, 0.0);
 }
 
+// A solve leaves no state in its Solver: the penalty adapts within a solve,
+// and a second solve starts from the configured ρ again, reproducing a fresh
+// Solver's output, losses and penalties bit for bit. Memoization is off: a
+// memoized second solve legitimately reads the DB the first one filled.
+TEST(Solver, SecondSolveMatchesFreshSolver) {
+  SolverFixture f;
+  const AdmmConfig cfg{.outer_iters = 6, .inner_iters = 2, .chunk_size = 4};
+  auto ml = f.plain();
+  Solver solver(ml, cfg);
+  const SolveResult first = solver.solve(f.d);
+  // The penalty must really adapt or the test is vacuous.
+  EXPECT_NE(first.iterations.back().rho, cfg.rho);
+  const SolveResult second = solver.solve(f.d);
+
+  sim::Device dev(1);
+  memo::MemoizedLamino fresh_ml(f.ops, {.enable = false}, &dev, nullptr);
+  Solver fresh(fresh_ml, cfg);
+  const SolveResult ref = fresh.solve(f.d);
+  EXPECT_TRUE(same_bits(second.u, ref.u));
+  ASSERT_EQ(second.iterations.size(), ref.iterations.size());
+  for (std::size_t i = 0; i < ref.iterations.size(); ++i) {
+    EXPECT_EQ(second.iterations[i].rho, ref.iterations[i].rho) << "iter " << i;
+    EXPECT_EQ(second.iterations[i].loss, ref.iterations[i].loss)
+        << "iter " << i;
+  }
+}
+
 }  // namespace
 }  // namespace mlr::admm

@@ -45,7 +45,7 @@ TEST(Cluster, StageResultIndependentOfGpuCount) {
   auto run = [&](int gpus) {
     Cluster c(f.ops, opts(gpus));
     Array3D<cfloat> u1(g.u1_shape());
-    (void)c.context().executor().run_fu1d(f.u, u1, /*adjoint=*/false, 3, 0.0);
+    (void)c.context().memo().run_fu1d(f.u, u1, /*adjoint=*/false, 3, 0.0);
     return u1;
   };
   auto digest = [](const Array3D<cfloat>& a) {
@@ -108,45 +108,36 @@ TEST(Cluster, MemoizedClusterSharesOneDatabase) {
                   .ivf = {.nlist = 2, .train_size = 8}}));
   auto& ctx = c.context();
   Array3D<cfloat> u1(f.geom.u1_shape());
-  (void)ctx.executor().run_fu1d(f.u, u1, /*adjoint=*/false, 3, 0.0);
+  (void)ctx.memo().run_fu1d(f.u, u1, /*adjoint=*/false, 3, 0.0);
   const std::size_t chunks = lamino::make_chunks(f.geom.n1, 3).size();
   // Every chunk either inserted into the shared DB or served from it,
   // regardless of which GPU owned it.
-  u64 hits = 0;
-  for (int g = 0; g < 2; ++g)
-    hits += ctx.wrapper(g).counters().db_hit +
-            ctx.wrapper(g).counters().cache_hit;
-  EXPECT_EQ(ctx.db()->entries(memo::OpKind::Fu1D) + hits, chunks);
+  const auto& mc = ctx.memo().counters();
+  EXPECT_EQ(ctx.db()->entries(memo::OpKind::Fu1D) + mc.db_hit + mc.cache_hit,
+            chunks);
 }
 
 TEST(Cluster, GpusShareOneEncoderRegistry) {
-  // Every wrapper keys (and trains) through the same EncoderRegistry, so a
-  // multi-GPU run trains ONE encoder on the single-GPU training set:
-  // collected samples pool in one place and training on any wrapper
-  // quantizes the encoder every other wrapper sees.
+  // The memo layer keys (and trains) every device through its one
+  // EncoderRegistry, so a multi-GPU run trains ONE encoder on the single-GPU
+  // training set.
   Fixture f;
   Cluster c(f.ops,
             opts(3, {.enable = true, .tau = 0.9, .key_dim = 16,
                      .encoder_hw = 16},
                  {.key_dim = 16, .tau = 0.9,
                   .ivf = {.nlist = 2, .train_size = 8}}));
-  auto& ctx = c.context();
-  for (int g = 1; g < 3; ++g)
-    EXPECT_EQ(&ctx.wrapper(0).key_encoder(), &ctx.wrapper(g).key_encoder());
-
-  ctx.executor().set_bypass(true);
-  ctx.executor().set_collect_samples(true, 64);
+  auto& ml = c.context().memo();
+  ml.set_bypass(true);
+  ml.set_collect_samples(true, 64);
   Array3D<cfloat> u1(f.geom.u1_shape());
-  (void)ctx.executor().run_fu1d(f.u, u1, /*adjoint=*/false, 2, 0.0);
-  const std::size_t chunks = lamino::make_chunks(f.geom.n1, 2).size();
-  // Collection is global-chunk-ordered into the one registry: each wrapper
-  // reports the same pooled count — the whole stage, not a per-GPU share.
-  EXPECT_EQ(ctx.wrapper(0).collected_samples(), chunks);
-  EXPECT_EQ(ctx.wrapper(1).collected_samples(), chunks);
-  ctx.executor().set_collect_samples(false);
-  (void)ctx.executor().train_encoder_from_collected(8);
-  for (int g = 0; g < 3; ++g)
-    EXPECT_TRUE(ctx.wrapper(g).key_encoder().quantized());
+  (void)ml.run_fu1d(f.u, u1, /*adjoint=*/false, 2, 0.0);
+  // Collection is global-chunk-ordered into the one registry: the whole
+  // stage, not a per-GPU share.
+  EXPECT_EQ(ml.collected_samples(), lamino::make_chunks(f.geom.n1, 2).size());
+  ml.set_collect_samples(false);
+  (void)ml.train_encoder_from_collected(8);
+  EXPECT_TRUE(ml.key_encoder().quantized());
 }
 
 TEST(Cluster, FabricUtilizationGrowsWithGpus) {

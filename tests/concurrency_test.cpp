@@ -1,9 +1,9 @@
 // Concurrency tests for the batched stage-execution engine's shared state:
 // the memoization caches are hammered from many threads and must neither
 // lose counter updates nor corrupt entries; pool workers harvesting one
-// remote DB entry at once must all land its payload; the StageExecutor
-// must produce bit-identical results, records, cache contents, DB entries
-// and virtual times for any pool width, pinned by golden digests;
+// remote DB entry at once must all land its payload; the memo layer's
+// stage engine must produce bit-identical results, records, cache contents,
+// DB entries and virtual times for any pool width, pinned by golden digests;
 // ann::Index::search_batch must match looped search; keys encoded,
 // operator chunks computed and encoders trained concurrently on pool
 // workers must match a serial pass.
@@ -23,7 +23,6 @@
 #include "lamino/phantom.hpp"
 #include "memo/memo_cache.hpp"
 #include "memo/memoized_ops.hpp"
-#include "memo/stage_executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -241,7 +240,7 @@ TEST(Concurrency, StageExecutorDeterministicAcrossPoolWidths) {
                             .encoder_hw = 16},
                       &dev, &db);
     ThreadPool pool(threads);
-    ml.executor().set_pool(&pool);
+    ml.set_pool(&pool);
     auto make_work = [&](Array3D<cfloat>& dst, bool mixed) {
       std::vector<StageChunk> w;
       for (std::size_t c = 0; c < chunks.size(); ++c) {
@@ -313,7 +312,7 @@ struct AlternatingRun {
   std::vector<Array3D<cfloat>> outs;
   std::vector<std::vector<ChunkRecord>> recs;
   std::vector<sim::VTime> dones;
-  std::vector<u64> cache_fps;  // one per wrapper, 0 without a cache
+  std::vector<u64> cache_fps;  // one per device, 0 without a cache
   u64 db_entries = 0;
   MemoCounters counters;
   std::vector<MemoDb::Entry> entries;  // export_entries(), canonical order
@@ -345,26 +344,21 @@ AlternatingRun run_alternating(unsigned threads, int gpus,
   MemoDb db{{.key_dim = 16, .tau = 0.92,
              .ivf = {.nlist = 2, .train_size = 8}},
             &net, &node};
-  // Wrappers share ONE registry (the multi-GPU configuration) so keys —
-  // and therefore hit patterns — match the single-GPU run.
-  auto reg = std::make_shared<encoder::EncoderRegistry>(
-      encoder::EncoderConfig{.input_hw = 16, .embed_dim = 16});
+  // One layer over every device: one registry, so keys match the
+  // single-GPU run.
   std::vector<std::unique_ptr<sim::Device>> devs;
-  std::vector<std::unique_ptr<MemoizedLamino>> mls;
-  std::vector<MemoizedLamino*> ptrs;
+  std::vector<sim::Device*> ptrs;
   for (int d = 0; d < gpus; ++d) {
     devs.push_back(std::make_unique<sim::Device>(d));
-    mls.push_back(std::make_unique<MemoizedLamino>(
-        ops,
-        MemoConfig{.enable = true, .tau = 0.92, .cache = cache_kind,
-                   .key_dim = 16, .encoder_hw = 16,
-                   .oracle_similarity = oracle},
-        devs.back().get(), &db, reg));
-    ptrs.push_back(mls.back().get());
+    ptrs.push_back(devs.back().get());
   }
-  StageExecutor exec(ptrs);
+  MemoizedLamino ml(ops,
+                    {.enable = true, .tau = 0.92, .cache = cache_kind,
+                     .key_dim = 16, .encoder_hw = 16,
+                     .oracle_similarity = oracle},
+                    ptrs, &db);
   ThreadPool pool(threads);
-  exec.set_pool(&pool);
+  ml.set_pool(&pool);
   auto make_work = [&](OpKind kind, Array3D<cfloat>& dst, bool mixed) {
     const bool adj = kind == OpKind::Fu1DAdj;
     const Array3D<cfloat>& src = adj ? base_u1 : u;
@@ -391,16 +385,16 @@ AlternatingRun run_alternating(unsigned threads, int gpus,
     run.outs.emplace_back(p.kind == OpKind::Fu1DAdj ? g.object_shape()
                                                     : g.u1_shape());
     auto w = make_work(p.kind, run.outs.back(), p.mixed);
-    auto rep = exec.run_stage(p.kind, w, t);
+    auto rep = ml.run_stage(p.kind, w, t);
     t = rep.done;
     run.recs.push_back(std::move(rep.records));
     run.dones.push_back(t);
   }
-  for (const auto& ml : mls)
-    run.cache_fps.push_back(ml->cache() != nullptr ? ml->cache()->fingerprint()
+  for (std::size_t d = 0; d < ml.num_devices(); ++d)
+    run.cache_fps.push_back(ml.cache(d) != nullptr ? ml.cache(d)->fingerprint()
                                                    : 0);
   run.db_entries = db.total_entries();
-  run.counters = exec.counters();
+  run.counters = ml.counters();
   run.entries = db.export_entries();
   return run;
 }
@@ -544,7 +538,7 @@ TEST(Concurrency, TraceOnOffBitIdentityMatrix) {
 // probe and the norm alone, so pool workers encode a key only for a chunk the
 // cache missed (its DB query, cache refill and insertion read it). An all-hit
 // stage encodes nothing and a mixed stage exactly its cache misses. The
-// encoder-gated cache compares keys and a cacheless wrapper sends every chunk
+// encoder-gated cache compares keys and a cacheless layer sends every chunk
 // to the DB, so both encode every chunk.
 TEST(Concurrency, CacheHitNeverEncodes) {
   const lamino::Operators ops{lamino::Geometry::cube(10)};
@@ -582,7 +576,7 @@ TEST(Concurrency, CacheHitNeverEncodes) {
                        .oracle_similarity = m.oracle},
                       &dev, &db);
     ThreadPool pool(4);
-    ml.executor().set_pool(&pool);
+    ml.set_pool(&pool);
     Array3D<cfloat> out(g.u1_shape());
     // A cold pass (every chunk misses the cache), the same inputs again
     // (all cache hits where a cache exists), then odd chunks on fresh churn.
@@ -603,7 +597,9 @@ TEST(Concurrency, CacheHitNeverEncodes) {
         cache_misses += r.outcome != MemoOutcome::CacheHit;
       EXPECT_EQ(encoded.value() - before, lazy ? cache_misses : n);
       if (m.cache == CacheKind::None) continue;
-      if (pass == Warm) EXPECT_EQ(cache_misses, 0u);
+      if (pass == Warm) {
+        EXPECT_EQ(cache_misses, 0u);
+      }
       if (pass == Mixed) {
         EXPECT_GT(cache_misses, 0u);
         EXPECT_LT(cache_misses, n);

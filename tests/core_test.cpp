@@ -1,6 +1,7 @@
 // Tests for the public mlr::Reconstructor facade.
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
 #include "core/mlr.hpp"
 
 namespace mlr {
@@ -70,6 +71,76 @@ TEST(Reconstructor, GreedyOffloadStallsMore) {
   auto rg = greedy.run();
   EXPECT_GT(rg.exposed_stall_s, rp.exposed_stall_s);
   EXPECT_GT(rg.vtime_s, rp.vtime_s);
+}
+
+/// FNV-1a over every observable of a memoized Reconstructor run: output bits,
+/// virtual time, transfer share, cache hit rate and outcome counters; then
+/// each iteration's loss, ρ, end time and outcome delta; every ChunkRecord
+/// the record sink received; and the local cache's fingerprint.
+u64 run_digest(memo::CacheKind cache, unsigned threads) {
+  ReconstructionConfig cfg;
+  cfg.dataset = Dataset::small(12);
+  cfg.iters = 4;
+  cfg.cache = cache;
+  cfg.threads = threads;
+  Reconstructor rec(cfg);
+  rec.prepare();
+  std::vector<memo::ChunkRecord> records;
+  rec.wrapper().set_record_sink(&records);
+  const Report rep = rec.run();
+  u64 h = kFnvOffsetBasis;
+  auto pod = [&h](const auto& v) { h = fnv1a(h, &v, sizeof v); };
+  auto counters = [&pod](const memo::MemoCounters& c) {
+    pod(c.computed);
+    pod(c.miss);
+    pod(c.db_hit);
+    pod(c.cache_hit);
+    pod(c.db_hit_shared);
+  };
+  const auto& u = rep.result.u;
+  h = fnv1a(h, u.data(), std::size_t(u.bytes()));
+  pod(rep.vtime_s);
+  pod(rep.result.transfer_share);
+  pod(rep.cache_hit_rate);
+  counters(rep.memo);
+  for (const auto& st : rep.result.iterations) {
+    pod(st.loss);
+    pod(st.rho);
+    pod(st.t_end);
+    counters(st.memo_delta);
+  }
+  for (const auto& r : records) {
+    pod(int(r.kind));
+    pod(int(r.outcome));
+    pod(r.location);
+    pod(r.encode_s);
+    pod(r.db_s);
+    pod(r.compute_s);
+    pod(r.copy_s);
+  }
+  const auto* c = rec.wrapper().cache();
+  pod(c != nullptr ? c->fingerprint() : 0);
+  return h;
+}
+
+// Golden digests of a memoized run through the facade (warmup, encoder
+// training, memoized iterations), recorded before the memo layer absorbed its
+// stage engine. They pin the three aggregates the facade reads from that
+// layer: the record sink (Figs 10/12), the summed copy-engine busy time
+// behind `transfer_share`, and the summed cache stats behind
+// `cache_hit_rate`. A change that moves them changed behaviour: fix it, do
+// not re-record.
+TEST(Reconstructor, MemoizedRunGolden) {
+  constexpr struct {
+    memo::CacheKind cache;
+    u64 digest;
+  } kGolden[] = {{memo::CacheKind::Private, 0x2edb56432301523eull},
+                 {memo::CacheKind::Global, 0x789f6bd0d83204eeull}};
+  for (const auto& gd : kGolden)
+    for (const unsigned threads : {1u, 4u})
+      EXPECT_EQ(run_digest(gd.cache, threads), gd.digest)
+          << std::hex << "global=" << (gd.cache == memo::CacheKind::Global)
+          << " threads=" << threads;
 }
 
 TEST(Reconstructor, PrepareIsIdempotent) {

@@ -1,6 +1,6 @@
 // Tests for the distributed memoization system: DB insert/query semantics,
 // τ gating, coalescing, private vs global cache behaviour, and the memoized
-// operator wrapper (exactness on miss, genuine reuse on hit).
+// operator layer (exactness on miss, genuine reuse on hit).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -482,7 +482,9 @@ void expect_probe_decides_without_key(MemoCache& with_key, MemoCache& no_key) {
     const auto b = no_key.lookup(OpKind::Fu2D, q.location, {}, q.tau, q.norm,
                                  q.probe);
     ASSERT_EQ(a.has_value(), b.has_value()) << "location " << q.location;
-    if (a.has_value()) EXPECT_EQ(*a, *b);
+    if (a.has_value()) {
+      EXPECT_EQ(*a, *b);
+    }
   }
   const auto sa = with_key.stats(), sb = no_key.stats();
   EXPECT_EQ(sa.lookups, sb.lookups);

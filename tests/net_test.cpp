@@ -23,7 +23,6 @@
 #include "common/rng.hpp"
 #include "lamino/operators.hpp"
 #include "memo/memoized_ops.hpp"
-#include "memo/stage_executor.hpp"
 #include "net/request_table.hpp"
 #include "net/tier_client.hpp"
 #include "net/tier_server.hpp"
@@ -430,7 +429,7 @@ TEST(TierClient, RemoteSeededStageShipsOneGetBatchPerShard) {
     sim::Device dev{0};
     memo::MemoizedLamino ml(ops, mc, &dev, &db, reg);
     ThreadPool pool(4);
-    ml.executor().set_pool(&pool);
+    ml.set_pool(&pool);
     std::vector<memo::StageChunk> w;
     for (const auto& spec : chunks)
       w.push_back({spec, u.slices(spec.begin, spec.count),

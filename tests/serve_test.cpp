@@ -767,8 +767,8 @@ TEST(ReconService, ClusterSessionsGolden) {
 }
 
 TEST(ReconService, PreemptionRequiresOneGpuPerJob) {
-  // A checkpoint captures only wrapper 0's cache image and counters, so a
-  // multi-GPU session cannot yield: the service refuses the configuration.
+  // A checkpoint captures one device's cache image, so a multi-GPU session
+  // cannot yield: the service refuses the configuration.
   auto cfg = tiny_config(SchedulerPolicy::Fifo);
   cfg.gpus_per_job = 2;
   EXPECT_NO_THROW(ReconService{cfg});
