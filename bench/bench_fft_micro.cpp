@@ -16,7 +16,9 @@
 // step fans out on (1, 2, 4), and warms until every worker's scratch has
 // reached its size. BM_FftBatch and BM_OperatorChunk time the batched
 // operator kernels: many transforms per call, and the four F_u*D chunk
-// kernels the stage engine runs on every memo miss.
+// kernels the stage engine runs on every memo miss. BM_Nufft2DType2/Type1
+// time the 2-D plan's interpolation and spreading, and BM_SpreadWindow the
+// Gaussian window both NUFFT plans build per target.
 #include <benchmark/benchmark.h>
 
 #include "admm/kernels.hpp"
@@ -27,6 +29,7 @@
 #include "encoder/encoder.hpp"
 #include "fft/fft.hpp"
 #include "fft/nufft.hpp"
+#include "fft/window.hpp"
 #include "lamino/operators.hpp"
 
 namespace {
@@ -138,7 +141,10 @@ void BM_Nufft1DType2(benchmark::State& state) {
 }
 BENCHMARK(BM_Nufft1DType2)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_Nufft2DType2(benchmark::State& state) {
+// range(0)² random targets on a range(0)² grid: F_u2D's interpolation
+// (type 2) and its adjoint's spreading (type 1), each behind one fine 2-D
+// FFT.
+void BM_Nufft2D(benchmark::State& state, bool spread) {
   const i64 n = state.range(0);
   fft::Nufft2D plan(n, n);
   Rng rng(6);
@@ -150,16 +156,50 @@ void BM_Nufft2DType2(benchmark::State& state) {
   }
   auto f = signal(pts, 7);
   std::vector<cfloat> out(static_cast<size_t>(pts));
-  plan.type2(nr, nc, f, out, -1);  // warm the fine-grid + transpose scratch
+  const auto run = [&] {
+    if (spread)
+      plan.type1(nr, nc, f, out, +1);
+    else
+      plan.type2(nr, nc, f, out, -1);
+  };
+  run();  // warm the fine-grid + transpose scratch
   AllocCounter allocs;
   for (auto _ : state) {
-    plan.type2(nr, nc, f, out, -1);
+    run();
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   allocs.report(state);
   state.SetItemsProcessed(state.iterations() * pts);
 }
+void BM_Nufft2DType2(benchmark::State& state) { BM_Nufft2D(state, false); }
+void BM_Nufft2DType1(benchmark::State& state) { BM_Nufft2D(state, true); }
 BENCHMARK(BM_Nufft2DType2)->Arg(16)->Arg(32);
+BENCHMARK(BM_Nufft2DType1)->Arg(16)->Arg(32);
+
+// One Gaussian spreading window of half-width range(0) (σ = 2) around a
+// random point of a 64-point fine grid: the per-target cost both NUFFT
+// plans pay once per axis. The fallback-taps counter is the share of taps
+// that recomputed the reference `exp` (fft/window.hpp).
+void BM_SpreadWindow(benchmark::State& state) {
+  const fft::GriddingParams params{.msp = int(state.range(0))};
+  const fft::GaussianWindow window(params.msp, params.tau());
+  constexpr i64 kM = 64;
+  Rng rng(20);
+  std::vector<double> points(4096);
+  for (auto& p : points) p = rng.uniform(0.0, double(kM));
+  std::size_t i = 0;
+  u64 taps = 0, fallback = 0;
+  for (auto _ : state) {
+    const auto win = window.at(points[i], kM);
+    benchmark::DoNotOptimize(win.w);
+    taps += u64(win.cnt);
+    fallback += u64(win.fallback_taps);
+    i = i + 1 == points.size() ? 0 : i + 1;
+  }
+  state.counters["fallback/tap"] = double(fallback) / double(taps);
+}
+BENCHMARK(BM_SpreadWindow)->Arg(6)->Arg(15);
 
 // One F_u1D / F_u1D* / F_u2D / F_u2D* chunk (range(0) = 0..3) of 4 slices
 // or detector rows on a range(1)³ cube: the miss-compute unit the stage

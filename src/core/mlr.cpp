@@ -52,6 +52,9 @@ void Reconstructor::prepare() {
 }
 
 Report Reconstructor::run() {
+  MLR_CHECK_MSG(!ran_, "Reconstructor::run() runs once per object; build a "
+                       "new Reconstructor for another solve");
+  ran_ = true;
   prepare();
   WallTimer wall;
   Report rep;

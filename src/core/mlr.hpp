@@ -98,7 +98,10 @@ class Reconstructor {
 
   /// Generate the phantom + projections (idempotent; run() calls it).
   void prepare();
-  /// Execute the reconstruction and return the full report.
+  /// Execute the reconstruction and return the full report. Runs once per
+  /// object: the devices' timelines, the memo counters, cache and DB, and
+  /// the solver all carry the first solve's state, so a second call throws
+  /// mlr::Error instead of reporting a solve that continued the first.
   Report run();
 
   /// Access to the assembled subsystems for fine-grained experiments.
@@ -121,6 +124,7 @@ class Reconstructor {
   std::unique_ptr<ExecutionContext> ctx_;  ///< devices/pool/memo layer/DB
   std::unique_ptr<admm::Solver> solver_;
   bool prepared_ = false;
+  bool ran_ = false;
 };
 
 /// Paper-scale memory footprint of the ADMM variables for a dataset — the

@@ -8,6 +8,7 @@
 #include "common/scratch.hpp"
 #include "fft/fft.hpp"
 #include "fft/simd.hpp"
+#include "fft/window.hpp"
 
 namespace mlr::fft {
 
@@ -16,13 +17,6 @@ namespace {
 using namespace simd;
 
 constexpr double kPi = std::numbers::pi;
-
-// Wrap a real coordinate into [0, m).
-inline double wrap(double x, double m) {
-  x = std::fmod(x, m);
-  if (x < 0) x += m;
-  return x;
-}
 
 // Execute length-m DFTs of a packed m×lanes batch with explicit sign:
 // sign=-1 is the forward convention of Plan1D; sign=+1 is the unscaled
@@ -33,29 +27,6 @@ void dft_sign(const Plan1D& plan, cfloat* a, i64 lanes, int sign) {
     const float m = float(plan.size());
     for (i64 i = 0; i < plan.size() * lanes; ++i) a[i] *= m;
   }
-}
-
-// Evaluate the Gaussian spreading weights around point p on a grid of size m.
-// Fills idx[0..cnt) with wrapped grid indices and w[0..cnt) with weights.
-struct SpreadWindow {
-  static constexpr int kMax = 32;
-  i64 idx[kMax];
-  float w[kMax];
-  int cnt = 0;
-};
-
-SpreadWindow make_window(double p, i64 m, int msp, double tau) {
-  SpreadWindow win;
-  const i64 lo = i64(std::ceil(p - msp));
-  const i64 hi = i64(std::floor(p + msp));
-  const double inv4tau = 1.0 / (4.0 * tau);
-  for (i64 u = lo; u <= hi && win.cnt < SpreadWindow::kMax; ++u) {
-    const double d = double(u) - p;
-    win.idx[win.cnt] = (u % m + m) % m;
-    win.w[win.cnt] = float(std::exp(-d * d * inv4tau));
-    ++win.cnt;
-  }
-  return win;
 }
 
 // 1/ψ̂ deconvolution factors in storage order for n uniform modes on a fine
@@ -79,10 +50,12 @@ std::vector<float> make_deconv(i64 n, i64 m, double tau) {
 const PerThreadScratch<cfloat> grid_scratch;
 const PerThreadScratch<cfloat> transpose_scratch;
 
-// Rejects a spreading half-width whose 2·msp+1 taps overflow SpreadWindow.
-void check_msp(const GriddingParams& params) {
+// Rejects a spreading half-width whose 2·msp+1 taps overflow SpreadWindow,
+// and an oversampling factor below 1, outside the window's error bound.
+void check_params(const GriddingParams& params) {
   MLR_CHECK_MSG(params.msp >= 1 && 2 * params.msp + 1 <= SpreadWindow::kMax,
                 "spreading half-width msp must be in [1, 15]");
+  MLR_CHECK_MSG(params.sigma >= 1, "oversampling factor sigma must be >= 1");
 }
 
 }  // namespace
@@ -96,7 +69,8 @@ double GriddingParams::tau() const {
 Nufft1D::Nufft1D(i64 n, GriddingParams params)
     : n_(n), m_(params.sigma * n), params_(params) {
   MLR_CHECK(n >= 2);
-  check_msp(params_);
+  check_params(params_);
+  window_ = std::make_shared<GaussianWindow>(params_.msp, params_.tau());
   deconv_ = make_deconv(n_, m_, params_.tau());
   fine_plan_ = std::make_shared<Plan1D>(m_);
 }
@@ -106,7 +80,6 @@ void Nufft1D::type2(std::span<const double> nu, std::span<const cfloat> f,
   MLR_CHECK(lanes >= 1);
   MLR_CHECK(i64(f.size()) == n_ * lanes);
   MLR_CHECK(i64(out.size()) == i64(nu.size()) * lanes);
-  const double tau = params_.tau();
   // 1) deconvolve and zero-pad into the fine grid (storage order: index
   //    k̃ mod m).
   auto g = grid_scratch.buffer(size_t(m_ * lanes));
@@ -124,22 +97,22 @@ void Nufft1D::type2(std::span<const double> nu, std::span<const cfloat> f,
   //    stays in a register across the window's taps.
   const auto sigma = double(params_.sigma);
   for (std::size_t j = 0; j < nu.size(); ++j) {
-    const double p = wrap(sigma * nu[j], double(m_));
-    const auto win = make_window(p, m_, params_.msp, tau);
+    const auto win = window_->at(wrap(sigma * nu[j], double(m_)), m_);
+    i64 idx[SpreadWindow::kMax];
+    tap_indices(win, m_, idx);
     cfloat* acc = out.data() + i64(j) * lanes;
     for_lanes(
         lanes,
         [&](i64 b) {
           f32x4 sum = splat(0.0f);
           for (int t = 0; t < win.cnt; ++t)
-            sum += load2(g.data() + win.idx[t] * lanes + b) *
-                   splat(win.w[t]);
+            sum += load2(g.data() + idx[t] * lanes + b) * splat(win.w[t]);
           store2(acc + b, sum);
         },
         [&](i64 b) {
           cfloat sum{};
           for (int t = 0; t < win.cnt; ++t)
-            sum += g[size_t(win.idx[t] * lanes + b)] * win.w[t];
+            sum += g[size_t(idx[t] * lanes + b)] * win.w[t];
           acc[b] = sum;
         });
   }
@@ -150,19 +123,19 @@ void Nufft1D::type1(std::span<const double> nu, std::span<const cfloat> q,
   MLR_CHECK(lanes >= 1);
   MLR_CHECK(i64(q.size()) == i64(nu.size()) * lanes);
   MLR_CHECK(i64(out.size()) == n_ * lanes);
-  const double tau = params_.tau();
   // 1) spread onto the fine grid, one window for all lanes.
   auto g = grid_scratch.buffer(size_t(m_ * lanes));
   std::fill(g.begin(), g.end(), cfloat{});
   const auto sigma = double(params_.sigma);
   for (std::size_t j = 0; j < nu.size(); ++j) {
-    const double p = wrap(sigma * nu[j], double(m_));
-    const auto win = make_window(p, m_, params_.msp, tau);
+    const auto win = window_->at(wrap(sigma * nu[j], double(m_)), m_);
     const cfloat* src = q.data() + i64(j) * lanes;
+    i64 u = win.start;
     for (int t = 0; t < win.cnt; ++t) {
-      cfloat* dst = g.data() + win.idx[t] * lanes;
+      cfloat* dst = g.data() + u * lanes;
       const float w = win.w[t];
       for (i64 b = 0; b < lanes; ++b) dst[b] += src[b] * w;
+      if (++u == m_) u = 0;
     }
   }
   // 2) fine-grid DFT from spatial index to mode index.
@@ -189,7 +162,8 @@ Nufft2D::Nufft2D(i64 rows, i64 cols, GriddingParams params)
       mc_(params.sigma * cols),
       params_(params) {
   MLR_CHECK(rows >= 2 && cols >= 2);
-  check_msp(params_);
+  check_params(params_);
+  window_ = std::make_shared<GaussianWindow>(params_.msp, params_.tau());
   deconv_r_ = make_deconv(rows_, mr_, params_.tau());
   deconv_c_ = make_deconv(cols_, mc_, params_.tau());
   fine_plan_r_ = std::make_shared<Plan1D>(mr_);
@@ -212,7 +186,6 @@ void Nufft2D::type2(std::span<const double> nu_r,
                     int sign) const {
   MLR_CHECK(i64(f.size()) == rows_ * cols_);
   MLR_CHECK(nu_r.size() == nu_c.size() && out.size() == nu_r.size());
-  const double tau = params_.tau();
   auto g = grid_scratch.buffer(size_t(mr_ * mc_));
   std::fill(g.begin(), g.end(), cfloat{});
   for (i64 r = 0; r < rows_; ++r) {
@@ -226,15 +199,51 @@ void Nufft2D::type2(std::span<const double> nu_r,
   fine_fft2d({g.data(), g.size()}, sign);
   const auto sigma = double(params_.sigma);
   for (std::size_t j = 0; j < nu_r.size(); ++j) {
-    const double pr = wrap(sigma * nu_r[j], double(mr_));
-    const double pc = wrap(sigma * nu_c[j], double(mc_));
-    const auto wr = make_window(pr, mr_, params_.msp, tau);
-    const auto wc = make_window(pc, mc_, params_.msp, tau);
+    const auto wr = window_->at(wrap(sigma * nu_r[j], double(mr_)), mr_);
+    const auto wc = window_->at(wrap(sigma * nu_c[j], double(mc_)), mc_);
+    i64 ci[SpreadWindow::kMax];
+    tap_indices(wc, mc_, ci);
+    f32x4 wv[SpreadWindow::kMax];
+    for (int b = 0; b < wc.cnt; ++b) wv[b] = splat(wc.w[b]);
+    // Row a's sum over the column taps, then acc += sum·wr[a] in a-order.
+    // Rows a and a+1 sum side by side, one per register half, each over b
+    // in the scalar order.
     cfloat acc{};
-    for (int a = 0; a < wr.cnt; ++a) {
-      const cfloat* row = g.data() + wr.idx[a] * mc_;
+    i64 r = wr.start;
+    const auto next_row = [&] {
+      const cfloat* row = g.data() + r * mc_;
+      if (++r == mr_) r = 0;
+      return row;
+    };
+    int a = 0;
+    for (; a + 3 < wr.cnt; a += 4) {
+      const cfloat* row0 = next_row();
+      const cfloat* row1 = next_row();
+      const cfloat* row2 = next_row();
+      const cfloat* row3 = next_row();
+      f32x4 racc0 = splat(0.0f), racc1 = splat(0.0f);
+      for (int b = 0; b < wc.cnt; ++b) {
+        racc0 += load_pair(row0 + ci[b], row1 + ci[b]) * wv[b];
+        racc1 += load_pair(row2 + ci[b], row3 + ci[b]) * wv[b];
+      }
+      acc += low(racc0) * wr.w[a];
+      acc += high(racc0) * wr.w[a + 1];
+      acc += low(racc1) * wr.w[a + 2];
+      acc += high(racc1) * wr.w[a + 3];
+    }
+    for (; a + 1 < wr.cnt; a += 2) {
+      const cfloat* row0 = next_row();
+      const cfloat* row1 = next_row();
+      f32x4 racc = splat(0.0f);
+      for (int b = 0; b < wc.cnt; ++b)
+        racc += load_pair(row0 + ci[b], row1 + ci[b]) * wv[b];
+      acc += low(racc) * wr.w[a];
+      acc += high(racc) * wr.w[a + 1];
+    }
+    if (a < wr.cnt) {
+      const cfloat* row = next_row();
       cfloat racc{};
-      for (int b = 0; b < wc.cnt; ++b) racc += row[wc.idx[b]] * wc.w[b];
+      for (int b = 0; b < wc.cnt; ++b) racc += row[ci[b]] * wc.w[b];
       acc += racc * wr.w[a];
     }
     out[j] = acc;
@@ -247,19 +256,46 @@ void Nufft2D::type1(std::span<const double> nu_r,
                     int sign) const {
   MLR_CHECK(nu_r.size() == nu_c.size() && q.size() == nu_r.size());
   MLR_CHECK(i64(out.size()) == rows_ * cols_);
-  const double tau = params_.tau();
   auto g = grid_scratch.buffer(size_t(mr_ * mc_));
   std::fill(g.begin(), g.end(), cfloat{});
   const auto sigma = double(params_.sigma);
   for (std::size_t j = 0; j < nu_r.size(); ++j) {
-    const double pr = wrap(sigma * nu_r[j], double(mr_));
-    const double pc = wrap(sigma * nu_c[j], double(mc_));
-    const auto wr = make_window(pr, mr_, params_.msp, tau);
-    const auto wc = make_window(pc, mc_, params_.msp, tau);
+    const auto wr = window_->at(wrap(sigma * nu_r[j], double(mr_)), mr_);
+    const auto wc = window_->at(wrap(sigma * nu_c[j], double(mc_)), mc_);
+    // The column taps as steps over cell pairs, built once per target and
+    // run in b-order on every row. A step adds to both cells of a pair that
+    // starts on an even column inside the row, or to one cell with the other
+    // half's product masked to +0.0: that leaves the other cell's bits alone,
+    // since a cell starts at +0.0 and a round-to-nearest sum is −0.0 only
+    // when both terms are. A cell a window visits twice (m < 2·msp+1) takes
+    // its adds in separate steps, in the scalar order.
+    const u32x4 kBoth{~0u, ~0u, ~0u, ~0u}, kLow{~0u, ~0u, 0u, 0u},
+        kHigh{0u, 0u, ~0u, ~0u};
+    i64 col[SpreadWindow::kMax];
+    f32x4 wv[SpreadWindow::kMax];
+    u32x4 keep[SpreadWindow::kMax];
+    int steps = 0;
+    i64 c = wc.start;
+    for (int b = 0; b < wc.cnt; ++steps) {
+      const bool low = (c & 1) == 0 && c + 1 < mc_;  // c opens a pair
+      const bool pair = low && b + 1 < wc.cnt;
+      col[steps] = low ? c : c - 1;
+      wv[steps] = pair_weights(wc.w[b], wc.w[pair ? b + 1 : b]);
+      keep[steps] = pair ? kBoth : low ? kLow : kHigh;
+      const int taps = pair ? 2 : 1;
+      b += taps;
+      c += taps;
+      if (c == mc_) c = 0;
+    }
+    i64 r = wr.start;
     for (int a = 0; a < wr.cnt; ++a) {
-      cfloat* row = g.data() + wr.idx[a] * mc_;
-      const cfloat qa = q[j] * wr.w[a];
-      for (int b = 0; b < wc.cnt; ++b) row[wc.idx[b]] += qa * wc.w[b];
+      cfloat* row = g.data() + r * mc_;
+      if (++r == mr_) r = 0;
+      const f32x4 qv = dup(q[j] * wr.w[a]);
+      for (int k = 0; k < steps; ++k) {
+        const f32x4 add = (f32x4)((u32x4)(qv * wv[k]) & keep[k]);
+        store2(row + col[k], load2(row + col[k]) + add);
+      }
     }
   }
   fine_fft2d({g.data(), g.size()}, sign);

@@ -68,6 +68,7 @@ class Nufft1D {
  private:
   i64 n_, m_;
   GriddingParams params_;
+  std::shared_ptr<const class GaussianWindow> window_;
   std::vector<float> deconv_;  // 1/ψ̂(k̃) for each uniform mode (storage order)
   // Plan1D execute() is const-thread-safe, so one fine-grid plan serves
   // every calling thread.
@@ -98,6 +99,7 @@ class Nufft2D {
  private:
   i64 rows_, cols_, mr_, mc_;
   GriddingParams params_;
+  std::shared_ptr<const class GaussianWindow> window_;
   std::vector<float> deconv_r_, deconv_c_;
   std::shared_ptr<const class Plan1D> fine_plan_r_, fine_plan_c_;
 

@@ -151,6 +151,16 @@ TEST(Reconstructor, PrepareIsIdempotent) {
   EXPECT_EQ(rec.projections().data(), d1);
 }
 
+// A second run() on one object would restart the solve on devices whose
+// timelines are still busy from the first and on memo counters that never
+// reset (vtime and memo.miss would read cumulative), so it throws.
+TEST(Reconstructor, SecondRunThrows) {
+  Reconstructor rec(tiny(true));
+  const Report first = rec.run();
+  EXPECT_GT(first.vtime_s, 0.0);
+  EXPECT_THROW((void)rec.run(), mlr::Error);
+}
+
 TEST(MemoryBreakdown, MatchesPaperShape) {
   // Fig 2: ψ and λ equal (12 % each), g + G_prev about double ψ, LSP
   // workspaces present.

@@ -1,17 +1,28 @@
 // Tests for the FFT / NUFFT stack: correctness against naive O(n²) DFTs,
-// roundtrips, Parseval, adjointness of NUFFT type-1/type-2 pairs.
+// roundtrips, Parseval, adjointness of NUFFT type-1/type-2 pairs, and bit
+// identity of the spreading windows and NUFFT plans with the scalar
+// reference (ref_nufft.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <limits>
 #include <numbers>
+#include <sstream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
 #include "fft/nufft.hpp"
+#include "fft/window.hpp"
+#include "lamino/geometry.hpp"
+
+#include "bit_identity_geometries.hpp"
+#include "ref_nufft.hpp"
 
 namespace mlr::fft {
 namespace {
@@ -398,6 +409,254 @@ TEST(Nufft1D, LanesMatchOneLaneCallsBitForBit) {
     }
   }
 }
+
+// The fast Gaussian gridding window's bound holds only for σ ≥ 1, and a
+// fine grid of σ·n points is meaningless below that.
+TEST(Nufft, RejectsOversamplingBelowOne) {
+  EXPECT_THROW(Nufft1D(64, {.sigma = 0}), Error);
+  EXPECT_THROW(Nufft2D(8, 8, {.sigma = 0}), Error);
+  EXPECT_NO_THROW(Nufft1D(64, {.sigma = 1}));
+}
+
+// ---------------------------------------------------------------------------
+// Spreading windows against ref::make_window, bit for bit: tap count, every
+// tap's grid index and every weight. The fast path keeps a tap's float only
+// far from a float rounding midpoint and recomputes the reference `exp`
+// otherwise; each sweep below must also reach that fallback, or it would
+// not show that the band is wide enough.
+
+bool same_float(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool same_double(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Wraps coordinates into a fine grid and checks the windows around them,
+// counting windows, fallback taps and mismatches (with the first one kept
+// for the failure message).
+class WindowCheck {
+ public:
+  explicit WindowCheck(GriddingParams params)
+      : params_(params), window_(params.msp, params.tau()) {}
+
+  void check(double x, i64 m) {
+    const double p = wrap(x, double(m));
+    const double want_p = ref::wrap(x, double(m));
+    ++windows_;
+    if (!same_double(p, want_p)) return mismatch(x, m, "wrap");
+    const auto got = window_.at(p, m);
+    const auto want = ref::make_window(p, m, params_.msp, params_.tau());
+    fallback_taps_ += got.fallback_taps;
+    if (got.cnt != want.cnt) return mismatch(x, m, "tap count");
+    i64 idx[SpreadWindow::kMax];
+    tap_indices(got, m, idx);
+    for (int t = 0; t < got.cnt; ++t) {
+      if (idx[t] != want.idx[t]) return mismatch(x, m, "index");
+      if (!same_float(got.w[t], want.w[t])) return mismatch(x, m, "weight");
+    }
+  }
+
+  [[nodiscard]] i64 windows() const { return windows_; }
+  [[nodiscard]] i64 fallback_taps() const { return fallback_taps_; }
+  [[nodiscard]] i64 mismatches() const { return mismatches_; }
+  [[nodiscard]] const std::string& first_mismatch() const { return first_; }
+
+ private:
+  void mismatch(double x, i64 m, const char* what) {
+    if (mismatches_++ == 0) {
+      std::ostringstream os;
+      os.precision(17);
+      os << what << " differs at x=" << x << " m=" << m
+         << " msp=" << params_.msp << " sigma=" << params_.sigma;
+      first_ = os.str();
+    }
+  }
+
+  GriddingParams params_;
+  GaussianWindow window_;
+  i64 windows_ = 0, fallback_taps_ = 0, mismatches_ = 0;
+  std::string first_;
+};
+
+// Every window the operators build on the bit-identity geometries: the
+// F_u1D targets σ·ν_z on the n0 axis's fine grid, and each detector row's
+// F_u2D targets on the n1 and n2 axes' fine grids.
+TEST(SpreadWindow, MatchesReferenceOnBitIdentityTargets) {
+  const GriddingParams params;
+  const auto sigma = double(params.sigma);
+  WindowCheck check(params);
+  auto geometries = lamino::bit_identity_geometries();
+  for (const auto& g : lamino::tiny_geometries()) geometries.push_back(g);
+  i64 targets = 0;
+  for (const auto& g : geometries) {
+    targets += g.h * (1 + 2 * g.ntheta * g.w);
+    for (double nu : g.z_frequencies())
+      check.check(sigma * nu, params.sigma * g.n0);
+    std::vector<double> nr, nc;
+    for (i64 kv = 0; kv < g.h; ++kv) {
+      g.plane_frequencies(kv, nr, nc);
+      for (std::size_t j = 0; j < nr.size(); ++j) {
+        check.check(sigma * nr[j], params.sigma * g.n1);
+        check.check(sigma * nc[j], params.sigma * g.n2);
+      }
+    }
+  }
+  EXPECT_EQ(check.mismatches(), 0) << check.first_mismatch();
+  EXPECT_EQ(check.windows(), targets);
+}
+
+// Random coordinates in (−m, m) on fine grids of 4 to 4096 points, per
+// (msp, σ): at least 1 M windows each, 3 M at msp 15 where the bound is
+// tightest.
+class SpreadWindowSweep
+    : public ::testing::TestWithParam<std::tuple<int, i64, i64>> {};
+
+TEST_P(SpreadWindowSweep, RandomPointsMatchReference) {
+  const auto [msp, sigma, count] = GetParam();
+  WindowCheck check({.msp = msp, .sigma = sigma});
+  Rng rng(u64(1000 * msp + sigma));
+  for (i64 i = 0; i < count; ++i) {
+    const i64 m = rng.uniform_int(4, 4096);
+    check.check(rng.uniform(-double(m), double(m)), m);
+  }
+  EXPECT_EQ(check.mismatches(), 0) << check.first_mismatch();
+  EXPECT_EQ(check.windows(), count);
+  EXPECT_GT(check.fallback_taps(), 0) << "the sweep never reached the fallback";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MspSigma, SpreadWindowSweep,
+    ::testing::Values(std::tuple<int, i64, i64>{1, 2, 1000000},
+                      std::tuple<int, i64, i64>{1, 3, 1000000},
+                      std::tuple<int, i64, i64>{6, 2, 1000000},
+                      std::tuple<int, i64, i64>{6, 3, 1000000},
+                      std::tuple<int, i64, i64>{15, 2, 1500000},
+                      std::tuple<int, i64, i64>{15, 3, 1500000}),
+    [](const auto& info) {
+      return "msp" + std::to_string(std::get<0>(info.param)) + "_sigma" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+// An integer coordinate puts taps at both ends of the window: 2·msp+1 of
+// them, the most a window holds. Every integer point of each grid, the
+// grid's own size m included.
+TEST(SpreadWindow, IntegerPointsGiveFullWindows) {
+  for (int msp : {1, 6, 15}) {
+    for (i64 sigma : {2, 3}) {
+      WindowCheck check({.msp = msp, .sigma = sigma});
+      const GaussianWindow window(msp, GriddingParams{msp, sigma}.tau());
+      for (i64 m : {4, 5, 12, 13, 64, 4096}) {
+        for (i64 p = 0; p <= m; ++p) {
+          check.check(double(p), m);
+          EXPECT_EQ(window.at(double(p), m).cnt, 2 * msp + 1);
+        }
+      }
+      EXPECT_EQ(check.mismatches(), 0) << check.first_mismatch();
+    }
+  }
+}
+
+// Coordinates outside (−m, m) take wrap()'s fmod path; so do ±m exactly. A
+// tiny negative coordinate wraps to m itself.
+TEST(SpreadWindow, WrapOutsideRangeMatchesReference) {
+  Rng rng(77);
+  for (int msp : {1, 6, 15}) {
+    WindowCheck check({.msp = msp});
+    for (i64 m : {4, 7, 64, 4096}) {
+      const auto md = double(m);
+      for (double x : {md, -md, 2 * md, -2 * md, -1e-300, -0.0, 0.0,
+                       std::nextafter(md, 0.0), -std::nextafter(md, 0.0),
+                       std::nextafter(md, 2 * md), 1e6 * md + 0.25})
+        check.check(x, m);
+      for (int i = 0; i < 5000; ++i) {
+        const double x = rng.uniform(md, 1000 * md);
+        check.check(x, m);
+        check.check(-x, m);
+      }
+    }
+    EXPECT_EQ(check.mismatches(), 0) << check.first_mismatch();
+  }
+  EXPECT_EQ(wrap(-1e-300, 64.0), 64.0);
+}
+
+// ---------------------------------------------------------------------------
+// The plans against the scalar reference plans, bit for bit, beyond the
+// operators' own (σ = 2, msp = 6) configuration: odd fine grids (σ = 3 with
+// odd sizes), grids narrower than a window, and other half-widths.
+
+struct PlanCase {
+  i64 rows, cols;
+  GriddingParams params;
+};
+
+class NufftReferenceBits : public ::testing::TestWithParam<PlanCase> {};
+
+bool same_bits(const std::vector<cfloat>& a, const std::vector<cfloat>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cfloat)) == 0;
+}
+
+TEST_P(NufftReferenceBits, Plan2DMatchesScalarReference) {
+  const auto& c = GetParam();
+  const i64 j = 97;
+  Rng rng(u64(7 * c.rows + c.cols));
+  std::vector<double> nr(static_cast<size_t>(j)), nc(static_cast<size_t>(j));
+  for (i64 i = 0; i < j; ++i) {
+    nr[size_t(i)] = rng.uniform(-double(c.rows), double(c.rows));
+    nc[size_t(i)] = rng.uniform(-double(c.cols), double(c.cols));
+  }
+  const auto f = random_signal(c.rows * c.cols, 98);
+  const auto q = random_signal(j, 99);
+  const Nufft2D plan(c.rows, c.cols, c.params);
+  const ref::Nufft2D want_plan(c.rows, c.cols, c.params);
+  for (int sign : {-1, 1}) {
+    std::vector<cfloat> got(static_cast<size_t>(j)), want(static_cast<size_t>(j));
+    plan.type2(nr, nc, f, got, sign);
+    want_plan.type2(nr, nc, f, want, sign);
+    EXPECT_TRUE(same_bits(got, want)) << "type2 sign " << sign;
+    std::vector<cfloat> got1(f.size()), want1(f.size());
+    plan.type1(nr, nc, q, got1, sign);
+    want_plan.type1(nr, nc, q, want1, sign);
+    EXPECT_TRUE(same_bits(got1, want1)) << "type1 sign " << sign;
+  }
+}
+
+TEST_P(NufftReferenceBits, Plan1DMatchesScalarReference) {
+  const auto& c = GetParam();
+  const i64 j = 41;
+  Rng rng(u64(11 * c.rows + c.cols));
+  std::vector<double> nu(static_cast<size_t>(j));
+  for (auto& v : nu) v = rng.uniform(-double(c.cols), double(c.cols));
+  const auto f = random_signal(c.cols, 100);
+  const auto q = random_signal(j, 101);
+  const Nufft1D plan(c.cols, c.params);
+  const ref::Nufft1D want_plan(c.cols, c.params);
+  for (int sign : {-1, 1}) {
+    std::vector<cfloat> got(static_cast<size_t>(j)), want(static_cast<size_t>(j));
+    plan.type2(nu, f, got, sign);
+    want_plan.type2(nu, f, want, sign);
+    EXPECT_TRUE(same_bits(got, want)) << "type2 sign " << sign;
+    std::vector<cfloat> got1(f.size()), want1(f.size());
+    plan.type1(nu, q, got1, sign);
+    want_plan.type1(nu, q, want1, sign);
+    EXPECT_TRUE(same_bits(got1, want1)) << "type1 sign " << sign;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Plans, NufftReferenceBits,
+    ::testing::Values(PlanCase{16, 12, {}}, PlanCase{2, 2, {}},
+                      PlanCase{3, 5, {}}, PlanCase{5, 7, {.sigma = 3}},
+                      PlanCase{9, 3, {.msp = 15, .sigma = 3}},
+                      PlanCase{2, 3, {.msp = 15, .sigma = 3}},
+                      PlanCase{11, 13, {.msp = 1, .sigma = 3}},
+                      PlanCase{8, 6, {.msp = 15}}),
+    [](const auto& info) {
+      const PlanCase& c = info.param;
+      return std::to_string(c.rows) + "x" + std::to_string(c.cols) + "_msp" +
+             std::to_string(c.params.msp) + "_sigma" +
+             std::to_string(c.params.sigma);
+    });
 
 TEST(Nufft, FlopsPositiveAndMonotone) {
   Nufft1D p1(64);
