@@ -206,8 +206,9 @@ void Nufft2D::type2(std::span<const double> nu_r,
     f32x4 wv[SpreadWindow::kMax];
     for (int b = 0; b < wc.cnt; ++b) wv[b] = splat(wc.w[b]);
     // Row a's sum over the column taps, then acc += sum·wr[a] in a-order.
-    // Rows a and a+1 sum side by side, one per register half, each over b
-    // in the scalar order.
+    // Four rows sum side by side, two per register (one per half), each
+    // over b in the scalar order; the last cnt mod 4 rows run the scalar
+    // loop.
     cfloat acc{};
     i64 r = wr.start;
     const auto next_row = [&] {
@@ -231,16 +232,7 @@ void Nufft2D::type2(std::span<const double> nu_r,
       acc += low(racc1) * wr.w[a + 2];
       acc += high(racc1) * wr.w[a + 3];
     }
-    for (; a + 1 < wr.cnt; a += 2) {
-      const cfloat* row0 = next_row();
-      const cfloat* row1 = next_row();
-      f32x4 racc = splat(0.0f);
-      for (int b = 0; b < wc.cnt; ++b)
-        racc += load_pair(row0 + ci[b], row1 + ci[b]) * wv[b];
-      acc += low(racc) * wr.w[a];
-      acc += high(racc) * wr.w[a + 1];
-    }
-    if (a < wr.cnt) {
+    for (; a < wr.cnt; ++a) {
       const cfloat* row = next_row();
       cfloat racc{};
       for (int b = 0; b < wc.cnt; ++b) racc += row[ci[b]] * wc.w[b];
@@ -259,6 +251,8 @@ void Nufft2D::type1(std::span<const double> nu_r,
   auto g = grid_scratch.buffer(size_t(mr_ * mc_));
   std::fill(g.begin(), g.end(), cfloat{});
   const auto sigma = double(params_.sigma);
+  const u32x4 kBoth{~0u, ~0u, ~0u, ~0u}, kLow{~0u, ~0u, 0u, 0u},
+      kHigh{0u, 0u, ~0u, ~0u};
   for (std::size_t j = 0; j < nu_r.size(); ++j) {
     const auto wr = window_->at(wrap(sigma * nu_r[j], double(mr_)), mr_);
     const auto wc = window_->at(wrap(sigma * nu_c[j], double(mc_)), mc_);
@@ -269,8 +263,6 @@ void Nufft2D::type1(std::span<const double> nu_r,
     // since a cell starts at +0.0 and a round-to-nearest sum is −0.0 only
     // when both terms are. A cell a window visits twice (m < 2·msp+1) takes
     // its adds in separate steps, in the scalar order.
-    const u32x4 kBoth{~0u, ~0u, ~0u, ~0u}, kLow{~0u, ~0u, 0u, 0u},
-        kHigh{0u, 0u, ~0u, ~0u};
     i64 col[SpreadWindow::kMax];
     f32x4 wv[SpreadWindow::kMax];
     u32x4 keep[SpreadWindow::kMax];

@@ -17,10 +17,14 @@
 // tests/fft_test.cpp.
 //
 // Cost: per-call frequencies are not free. Every target evaluates a
-// spreading window of 2·Msp+1 Gaussian weights (one `exp` each, most of the
-// window's cost), and a 2-D target evaluates two. The 1-D plan amortises its
-// windows over many lanes per call; the 2-D plan evaluates them per target
-// per call.
+// spreading window of 2·Msp+1 Gaussian weights, and a 2-D target evaluates
+// two. A window costs two `exp`s (fast Gaussian gridding, fft/window.hpp)
+// plus a per-plan table of exp(−t²/(4τ)); a tap whose product lands near a
+// float rounding midpoint recomputes the weight with its own `exp`, so every
+// weight is the float of exp(−d²/(4τ)). The 1-D plan amortises its windows
+// over many lanes per call; the 2-D plan evaluates them per target per call
+// and runs two grid rows (interpolation) or two adjacent grid cells
+// (spreading) per SSE register. No state grows with the geometry.
 #pragma once
 
 #include <memory>
@@ -39,15 +43,15 @@ struct GriddingParams {
 };
 
 /// 1-D NUFFT plan for a fixed uniform length n. The nonuniform frequencies
-/// are passed per call, and each call evaluates one spreading window (2·msp+1
-/// `exp`s) per frequency. To amortise them, a call transforms `lanes`
-/// independent inputs at once: element k of lane b is f[k*lanes + b], target
-/// j of lane b is out[j*lanes + b]. Every lane's output bits equal those of a
-/// one-lane call on that lane alone.
+/// are passed per call, and each call evaluates one spreading window (two
+/// `exp`s and 2·msp+1 products) per frequency. To amortise them, a call
+/// transforms `lanes` independent inputs at once: element k of lane b is
+/// f[k*lanes + b], target j of lane b is out[j*lanes + b]. Every lane's
+/// output bits equal those of a one-lane call on that lane alone.
 class Nufft1D {
  public:
   /// Throws mlr::Error unless 1 <= params.msp <= 15 (a window holds at most
-  /// 31 taps).
+  /// 31 taps) and params.sigma >= 1.
   explicit Nufft1D(i64 n, GriddingParams params = {});
 
   [[nodiscard]] i64 n() const { return n_; }
@@ -79,7 +83,7 @@ class Nufft1D {
 /// (ν_r, ν_c) pairs in cycles.
 class Nufft2D {
  public:
-  /// Throws mlr::Error unless 1 <= params.msp <= 15.
+  /// Throws mlr::Error unless 1 <= params.msp <= 15 and params.sigma >= 1.
   Nufft2D(i64 rows, i64 cols, GriddingParams params = {});
 
   [[nodiscard]] i64 rows() const { return rows_; }

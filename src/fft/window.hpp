@@ -29,7 +29,9 @@
 //   - the reference's own argument rounding (d, d², ·c): ≤ 4s²c·u ≤ 4π·s·u;
 //   - libm error: exp(−d0²c), exp(−t²c) and the reference's exp at 2u each,
 //     exp(−2·d0·c) at 2u raised to t ≤ 2s: (6 + 4s)·u;
-//   - the product chain: t + 1 ≤ 2s + 1 roundings of u.
+//   - the product chain: t + 1 ≤ 2s + 1 roundings of u (the even and odd
+//     chains step by the rounded square of exp(−2·d0·c), whose rounding
+//     and libm error they take once per two taps, so the counts hold).
 // Together ≤ 16π·s·u + (6s + 7)·u, 851u at s = 15: a relative error whose
 // absolute size is below 852 ULPs of D_t. The band is 4,096 ULPs, 4.8× that;
 // at 8 or 64 ULPs the window sweep in tests/fft_test.cpp finds taps that
@@ -115,8 +117,9 @@ class GaussianWindow {
     return win;
   }
 
-  /// i64(std::ceil(x)) and i64(std::floor(x)) for |x| < 2⁶³, without the
-  /// libm calls baseline x86-64 (no SSE4.1 `roundsd`) compiles them to.
+ private:
+  // i64(std::ceil(x)) and i64(std::floor(x)) for |x| < 2⁶³, without the
+  // libm calls baseline x86-64 (no SSE4.1 `roundsd`) compiles them to.
   static i64 ceil_to_int(double x) {
     const i64 t = i64(x);  // toward zero
     return double(t) < x ? t + 1 : t;
@@ -126,7 +129,6 @@ class GaussianWindow {
     return x < double(t) ? t - 1 : t;
   }
 
- private:
   // Tap t keeps float(v), or recomputes the reference expression.
   void set_tap(SpreadWindow& win, int t, double v, i64 lo, double p) const {
     if (near_midpoint(v)) {

@@ -589,6 +589,14 @@ struct PlanCase {
   GriddingParams params;
 };
 
+std::string plan_case_name(const PlanCase& c) {
+  return std::to_string(c.rows) + "x" + std::to_string(c.cols) + "_msp" +
+         std::to_string(c.params.msp) + "_sigma" +
+         std::to_string(c.params.sigma);
+}
+
+void PrintTo(const PlanCase& c, std::ostream* os) { *os << plan_case_name(c); }
+
 class NufftReferenceBits : public ::testing::TestWithParam<PlanCase> {};
 
 bool same_bits(const std::vector<cfloat>& a, const std::vector<cfloat>& b) {
@@ -651,12 +659,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PlanCase{2, 3, {.msp = 15, .sigma = 3}},
                       PlanCase{11, 13, {.msp = 1, .sigma = 3}},
                       PlanCase{8, 6, {.msp = 15}}),
-    [](const auto& info) {
-      const PlanCase& c = info.param;
-      return std::to_string(c.rows) + "x" + std::to_string(c.cols) + "_msp" +
-             std::to_string(c.params.msp) + "_sigma" +
-             std::to_string(c.params.sigma);
-    });
+    [](const auto& info) { return plan_case_name(info.param); });
 
 TEST(Nufft, FlopsPositiveAndMonotone) {
   Nufft1D p1(64);
