@@ -10,13 +10,15 @@
 // elementwise solver kernels (admm/kernels.hpp): their per-tile reduction
 // partials live in the caller's scratch arena, so steady-state allocs/op
 // must also be exactly 0 at any pool width. The key-encoder entries
-// (BM_EncodeQuantized, BM_EncoderTrainPair) hold the CNN layer kernels to
-// the same contract: their relaid weights and channels-last buffers live in
-// per-thread scratch. BM_EncoderTrainPair takes the pool width its training
-// step fans out on (1, 2, 4), and warms until every worker's scratch has
-// reached its size. BM_FftBatch and BM_OperatorChunk time the batched
-// operator kernels: many transforms per call, and the four F_u*D chunk
-// kernels the stage engine runs on every memo miss. BM_Nufft2DType2/Type1
+// (BM_EncodeQuantized, BM_EncodeBatch, BM_EncoderTrainPair) hold the CNN
+// layer kernels to the same contract: their relaid weights and
+// channels-last buffers live in per-thread scratch. BM_EncodeBatch and
+// BM_EncoderTrainPair take the pool width their rounds fan out on, and warm
+// until every worker's scratch has reached its size. BM_ForkJoinRound times
+// one round of empty chunks: the pool's dispatch and join alone.
+// BM_FftBatch and BM_OperatorChunk time the batched operator kernels: many
+// transforms per call, and the four F_u*D chunk kernels the stage engine
+// runs on every memo miss. BM_Nufft2DType2/Type1
 // time the 2-D plan's interpolation and spreading, and BM_SpreadWindow the
 // Gaussian window both NUFFT plans build per target.
 #include <benchmark/benchmark.h>
@@ -316,6 +318,47 @@ void BM_EncodeQuantized(benchmark::State& state) {
   allocs.report(state);
 }
 BENCHMARK(BM_EncodeQuantized)->Arg(12)->Arg(32);
+
+// The deployed keys of one stage: encode_batch() of range(0) 12×12 chunk
+// planes on a team of range(1) threads (1: the batch on the calling
+// thread). Warmed like BM_EncoderTrainPair, until 32 batches in a row
+// allocate no kernel scratch.
+void BM_EncodeBatch(benchmark::State& state) {
+  encoder::CnnEncoder enc;
+  enc.quantize();
+  ThreadPool pool(unsigned(state.range(1)));
+  std::vector<std::vector<cfloat>> planes;
+  std::vector<encoder::ChunkImage> batch;
+  for (i64 k = 0; k < state.range(0); ++k)
+    planes.push_back(signal(12 * 12, 20 + u64(k)));
+  for (const auto& p : planes) batch.push_back({12, 12, p});
+  std::vector<std::vector<float>> keys;
+  for (int calm = 0; calm < 32;) {
+    const u64 before = scratch_heap_allocs();
+    keys = enc.encode_batch(batch, pool);
+    calm = scratch_heap_allocs() == before ? calm + 1 : 0;
+  }
+  AllocCounter allocs;
+  for (auto _ : state) {
+    keys = enc.encode_batch(batch, pool);
+    benchmark::DoNotOptimize(keys.data());
+  }
+  allocs.report(state);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EncodeBatch)->ArgsProduct({{1, 2, 3}, {1, 4}});
+
+// One fork-join round of empty work: parallel_for over range(0) indices on
+// a team of range(1) threads (at most 4 chunks per thread). What a stage
+// pays per round beyond its chunks' own work.
+void BM_ForkJoinRound(benchmark::State& state) {
+  ThreadPool pool(unsigned(state.range(1)));
+  const i64 n = state.range(0);
+  for (auto _ : state) {
+    parallel_for(pool, 0, n, [](i64 i) { benchmark::DoNotOptimize(i); });
+  }
+}
+BENCHMARK(BM_ForkJoinRound)->ArgsProduct({{3, 8, 16}, {2, 4}});
 
 // One contrastive training step (two forwards, two backwards, six Adam
 // updates) on a pair of 32×32 chunk planes, its layer kernels fanned out on

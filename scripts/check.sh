@@ -22,8 +22,13 @@
 # tier wire protocol) can be run via its CTest label: `ctest -L serve`;
 # `ctest -L unit` runs every suite but serve_test's matrices (label
 # `matrix`) in seconds.
-# The TSan preset additionally re-runs the engine's golden digests and
-# cross-stage determinism matrix (threads x gpus x cache kind x oracle), the
+# The TSan preset additionally re-runs the fork-join team's own tests
+# (ParallelFor*: four callers sharing one team's rounds, whose chunk claims
+# and completion counts are polled atomics; a one-thread team; a throwing
+# round), the batch-key test (a stage's keys fanned out by chunk and
+# channel block at pool widths 1-4 must equal the single-chunk keys), the
+# engine's golden digests and cross-stage determinism matrix (threads x
+# gpus x cache kind x oracle), the
 # trace-on/off identity matrix (recorder rings hammered from pool threads),
 # the lazy-key test (pool workers encode only their cache misses, skipping
 # the encoder mid-pass), the pooled-training tests (the golden encoder
@@ -85,10 +90,12 @@ if [[ "$preset" == "tsan" ]]; then
   cmake --build --preset tsan -j "$(nproc)"
   ctest --preset tsan -j "$(nproc)"
   ./build-tsan/obs_test
+  ./build-tsan/common_test --gtest_filter='ParallelFor*'
   ./build-tsan/concurrency_test \
     --gtest_filter='Concurrency.StageExecutorGoldenDigest:Concurrency.CrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.CacheHitNeverEncodes:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial:Concurrency.ConcurrentTrainingMatchesSerial:Concurrency.MemoDbHarvestsOneRemoteEntryFromManyWorkers'
   ./build-tsan/memo_test --gtest_filter='MemoDb.*'
-  ./build-tsan/encoder_test --gtest_filter='CnnEncoder.GoldenTrainingAndKeys'
+  ./build-tsan/encoder_test \
+    --gtest_filter='CnnEncoder.GoldenTrainingAndKeys:CnnEncoder.BatchKeysMatchSingleKeys'
   ./build-tsan/admm_test \
     --gtest_filter='Solver.ConcurrentSolvesShareOneNormEstimate'
   ./build-tsan/ew_test --gtest_filter='Ew.*'

@@ -67,7 +67,7 @@ sim::VTime Solver::stage_f2d(Array3D<cfloat>& d, bool inverse, sim::VTime t) {
   const auto& ops = ml_.ops();
   const auto& g = ops.geometry();
   // Real numerics (all projections at once).
-  ops.f2d(d, inverse);
+  ops.f2d(d, inverse, ml_.pool());
   // Virtual time: chunked by groups of projections.
   sim::VTime done = t;
   sim::Device& dev = ml_.device();
@@ -192,8 +192,8 @@ double Solver::power_iteration() {
   for (int it = 0; it < 8; ++it) {
     MLR_CHECK(nv > 0);
     knl_.normalize(v, nv);
-    ops.forward_freq(v, fwd);
-    ops.adjoint_freq(fwd, bwd);
+    ops.forward_freq(v, fwd, ml_.pool());
+    ops.adjoint_freq(fwd, bwd, ml_.pool());
     nv = knl_.l2_norm(bwd.span());
     std::swap(v, bwd);
   }

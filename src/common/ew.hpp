@@ -69,7 +69,7 @@ struct EwStats {
 };
 
 /// Run `f(begin, end, tile)` over the deterministic partition of [0, n).
-/// Tiles fan out across `pool` when it has workers; a null or one-worker
+/// Tiles fan out across `pool` when it has workers; a null or one-thread
 /// pool runs them serially on the caller — same tiles, same numerics.
 template <typename F>
 void ew_for_tiles(ThreadPool* pool, i64 n, F&& f) {

@@ -27,9 +27,11 @@
 namespace mlr {
 
 struct ExecutionOptions {
-  /// Worker threads for the layer's parallel phases. 0 = share the
-  /// process-global pool (hardware concurrency); 1 = strictly serial
-  /// execution on the calling thread; N = a dedicated N-worker pool.
+  /// Threads of the run's fork-join team: the calling thread plus
+  /// `threads` − 1 workers, used by every parallel loop of the run (memo
+  /// phases, encoder training, DB scoring, solver kernels, power iteration,
+  /// F_2D stages). 0 = share the process-global team (hardware
+  /// concurrency); 1 = strictly serial execution on the calling thread.
   unsigned threads = 0;
   /// Simulated devices; chunks are distributed round-robin across them.
   int gpus = 1;
@@ -54,8 +56,8 @@ struct ExecutionOptions {
   /// Must outlive the context. Null requires every seed entry to carry its
   /// value inline.
   memo::ValueFetcher* db_values = nullptr;
-  /// Borrow an existing worker pool instead of owning one (all job sessions
-  /// of a service share the service pool). Overrides `threads` when set.
+  /// Borrow an existing team instead of owning one (all job sessions of a
+  /// service share the service's). Overrides `threads` when set.
   ThreadPool* shared_pool = nullptr;
 };
 

@@ -27,8 +27,6 @@ void Reconstructor::prepare() {
   ops_ = std::make_unique<lamino::Operators>(geom);
   u_true_ = lamino::to_complex(lamino::make_phantom(
       geom.object_shape(), cfg_.dataset.kind, cfg_.dataset.seed));
-  d_ = lamino::simulate_projections(*ops_, u_true_, cfg_.dataset.noise,
-                                    cfg_.dataset.seed + 1);
   const double ws = cfg_.dataset.work_scale();
   ExecutionOptions eo;
   eo.threads = cfg_.threads;
@@ -39,6 +37,8 @@ void Reconstructor::prepare() {
   eo.memo.cache = cfg_.cache;
   eo.memo.work_scale = ws;
   ctx_ = std::make_unique<ExecutionContext>(*ops_, eo);
+  d_ = lamino::simulate_projections(*ops_, u_true_, cfg_.dataset.noise,
+                                    cfg_.dataset.seed + 1, ctx_->memo().pool());
   admm::AdmmConfig ac;
   ac.outer_iters = cfg_.iters;
   ac.inner_iters = cfg_.inner_iters;
@@ -76,6 +76,7 @@ Report Reconstructor::run() {
     sim::Device prof_dev(99);
     memo::MemoizedLamino prof_ml(*ops_, {.enable = false, .work_scale = ws},
                                  &prof_dev, nullptr);
+    prof_ml.set_pool(&ctx_->memo().pool());
     admm::Solver prof_solver(prof_ml, pc);
     prof_solver.set_observer(&prof);
     (void)prof_solver.solve(d_);

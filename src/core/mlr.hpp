@@ -70,10 +70,11 @@ struct ReconstructionConfig {
   memo::CacheKind cache = memo::CacheKind::Private;
   OffloadMode offload = OffloadMode::None;
 
-  /// Worker threads for the memo layer's parallel phases (see
-  /// ExecutionOptions). 0 = process-global pool (hardware concurrency),
-  /// 1 = serial. Results are bit-identical for any value — only host wall
-  /// time changes. Multi-device runs go through cluster::Cluster.
+  /// Threads of the run's fork-join team (see ExecutionOptions), which
+  /// also simulates the projections in prepare(). 0 = process-global team
+  /// (hardware concurrency), 1 = serial on the calling thread. Results are
+  /// bit-identical for any value — only host wall time changes.
+  /// Multi-device runs go through cluster::Cluster.
   unsigned threads = 0;
 };
 

@@ -93,18 +93,48 @@ std::vector<float> CnnEncoder::encode_quantized(const ChunkImage& chunk) const {
   return forward(preprocess(chunk), /*use_int8=*/true);
 }
 
-struct CnnEncoder::Trace {
+namespace {
+
+/// One image's activations, and in a training step its gradients.
+struct Trace {
   FeatureMap in, a, p1, b, p2;  ///< input; conv1, pool, conv2, pool outputs
   std::vector<float> z;
   FeatureMap db, dp1, da;  ///< dL/db, dL/dp1, dL/da
 };
 
-namespace {
-
 /// Output channels one forward task computes: one conv kernel block.
 constexpr i64 kBlock = 8;
 /// Elements per Adam task.
 constexpr std::size_t kAdamTile = 8192;
+
+// conv1, then conv2, each with ReLU and 2×2 pooling, for every image of `t`
+// (its `in` set): one pool round per layer, one task per (image, block of
+// output channels). ReLU and the pool act per channel, so every map holds
+// the bits of the whole-layer forward.
+void conv_forward(std::span<Trace> t, const Conv2D& conv1, const Conv2D& conv2,
+                  ThreadPool& pool) {
+  for (auto& x : t) {
+    x.a = FeatureMap(conv1.out_ch(), conv1.out_h(x.in.h), conv1.out_w(x.in.w));
+    x.p1 = FeatureMap(x.a.c, x.a.h / 2, x.a.w / 2);
+    x.b = FeatureMap(conv2.out_ch(), conv2.out_h(x.p1.h), conv2.out_w(x.p1.w));
+    x.p2 = FeatureMap(x.b.c, x.b.h / 2, x.b.w / 2);
+  }
+  const auto conv_relu_pool = [&](const Conv2D& conv, FeatureMap Trace::*in,
+                                  FeatureMap Trace::*out,
+                                  FeatureMap Trace::*pooled) {
+    const i64 blocks = (conv.out_ch() + kBlock - 1) / kBlock;
+    parallel_for(pool, 0, i64(t.size()) * blocks, [&](i64 task) {
+      Trace& x = t[size_t(task / blocks)];
+      const i64 c0 = task % blocks * kBlock;
+      const i64 c1 = std::min(conv.out_ch(), c0 + kBlock);
+      conv.forward_channels(x.*in, c0, c1, x.*out);
+      relu_forward((x.*out).channels(c0, c1));
+      avgpool2_channels(x.*out, c0, c1, x.*pooled);
+    });
+  };
+  conv_relu_pool(conv1, &Trace::in, &Trace::a, &Trace::p1);
+  conv_relu_pool(conv2, &Trace::p1, &Trace::b, &Trace::p2);
+}
 
 /// Part r of [0, n) split into `parts` near-equal ranges.
 std::pair<i64, i64> part(i64 n, i64 parts, i64 r) {
@@ -120,12 +150,24 @@ struct AdamTile {
 
 }  // namespace
 
+std::vector<std::vector<float>> CnnEncoder::encode_batch(
+    std::span<const ChunkImage> chunks, ThreadPool& pool) const {
+  const bool q = int8_.has_value();
+  std::vector<Trace> t(chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) t[i].in = preprocess(chunks[i]);
+  conv_forward(t, q ? int8_->conv1 : conv1_, q ? int8_->conv2 : conv2_, pool);
+  const Dense& fc = q ? int8_->fc : fc_;
+  std::vector<std::vector<float>> keys(chunks.size());
+  parallel_for(pool, 0, i64(t.size()),
+               [&](i64 i) { keys[size_t(i)] = fc.forward(t[size_t(i)].p2.v); });
+  return keys;
+}
+
 // The serial step — forward a, forward b, backward a, backward b, Adam —
 // split into four pool rounds and a short serial middle. Every task owns
 // the outputs it writes, and every accumulator still takes its terms in
 // the serial order:
-//   1, 2  conv1, then conv2, with ReLU and pooling: one task per (image,
-//         block of output channels); ReLU and the pool act per channel
+//   1, 2  conv_forward: conv1, then conv2, with ReLU and pooling
 //   —     fc forward, loss, fc backward (a's terms, then b's), and the way
 //         back through pool 2 and ReLU, on the calling thread
 //   3     conv2: each image's dL/dp1 is a task, and each output-channel
@@ -139,27 +181,7 @@ double CnnEncoder::train_pair(const ChunkImage& a, const ChunkImage& b,
   std::array<Trace, 2> t;
   t[0].in = preprocess(a);
   t[1].in = preprocess(b);
-  for (auto& x : t) {
-    x.a = FeatureMap(conv1_.out_ch(), conv1_.out_h(x.in.h), conv1_.out_w(x.in.w));
-    x.p1 = FeatureMap(x.a.c, x.a.h / 2, x.a.w / 2);
-    x.b = FeatureMap(conv2_.out_ch(), conv2_.out_h(x.p1.h), conv2_.out_w(x.p1.w));
-    x.p2 = FeatureMap(x.b.c, x.b.h / 2, x.b.w / 2);
-  }
-  const auto conv_relu_pool = [&](const Conv2D& conv, FeatureMap Trace::*in,
-                                  FeatureMap Trace::*out,
-                                  FeatureMap Trace::*pooled) {
-    const i64 blocks = (conv.out_ch() + kBlock - 1) / kBlock;
-    parallel_for(pool, 0, 2 * blocks, [&](i64 task) {
-      Trace& x = t[size_t(task / blocks)];
-      const i64 c0 = task % blocks * kBlock;
-      const i64 c1 = std::min(conv.out_ch(), c0 + kBlock);
-      conv.forward_channels(x.*in, c0, c1, x.*out);
-      relu_forward((x.*out).channels(c0, c1));
-      avgpool2_channels(x.*out, c0, c1, x.*pooled);
-    });
-  };
-  conv_relu_pool(conv1_, &Trace::in, &Trace::a, &Trace::p1);
-  conv_relu_pool(conv2_, &Trace::p1, &Trace::b, &Trace::p2);
+  conv_forward(t, conv1_, conv2_, pool);
 
   for (auto& x : t) x.z = fc_.forward(x.p2.v);
   const i64 d = cfg_.embed_dim;

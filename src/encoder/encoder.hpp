@@ -47,6 +47,13 @@ class CnnEncoder {
   /// INT8-weight inference path (the deployed configuration). Falls back to
   /// float weights until quantize() has been called.
   [[nodiscard]] std::vector<float> encode_quantized(const ChunkImage& chunk) const;
+  /// encode_quantized() of several chunks in one batch, fanned out on
+  /// `pool`: conv1 and conv2 each run as one round of (image, 8-channel
+  /// block) tasks — the forward rounds of train_pair() — then fc as one task
+  /// per image. Each key holds the bits encode_quantized() gives its chunk,
+  /// at any pool width.
+  [[nodiscard]] std::vector<std::vector<float>> encode_batch(
+      std::span<const ChunkImage> chunks, ThreadPool& pool) const;
 
   /// One contrastive training step on a pair of chunks; returns the loss
   /// L = | ‖za−zb‖ − ‖Cha−Chb‖ |.
@@ -54,9 +61,9 @@ class CnnEncoder {
   /// The step's layer kernels fan out on `pool`, split by image and by
   /// output channel so that every accumulator receives its terms in the
   /// serial step's order: the trained weights are the same bits at any pool
-  /// width, and a one-worker pool runs the step on the calling thread. Must
-  /// not be called from a worker of `pool` (its rounds would wait on
-  /// themselves); two callers may share one pool.
+  /// width, and a one-thread pool runs the step on the calling thread.
+  /// Several callers may share one pool; each works its own rounds beside
+  /// the pool's workers.
   double train_pair(const ChunkImage& a, const ChunkImage& b,
                     ThreadPool& pool = ThreadPool::global());
 
@@ -82,8 +89,6 @@ class CnnEncoder {
  private:
   FeatureMap preprocess(const ChunkImage& chunk) const;
   std::vector<float> forward(const FeatureMap& in, bool use_int8) const;
-  // One image's intermediates in a training step.
-  struct Trace;
 
   EncoderConfig cfg_;
   Rng rng_;
@@ -114,10 +119,10 @@ double chunk_l2(std::span<const cfloat> a, std::span<const cfloat> b);
 /// private registry.
 ///
 /// Thread safety: encode paths on the contained CnnEncoder are const and may
-/// run concurrently from pool workers. Sample collection is serial (the
-/// layer collects in its deterministic serial pass). Training has one caller
-/// at a time, between stages, and fans its steps out on the caller's pool
-/// (the layer passes the pool it runs stages on).
+/// run concurrently on any threads. Sample collection is serial (the layer
+/// collects in its deterministic serial pass). Training has one caller at a
+/// time, between stages. Batch encodes and training steps fan out on the
+/// pool the layer runs its stages on.
 class EncoderRegistry {
  public:
   explicit EncoderRegistry(EncoderConfig cfg = {}, u64 seed = 2024)

@@ -243,27 +243,54 @@ Dense::Dense(i64 in_dim, i64 out_dim, Rng& rng) : in_(in_dim), out_(out_dim) {
   for (auto& x : w) x = float(rng.normal(0.0, xavier));
 }
 
-// kRows outputs accumulate side by side, each in the direct order (b, then
-// i ascending): independent add chains instead of one latency-bound chain.
-// A short last block recomputes its final row in the spare lanes.
+// Every output sums b, then i ascending, in double: the direct loop's order.
+// Twelve outputs accumulate side by side, two per SSE2 register: six
+// independent add chains instead of one latency-bound chain, and 60 outputs
+// fill five blocks exactly. Each step widens two inputs' weights of each row
+// straight from memory and interleaves a row pair in registers, so each
+// register holds the two outputs' weights for one input; the products are
+// exact in double, and the additions run in the direct order. A short last
+// block recomputes its final row in the spare lanes.
 std::vector<float> Dense::forward(const std::vector<float>& in) const {
   MLR_CHECK(i64(in.size()) == in_);
   std::vector<float> out(static_cast<size_t>(out_));
-  constexpr i64 kRows = 8;
-  for (i64 o0 = 0; o0 < out_; o0 += kRows) {
-    const float* rows[kRows];
-    double acc[kRows];
-    for (i64 r = 0; r < kRows; ++r) {
-      const i64 o = std::min(o0 + r, out_ - 1);
-      rows[r] = w.data() + o * in_;
-      acc[r] = b[size_t(o)];
+  constexpr i64 kPairs = 6;
+  const auto widen2 = [](const float* p) {  // p[0], p[1] as doubles
+    return _mm_cvtps_pd(
+        _mm_castsi128_ps(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+  };
+  for (i64 o0 = 0; o0 < out_; o0 += 2 * kPairs) {
+    const auto row = [&](i64 r) { return std::min(o0 + r, out_ - 1); };
+    const float* rows[2 * kPairs];
+    __m128d acc[kPairs];
+    for (i64 p = 0; p < kPairs; ++p) {
+      rows[2 * p] = w.data() + row(2 * p) * in_;
+      rows[2 * p + 1] = w.data() + row(2 * p + 1) * in_;
+      acc[p] = _mm_set_pd(b[size_t(row(2 * p + 1))], b[size_t(row(2 * p))]);
     }
-    for (i64 i = 0; i < in_; ++i) {
-      const double x = in[size_t(i)];
-      for (i64 r = 0; r < kRows; ++r) acc[r] += double(rows[r][i]) * x;
+    i64 i = 0;
+    for (; i + 2 <= in_; i += 2) {
+      const __m128d x0 = _mm_set1_pd(in[size_t(i)]);
+      const __m128d x1 = _mm_set1_pd(in[size_t(i + 1)]);
+      for (i64 p = 0; p < kPairs; ++p) {
+        const __m128d a = widen2(rows[2 * p] + i);      // a_i, a_i+1
+        const __m128d c = widen2(rows[2 * p + 1] + i);  // c_i, c_i+1
+        acc[p] = _mm_add_pd(acc[p], _mm_mul_pd(_mm_unpacklo_pd(a, c), x0));
+        acc[p] = _mm_add_pd(acc[p], _mm_mul_pd(_mm_unpackhi_pd(a, c), x1));
+      }
     }
-    for (i64 r = 0; r < kRows && o0 + r < out_; ++r)
-      out[size_t(o0 + r)] = float(acc[r]);
+    if (i < in_) {
+      const __m128d x = _mm_set1_pd(in[size_t(i)]);
+      for (i64 p = 0; p < kPairs; ++p)
+        acc[p] = _mm_add_pd(
+            acc[p], _mm_mul_pd(_mm_set_pd(rows[2 * p + 1][i], rows[2 * p][i]), x));
+    }
+    for (i64 p = 0; p < kPairs; ++p) {
+      double v[2];
+      _mm_storeu_pd(v, acc[p]);
+      for (i64 l = 0; l < 2 && o0 + 2 * p + l < out_; ++l)
+        out[size_t(o0 + 2 * p + l)] = float(v[l]);
+    }
   }
   return out;
 }

@@ -165,30 +165,33 @@ void Operators::unpack_dhat_rows(std::span<const cfloat> in,
 
 // --- whole-volume wrappers ----------------------------------------------------
 
-void Operators::fu1d(const Array3D<cfloat>& u, Array3D<cfloat>& u1) const {
+void Operators::fu1d(const Array3D<cfloat>& u, Array3D<cfloat>& u1,
+                     ThreadPool& pool) const {
   MLR_CHECK(u.shape() == geom_.object_shape());
   MLR_CHECK(u1.shape() == geom_.u1_shape());
-  parallel_for(0, geom_.n1, [&](i64 i1) {
+  parallel_for(pool, 0, geom_.n1, [&](i64 i1) {
     ChunkSpec one{i1, i1, 1};
     fu1d_chunk(one, u.slices(i1, 1),
                u1.slices(i1, 1));
   });
 }
 
-void Operators::fu1d_adj(const Array3D<cfloat>& u1, Array3D<cfloat>& u) const {
+void Operators::fu1d_adj(const Array3D<cfloat>& u1, Array3D<cfloat>& u,
+                         ThreadPool& pool) const {
   MLR_CHECK(u.shape() == geom_.object_shape());
   MLR_CHECK(u1.shape() == geom_.u1_shape());
-  parallel_for(0, geom_.n1, [&](i64 i1) {
+  parallel_for(pool, 0, geom_.n1, [&](i64 i1) {
     ChunkSpec one{i1, i1, 1};
     fu1d_adj_chunk(one, u1.slices(i1, 1), u.slices(i1, 1));
   });
 }
 
-void Operators::fu2d(const Array3D<cfloat>& u1, Array3D<cfloat>& u2) const {
+void Operators::fu2d(const Array3D<cfloat>& u1, Array3D<cfloat>& u2,
+                     ThreadPool& pool) const {
   MLR_CHECK(u1.shape() == geom_.u1_shape());
   MLR_CHECK(u2.shape() == geom_.data_shape());
   const i64 n1 = geom_.n1, n2 = geom_.n2, nth = geom_.ntheta, w = geom_.w;
-  parallel_for(0, geom_.h, [&](i64 kv) {
+  parallel_for(pool, 0, geom_.h, [&](i64 kv) {
     ChunkSpec one{kv, kv, 1};
     std::vector<cfloat> in(static_cast<size_t>(n1 * n2));
     std::vector<cfloat> out(static_cast<size_t>(nth * w));
@@ -198,11 +201,12 @@ void Operators::fu2d(const Array3D<cfloat>& u1, Array3D<cfloat>& u2) const {
   });
 }
 
-void Operators::fu2d_adj(const Array3D<cfloat>& u2, Array3D<cfloat>& u1) const {
+void Operators::fu2d_adj(const Array3D<cfloat>& u2, Array3D<cfloat>& u1,
+                         ThreadPool& pool) const {
   MLR_CHECK(u1.shape() == geom_.u1_shape());
   MLR_CHECK(u2.shape() == geom_.data_shape());
   const i64 n1 = geom_.n1, n2 = geom_.n2, nth = geom_.ntheta, w = geom_.w;
-  parallel_for(0, geom_.h, [&](i64 kv) {
+  parallel_for(pool, 0, geom_.h, [&](i64 kv) {
     ChunkSpec one{kv, kv, 1};
     std::vector<cfloat> in(static_cast<size_t>(nth * w));
     std::vector<cfloat> out(static_cast<size_t>(n1 * n2));
@@ -212,41 +216,44 @@ void Operators::fu2d_adj(const Array3D<cfloat>& u2, Array3D<cfloat>& u1) const {
   });
 }
 
-void Operators::f2d(Array3D<cfloat>& d, bool inverse) const {
+void Operators::f2d(Array3D<cfloat>& d, bool inverse,
+                    ThreadPool& pool) const {
   MLR_CHECK(d.shape() == geom_.data_shape());
-  parallel_for(0, geom_.ntheta, [&](i64 t) {
+  parallel_for(pool, 0, geom_.ntheta, [&](i64 t) {
     fft::fft2d_span(d.slices(t, 1), geom_.h, geom_.w, inverse,
                     /*unitary=*/true);
   });
 }
 
-void Operators::forward(const Array3D<cfloat>& u, Array3D<cfloat>& d) const {
+void Operators::forward(const Array3D<cfloat>& u, Array3D<cfloat>& d,
+                        ThreadPool& pool) const {
   Array3D<cfloat> u1(geom_.u1_shape());
-  fu1d(u, u1);
-  fu2d(u1, d);
-  f2d(d, /*inverse=*/true);  // F*_2D maps frequency → detector space
+  fu1d(u, u1, pool);
+  fu2d(u1, d, pool);
+  f2d(d, /*inverse=*/true, pool);  // F*_2D maps frequency → detector space
 }
 
-void Operators::adjoint(const Array3D<cfloat>& d, Array3D<cfloat>& u) const {
+void Operators::adjoint(const Array3D<cfloat>& d, Array3D<cfloat>& u,
+                        ThreadPool& pool) const {
   Array3D<cfloat> dhat = d;
-  f2d(dhat, /*inverse=*/false);  // F_2D
+  f2d(dhat, /*inverse=*/false, pool);  // F_2D
   Array3D<cfloat> u1(geom_.u1_shape());
-  fu2d_adj(dhat, u1);
-  fu1d_adj(u1, u);
+  fu2d_adj(dhat, u1, pool);
+  fu1d_adj(u1, u, pool);
 }
 
-void Operators::forward_freq(const Array3D<cfloat>& u,
-                             Array3D<cfloat>& dhat) const {
+void Operators::forward_freq(const Array3D<cfloat>& u, Array3D<cfloat>& dhat,
+                             ThreadPool& pool) const {
   Array3D<cfloat> u1(geom_.u1_shape());
-  fu1d(u, u1);
-  fu2d(u1, dhat);
+  fu1d(u, u1, pool);
+  fu2d(u1, dhat, pool);
 }
 
-void Operators::adjoint_freq(const Array3D<cfloat>& dhat,
-                             Array3D<cfloat>& u) const {
+void Operators::adjoint_freq(const Array3D<cfloat>& dhat, Array3D<cfloat>& u,
+                             ThreadPool& pool) const {
   Array3D<cfloat> u1(geom_.u1_shape());
-  fu2d_adj(dhat, u1);
-  fu1d_adj(u1, u);
+  fu2d_adj(dhat, u1, pool);
+  fu1d_adj(u1, u, pool);
 }
 
 // --- cost model -----------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/array.hpp"
+#include "common/parallel.hpp"
 #include "fft/nufft.hpp"
 #include "lamino/geometry.hpp"
 
@@ -46,28 +47,39 @@ class Operators {
   [[nodiscard]] const Geometry& geometry() const { return geom_; }
 
   // --- whole-volume operators -------------------------------------------
+  // Each fans its slices or rows out on `pool`: a run passes its own, so a
+  // run with `threads` = 1 stays on its calling thread.
   /// ũ1 = F_u1D·u.
-  void fu1d(const Array3D<cfloat>& u, Array3D<cfloat>& u1) const;
+  void fu1d(const Array3D<cfloat>& u, Array3D<cfloat>& u1,
+            ThreadPool& pool = ThreadPool::global()) const;
   /// u += adjoint: u = F*_u1D·ũ1.
-  void fu1d_adj(const Array3D<cfloat>& u1, Array3D<cfloat>& u) const;
+  void fu1d_adj(const Array3D<cfloat>& u1, Array3D<cfloat>& u,
+                ThreadPool& pool = ThreadPool::global()) const;
   /// ũ2 = F_u2D·ũ1.
-  void fu2d(const Array3D<cfloat>& u1, Array3D<cfloat>& u2) const;
+  void fu2d(const Array3D<cfloat>& u1, Array3D<cfloat>& u2,
+            ThreadPool& pool = ThreadPool::global()) const;
   /// ũ1 = F*_u2D·ũ2.
-  void fu2d_adj(const Array3D<cfloat>& u2, Array3D<cfloat>& u1) const;
+  void fu2d_adj(const Array3D<cfloat>& u2, Array3D<cfloat>& u1,
+                ThreadPool& pool = ThreadPool::global()) const;
   /// In-place unitary detector transform of every projection:
   /// inverse=false applies F_2D (space → frequency), true applies F*_2D.
-  void f2d(Array3D<cfloat>& d, bool inverse) const;
+  void f2d(Array3D<cfloat>& d, bool inverse,
+           ThreadPool& pool = ThreadPool::global()) const;
 
   /// Full forward model d = F*_2D F_u2D F_u1D u.
-  void forward(const Array3D<cfloat>& u, Array3D<cfloat>& d) const;
+  void forward(const Array3D<cfloat>& u, Array3D<cfloat>& d,
+               ThreadPool& pool = ThreadPool::global()) const;
   /// Full adjoint u = F*_u1D F*_u2D F_2D d.
-  void adjoint(const Array3D<cfloat>& d, Array3D<cfloat>& u) const;
+  void adjoint(const Array3D<cfloat>& d, Array3D<cfloat>& u,
+               ThreadPool& pool = ThreadPool::global()) const;
 
   /// Frequency-domain forward d̂ = F_u2D F_u1D u (Algorithm 2 after
   /// operation cancellation — no detector FFT).
-  void forward_freq(const Array3D<cfloat>& u, Array3D<cfloat>& dhat) const;
+  void forward_freq(const Array3D<cfloat>& u, Array3D<cfloat>& dhat,
+                    ThreadPool& pool = ThreadPool::global()) const;
   /// Frequency-domain adjoint u = F*_u1D F*_u2D d̂.
-  void adjoint_freq(const Array3D<cfloat>& dhat, Array3D<cfloat>& u) const;
+  void adjoint_freq(const Array3D<cfloat>& dhat, Array3D<cfloat>& u,
+                    ThreadPool& pool = ThreadPool::global()) const;
 
   // --- chunked operators (the units that are memoized / distributed) -----
   /// F_u1D on a slab of `spec.count` n1-slices: in = count·n0·n2 values,

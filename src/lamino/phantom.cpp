@@ -162,9 +162,10 @@ Array3D<float> real_part(const Array3D<cfloat>& c) {
 
 Array3D<cfloat> simulate_projections(const Operators& ops,
                                      const Array3D<cfloat>& u,
-                                     double noise_sigma, u64 seed) {
+                                     double noise_sigma, u64 seed,
+                                     ThreadPool& pool) {
   Array3D<cfloat> d(ops.geometry().data_shape());
-  ops.forward(u, d);
+  ops.forward(u, d, pool);
   if (noise_sigma > 0) {
     double rms = l2_norm<cfloat>(d.span()) / std::sqrt(double(d.size()));
     Rng rng(seed);

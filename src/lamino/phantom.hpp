@@ -28,9 +28,11 @@ Array3D<cfloat> to_complex(const Array3D<float>& real);
 Array3D<float> real_part(const Array3D<cfloat>& c);
 
 /// Simulate measured projections d = L·u + ε with Gaussian detector noise of
-/// standard deviation `noise_sigma` relative to the data RMS.
+/// standard deviation `noise_sigma` relative to the data RMS. L runs on
+/// `pool`.
 Array3D<cfloat> simulate_projections(const Operators& ops,
                                      const Array3D<cfloat>& u,
-                                     double noise_sigma, u64 seed = 7);
+                                     double noise_sigma, u64 seed = 7,
+                                     ThreadPool& pool = ThreadPool::global());
 
 }  // namespace mlr::lamino

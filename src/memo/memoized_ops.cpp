@@ -108,7 +108,12 @@ std::vector<cfloat> MemoizedLamino::pooled_probe(
     std::span<const cfloat> in) const {
   if (!cfg_.oracle_similarity) return {};
   const auto [rows, cols] = chunk_plane_dims(kind);
-  const auto plane = encoder::average_slab(in, spec.count, rows, cols);
+  return probe_of_plane(encoder::average_slab(in, spec.count, rows, cols), rows,
+                        cols);
+}
+
+std::vector<cfloat> MemoizedLamino::probe_of_plane(
+    std::span<const cfloat> plane, i64 rows, i64 cols) const {
   const i64 hw = std::min({cfg_.probe_hw, rows, cols});
   std::vector<cfloat> pooled(size_t(hw * hw), cfloat{});
   std::vector<float> cnt(size_t(hw * hw), 0.0f);
@@ -404,40 +409,58 @@ void MemoizedLamino::run_memoized(Lane& lane, OpKind kind,
   std::vector<std::vector<cfloat>> probes(n);
   std::vector<char> cache_hit(n, 0);  // char, not bool: written in parallel
 
-  // Phase 1 (parallel): each chunk's norm and pooled probe, then the
-  // thread-safe local cache; a hit copies its stored value straight into
-  // the chunk output. The key is encoded only where it is read: a hit under
-  // oracle similarity was accepted on probe and norm alone, so only a miss
-  // encodes (for the DB round, its refill and insertion). No inserts happen
-  // concurrently, so the lookup results are independent of evaluation order.
+  // Phase 1: the chunks' keys and probes, and the local cache. A hit copies
+  // its stored value straight into the chunk output. No inserts happen
+  // meanwhile, so the lookup results are independent of evaluation order.
   {
     MLR_TRACE_SPAN("stage.encode_probe", "engine", u64(n));
     const WallTimer wt;
+    const auto [rows, cols] = chunk_plane_dims(kind);
+    const auto lookup = [&](std::size_t i) {
+      auto& c = chunks[i];
+      auto hit = lane.cache->lookup(kind, c.spec.index, keys[i], cfg_.tau,
+                                    norms[i], probes[i]);
+      if (!hit.has_value()) return false;
+      MLR_CHECK(hit->size() == c.out.size());
+      std::copy(hit->begin(), hit->end(), c.out.begin());
+      cache_hit[i] = 1;
+      return true;
+    };
+    // (a) One parallel pass: each chunk's norm and slab average, its pooled
+    // probe, and under oracle similarity the cache lookup, which accepts on
+    // probe and norm alone. A chunk it does not serve keeps its average for
+    // the key.
+    const bool oracle_lookup = lane.cache != nullptr && cfg_.oracle_similarity;
+    std::vector<std::vector<cfloat>> planes(n);
     parallel_for(pool(), 0, i64(n), [&](i64 ii) {
       const auto i = size_t(ii);
       auto& c = chunks[i];
-      auto& rec = records[i];
-      rec.kind = kind;
-      rec.location = c.spec.index;
-      auto encode = [&] {
-        keys[i] = encode_chunk(kind, c.spec, c.in);
-        sm.keys_encoded.add();
-      };
+      records[i].kind = kind;
+      records[i].location = c.spec.index;
       norms[i] = l2_norm<cfloat>(c.in);
-      probes[i] = pooled_probe(kind, c.spec, c.in);
-      if (lane.cache != nullptr) {
-        if (probes[i].empty()) encode();  // the encoder-gated cache reads it
-        auto hit = lane.cache->lookup(kind, c.spec.index, keys[i], cfg_.tau,
-                                     norms[i], probes[i]);
-        if (hit.has_value()) {
-          MLR_CHECK(hit->size() == c.out.size());
-          std::copy(hit->begin(), hit->end(), c.out.begin());
-          cache_hit[i] = 1;
-          return;
-        }
-      }
-      if (keys[i].empty()) encode();
+      auto plane = encoder::average_slab(c.in, c.spec.count, rows, cols);
+      if (cfg_.oracle_similarity) probes[i] = probe_of_plane(plane, rows, cols);
+      if (oracle_lookup && lookup(i)) return;
+      planes[i] = std::move(plane);
     });
+    // (b) Those chunks' keys, one batch encode on the pool: a miss needs
+    // its key for the DB round, its refill and its insertion.
+    std::vector<std::size_t> need;
+    std::vector<encoder::ChunkImage> images;
+    for (std::size_t i = 0; i < n; ++i)
+      if (!cache_hit[i]) {
+        need.push_back(i);
+        images.push_back({rows, cols, planes[i]});
+      }
+    if (!need.empty()) {
+      auto batch = registry_->encoder().encode_batch(images, pool());
+      for (std::size_t j = 0; j < need.size(); ++j)
+        keys[need[j]] = std::move(batch[j]);
+      sm.keys_encoded.add(need.size());
+    }
+    // (c) Encoder-gated mode: the cache lookups, which read the keys.
+    if (lane.cache != nullptr && !cfg_.oracle_similarity)
+      parallel_for(pool(), 0, i64(n), [&](i64 i) { lookup(size_t(i)); });
     sm.encode_probe_s.observe(wt.seconds());
   }
 

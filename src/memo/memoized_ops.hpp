@@ -21,14 +21,16 @@
 // chunks by construction, so each lane runs its share in batched phases
 // instead of chunk-at-a-time:
 //
-//   phase 1  probe     every chunk's norm and pooled probe, then the
-//                      thread-safe local cache, one pool task per chunk; a
+//   phase 1  probe     one parallel pass computes every chunk's norm, slab
+//                      average and pooled probe and, under oracle
+//                      similarity, looks it up in the thread-safe local
+//                      cache, which accepts a hit on probe and norm alone; a
 //                      hit copies its stored value straight into the chunk
-//                      output. The task runs the INT8 CNN key encoder only
-//                      where the key is read: after a cache miss under
-//                      oracle similarity (a hit is accepted on probe and
-//                      norm alone), before the lookup in encoder-gated
-//                      mode, and for every chunk of a cacheless layer
+//                      output. Then ONE batch encode on the pool runs the
+//                      INT8 CNN key encoder on every chunk the cache did not
+//                      serve, its conv layers split by (chunk, channel
+//                      block). In encoder-gated mode the cache lookups,
+//                      which read the keys, run last
 //   phase 2  resolve   chunks the cache could not serve go to the MemoDb as
 //                      ONE barriered query_batch (scoring fans out on the
 //                      pool); then one parallel pass runs every miss FFT
@@ -183,7 +185,7 @@ class MemoizedLamino {
                  std::shared_ptr<encoder::EncoderRegistry> registry = nullptr);
 
   /// Worker pool for the parallel phases and encoder training; nullptr
-  /// restores the process-wide pool. A one-worker pool runs every phase
+  /// restores the process-wide pool. A one-thread pool runs every phase
   /// serially on the caller.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
   [[nodiscard]] ThreadPool& pool() const {
@@ -285,6 +287,9 @@ class MemoizedLamino {
                     sim::VTime* done);
   double compute_chunk(OpKind kind, const StageChunk& c,
                        double* flops_out) const;
+  /// pooled_probe() of a chunk whose slab average is `plane`.
+  std::vector<cfloat> probe_of_plane(std::span<const cfloat> plane, i64 rows,
+                                     i64 cols) const;
   std::pair<i64, i64> chunk_plane_dims(OpKind kind) const;
 
   const lamino::Operators& ops_;

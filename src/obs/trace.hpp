@@ -34,7 +34,7 @@
 // global list on first use; write_json() locks each ring briefly, merges,
 // sorts by timestamp, and emits `traceEvents` JSON. Draining while worker
 // threads still emit is safe (per-ring mutex) but callers normally drain at
-// a quiescent point (after ThreadPool::wait_idle / service drain).
+// a quiescent point (after the parallel_for or service drain that emitted).
 //
 // Names and categories must be string literals (or otherwise outlive the
 // recorder) — events store the pointer, not a copy.

@@ -189,7 +189,9 @@ const ReconService::Problem& ReconService::problem_for(Scenario s, u64 seed) {
   Problem pb;
   pb.truth = lamino::to_complex(
       lamino::make_phantom(geom_.object_shape(), prof.phantom, seed));
-  pb.d = lamino::simulate_projections(ops_, pb.truth, prof.noise, seed + 1);
+  pb.d = lamino::simulate_projections(
+      ops_, pb.truth, prof.noise, seed + 1,
+      pool_ != nullptr ? *pool_ : ThreadPool::global());
   return problems_.emplace(key, std::move(pb)).first->second;
 }
 

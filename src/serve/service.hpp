@@ -130,7 +130,11 @@ struct ServiceConfig {
   /// cache_fingerprint 0 (no one device's cache is the session's) and
   /// cannot be preempted (a checkpoint holds one device's cache image).
   int gpus_per_job = 1;
-  unsigned threads = 0;    ///< host worker pool shared by all sessions
+  /// Threads of the host fork-join team that every session and the
+  /// projection simulation share: `threads` − 1 workers, beside which each
+  /// thread running a session works its own rounds. 0 = the process-global
+  /// team, 1 = serial.
+  unsigned threads = 0;
 
   // Memo tier.
   bool memoize = true;

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "common/array.hpp"
 #include "common/error.hpp"
@@ -11,6 +13,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/timer.hpp"
+#include "obs/metrics.hpp"
 
 namespace mlr {
 namespace {
@@ -205,6 +208,72 @@ TEST(ParallelFor, PropagatesExceptions) {
                      if (i == 3) throw Error("boom");
                    }),
       Error);
+}
+
+// Four threads share one 4-thread team, each publishing 1,000 rounds of
+// 1–17 indices, so rounds of different callers queue behind one another
+// while workers claim, run and count their chunks. Every index of every
+// round runs exactly once, and each caller returns only after its round
+// is done (its counts are read right after the call).
+TEST(ParallelFor, ConcurrentCallersShareOnePool) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 4, kRounds = 1000, kMaxLen = 17;
+  std::vector<int> bad(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t)
+    callers.emplace_back([&, t] {
+      std::vector<std::atomic<int>> hits(kMaxLen);
+      for (int r = 0; r < kRounds; ++r) {
+        const i64 len = 1 + (r * 7 + t) % kMaxLen;
+        for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+        parallel_for(pool, 0, len, [&](i64 i) {
+          hits[size_t(i)].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (i64 i = 0; i < kMaxLen; ++i)
+          if (hits[size_t(i)].load(std::memory_order_relaxed) != (i < len))
+            ++bad[size_t(t)];
+      }
+    });
+  for (auto& c : callers) c.join();
+  for (int t = 0; t < kCallers; ++t) EXPECT_EQ(bad[size_t(t)], 0) << "caller " << t;
+}
+
+// A one-thread team starts no worker: every index runs on the caller and
+// no round is handed out.
+TEST(ParallelFor, OneThreadPoolRunsOnCaller) {
+  auto& rounds = obs::metrics().counter("pool.rounds");
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  const u64 before = rounds.value();
+  std::vector<std::thread::id> ran(64);
+  parallel_for(pool, 0, 64,
+               [&](i64 i) { ran[size_t(i)] = std::this_thread::get_id(); });
+  for (const auto& id : ran) EXPECT_EQ(id, std::this_thread::get_id());
+  EXPECT_EQ(rounds.value(), before);
+  EXPECT_EQ(ThreadPool(4).size(), 4u);
+}
+
+// Chunks on several threads throw: the caller gets one exception, after
+// every chunk ran, and the team runs the next rounds normally.
+TEST(ParallelFor, ThrowingRoundRethrowsOnceAndPoolStaysUsable) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> ran{0};
+    int caught = 0;
+    try {
+      parallel_for_ranges(pool, 0, 64, [&](i64 lo, i64 hi) {
+        ran.fetch_add(int(hi - lo), std::memory_order_relaxed);
+        if (lo % 8 == 0) throw Error("boom");
+      });
+    } catch (const Error&) {
+      ++caught;
+    }
+    EXPECT_EQ(caught, 1);
+    EXPECT_EQ(ran.load(), 64);
+    std::vector<std::atomic<int>> hits(100);
+    parallel_for(pool, 0, 100, [&](i64 i) { hits[size_t(i)]++; });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 TEST(ParallelForRanges, RangesPartitionDomain) {

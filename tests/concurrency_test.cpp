@@ -4,9 +4,9 @@
 // remote DB entry at once must all land its payload; the memo layer's
 // stage engine must produce bit-identical results, records, cache contents,
 // DB entries and virtual times for any pool width, pinned by golden digests;
-// ann::Index::search_batch must match looped search; keys encoded,
-// operator chunks computed and encoders trained concurrently on pool
-// workers must match a serial pass.
+// ann::Index::search_batch must match looped search; keys encoded and
+// operator chunks computed concurrently on several threads, and encoders
+// trained concurrently on one shared pool, must match a serial pass.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -686,10 +686,10 @@ TEST(Concurrency, SharedIndexParallelSearchCountsEveryEval) {
   EXPECT_EQ(idx.distance_evals() - before, u64(128 * 64));
 }
 
-// Four pool workers encode distinct chunks on one shared encoder, each pass
-// in a shifted order, so calls of every chunk shape interleave on every
-// worker's per-thread kernel scratch. Every key must be bit-identical to a
-// serial pass.
+// Four threads encode distinct chunks on one shared encoder, each pass in a
+// shifted order, so calls of every chunk shape interleave on every thread's
+// per-thread kernel scratch. Every key must be bit-identical to a serial
+// pass.
 TEST(Concurrency, ConcurrentQuantizedEncodesMatchSerial) {
   encoder::CnnEncoder enc;
   std::vector<std::vector<cfloat>> train;
@@ -712,9 +712,9 @@ TEST(Concurrency, ConcurrentQuantizedEncodesMatchSerial) {
     serial.push_back(enc.encode_quantized({c.rows, c.cols, c.data}));
 
   std::vector<std::vector<float>> keys(kPasses * chunks.size());
-  ThreadPool pool(kWorkers);
+  std::vector<std::thread> workers;
   for (int w = 0; w < kWorkers; ++w)
-    pool.submit([&, w] {
+    workers.emplace_back([&, w] {
       for (int pass = 0; pass < kPasses; ++pass)
         for (int j = 0; j < kPerWorker; ++j) {
           const auto i = size_t(((j + pass) % kPerWorker) * kWorkers + w);
@@ -723,7 +723,7 @@ TEST(Concurrency, ConcurrentQuantizedEncodesMatchSerial) {
               enc.encode_quantized({c.rows, c.cols, c.data});
         }
     });
-  pool.wait_idle();
+  for (auto& t : workers) t.join();
   for (std::size_t k = 0; k < keys.size(); ++k) {
     const auto& want = serial[k % chunks.size()];
     ASSERT_EQ(keys[k].size(), want.size()) << "key " << k;
@@ -782,12 +782,11 @@ TEST(Concurrency, ConcurrentTrainingMatchesSerial) {
   }
 }
 
-// Four pool workers run all four F_u*D chunk kernels of one shared
-// Operators on distinct chunks, each worker starting each pass at a
-// different kernel, so the per-thread batch grids, transposed copies and
-// Bluestein scratch (n = 12: every fine grid is non-pow2) serve every
-// kernel from several threads at once. Outputs must match a serial pass
-// bit for bit.
+// Four threads run all four F_u*D chunk kernels of one shared Operators on
+// distinct chunks, each thread starting each pass at a different kernel, so
+// the per-thread batch grids, transposed copies and Bluestein scratch
+// (n = 12: every fine grid is non-pow2) serve every kernel from several
+// threads at once. Outputs must match a serial pass bit for bit.
 TEST(Concurrency, ConcurrentOperatorChunksMatchSerial) {
   const lamino::Operators ops(lamino::Geometry::cube(12));
   const auto& g = ops.geometry();
@@ -824,16 +823,16 @@ TEST(Concurrency, ConcurrentOperatorChunksMatchSerial) {
   for (const auto& j : jobs) serial.push_back(run(j));
 
   std::vector<std::vector<cfloat>> outs(kPasses * jobs.size());
-  ThreadPool pool(kWorkers);
+  std::vector<std::thread> workers;
   for (int w = 0; w < kWorkers; ++w)
-    pool.submit([&, w] {
+    workers.emplace_back([&, w] {
       for (int pass = 0; pass < kPasses; ++pass)
         for (int j = 0; j < kKernels; ++j) {
           const auto i = size_t(((j + pass + w) % kKernels) * kWorkers + w);
           outs[size_t(pass) * jobs.size() + i] = run(jobs[i]);
         }
     });
-  pool.wait_idle();
+  for (auto& t : workers) t.join();
   for (std::size_t k = 0; k < outs.size(); ++k) {
     const auto& want = serial[k % jobs.size()];
     ASSERT_EQ(outs[k].size(), want.size()) << "output " << k;

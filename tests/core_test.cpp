@@ -1,8 +1,11 @@
 // Tests for the public mlr::Reconstructor facade.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/hash.hpp"
 #include "core/mlr.hpp"
+#include "obs/metrics.hpp"
 
 namespace mlr {
 namespace {
@@ -141,6 +144,28 @@ TEST(Reconstructor, MemoizedRunGolden) {
       EXPECT_EQ(run_digest(gd.cache, threads), gd.digest)
           << std::hex << "global=" << (gd.cache == memo::CacheKind::Global)
           << " threads=" << threads;
+}
+
+// `threads` = 1 keeps the whole run on its calling thread: projection
+// simulation, the ‖L*L‖ power iteration, the offload profile, encoder
+// training and every stage hand no round to a worker. A 4-thread run hands
+// out rounds and reproduces the serial output bits.
+TEST(Reconstructor, OneThreadRunHandsOutNoRounds) {
+  auto& rounds = obs::metrics().counter("pool.rounds");
+  const auto run = [](unsigned threads) {
+    auto cfg = tiny(true);
+    cfg.offload = OffloadMode::Planned;
+    cfg.threads = threads;
+    return Reconstructor(cfg).run().result.u;
+  };
+  const u64 before = rounds.value();
+  const auto serial = run(1);
+  EXPECT_EQ(rounds.value(), before);
+  const auto pooled = run(4);
+  EXPECT_GT(rounds.value(), before);
+  ASSERT_EQ(serial.bytes(), pooled.bytes());
+  EXPECT_EQ(std::memcmp(serial.data(), pooled.data(), std::size_t(serial.bytes())),
+            0);
 }
 
 TEST(Reconstructor, PrepareIsIdempotent) {

@@ -1,7 +1,8 @@
 // Tests for the CNN key encoder: bitwise pins of the layer kernels (whole
 // and split by channel range and image) and of Adam against the direct
 // loops they replaced, golden digests of training at several pool widths
-// and of keys, the registry's non-finite sample guard,
+// and of keys, batch keys against single keys, the registry's non-finite
+// sample guard,
 // numerical gradient checks of every layer, contrastive training
 // convergence, INT8 quantization fidelity, and the metric property the
 // memoization system needs (similar chunks → nearby keys).
@@ -293,7 +294,8 @@ TEST(LayerKernels, DenseMatchesDirectLoopsBitForBit) {
   Rng rng(41);
   for (const bool cancelling : {false, true})
     for (const auto& [in_dim, out_dim] :
-         {std::pair<i64, i64>{1, 1}, {5, 3}, {7, 9}, {33, 17}, {1024, 60}}) {
+         {std::pair<i64, i64>{1, 1}, {5, 3}, {7, 9}, {33, 17}, {1024, 60},
+          {1023, 61}, {8, 16}, {4, 2}}) {
       SCOPED_TRACE(::testing::Message() << in_dim << " -> " << out_dim
                                         << (cancelling ? " cancelling" : ""));
       Rng init(static_cast<u64>(in_dim));
@@ -654,6 +656,45 @@ TEST(CnnEncoder, GoldenTrainingAndKeys) {
     for (const auto& [r, c, d] : chunks)
       int8_keys = fold(int8_keys, enc.encode_quantized({r, c, d}));
     EXPECT_EQ(int8_keys, 0x3241cd4940ea8b17ull);
+  }
+}
+
+// Every batch of 1–5 chunks, mixing the shapes the stage engine keys, gives
+// each chunk the bits of its single-chunk key — float weights before
+// quantize(), INT8 after — at every pool width (3 threads split the
+// (image, channel block) tasks unevenly).
+TEST(CnnEncoder, BatchKeysMatchSingleKeys) {
+  Rng rng(2027);
+  std::vector<std::tuple<i64, i64, std::vector<cfloat>>> chunks;
+  for (int i = 0; i < 5; ++i)
+    for (const auto& [r, c] : {std::pair<i64, i64>{32, 32}, {12, 12},
+                               {12, 40}, {5, 7}})
+      chunks.emplace_back(r, c, random_chunk(r * c, rng));
+  CnnEncoder enc;
+  for (const bool int8 : {false, true}) {
+    if (int8) enc.quantize();
+    std::vector<std::vector<float>> single;
+    for (const auto& [r, c, d] : chunks)
+      single.push_back(int8 ? enc.encode_quantized({r, c, d})
+                            : enc.encode({r, c, d}));
+    for (const unsigned width : {1u, 2u, 3u, 4u}) {
+      ThreadPool pool(width);
+      for (std::size_t len = 1; len <= 5; ++len)
+        for (std::size_t first = 0; first + len <= chunks.size(); first += len) {
+          SCOPED_TRACE(::testing::Message()
+                       << (int8 ? "int8" : "float") << " width " << width
+                       << " batch [" << first << ", " << first + len << ")");
+          std::vector<ChunkImage> batch;
+          for (std::size_t k = first; k < first + len; ++k) {
+            const auto& [r, c, d] = chunks[k];
+            batch.push_back({r, c, d});
+          }
+          const auto keys = enc.encode_batch(batch, pool);
+          ASSERT_EQ(keys.size(), len);
+          for (std::size_t k = 0; k < len; ++k)
+            EXPECT_TRUE(same_bits(keys[k], single[first + k])) << "key " << k;
+        }
+    }
   }
 }
 
