@@ -16,6 +16,10 @@
 // BM_EncoderTrainPair take the pool width their rounds fan out on, and warm
 // until every worker's scratch has reached its size. BM_ForkJoinRound times
 // one round of empty chunks: the pool's dispatch and join alone.
+// BM_ConvForward, BM_ConvWeightGrads, BM_ConvInputGrad and BM_DenseBackward
+// time one image through each encoder layer kernel at each ISA the layers
+// compile for (0 baseline SSE2, 1 AVX2; AVX2 rows skip on hosts without
+// it); the `encoder_isa` context line names the ISA the layers dispatch to.
 // BM_FftBatch and BM_OperatorChunk time the batched operator kernels: many
 // transforms per call, and the four F_u*D chunk kernels the stage engine
 // runs on every memo miss. BM_Nufft2DType2/Type1
@@ -23,12 +27,15 @@
 // Gaussian window both NUFFT plans build per target.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "admm/kernels.hpp"
 #include "admm/tv.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/scratch.hpp"
 #include "encoder/encoder.hpp"
+#include "encoder/layer_kernels.hpp"
 #include "fft/fft.hpp"
 #include "fft/nufft.hpp"
 #include "fft/window.hpp"
@@ -386,6 +393,126 @@ void BM_EncoderTrainPair(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderTrainPair)->Arg(1)->Arg(2)->Arg(4);
 
+// The encoder's layers at their default shapes (32×32 front end): conv1
+// 2→32 channels, 5×5 stride 2, on a 2×32×32 image; conv2 32→64, 3×3, on
+// the pooled 32×8×8 map; fc 1024→60.
+struct LayerShape {
+  i64 in_ch, out_ch, k, stride, hw;
+};
+constexpr LayerShape kConv[2] = {{2, 32, 5, 2, 32}, {32, 64, 3, 1, 8}};
+
+/// The ISA named by range(arg); nullopt, with the row skipped, on a host
+/// that lacks it.
+std::optional<encoder::kernels::Isa> isa_arg(benchmark::State& state,
+                                             int arg) {
+  const auto isa = encoder::kernels::Isa(state.range(arg));
+  if (encoder::kernels::supported(isa)) return isa;
+  state.SkipWithError("this host lacks the ISA (row skipped)");
+  return std::nullopt;
+}
+
+encoder::FeatureMap random_map(i64 c, i64 h, i64 w, u64 seed) {
+  Rng rng(seed);
+  encoder::FeatureMap m(c, h, w);
+  for (auto& x : m.v) x = float(rng.normal());
+  return m;
+}
+
+/// dL/dout as training sees it: ReLU zeroes about half of it.
+encoder::FeatureMap relu_masked_grad(i64 c, i64 h, i64 w, u64 seed) {
+  auto g = random_map(c, h, w, seed);
+  for (std::size_t i = 0; i < g.v.size(); i += 2) g.v[i] = 0.0f;
+  return g;
+}
+
+// Forward of one image through conv range(0)+1 (1: conv1, 2: conv2) at ISA
+// range(1); range(2) = 1 runs the frozen (deployed) layer, 0 the training
+// layer, which relays its weights per call.
+void BM_ConvForward(benchmark::State& state) {
+  const LayerShape s = kConv[state.range(0) - 1];
+  const auto isa = isa_arg(state, 1);
+  if (!isa) return;
+  Rng rng(30);
+  encoder::Conv2D conv(s.in_ch, s.out_ch, s.k, s.stride, rng);
+  if (state.range(2) != 0) conv.freeze();
+  const auto in = random_map(s.in_ch, s.hw, s.hw, 31);
+  encoder::FeatureMap out(s.out_ch, conv.out_h(s.hw), conv.out_w(s.hw));
+  encoder::kernels::conv_forward(*isa, conv, in, 0, s.out_ch, out);  // warm
+  AllocCounter allocs;
+  for (auto _ : state) {
+    encoder::kernels::conv_forward(*isa, conv, in, 0, s.out_ch, out);
+    benchmark::DoNotOptimize(out.v.data());
+  }
+  allocs.report(state);
+}
+BENCHMARK(BM_ConvForward)->ArgsProduct({{1, 2}, {0, 1}, {0, 1}});
+
+// One image's weight gradients of conv range(0) at ISA range(1), over
+// output-channel ranges range(2) wide: a training step on a team of 4 cuts
+// conv1 into 4 ranges of 8 channels and conv2 into 8 of 8.
+void BM_ConvWeightGrads(benchmark::State& state) {
+  const LayerShape s = kConv[state.range(0) - 1];
+  const auto isa = isa_arg(state, 1);
+  if (!isa) return;
+  const i64 width = state.range(2);
+  Rng rng(32);
+  encoder::Conv2D conv(s.in_ch, s.out_ch, s.k, s.stride, rng);
+  const auto in = random_map(s.in_ch, s.hw, s.hw, 33);
+  const auto dout =
+      relu_masked_grad(s.out_ch, conv.out_h(s.hw), conv.out_w(s.hw), 34);
+  const auto pass = [&] {
+    for (i64 c = 0; c < s.out_ch; c += width)
+      encoder::kernels::conv_weight_grads(*isa, conv, in, dout, c,
+                                          std::min(s.out_ch, c + width));
+  };
+  pass();  // warm
+  AllocCounter allocs;
+  for (auto _ : state) {
+    pass();
+    benchmark::DoNotOptimize(conv.gw.data());
+  }
+  allocs.report(state);
+}
+BENCHMARK(BM_ConvWeightGrads)
+    ->Args({1, 0, 32})->Args({1, 1, 32})->Args({1, 0, 8})->Args({1, 1, 8})
+    ->Args({2, 0, 64})->Args({2, 1, 64})->Args({2, 0, 8})->Args({2, 1, 8});
+
+// One image's dL/dp1 through conv2 (the only input gradient training
+// reads) at ISA range(0).
+void BM_ConvInputGrad(benchmark::State& state) {
+  const LayerShape s = kConv[1];
+  const auto isa = isa_arg(state, 0);
+  if (!isa) return;
+  Rng rng(35);
+  encoder::Conv2D conv(s.in_ch, s.out_ch, s.k, s.stride, rng);
+  const auto dout = relu_masked_grad(s.out_ch, s.hw, s.hw, 36);
+  encoder::FeatureMap din(s.in_ch, s.hw, s.hw);
+  encoder::kernels::conv_input_grad(*isa, conv, dout, din);  // warm
+  AllocCounter allocs;
+  for (auto _ : state) {
+    encoder::kernels::conv_input_grad(*isa, conv, dout, din);
+    benchmark::DoNotOptimize(din.v.data());
+  }
+  allocs.report(state);
+}
+BENCHMARK(BM_ConvInputGrad)->Arg(0)->Arg(1);
+
+// One image's fc backward (weight and input gradients) at ISA range(0).
+void BM_DenseBackward(benchmark::State& state) {
+  const auto isa = isa_arg(state, 0);
+  if (!isa) return;
+  Rng rng(37);
+  encoder::Dense fc(1024, 60, rng);
+  std::vector<float> in(1024), dout(60);
+  for (auto& x : in) x = float(rng.normal());
+  for (auto& x : dout) x = float(rng.normal());
+  for (auto _ : state) {
+    auto din = encoder::kernels::dense_backward(*isa, fc, in, dout);
+    benchmark::DoNotOptimize(din.data());
+  }
+}
+BENCHMARK(BM_DenseBackward)->Arg(0)->Arg(1);
+
 void BM_NaiveNdftReference(benchmark::State& state) {
   const i64 n = state.range(0);
   Rng rng(8);
@@ -402,4 +529,13 @@ BENCHMARK(BM_NaiveNdftReference)->Arg(64)->Arg(256);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "encoder_isa",
+      encoder::kernels::name(encoder::kernels::dispatched()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -34,8 +34,13 @@
 # the encoder mid-pass), the pooled-training tests (the golden encoder
 # trained at pool widths 1-4, and two threads training two encoders on one
 # shared pool: workers write disjoint gradient and weight ranges while
-# reading shared weights), the shared-norm test (four racing solves fill one
-# Operators' ||L*L|| slot under its mutex and read it back), the memo DB
+# reading shared weights), the dual-ISA layer-kernel tests (LayerKernels.*:
+# each conv and dense kernel at baseline and at AVX2 against the direct
+# loops, plus the dispatch test; the training and batch-key tests reach
+# only the ISA the host dispatches to, so these run the other one's kernels
+# and scratch use under the sanitizer too), the shared-norm test (four
+# racing solves fill one Operators' ||L*L|| slot under its mutex and read
+# it back), the memo DB
 # suite and the remote-harvest test (pool workers storing fetched payloads
 # into one entry's row under its kind's mutex while other workers read it),
 # the obs unit suite, the fused elementwise-kernel suite (tiled reductions
@@ -95,7 +100,7 @@ if [[ "$preset" == "tsan" ]]; then
     --gtest_filter='Concurrency.StageExecutorGoldenDigest:Concurrency.CrossStageDeterminismMatrix:Concurrency.StageExecutorDeterministic*:Concurrency.TraceOnOffBitIdentityMatrix:Concurrency.CacheHitNeverEncodes:Concurrency.ConcurrentQuantizedEncodesMatchSerial:Concurrency.ConcurrentOperatorChunksMatchSerial:Concurrency.ConcurrentTrainingMatchesSerial:Concurrency.MemoDbHarvestsOneRemoteEntryFromManyWorkers'
   ./build-tsan/memo_test --gtest_filter='MemoDb.*'
   ./build-tsan/encoder_test \
-    --gtest_filter='CnnEncoder.GoldenTrainingAndKeys:CnnEncoder.BatchKeysMatchSingleKeys'
+    --gtest_filter='CnnEncoder.GoldenTrainingAndKeys:CnnEncoder.BatchKeysMatchSingleKeys:LayerKernels.*'
   ./build-tsan/admm_test \
     --gtest_filter='Solver.ConcurrentSolvesShareOneNormEstimate'
   ./build-tsan/ew_test --gtest_filter='Ew.*'

@@ -19,9 +19,11 @@ namespace {
 // a longer budget only burns a core while the team is really idle.
 constexpr auto kPollBudget = std::chrono::microseconds(50);
 
-/// Spins on `ready()` for up to kPollBudget; returns its last value.
+/// Spins on `ready()` for up to kPollBudget, or only checks it once when
+/// `spin` is false; returns its last value.
 template <class Ready>
-bool poll(Ready&& ready) {
+bool poll(bool spin, Ready&& ready) {
+  if (!spin) return ready();
   const auto deadline = std::chrono::steady_clock::now() + kPollBudget;
   do {
     for (int i = 0; i < 64; ++i) {
@@ -60,8 +62,14 @@ struct ThreadPool::Round {
   }
 };
 
+// A team with more threads than the host has cores blocks at once: there a
+// polling thread takes a core that a working one needs, and an 8-thread team
+// on 4 cores ran slower than a 4-thread one. (hardware_concurrency() reads 0
+// when unknown; such a host keeps polling.)
 ThreadPool::ThreadPool(unsigned threads) {
   threads = std::clamp(threads, 1u, 256u);
+  const unsigned cores = std::thread::hardware_concurrency();
+  spin_ = cores == 0 || threads <= cores;
   workers_.reserve(threads - 1);
   for (unsigned i = 1; i < threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -120,8 +128,8 @@ void ThreadPool::work(Round& r, i64 chunk) {
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    const bool seen =
-        poll([this] { return open_.load(std::memory_order_relaxed) > 0; });
+    const bool seen = poll(
+        spin_, [this] { return open_.load(std::memory_order_relaxed) > 0; });
     Round* r = nullptr;
     i64 chunk = 0;
     {
@@ -169,7 +177,7 @@ void ThreadPool::run(Round& r) {
   const auto done = [&r] {
     return r.pending.load(std::memory_order_acquire) == 0;
   };
-  if (!poll(done)) {
+  if (!poll(spin_, done)) {
     std::unique_lock lk(mu_);
     done_cv_.wait(lk, done);
   }

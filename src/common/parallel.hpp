@@ -14,7 +14,9 @@
 // blocking wait. So an idle worker, and a caller waiting for its round,
 // first polls for a short fixed budget and only then blocks on a condition
 // variable; a round that arrives inside the budget starts without a
-// system call.
+// system call. A team with more threads than the host has cores skips the
+// poll and blocks at once, since its spinning threads would take the cores
+// its working ones need.
 //
 // A one-thread team starts no worker and runs every loop on the caller:
 // same numerics, no handoff.
@@ -76,6 +78,7 @@ class ThreadPool {
   Round* head_ = nullptr;            ///< published rounds, oldest first (mu_)
   unsigned sleepers_ = 0;            ///< workers inside work_cv_.wait (mu_)
   bool stop_ = false;                ///< (mu_)
+  bool spin_ = true;  ///< poll before blocking (no more threads than cores)
   /// Rounds with an unclaimed chunk; raised under mu_, lowered by the claim
   /// of a round's last chunk. Idle workers poll it without the lock.
   std::atomic<i64> open_{0};

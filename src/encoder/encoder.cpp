@@ -236,7 +236,10 @@ double CnnEncoder::train_pair(const ChunkImage& a, const ChunkImage& b,
     for (std::size_t lo = 0; lo < whole.hi; lo += kAdamTile)
       tiles.push_back({whole.opt, whole.param, whole.grad, lo,
                        std::min(whole.hi, lo + kAdamTile)});
-  const i64 r1 = std::min(conv1_.out_ch(), parts);
+  // conv1's ranges are whole blocks: at AVX2 its weight-gradient kernel
+  // holds a block's 8 channels in one register.
+  const i64 blocks1 = (conv1_.out_ch() + kBlock - 1) / kBlock;
+  const i64 r1 = std::min(blocks1, parts);
   const auto filter1 = conv1_.w.size() / size_t(conv1_.out_ch());
   parallel_for(pool, 0, r1 + i64(tiles.size()), [&](i64 task) {
     if (task >= r1) {
@@ -244,7 +247,8 @@ double CnnEncoder::train_pair(const ChunkImage& a, const ChunkImage& b,
       tl.opt->update(*tl.param, *tl.grad, tl.lo, tl.hi);
       return;
     }
-    const auto [c0, c1] = part(conv1_.out_ch(), r1, task);
+    const auto [b0, b1] = part(blocks1, r1, task);
+    const i64 c0 = b0 * kBlock, c1 = std::min(conv1_.out_ch(), b1 * kBlock);
     for (auto& x : t) {
       avgpool2_backward_channels(x.dp1, c0, c1, x.da);
       relu_backward(x.a.channels(c0, c1), x.da.channels(c0, c1));
@@ -304,8 +308,13 @@ Layer int8_layer(const Layer& trained) {
 }
 }  // namespace
 
+// The deployed conv layers keep their widened, relaid forward weights, so a
+// key does not relay all 20,032 of them on every call as the training layers
+// (whose weights change every step) do.
 void CnnEncoder::quantize() {
   int8_ = Int8Layers{int8_layer(conv1_), int8_layer(conv2_), int8_layer(fc_)};
+  int8_->conv1.freeze();
+  int8_->conv2.freeze();
 }
 
 double CnnEncoder::encode_flops() const {

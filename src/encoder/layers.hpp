@@ -41,6 +41,11 @@ struct FeatureMap {
 /// exactly the order, of the whole-layer forward()/backward(), which are
 /// compositions of them. Calls on disjoint channel ranges (and input_grad
 /// on distinct outputs) may run concurrently.
+///
+/// The kernels run at AVX2 width when the host has it, at SSE2 otherwise,
+/// with the same bits (encoder/layer_kernels.hpp): baseline x86-64 has no
+/// FMA, and the AVX2 variant is compiled for a target without it too, so no
+/// product is ever contracted into a sum. That target must never gain fma.
 class Conv2D {
  public:
   Conv2D(i64 in_ch, i64 out_ch, i64 ksize, i64 stride, Rng& rng);
@@ -67,6 +72,15 @@ class Conv2D {
   [[nodiscard]] i64 out_h(i64 in_h) const { return (in_h + stride_ - 1) / stride_; }
   [[nodiscard]] i64 out_w(i64 in_w) const { return (in_w + stride_ - 1) / stride_; }
 
+  /// Widens and relays w and b once into the forward kernel's layout, which
+  /// forward_channels otherwise rebuilds on every call. For a deployed layer:
+  /// w and b must not change afterwards.
+  void freeze();
+  /// The layout freeze() built (empty before): per block of 8 output
+  /// channels, their 8 biases, then each tap's (ic, ky, kx order) 8 weights,
+  /// as double; lanes past out_ch hold 0.
+  [[nodiscard]] const std::vector<double>& frozen() const { return frozen_; }
+
   std::vector<float> w;   ///< [out_ch][in_ch][k][k]
   std::vector<float> b;   ///< [out_ch]
   std::vector<float> gw;  ///< gradient accumulators
@@ -76,12 +90,15 @@ class Conv2D {
   [[nodiscard]] i64 out_ch() const { return out_ch_; }
   [[nodiscard]] i64 ksize() const { return k_; }
   [[nodiscard]] i64 stride() const { return stride_; }
+  [[nodiscard]] i64 pad() const { return pad_; }
 
  private:
   i64 in_ch_, out_ch_, k_, stride_, pad_;
+  std::vector<double> frozen_;
 };
 
-/// Fully connected layer.
+/// Fully connected layer. backward() runs at AVX2 width when the host has
+/// it, with the same bits; forward() runs SSE2 everywhere.
 class Dense {
  public:
   Dense(i64 in_dim, i64 out_dim, Rng& rng);

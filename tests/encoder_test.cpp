@@ -1,6 +1,7 @@
 // Tests for the CNN key encoder: bitwise pins of the layer kernels (whole
-// and split by channel range and image) and of Adam against the direct
-// loops they replaced, golden digests of training at several pool widths
+// and split by channel range and image, at every ISA the host runs) and of
+// Adam against the direct loops they replaced, the kernel dispatch, golden
+// digests of training at several pool widths
 // and of keys, batch keys against single keys, the registry's non-finite
 // sample guard,
 // numerical gradient checks of every layer, contrastive training
@@ -17,6 +18,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "encoder/encoder.hpp"
+#include "encoder/layer_kernels.hpp"
 #include "encoder/layers.hpp"
 #include "obs/metrics.hpp"
 
@@ -163,52 +165,96 @@ void fill_hard(std::vector<float>& v, Rng& rng, bool cancelling) {
   }
 }
 
+// The ISAs the layer kernels compile for. Each kernel test runs every case
+// at each one the host supports, calling the kernels at that ISA directly
+// (the layers' own methods run only the dispatched one), and reports the
+// test skipped after its baseline cases on a host without AVX2.
+constexpr kernels::Isa kIsas[] = {kernels::Isa::kBaseline, kernels::Isa::kAvx2};
+
+/// Isas the host runs, in kIsas order.
+std::vector<kernels::Isa> host_isas() {
+  std::vector<kernels::Isa> out;
+  for (const auto isa : kIsas)
+    if (kernels::supported(isa)) out.push_back(isa);
+  return out;
+}
+
+constexpr const char* kNoAvx2 =
+    "host lacks AVX2: the baseline kernels passed, the AVX2 ones did not run";
+
+/// Input sizes: at or below the padding, and odd output widths 3, 7 and 9
+/// at this stride, whose last output pixel has no partner (an AVX2 forward
+/// step takes two) and whose pairs near the edge clip at the right-hand
+/// padding.
+std::vector<std::pair<i64, i64>> conv_sizes(i64 stride) {
+  std::vector<std::pair<i64, i64>> sizes = {{1, 1}, {2, 3}, {5, 7}, {8, 8}};
+  for (const i64 out_w : {3, 7, 9}) sizes.emplace_back(3, (out_w - 1) * stride + 1);
+  return sizes;
+}
+
 // Stride 1 and 2; kernels 1, 3 and 5; channel counts that are not multiples
-// of any vector width; spatial sizes at or below the padding.
+// of any vector width; the sizes of conv_sizes(). A frozen copy of the
+// layer must forward the same bits.
 TEST(LayerKernels, ConvMatchesDirectLoopsBitForBit) {
-  Rng rng(40);
-  int cases = 0;
-  for (const bool cancelling : {false, true})
-    for (const i64 stride : {1, 2})
-      for (const i64 k : {1, 3, 5})
-        for (const auto& [ic, oc] : {std::pair<i64, i64>{1, 1}, {2, 3},
-                                     {3, 9}, {7, 17}, {32, 64}})
-          for (const auto& [h, w] : {std::pair<i64, i64>{1, 1}, {2, 3},
-                                     {5, 7}, {8, 8}}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "stride " << stride << " k " << k << " ic " << ic
-                         << " oc " << oc << " " << h << "x" << w
-                         << (cancelling ? " cancelling" : ""));
-            Rng init(static_cast<u64>(cases));
-            Conv2D fast(ic, oc, k, stride, init);
-            fill_hard(fast.w, rng, cancelling);
-            fill_hard(fast.b, rng, cancelling);
-            Conv2D ref = fast;
-            FeatureMap in(ic, h, w);
-            fill_hard(in.v, rng, cancelling);
-            const auto out = fast.forward(in);
-            EXPECT_TRUE(same_bits(out.v, naive_conv_forward(ref, in).v));
-            // Two backward passes: the second accumulates onto the first's
-            // gradient buffers, as a training pair does.
-            for (int pass = 0; pass < 2; ++pass) {
+  for (const auto isa : host_isas()) {
+    SCOPED_TRACE(kernels::name(isa));
+    Rng rng(40);
+    int cases = 0;
+    for (const bool cancelling : {false, true})
+      for (const i64 stride : {1, 2})
+        for (const i64 k : {1, 3, 5})
+          for (const auto& [ic, oc] : {std::pair<i64, i64>{1, 1}, {2, 3},
+                                       {3, 9}, {7, 17}, {32, 64}})
+            for (const auto& [h, w] : conv_sizes(stride)) {
+              SCOPED_TRACE(::testing::Message()
+                           << "stride " << stride << " k " << k << " ic " << ic
+                           << " oc " << oc << " " << h << "x" << w
+                           << (cancelling ? " cancelling" : ""));
+              Rng init(static_cast<u64>(cases));
+              Conv2D fast(ic, oc, k, stride, init);
+              fill_hard(fast.w, rng, cancelling);
+              fill_hard(fast.b, rng, cancelling);
+              // Gradients accumulate onto what the buffers hold, −0.0 too:
+              // a skipped term must leave it −0.0.
+              fill_hard(fast.gw, rng, cancelling);
+              fill_hard(fast.gb, rng, cancelling);
+              Conv2D ref = fast;
+              Conv2D frozen = fast;
+              frozen.freeze();
+              FeatureMap in(ic, h, w);
+              fill_hard(in.v, rng, cancelling);
+              FeatureMap out(oc, fast.out_h(h), fast.out_w(w));
+              kernels::conv_forward(isa, fast, in, 0, oc, out);
+              const auto want = naive_conv_forward(ref, in);
+              EXPECT_TRUE(same_bits(out.v, want.v));
+              kernels::conv_forward(isa, frozen, in, 0, oc, out);
+              EXPECT_TRUE(same_bits(out.v, want.v)) << "frozen";
+              EXPECT_TRUE(same_bits(fast.forward(in).v, want.v)) << "dispatched";
+              // Two backward passes: the second accumulates onto the first's
+              // gradient buffers, as a training pair does.
+              for (int pass = 0; pass < 2; ++pass) {
+                FeatureMap dout(out.c, out.h, out.w);
+                fill_hard(dout.v, rng, cancelling);
+                kernels::conv_weight_grads(isa, fast, in, dout, 0, oc);
+                FeatureMap din(ic, h, w);
+                kernels::conv_input_grad(isa, fast, dout, din);
+                EXPECT_TRUE(
+                    same_bits(din.v, naive_conv_backward(ref, in, dout).v));
+                EXPECT_TRUE(same_bits(fast.gw, ref.gw));
+                EXPECT_TRUE(same_bits(fast.gb, ref.gb));
+              }
+              // Weight gradients alone, as for a first layer.
               FeatureMap dout(out.c, out.h, out.w);
               fill_hard(dout.v, rng, cancelling);
-              const auto din = fast.backward(in, dout);
-              EXPECT_TRUE(
-                  same_bits(din.v, naive_conv_backward(ref, in, dout).v));
+              kernels::conv_weight_grads(isa, fast, in, dout, 0, oc);
+              (void)naive_conv_backward(ref, in, dout);
               EXPECT_TRUE(same_bits(fast.gw, ref.gw));
               EXPECT_TRUE(same_bits(fast.gb, ref.gb));
+              ++cases;
             }
-            // accumulate_grads is backward() without dL/din.
-            FeatureMap dout(out.c, out.h, out.w);
-            fill_hard(dout.v, rng, cancelling);
-            fast.accumulate_grads(in, dout);
-            (void)naive_conv_backward(ref, in, dout);
-            EXPECT_TRUE(same_bits(fast.gw, ref.gw));
-            EXPECT_TRUE(same_bits(fast.gb, ref.gb));
-            ++cases;
-          }
-  EXPECT_EQ(cases, 2 * 2 * 3 * 5 * 4);
+    EXPECT_EQ(cases, 2 * 2 * 3 * 5 * 7);
+  }
+  if (!kernels::supported(kernels::Isa::kAvx2)) GTEST_SKIP() << kNoAvx2;
 }
 
 // The split kernels a pooled training step runs: a channel-range forward,
@@ -216,58 +262,67 @@ TEST(LayerKernels, ConvMatchesDirectLoopsBitForBit) {
 // gradient alone. Ranges are uneven and cut through forward blocks; every
 // piece must equal the direct loops' bits.
 TEST(LayerKernels, SplitConvKernelsMatchDirectLoopsBitForBit) {
-  Rng rng(42);
-  int cases = 0;
-  for (const bool cancelling : {false, true})
-    for (const i64 stride : {1, 2})
-      for (const i64 k : {1, 3, 5})
-        for (const auto& [ic, oc] : {std::pair<i64, i64>{2, 3}, {3, 9},
-                                     {7, 17}, {32, 64}})
-          for (const auto& [h, w] : {std::pair<i64, i64>{2, 3}, {5, 7},
-                                     {8, 8}}) {
-            SCOPED_TRACE(::testing::Message()
-                         << "stride " << stride << " k " << k << " ic " << ic
-                         << " oc " << oc << " " << h << "x" << w
-                         << (cancelling ? " cancelling" : ""));
-            Rng init(static_cast<u64>(cases));
-            Conv2D split(ic, oc, k, stride, init);
-            fill_hard(split.w, rng, cancelling);
-            fill_hard(split.b, rng, cancelling);
-            Conv2D ref = split;
-            FeatureMap in_a(ic, h, w), in_b(ic, h, w);
-            fill_hard(in_a.v, rng, cancelling);
-            fill_hard(in_b.v, rng, cancelling);
-            // Range cuts: uneven, one empty range, blocks cut mid-way.
-            std::vector<i64> cuts = {0, oc / 3, oc / 3, (2 * oc) / 3 + 1, oc};
-            for (auto& c : cuts) c = std::min(c, oc);
-            FeatureMap out(oc, split.out_h(h), split.out_w(w));
-            for (std::size_t r = 0; r + 1 < cuts.size(); ++r)
-              split.forward_channels(in_a, cuts[r], cuts[r + 1], out);
-            EXPECT_TRUE(same_bits(out.v, naive_conv_forward(ref, in_a).v));
+  for (const auto isa : host_isas()) {
+    SCOPED_TRACE(kernels::name(isa));
+    Rng rng(42);
+    int cases = 0;
+    for (const bool cancelling : {false, true})
+      for (const i64 stride : {1, 2})
+        for (const i64 k : {1, 3, 5})
+          for (const auto& [ic, oc] : {std::pair<i64, i64>{2, 3}, {3, 9},
+                                       {7, 17}, {32, 64}})
+            for (const auto& [h, w] : conv_sizes(stride)) {
+              if (h * w == 1) continue;
+              SCOPED_TRACE(::testing::Message()
+                           << "stride " << stride << " k " << k << " ic " << ic
+                           << " oc " << oc << " " << h << "x" << w
+                           << (cancelling ? " cancelling" : ""));
+              Rng init(static_cast<u64>(cases));
+              Conv2D split(ic, oc, k, stride, init);
+              fill_hard(split.w, rng, cancelling);
+              fill_hard(split.b, rng, cancelling);
+              fill_hard(split.gw, rng, cancelling);
+              fill_hard(split.gb, rng, cancelling);
+              Conv2D ref = split;
+              FeatureMap in_a(ic, h, w), in_b(ic, h, w);
+              fill_hard(in_a.v, rng, cancelling);
+              fill_hard(in_b.v, rng, cancelling);
+              // Range cuts: uneven, one empty range, blocks cut mid-way.
+              std::vector<i64> cuts = {0, oc / 3, oc / 3, (2 * oc) / 3 + 1, oc};
+              for (auto& c : cuts) c = std::min(c, oc);
+              FeatureMap out(oc, split.out_h(h), split.out_w(w));
+              for (std::size_t r = 0; r + 1 < cuts.size(); ++r)
+                kernels::conv_forward(isa, split, in_a, cuts[r], cuts[r + 1], out);
+              EXPECT_TRUE(same_bits(out.v, naive_conv_forward(ref, in_a).v));
 
-            FeatureMap dout_a(out.c, out.h, out.w), dout_b(out.c, out.h, out.w);
-            fill_hard(dout_a.v, rng, cancelling);
-            fill_hard(dout_b.v, rng, cancelling);
-            // Image a then image b on each range: one training pair.
-            for (std::size_t r = 0; r + 1 < cuts.size(); ++r) {
-              split.accumulate_weight_grads(in_a, dout_a, cuts[r], cuts[r + 1]);
-              split.accumulate_weight_grads(in_b, dout_b, cuts[r], cuts[r + 1]);
+              FeatureMap dout_a(out.c, out.h, out.w), dout_b(out.c, out.h, out.w);
+              fill_hard(dout_a.v, rng, cancelling);
+              fill_hard(dout_b.v, rng, cancelling);
+              // Image a then image b on each range: one training pair.
+              for (std::size_t r = 0; r + 1 < cuts.size(); ++r) {
+                kernels::conv_weight_grads(isa, split, in_a, dout_a, cuts[r],
+                                           cuts[r + 1]);
+                kernels::conv_weight_grads(isa, split, in_b, dout_b, cuts[r],
+                                           cuts[r + 1]);
+              }
+              const auto din_a = naive_conv_backward(ref, in_a, dout_a);
+              const auto din_b = naive_conv_backward(ref, in_b, dout_b);
+              EXPECT_TRUE(same_bits(split.gw, ref.gw));
+              EXPECT_TRUE(same_bits(split.gb, ref.gb));
+
+              const auto gw_before = split.gw;
+              FeatureMap din(ic, h, w);
+              kernels::conv_input_grad(isa, split, dout_a, din);
+              EXPECT_TRUE(same_bits(din.v, din_a.v));
+              // Overwrites, never accumulates.
+              kernels::conv_input_grad(isa, split, dout_b, din);
+              EXPECT_TRUE(same_bits(din.v, din_b.v));
+              EXPECT_TRUE(same_bits(split.gw, gw_before));
+              ++cases;
             }
-            const auto din_a = naive_conv_backward(ref, in_a, dout_a);
-            const auto din_b = naive_conv_backward(ref, in_b, dout_b);
-            EXPECT_TRUE(same_bits(split.gw, ref.gw));
-            EXPECT_TRUE(same_bits(split.gb, ref.gb));
-
-            const auto gw_before = split.gw;
-            FeatureMap din(ic, h, w);
-            split.input_grad(dout_a, din);
-            EXPECT_TRUE(same_bits(din.v, din_a.v));
-            split.input_grad(dout_b, din);  // overwrites, never accumulates
-            EXPECT_TRUE(same_bits(din.v, din_b.v));
-            EXPECT_TRUE(same_bits(split.gw, gw_before));
-            ++cases;
-          }
-  EXPECT_EQ(cases, 2 * 2 * 3 * 4 * 3);
+    EXPECT_EQ(cases, 2 * 2 * 3 * 4 * 6);
+  }
+  if (!kernels::supported(kernels::Isa::kAvx2)) GTEST_SKIP() << kNoAvx2;
 }
 
 // ReLU and pooling act per channel, so their channel-range forms, applied
@@ -290,31 +345,56 @@ TEST(LayerKernels, ChannelRangePoolingMatchesWholeMap) {
   EXPECT_EQ(in.channels(2, 5).data(), &in.at(2, 0, 0));
 }
 
+// Dense::forward has one kernel (SSE2) at every ISA; the backward pass runs
+// at each.
 TEST(LayerKernels, DenseMatchesDirectLoopsBitForBit) {
-  Rng rng(41);
-  for (const bool cancelling : {false, true})
-    for (const auto& [in_dim, out_dim] :
-         {std::pair<i64, i64>{1, 1}, {5, 3}, {7, 9}, {33, 17}, {1024, 60},
-          {1023, 61}, {8, 16}, {4, 2}}) {
-      SCOPED_TRACE(::testing::Message() << in_dim << " -> " << out_dim
-                                        << (cancelling ? " cancelling" : ""));
-      Rng init(static_cast<u64>(in_dim));
-      Dense fast(in_dim, out_dim, init);
-      fill_hard(fast.w, rng, cancelling);
-      fill_hard(fast.b, rng, cancelling);
-      Dense ref = fast;
-      std::vector<float> in(static_cast<size_t>(in_dim));
-      fill_hard(in, rng, cancelling);
-      EXPECT_TRUE(same_bits(fast.forward(in), naive_dense_forward(ref, in)));
-      for (int pass = 0; pass < 2; ++pass) {
-        std::vector<float> dout(static_cast<size_t>(out_dim));
-        fill_hard(dout, rng, cancelling);
-        EXPECT_TRUE(same_bits(fast.backward(in, dout),
-                              naive_dense_backward(ref, in, dout)));
-        EXPECT_TRUE(same_bits(fast.gw, ref.gw));
-        EXPECT_TRUE(same_bits(fast.gb, ref.gb));
+  for (const auto isa : host_isas()) {
+    SCOPED_TRACE(kernels::name(isa));
+    Rng rng(41);
+    for (const bool cancelling : {false, true})
+      for (const auto& [in_dim, out_dim] :
+           {std::pair<i64, i64>{1, 1}, {5, 3}, {7, 9}, {33, 17}, {1024, 60},
+            {1023, 61}, {8, 16}, {4, 2}}) {
+        SCOPED_TRACE(::testing::Message() << in_dim << " -> " << out_dim
+                                          << (cancelling ? " cancelling" : ""));
+        Rng init(static_cast<u64>(in_dim));
+        Dense fast(in_dim, out_dim, init);
+        fill_hard(fast.w, rng, cancelling);
+        fill_hard(fast.b, rng, cancelling);
+        Dense ref = fast;
+        std::vector<float> in(static_cast<size_t>(in_dim));
+        fill_hard(in, rng, cancelling);
+        EXPECT_TRUE(same_bits(fast.forward(in), naive_dense_forward(ref, in)));
+        for (int pass = 0; pass < 2; ++pass) {
+          std::vector<float> dout(static_cast<size_t>(out_dim));
+          fill_hard(dout, rng, cancelling);
+          EXPECT_TRUE(same_bits(kernels::dense_backward(isa, fast, in, dout),
+                                naive_dense_backward(ref, in, dout)));
+          EXPECT_TRUE(same_bits(fast.gw, ref.gw));
+          EXPECT_TRUE(same_bits(fast.gb, ref.gb));
+        }
       }
-    }
+  }
+  if (!kernels::supported(kernels::Isa::kAvx2)) GTEST_SKIP() << kNoAvx2;
+}
+
+// The layers run AVX2 exactly when the host reports it, and the
+// `encoder.kernel_isa` gauge says which: a silent fallback to the baseline
+// kernels would keep every bit and lose only speed, which no other test
+// would see. The gauge is raised again after a registry reset.
+TEST(LayerKernels, DispatchPicksAvx2ExactlyWhenTheHostHasIt) {
+  __builtin_cpu_init();
+  const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+  EXPECT_TRUE(kernels::supported(kernels::Isa::kBaseline));
+  EXPECT_EQ(kernels::supported(kernels::Isa::kAvx2), avx2);
+  EXPECT_EQ(kernels::dispatched(),
+            avx2 ? kernels::Isa::kAvx2 : kernels::Isa::kBaseline);
+  auto& gauge = obs::metrics().gauge("encoder.kernel_isa");
+  gauge.reset();
+  Rng rng(45);
+  const Conv2D conv(2, 3, 3, 1, rng);
+  (void)conv.forward(FeatureMap(2, 4, 4));
+  EXPECT_EQ(gauge.value(), avx2 ? 1.0 : 0.0);
 }
 
 // Scalar loss = sum of elements; checks dL/dw by finite differences.
