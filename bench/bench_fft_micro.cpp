@@ -16,10 +16,10 @@
 // BM_EncoderTrainPair take the pool width their rounds fan out on, and warm
 // until every worker's scratch has reached its size. BM_ForkJoinRound times
 // one round of empty chunks: the pool's dispatch and join alone.
-// BM_ConvForward, BM_ConvWeightGrads, BM_ConvInputGrad and BM_DenseBackward
-// time one image through each encoder layer kernel at each ISA the layers
-// compile for (0 baseline SSE2, 1 AVX2; AVX2 rows skip on hosts without
-// it); the `encoder_isa` context line names the ISA the layers dispatch to.
+// BM_ConvForward, BM_ConvWeightGrads and BM_ConvInputGrad time one image
+// through each conv kernel at each ISA the layers compile for (0 baseline
+// SSE2, 1 AVX2; AVX2 rows skip on hosts without it); the `encoder_isa`
+// context line names the ISA the layers dispatch to.
 // BM_FftBatch and BM_OperatorChunk time the batched operator kernels: many
 // transforms per call, and the four F_u*D chunk kernels the stage engine
 // runs on every memo miss. BM_Nufft2DType2/Type1
@@ -393,9 +393,9 @@ void BM_EncoderTrainPair(benchmark::State& state) {
 }
 BENCHMARK(BM_EncoderTrainPair)->Arg(1)->Arg(2)->Arg(4);
 
-// The encoder's layers at their default shapes (32×32 front end): conv1
-// 2→32 channels, 5×5 stride 2, on a 2×32×32 image; conv2 32→64, 3×3, on
-// the pooled 32×8×8 map; fc 1024→60.
+// The encoder's conv layers at their default shapes (32×32 front end):
+// conv1 2→32 channels, 5×5 stride 2, on a 2×32×32 image; conv2 32→64, 3×3,
+// on the pooled 32×8×8 map.
 struct LayerShape {
   i64 in_ch, out_ch, k, stride, hw;
 };
@@ -425,16 +425,14 @@ encoder::FeatureMap relu_masked_grad(i64 c, i64 h, i64 w, u64 seed) {
   return g;
 }
 
-// Forward of one image through conv range(0)+1 (1: conv1, 2: conv2) at ISA
-// range(1); range(2) = 1 runs the frozen (deployed) layer, 0 the training
-// layer, which relays its weights per call.
+// Forward of one image through conv range(0) (1: conv1, 2: conv2) at ISA
+// range(1), its weights relaid inside each call.
 void BM_ConvForward(benchmark::State& state) {
   const LayerShape s = kConv[state.range(0) - 1];
   const auto isa = isa_arg(state, 1);
   if (!isa) return;
   Rng rng(30);
   encoder::Conv2D conv(s.in_ch, s.out_ch, s.k, s.stride, rng);
-  if (state.range(2) != 0) conv.freeze();
   const auto in = random_map(s.in_ch, s.hw, s.hw, 31);
   encoder::FeatureMap out(s.out_ch, conv.out_h(s.hw), conv.out_w(s.hw));
   encoder::kernels::conv_forward(*isa, conv, in, 0, s.out_ch, out);  // warm
@@ -445,7 +443,7 @@ void BM_ConvForward(benchmark::State& state) {
   }
   allocs.report(state);
 }
-BENCHMARK(BM_ConvForward)->ArgsProduct({{1, 2}, {0, 1}, {0, 1}});
+BENCHMARK(BM_ConvForward)->ArgsProduct({{1, 2}, {0, 1}});
 
 // One image's weight gradients of conv range(0) at ISA range(1), over
 // output-channel ranges range(2) wide: a training step on a team of 4 cuts
@@ -496,22 +494,6 @@ void BM_ConvInputGrad(benchmark::State& state) {
   allocs.report(state);
 }
 BENCHMARK(BM_ConvInputGrad)->Arg(0)->Arg(1);
-
-// One image's fc backward (weight and input gradients) at ISA range(0).
-void BM_DenseBackward(benchmark::State& state) {
-  const auto isa = isa_arg(state, 0);
-  if (!isa) return;
-  Rng rng(37);
-  encoder::Dense fc(1024, 60, rng);
-  std::vector<float> in(1024), dout(60);
-  for (auto& x : in) x = float(rng.normal());
-  for (auto& x : dout) x = float(rng.normal());
-  for (auto _ : state) {
-    auto din = encoder::kernels::dense_backward(*isa, fc, in, dout);
-    benchmark::DoNotOptimize(din.data());
-  }
-}
-BENCHMARK(BM_DenseBackward)->Arg(0)->Arg(1);
 
 void BM_NaiveNdftReference(benchmark::State& state) {
   const i64 n = state.range(0);

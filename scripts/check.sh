@@ -35,10 +35,10 @@
 # trained at pool widths 1-4, and two threads training two encoders on one
 # shared pool: workers write disjoint gradient and weight ranges while
 # reading shared weights), the dual-ISA layer-kernel tests (LayerKernels.*:
-# each conv and dense kernel at baseline and at AVX2 against the direct
-# loops, plus the dispatch test; the training and batch-key tests reach
-# only the ISA the host dispatches to, so these run the other one's kernels
-# and scratch use under the sanitizer too), the shared-norm test (four
+# each conv kernel at baseline and at AVX2 against the direct loops, plus
+# the dispatch test; the training and batch-key tests reach only the ISA
+# the host dispatches to, so these run the other one's kernels and scratch
+# use under the sanitizer too), the shared-norm test (four
 # racing solves fill one Operators' ||L*L|| slot under its mutex and read
 # it back), the memo DB
 # suite and the remote-harvest test (pool workers storing fetched payloads

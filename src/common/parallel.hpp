@@ -16,7 +16,8 @@
 // variable; a round that arrives inside the budget starts without a
 // system call. A team with more threads than the host has cores skips the
 // poll and blocks at once, since its spinning threads would take the cores
-// its working ones need.
+// its working ones need. The check sees one team only: several teams that
+// together exceed the cores still poll.
 //
 // A one-thread team starts no worker and runs every loop on the caller:
 // same numerics, no handoff.

@@ -102,8 +102,6 @@ struct Trace {
   FeatureMap db, dp1, da;  ///< dL/db, dL/dp1, dL/da
 };
 
-/// Output channels one forward task computes: one conv kernel block.
-constexpr i64 kBlock = 8;
 /// Elements per Adam task.
 constexpr std::size_t kAdamTile = 8192;
 
@@ -122,11 +120,11 @@ void conv_forward(std::span<Trace> t, const Conv2D& conv1, const Conv2D& conv2,
   const auto conv_relu_pool = [&](const Conv2D& conv, FeatureMap Trace::*in,
                                   FeatureMap Trace::*out,
                                   FeatureMap Trace::*pooled) {
-    const i64 blocks = (conv.out_ch() + kBlock - 1) / kBlock;
+    const i64 blocks = (conv.out_ch() + Conv2D::kBlock - 1) / Conv2D::kBlock;
     parallel_for(pool, 0, i64(t.size()) * blocks, [&](i64 task) {
       Trace& x = t[size_t(task / blocks)];
-      const i64 c0 = task % blocks * kBlock;
-      const i64 c1 = std::min(conv.out_ch(), c0 + kBlock);
+      const i64 c0 = task % blocks * Conv2D::kBlock;
+      const i64 c1 = std::min(conv.out_ch(), c0 + Conv2D::kBlock);
       conv.forward_channels(x.*in, c0, c1, x.*out);
       relu_forward((x.*out).channels(c0, c1));
       avgpool2_channels(x.*out, c0, c1, x.*pooled);
@@ -238,7 +236,8 @@ double CnnEncoder::train_pair(const ChunkImage& a, const ChunkImage& b,
                        std::min(whole.hi, lo + kAdamTile)});
   // conv1's ranges are whole blocks: at AVX2 its weight-gradient kernel
   // holds a block's 8 channels in one register.
-  const i64 blocks1 = (conv1_.out_ch() + kBlock - 1) / kBlock;
+  const i64 blocks1 =
+      (conv1_.out_ch() + Conv2D::kBlock - 1) / Conv2D::kBlock;
   const i64 r1 = std::min(blocks1, parts);
   const auto filter1 = conv1_.w.size() / size_t(conv1_.out_ch());
   parallel_for(pool, 0, r1 + i64(tiles.size()), [&](i64 task) {
@@ -248,7 +247,8 @@ double CnnEncoder::train_pair(const ChunkImage& a, const ChunkImage& b,
       return;
     }
     const auto [b0, b1] = part(blocks1, r1, task);
-    const i64 c0 = b0 * kBlock, c1 = std::min(conv1_.out_ch(), b1 * kBlock);
+    const i64 c0 = b0 * Conv2D::kBlock;
+    const i64 c1 = std::min(conv1_.out_ch(), b1 * Conv2D::kBlock);
     for (auto& x : t) {
       avgpool2_backward_channels(x.dp1, c0, c1, x.da);
       relu_backward(x.a.channels(c0, c1), x.da.channels(c0, c1));
@@ -308,13 +308,8 @@ Layer int8_layer(const Layer& trained) {
 }
 }  // namespace
 
-// The deployed conv layers keep their widened, relaid forward weights, so a
-// key does not relay all 20,032 of them on every call as the training layers
-// (whose weights change every step) do.
 void CnnEncoder::quantize() {
   int8_ = Int8Layers{int8_layer(conv1_), int8_layer(conv2_), int8_layer(fc_)};
-  int8_->conv1.freeze();
-  int8_->conv2.freeze();
 }
 
 double CnnEncoder::encode_flops() const {

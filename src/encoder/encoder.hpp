@@ -97,8 +97,7 @@ class CnnEncoder {
   Adam opt_w1_, opt_b1_, opt_w2_, opt_b2_, opt_wf_, opt_bf_;
 
   // The deployed layers, built once by quantize(): every weight is its INT8
-  // value times the tensor's scale, held as float, and the conv layers are
-  // frozen (Conv2D::freeze). No gradient buffers.
+  // value times the tensor's scale, held as float. No gradient buffers.
   struct Int8Layers {
     Conv2D conv1, conv2;
     Dense fc;

@@ -1,9 +1,9 @@
 // The layer kernels at each instruction set the encoder compiles them for.
 //
-// Private to the encoder and its tests. Conv2D and Dense call their kernels
-// at dispatched(): AVX2 exactly when the host has it, decided once per
-// process. The entry points below take the ISA explicitly, so a test can run
-// the baseline kernels on an AVX2 host and pin both against the direct loops.
+// Private to the encoder and its tests. Conv2D calls its kernels at
+// dispatched(): AVX2 exactly when the host has it, decided once per process.
+// The entry points below take the ISA explicitly, so a test can run the
+// baseline kernels on an AVX2 host and pin both against the direct loops.
 //
 // Both variants compute the same bits. Each kernel is written once, as an
 // inline template over its vector width, and compiled twice: at baseline
@@ -11,9 +11,11 @@
 // lane performs the scalar loop's IEEE operations in the scalar loop's
 // order. Neither target enables FMA, so no product is ever contracted into
 // a sum; the AVX2 target string must never gain "fma".
+//
+// Dense and Adam run their SSE2 kernels on every host: AVX2 forms of
+// Dense::forward and of the Adam update measured slower, and one of the fc
+// backward saved well under 1% of a training step.
 #pragma once
-
-#include <vector>
 
 #include "common/types.hpp"
 #include "encoder/layers.hpp"
@@ -43,10 +45,5 @@ void conv_weight_grads(Isa isa, Conv2D& conv, const FeatureMap& in,
 /// Conv2D::input_grad at `isa`.
 void conv_input_grad(Isa isa, const Conv2D& conv, const FeatureMap& dout,
                      FeatureMap& din);
-/// Dense::backward at `isa`. (Dense::forward runs SSE2 at both: its AVX2
-/// variants measured slower.)
-std::vector<float> dense_backward(Isa isa, Dense& fc,
-                                  const std::vector<float>& in,
-                                  const std::vector<float>& dout);
 
 }  // namespace mlr::encoder::kernels

@@ -79,7 +79,8 @@ template <class U, class T>
 
 /// Output channels of one forward block: a relaid tap holds their 8 weights
 /// side by side, two AVX2 registers or four SSE2 ones.
-constexpr i64 kLanes = 8;
+constexpr i64 kLanes = Conv2D::kBlock;
+static_assert(kLanes % Avx2::kDoubles == 0 && kLanes % Sse2::kDoubles == 0);
 
 // Kernel buffers (relaid weights, channels-last copies). One arena per
 // element type serves every layer: a thread runs one layer kernel at a time,
@@ -94,7 +95,9 @@ i64 forward_block(const Conv2D& c) {
   return (c.in_ch() * c.ksize() * c.ksize() + 1) * kLanes;
 }
 
-// Blocks [blk0, blk1) of c's weights in Conv2D::frozen()'s layout.
+// Blocks [blk0, blk1) of c's weights, widened to double: per block of 8
+// output channels, their 8 biases, then each tap's (ic, ky, kx order) 8
+// weights; lanes past out_ch hold 0.
 void relay_forward(const Conv2D& c, i64 blk0, i64 blk1, double* dst) {
   const i64 taps = c.in_ch() * c.ksize() * c.ksize();
   for (i64 blk = blk0; blk < blk1; ++blk, dst += forward_block(c))
@@ -219,14 +222,13 @@ void to_channels_last(const FeatureMap& in, const ChannelsLast& cl, float* xt) {
 }
 
 // The direct loop over output channel oc's gradients: (oy, ox) ascending,
-// zeros skipped. For each nonzero g it calls on_grad(g), then on_row(g, xo,
-// fo, len) for each in-range tap row ky: `len` channels-last floats from
-// input offset xo, and from filter offset fo relative to channel oc's filter.
-template <class OnGrad, class OnRow>
+// zeros skipped. For each nonzero g it calls on_row(g, xo, fo, len) for each
+// in-range tap row ky: `len` channels-last floats from input offset xo, and
+// from filter offset fo relative to channel oc's filter.
+template <class OnRow>
 [[gnu::always_inline]] inline void for_tap_rows(const FeatureMap& dout, i64 oc,
                                                 const ChannelsLast& cl,
                                                 i64 stride, i64 pad,
-                                                OnGrad&& on_grad,
                                                 OnRow&& on_row) {
   for (i64 oy = 0; oy < dout.h; ++oy) {
     const i64 iy0 = oy * stride - pad;
@@ -235,7 +237,6 @@ template <class OnGrad, class OnRow>
     for (i64 ox = 0; ox < dout.w; ++ox) {
       const float g = dout.at(oc, oy, ox);
       if (g == 0.0f) continue;
-      on_grad(g);
       const i64 ix0 = ox * stride - pad;
       const i64 kx0 = std::max<i64>(0, -ix0);
       const i64 len = (std::min(cl.k, cl.in_w - ix0) - kx0) * cl.in_ch;
@@ -281,7 +282,6 @@ void bias_grads(Conv2D& c, const FeatureMap& dout, i64 oc0, i64 oc1) {
     float* gf = gwt + cl.tap(oc - oc0, 0, 0);
     for_tap_rows(
         dout, oc, cl, c.stride(), c.pad(),
-        [](float) __attribute__((always_inline)) {},
         [&](float g, i64 xo, i64 fo, i64 len) __attribute__((always_inline)) {
           float* gr = gf + fo;
           const float* xr = xt + xo;
@@ -310,7 +310,8 @@ void bias_grads(Conv2D& c, const FeatureMap& dout, i64 oc0, i64 oc1) {
                                                         i64 oc0, i64 oc1) {
   using F = Avx2::f32;
   using Fu = Avx2::f32u;
-  constexpr i64 W = Avx2::kFloats;
+  constexpr i64 W = Conv2D::kBlock;
+  static_assert(W == Avx2::kFloats, "one block of channels per register");
   constexpr i64 kChains = 5;
   const ChannelsLast cl{c.in_ch(), c.ksize(), in.h, in.w};
   const i64 row = cl.k * cl.in_ch;
@@ -395,7 +396,6 @@ void bias_grads(Conv2D& c, const FeatureMap& dout, i64 oc0, i64 oc1) {
     const float* wf = wt + cl.tap(oc, 0, 0);
     for_tap_rows(
         dout, oc, cl, c.stride(), c.pad(),
-        [](float) __attribute__((always_inline)) {},
         [&](float g, i64 xo, i64 fo, i64 len) __attribute__((always_inline)) {
           float* dr = dint + xo;
           const float* wr = wf + fo;
@@ -445,16 +445,10 @@ void conv_forward(Isa isa, const Conv2D& conv, const FeatureMap& in, i64 oc0,
             out.w == conv.out_w(in.w));
   if (oc0 == oc1) return;
   const i64 blk0 = oc0 / kLanes, blk1 = (oc1 + kLanes - 1) / kLanes;
-  const double* wt = nullptr;
-  if (!conv.frozen().empty()) {
-    wt = conv.frozen().data() + blk0 * forward_block(conv);
-  } else {
-    const auto buf =
-        forward_scratch.buffer(size_t((blk1 - blk0) * forward_block(conv)));
-    relay_forward(conv, blk0, blk1, buf.data());
-    wt = buf.data();
-  }
-  const ForwardCall f{in,  out,         wt,          blk0 * kLanes, oc0,
+  const auto buf =
+      forward_scratch.buffer(size_t((blk1 - blk0) * forward_block(conv)));
+  relay_forward(conv, blk0, blk1, buf.data());
+  const ForwardCall f{in,  out,          buf.data(),    blk0 * kLanes, oc0,
                       oc1, conv.ksize(), conv.stride(), conv.pad()};
   if (isa == Isa::kAvx2)
     forward_avx2(f);
@@ -485,11 +479,6 @@ void conv_input_grad(Isa isa, const Conv2D& conv, const FeatureMap& dout,
 
 }  // namespace kernels
 
-void Conv2D::freeze() {
-  frozen_.resize(size_t((out_ch_ + kLanes - 1) / kLanes * forward_block(*this)));
-  relay_forward(*this, 0, (out_ch_ + kLanes - 1) / kLanes, frozen_.data());
-}
-
 FeatureMap Conv2D::forward(const FeatureMap& in) const {
   FeatureMap out(out_ch_, out_h(in.h), out_w(in.w));
   forward_channels(in, 0, out_ch_, out);
@@ -506,10 +495,6 @@ FeatureMap Conv2D::backward(const FeatureMap& in, const FeatureMap& dout) {
   FeatureMap din(in.c, in.h, in.w);
   input_grad(dout, din);
   return din;
-}
-
-void Conv2D::accumulate_grads(const FeatureMap& in, const FeatureMap& dout) {
-  accumulate_weight_grads(in, dout, 0, out_ch_);
 }
 
 void Conv2D::accumulate_weight_grads(const FeatureMap& in,
@@ -586,55 +571,21 @@ std::vector<float> Dense::forward(const std::vector<float>& in) const {
   return out;
 }
 
-namespace {
-
-// The direct loop: each gw and din element takes one product per output, in
-// output order, so the inner loop vectorizes at the width of the function
-// it is inlined into with every element's additions in the direct order.
-[[gnu::always_inline]] inline void dense_backward_kernel(
-    Dense& fc, const std::vector<float>& in, const std::vector<float>& dout,
-    std::vector<float>& din) {
-  const i64 n = fc.in_dim();
-  for (i64 o = 0; o < fc.out_dim(); ++o) {
+std::vector<float> Dense::backward(const std::vector<float>& in,
+                                   const std::vector<float>& dout) {
+  MLR_CHECK(i64(in.size()) == in_ && i64(dout.size()) == out_);
+  std::vector<float> din(static_cast<size_t>(in_), 0.0f);
+  for (i64 o = 0; o < out_; ++o) {
     const float g = dout[size_t(o)];
-    fc.gb[size_t(o)] += g;
-    float* grow = fc.gw.data() + size_t(o * n);
-    const float* row = fc.w.data() + size_t(o * n);
-    for (i64 i = 0; i < n; ++i) {
+    gb[size_t(o)] += g;
+    float* grow = gw.data() + size_t(o * in_);
+    const float* row = w.data() + size_t(o * in_);
+    for (i64 i = 0; i < in_; ++i) {
       grow[i] += g * in[size_t(i)];
       din[size_t(i)] += g * row[i];
     }
   }
-}
-
-void dense_backward_sse2(Dense& fc, const std::vector<float>& in,
-                         const std::vector<float>& dout,
-                         std::vector<float>& din) {
-  dense_backward_kernel(fc, in, dout, din);
-}
-[[gnu::target("avx2")]] void dense_backward_avx2(
-    Dense& fc, const std::vector<float>& in, const std::vector<float>& dout,
-    std::vector<float>& din) {
-  dense_backward_kernel(fc, in, dout, din);
-}
-
-}  // namespace
-
-std::vector<float> kernels::dense_backward(Isa isa, Dense& fc,
-                                           const std::vector<float>& in,
-                                           const std::vector<float>& dout) {
-  MLR_CHECK(i64(in.size()) == fc.in_dim() && i64(dout.size()) == fc.out_dim());
-  std::vector<float> din(in.size(), 0.0f);
-  if (isa == Isa::kAvx2)
-    dense_backward_avx2(fc, in, dout, din);
-  else
-    dense_backward_sse2(fc, in, dout, din);
   return din;
-}
-
-std::vector<float> Dense::backward(const std::vector<float>& in,
-                                   const std::vector<float>& dout) {
-  return kernels::dense_backward(kernels::dispatched(), *this, in, dout);
 }
 
 void relu_forward(std::span<float> v) {
@@ -727,9 +678,9 @@ void Adam::begin_step() {
 // packed: cvtps2pd/cvtpd2ps are the float↔double conversions, sqrtpd the
 // correctly rounded root std::sqrt computes, subps the float subtraction,
 // and baseline x86-64 has no FMA to contract a product into a sum. (The
-// conv and fc-backward kernels above also run at AVX2 width, compiled for a
-// target without FMA for the same reason; Adam stays SSE2: an AVX2 update
-// measured slower, bound by its three divisions and a square root.)
+// conv kernels above also run at AVX2 width, compiled for a target without
+// FMA for the same reason; Adam stays SSE2: an AVX2 update measured slower,
+// bound by its three divisions and a square root.)
 void Adam::update(std::vector<float>& param, std::vector<float>& grad,
                   std::size_t lo, std::size_t hi) {
   MLR_CHECK(param.size() == m_.size() && grad.size() == m_.size());

@@ -48,6 +48,12 @@ struct FeatureMap {
 /// product is ever contracted into a sum. That target must never gain fma.
 class Conv2D {
  public:
+  /// Output channels the kernels handle side by side: a forward step holds
+  /// a block of them in its registers, and conv1's AVX2 weight gradients
+  /// one block per register. Channel ranges that start at a multiple of it
+  /// cut no block.
+  static constexpr i64 kBlock = 8;
+
   Conv2D(i64 in_ch, i64 out_ch, i64 ksize, i64 stride, Rng& rng);
 
   [[nodiscard]] FeatureMap forward(const FeatureMap& in) const;
@@ -58,9 +64,6 @@ class Conv2D {
   /// Backward: given dL/dout, accumulates dL/dw and dL/db into the gradient
   /// buffers and returns dL/din. `in` must be the forward input.
   FeatureMap backward(const FeatureMap& in, const FeatureMap& dout);
-  /// backward() without dL/din, for a first layer whose input gradient
-  /// nobody reads.
-  void accumulate_grads(const FeatureMap& in, const FeatureMap& dout);
   /// What backward(in, dout) adds to dL/dw and dL/db of output channels
   /// [oc0, oc1). Each channel's bias sum is stored once, at the end.
   void accumulate_weight_grads(const FeatureMap& in, const FeatureMap& dout,
@@ -71,15 +74,6 @@ class Conv2D {
 
   [[nodiscard]] i64 out_h(i64 in_h) const { return (in_h + stride_ - 1) / stride_; }
   [[nodiscard]] i64 out_w(i64 in_w) const { return (in_w + stride_ - 1) / stride_; }
-
-  /// Widens and relays w and b once into the forward kernel's layout, which
-  /// forward_channels otherwise rebuilds on every call. For a deployed layer:
-  /// w and b must not change afterwards.
-  void freeze();
-  /// The layout freeze() built (empty before): per block of 8 output
-  /// channels, their 8 biases, then each tap's (ic, ky, kx order) 8 weights,
-  /// as double; lanes past out_ch hold 0.
-  [[nodiscard]] const std::vector<double>& frozen() const { return frozen_; }
 
   std::vector<float> w;   ///< [out_ch][in_ch][k][k]
   std::vector<float> b;   ///< [out_ch]
@@ -94,11 +88,9 @@ class Conv2D {
 
  private:
   i64 in_ch_, out_ch_, k_, stride_, pad_;
-  std::vector<double> frozen_;
 };
 
-/// Fully connected layer. backward() runs at AVX2 width when the host has
-/// it, with the same bits; forward() runs SSE2 everywhere.
+/// Fully connected layer.
 class Dense {
  public:
   Dense(i64 in_dim, i64 out_dim, Rng& rng);

@@ -165,10 +165,10 @@ void fill_hard(std::vector<float>& v, Rng& rng, bool cancelling) {
   }
 }
 
-// The ISAs the layer kernels compile for. Each kernel test runs every case
-// at each one the host supports, calling the kernels at that ISA directly
-// (the layers' own methods run only the dispatched one), and reports the
-// test skipped after its baseline cases on a host without AVX2.
+// The ISAs the conv kernels compile for. Each conv kernel test runs every
+// case at each one the host supports, calling the kernels at that ISA
+// directly (the layers' own methods run only the dispatched one), and
+// reports the test skipped after its baseline cases on a host without AVX2.
 constexpr kernels::Isa kIsas[] = {kernels::Isa::kBaseline, kernels::Isa::kAvx2};
 
 /// Isas the host runs, in kIsas order.
@@ -193,8 +193,7 @@ std::vector<std::pair<i64, i64>> conv_sizes(i64 stride) {
 }
 
 // Stride 1 and 2; kernels 1, 3 and 5; channel counts that are not multiples
-// of any vector width; the sizes of conv_sizes(). A frozen copy of the
-// layer must forward the same bits.
+// of any vector width; the sizes of conv_sizes().
 TEST(LayerKernels, ConvMatchesDirectLoopsBitForBit) {
   for (const auto isa : host_isas()) {
     SCOPED_TRACE(kernels::name(isa));
@@ -219,16 +218,12 @@ TEST(LayerKernels, ConvMatchesDirectLoopsBitForBit) {
               fill_hard(fast.gw, rng, cancelling);
               fill_hard(fast.gb, rng, cancelling);
               Conv2D ref = fast;
-              Conv2D frozen = fast;
-              frozen.freeze();
               FeatureMap in(ic, h, w);
               fill_hard(in.v, rng, cancelling);
               FeatureMap out(oc, fast.out_h(h), fast.out_w(w));
               kernels::conv_forward(isa, fast, in, 0, oc, out);
               const auto want = naive_conv_forward(ref, in);
               EXPECT_TRUE(same_bits(out.v, want.v));
-              kernels::conv_forward(isa, frozen, in, 0, oc, out);
-              EXPECT_TRUE(same_bits(out.v, want.v)) << "frozen";
               EXPECT_TRUE(same_bits(fast.forward(in).v, want.v)) << "dispatched";
               // Two backward passes: the second accumulates onto the first's
               // gradient buffers, as a training pair does.
@@ -345,37 +340,31 @@ TEST(LayerKernels, ChannelRangePoolingMatchesWholeMap) {
   EXPECT_EQ(in.channels(2, 5).data(), &in.at(2, 0, 0));
 }
 
-// Dense::forward has one kernel (SSE2) at every ISA; the backward pass runs
-// at each.
 TEST(LayerKernels, DenseMatchesDirectLoopsBitForBit) {
-  for (const auto isa : host_isas()) {
-    SCOPED_TRACE(kernels::name(isa));
-    Rng rng(41);
-    for (const bool cancelling : {false, true})
-      for (const auto& [in_dim, out_dim] :
-           {std::pair<i64, i64>{1, 1}, {5, 3}, {7, 9}, {33, 17}, {1024, 60},
-            {1023, 61}, {8, 16}, {4, 2}}) {
-        SCOPED_TRACE(::testing::Message() << in_dim << " -> " << out_dim
-                                          << (cancelling ? " cancelling" : ""));
-        Rng init(static_cast<u64>(in_dim));
-        Dense fast(in_dim, out_dim, init);
-        fill_hard(fast.w, rng, cancelling);
-        fill_hard(fast.b, rng, cancelling);
-        Dense ref = fast;
-        std::vector<float> in(static_cast<size_t>(in_dim));
-        fill_hard(in, rng, cancelling);
-        EXPECT_TRUE(same_bits(fast.forward(in), naive_dense_forward(ref, in)));
-        for (int pass = 0; pass < 2; ++pass) {
-          std::vector<float> dout(static_cast<size_t>(out_dim));
-          fill_hard(dout, rng, cancelling);
-          EXPECT_TRUE(same_bits(kernels::dense_backward(isa, fast, in, dout),
-                                naive_dense_backward(ref, in, dout)));
-          EXPECT_TRUE(same_bits(fast.gw, ref.gw));
-          EXPECT_TRUE(same_bits(fast.gb, ref.gb));
-        }
+  Rng rng(41);
+  for (const bool cancelling : {false, true})
+    for (const auto& [in_dim, out_dim] :
+         {std::pair<i64, i64>{1, 1}, {5, 3}, {7, 9}, {33, 17}, {1024, 60},
+          {1023, 61}, {8, 16}, {4, 2}}) {
+      SCOPED_TRACE(::testing::Message() << in_dim << " -> " << out_dim
+                                        << (cancelling ? " cancelling" : ""));
+      Rng init(static_cast<u64>(in_dim));
+      Dense fast(in_dim, out_dim, init);
+      fill_hard(fast.w, rng, cancelling);
+      fill_hard(fast.b, rng, cancelling);
+      Dense ref = fast;
+      std::vector<float> in(static_cast<size_t>(in_dim));
+      fill_hard(in, rng, cancelling);
+      EXPECT_TRUE(same_bits(fast.forward(in), naive_dense_forward(ref, in)));
+      for (int pass = 0; pass < 2; ++pass) {
+        std::vector<float> dout(static_cast<size_t>(out_dim));
+        fill_hard(dout, rng, cancelling);
+        EXPECT_TRUE(same_bits(fast.backward(in, dout),
+                              naive_dense_backward(ref, in, dout)));
+        EXPECT_TRUE(same_bits(fast.gw, ref.gw));
+        EXPECT_TRUE(same_bits(fast.gb, ref.gb));
       }
-  }
-  if (!kernels::supported(kernels::Isa::kAvx2)) GTEST_SKIP() << kNoAvx2;
+    }
 }
 
 // The layers run AVX2 exactly when the host reports it, and the
